@@ -61,7 +61,10 @@ def _clean(terms: Mapping[MultiIndex, Matrix]) -> dict[MultiIndex, Matrix]:
 
 
 class _PolyMap:
-    """Shared mechanics of the two polynomial map representations."""
+    """Shared mechanics of the two polynomial map representations.
+
+    `_frozen` is the argument the monomials read: 1 (y) for right maps, 0 (x) for left.
+    """
 
     __slots__ = ("dim", "terms")
 
@@ -73,6 +76,36 @@ class _PolyMap:
                 raise ValueError(f"coefficient matrix must be {dim}x{dim}")
         self.dim = dim
         self.terms = _clean(terms)
+
+    @classmethod
+    def zero(cls, dim: int):
+        return cls(dim, {})
+
+    @classmethod
+    def single(cls, dim: int, alpha: MultiIndex, m: Matrix):
+        return cls(dim, {tuple(alpha): m})
+
+    def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("dimension mismatch")
+        frozen, free = (y, x) if self._frozen else (x, y)
+        out = [_ZERO] * self.dim
+        for a, m in self.terms.items():
+            f = monomial_value(a, frozen)
+            if f:
+                for r, v in enumerate(m.apply(free)):
+                    if v:
+                        out[r] += f * v
+        return tuple(out)
+
+    def fixed_arg(self, v: Sequence[Fraction]) -> Matrix:
+        """The linear map in the free argument when the frozen one is v."""
+        acc = Matrix.zeros(self.dim, self.dim)
+        for a, m in self.terms.items():
+            f = monomial_value(a, v)
+            if f:
+                acc = acc + f * m
+        return acc
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -128,34 +161,8 @@ class _PolyMap:
 class PolyRightMap(_PolyMap):
     """B(x, y) = sum_a y^a (M_a x): linear in x, polynomial in y."""
 
-    @classmethod
-    def zero(cls, dim: int) -> "PolyRightMap":
-        return cls(dim, {})
-
-    @classmethod
-    def single(cls, dim: int, alpha: MultiIndex, m: Matrix) -> "PolyRightMap":
-        return cls(dim, {tuple(alpha): m})
-
-    def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("dimension mismatch")
-        out = [_ZERO] * self.dim
-        for a, m in self.terms.items():
-            f = monomial_value(a, y)
-            if f:
-                for r, v in enumerate(m.apply(x)):
-                    if v:
-                        out[r] += f * v
-        return tuple(out)
-
-    def fixed_second_arg(self, y: Sequence[Fraction]) -> Matrix:
-        """The linear map x -> B(x, y) for frozen y."""
-        acc = Matrix.zeros(self.dim, self.dim)
-        for a, m in self.terms.items():
-            f = monomial_value(a, y)
-            if f:
-                acc = acc + f * m
-        return acc
+    _frozen = 1
+    fixed_second_arg = _PolyMap.fixed_arg
 
     def transpose(self) -> "PolyLeftMap":
         """(x, y) -> B(y, x): the same terms read as a left map."""
@@ -165,34 +172,8 @@ class PolyRightMap(_PolyMap):
 class PolyLeftMap(_PolyMap):
     """B(x, y) = sum_a x^a (N_a y): polynomial in x, linear in y."""
 
-    @classmethod
-    def zero(cls, dim: int) -> "PolyLeftMap":
-        return cls(dim, {})
-
-    @classmethod
-    def single(cls, dim: int, alpha: MultiIndex, m: Matrix) -> "PolyLeftMap":
-        return cls(dim, {tuple(alpha): m})
-
-    def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("dimension mismatch")
-        out = [_ZERO] * self.dim
-        for a, m in self.terms.items():
-            f = monomial_value(a, x)
-            if f:
-                for r, v in enumerate(m.apply(y)):
-                    if v:
-                        out[r] += f * v
-        return tuple(out)
-
-    def fixed_first_arg(self, x: Sequence[Fraction]) -> Matrix:
-        """The linear map y -> B(x, y) for frozen x."""
-        acc = Matrix.zeros(self.dim, self.dim)
-        for a, m in self.terms.items():
-            f = monomial_value(a, x)
-            if f:
-                acc = acc + f * m
-        return acc
+    _frozen = 0
+    fixed_first_arg = _PolyMap.fixed_arg
 
     def transpose(self) -> "PolyRightMap":
         return PolyRightMap(self.dim, dict(self.terms))
@@ -211,13 +192,7 @@ def from_tensor(B: BilinearTensor) -> PolyRightMap:
 
 def from_tensor_left(B: BilinearTensor) -> PolyLeftMap:
     """Bilinear map as a left poly map: B(x, y) = sum_i x_i N_i y."""
-    n = B.dim
-    terms: dict[MultiIndex, Matrix] = {}
-    for i in range(n):
-        m = Matrix(tuple(tuple(B.t[i][j][k] for j in range(n)) for k in range(n)))
-        if not m.is_zero():
-            terms[_unit_index(i, n)] = m
-    return PolyLeftMap(n, terms)
+    return from_tensor(B.transpose()).transpose()
 
 
 def to_tensor(P: PolyRightMap) -> BilinearTensor:
@@ -236,16 +211,7 @@ def to_tensor(P: PolyRightMap) -> BilinearTensor:
 
 def to_tensor_left(P: PolyLeftMap) -> BilinearTensor:
     """Exact inverse of `from_tensor_left` for pure degree-1 maps."""
-    n = P.dim
-    t = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-    for a, m in P.terms.items():
-        if sum(a) != 1:
-            raise ValueError(f"term {a} has total degree {sum(a)}, expected 1")
-        i = a.index(1)
-        for k in range(n):
-            for j in range(n):
-                t[i][j][k] = m.data[k][j]
-    return BilinearTensor(n, t)
+    return to_tensor(P.transpose()).transpose()
 
 
 def basis_evaluation_tensor(P: PolyRightMap | PolyLeftMap) -> BilinearTensor:
@@ -273,10 +239,8 @@ def is_right_bider_poly(A: Algebra, P: PolyRightMap) -> bool:
 
 
 def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
-    """Mirror criterion for left maps: every coefficient matrix is a derivation."""
-    if A.dim != P.dim:
-        raise ValueError("dimension mismatch")
-    return all(is_derivation(A, m) for m in P.terms.values())
+    """Left maps: P is a left biderivation iff its transpose is a right one."""
+    return is_right_bider_poly(A, P.transpose())
 
 
 def _bracket_terms(t1: Mapping[MultiIndex, Matrix], t2: Mapping[MultiIndex, Matrix]) -> dict[MultiIndex, Matrix]:
@@ -330,44 +294,20 @@ def _random_matrix_combo(rng: random.Random, mats: Sequence[Matrix], n: int) -> 
     return acc
 
 
-class _SideTools:
-    """Per-side plumbing so the verification suites read symmetrically."""
-
-    def __init__(self, A: Algebra, side: str):
-        if side not in ("right", "left"):
-            raise ValueError("side must be 'right' or 'left'")
-        self.side = side
-        self.dim = A.dim
-        if side == "right":
-            space = right_bider_bilinear_space(A)
-            self.base_maps = [from_tensor(t) for t in basis_tensors(space, A.dim)]
-            self.zero = PolyRightMap.zero(A.dim)
-            self.single = PolyRightMap.single
-            self.bracket = rhd
-            self.predicate = lambda P: is_right_bider_poly(A, P)
-        else:
-            space = left_bider_bilinear_space(A)
-            self.base_maps = [from_tensor_left(t) for t in basis_tensors(space, A.dim)]
-            self.zero = PolyLeftMap.zero(A.dim)
-            self.single = PolyLeftMap.single
-            self.bracket = lhd
-            self.predicate = lambda P: is_left_bider_poly(A, P)
-        self.derivations = derivation_matrices(A)
-
-    def random_map(self, rng: random.Random):
-        acc = self.zero
-        for bm in self.base_maps:
-            f = random_fraction(rng)
-            if f:
-                acc = acc + f * bm
-        for _ in range(rng.randint(0, 2)):
-            if not self.derivations:
-                break
-            alpha = random_multi_index(rng, self.dim)
-            m = _random_matrix_combo(rng, self.derivations, self.dim)
-            if not m.is_zero():
-                acc = acc + self.single(self.dim, alpha, m)
-        return acc
+def _random_map(rng: random.Random, cls, base_maps, derivations, n: int):
+    acc = cls.zero(n)
+    for bm in base_maps:
+        f = random_fraction(rng)
+        if f:
+            acc = acc + f * bm
+    for _ in range(rng.randint(0, 2)):
+        if not derivations:
+            break
+        alpha = random_multi_index(rng, n)
+        m = _random_matrix_combo(rng, derivations, n)
+        if not m.is_zero():
+            acc = acc + cls.single(n, alpha, m)
+    return acc
 
 
 def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
@@ -381,16 +321,23 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
     exact arithmetic. Violations are reported as counterexamples; none are
     expected for any algebra.
     """
-    tools = _SideTools(A, side)
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left'")
+    right = side == "right"
+    space = (right_bider_bilinear_space if right else left_bider_bilinear_space)(A)
+    convert = from_tensor if right else from_tensor_left
+    is_member = is_right_bider_poly if right else is_left_bider_poly
+    cls, br = (PolyRightMap, rhd) if right else (PolyLeftMap, lhd)
+    base_maps = [convert(t) for t in basis_tensors(space, A.dim)]
+    ders = derivation_matrices(A)
     rng = random.Random(seed)
     suite = f"bracket-{side}"
-    br = tools.bracket
     closure_bad = bilin_bad = alt_bad = jacobi_bad = None
     for s in range(samples):
-        b1, b2, b3 = (tools.random_map(rng) for _ in range(3))
-        if not (tools.predicate(b1) and tools.predicate(b2) and tools.predicate(b3)):
+        b1, b2, b3 = (_random_map(rng, cls, base_maps, ders, A.dim) for _ in range(3))
+        if not all(is_member(A, b) for b in (b1, b2, b3)):
             raise RuntimeError("sample generator produced a non-biderivation")
-        if closure_bad is None and not tools.predicate(br(b1, b2)):
+        if closure_bad is None and not is_member(A, br(b1, b2)):
             closure_bad = s
         a, b = random_fraction(rng), random_fraction(rng)
         left_slot = br(a * b1 + b * b2, b3) == a * br(b1, b3) + b * br(b2, b3)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -120,12 +121,10 @@ def _tensor_lines(t: BilinearTensor) -> list[str]:
 
 def cmd_bider(args) -> int:
     A = _load_algebra(args.algebra)
-    if args.side == "right":
-        label, space = "right biderivation space (bilinear)", right_bider_bilinear_space(A)
-    elif args.side == "left":
-        label, space = "left biderivation space (bilinear)", left_bider_bilinear_space(A)
-    else:
-        label, space = "biderivation space", bider_space(A)
+    label, solve = {"right": ("right biderivation space (bilinear)", right_bider_bilinear_space),
+                    "left": ("left biderivation space (bilinear)", left_bider_bilinear_space),
+                    "both": ("biderivation space", bider_space)}[args.side]
+    space = solve(A)
     if args.json:
         basis = [[str(x) for x in v] for v in space.vectors]
         _emit_json({"command": "bider", "algebra": A.name, "dim": A.dim, "side": args.side,
@@ -146,24 +145,18 @@ def cmd_bracket(args) -> int:
     for name, m in ((args.map1, m1), (args.map2, m2)):
         if m.dim != A.dim:
             raise CliError(f"{name}: map dimension {m.dim} does not match algebra dim {A.dim}")
-    if args.op == "rhd":
-        maps = []
-        for name, m in ((args.map1, m1), (args.map2, m2)):
-            if isinstance(m, BilinearTensor):
-                m = from_tensor(m)
-            if not isinstance(m, PolyRightMap):
-                raise CliError(f"{name}: rhd needs a polyright or bilinear map")
-            maps.append(m)
-        result = rhd(*maps)
-    else:
-        maps = []
-        for name, m in ((args.map1, m1), (args.map2, m2)):
-            if isinstance(m, BilinearTensor):
-                m = from_tensor_left(m)
-            if not isinstance(m, PolyLeftMap):
-                raise CliError(f"{name}: lhd needs a polyleft or bilinear map")
-            maps.append(m)
-        result = lhd(*maps)
+    cls, kind, convert, bracket = {
+        "rhd": (PolyRightMap, "polyright", from_tensor, rhd),
+        "lhd": (PolyLeftMap, "polyleft", from_tensor_left, lhd),
+    }[args.op]
+    maps = []
+    for name, m in ((args.map1, m1), (args.map2, m2)):
+        if isinstance(m, BilinearTensor):
+            m = convert(m)
+        if not isinstance(m, cls):
+            raise CliError(f"{name}: {args.op} needs a {kind} or bilinear map")
+        maps.append(m)
+    result = bracket(*maps)
     text = serialize_map(result)
     if args.json:
         _emit_json({"command": "bracket", "op": args.op, "algebra": A.name,
@@ -249,6 +242,13 @@ def cmd_example(args) -> int:
     return 0 if expected else 1
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="biderlie",
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run every identity suite and print a pass/fail table")
     v.add_argument("algebra", help="algebra file or builtin name")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--samples", type=int, default=25)
+    v.add_argument("--samples", type=positive_int, default=25)
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 
@@ -297,13 +297,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (CliError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # the reader closed early (`biderlie ... | head`): drop the rest of the
+        # output, including the flush at interpreter exit, without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ A derivation is a linear self-map D with D[x,y] = [Dx,y] + [x,Dy]. On
 coordinates D acts as an n x n matrix, so the defining rule on all basis
 pairs is a homogeneous linear system in the matrix entries; its nullspace
 is the derivation algebra. Unknowns are ordered column-major, rows by
-basis pair (i, j) in ascending lexicographic order (restricted to i < j
-for Lie algebras, where antisymmetry makes the other pairs redundant).
+basis pair (i, j) in ascending lexicographic order over all n^2 pairs,
+whatever the declared kind.
 """
 
 from __future__ import annotations
@@ -39,34 +39,42 @@ def is_derivation(A: Algebra, m: Matrix) -> bool:
     )
 
 
-def _pairs(A: Algebra):
+def derivation_rows(A: Algebra) -> list[list[Fraction]]:
+    """The derivation rule at every basis pair (i, j), one row per output coordinate.
+
+    Zero rows and rows equal up to sign to an earlier one are dropped: for
+    an antisymmetric product, the rows of the pairs (i, i) and (j > i, i).
+    """
     n = A.dim
-    if A.kind == "lie":
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [(i, j) for i in range(n) for j in range(n)]
+    rows = []
+    seen = set()
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                row = [_ZERO] * (n * n)
+                for k in range(n):
+                    v = A.c[i][j][k]
+                    if v:
+                        row[k * n + l] += v          # entry m[l][k]
+                for p in range(n):
+                    v = A.c[p][j][l]
+                    if v:
+                        row[i * n + p] -= v          # entry m[p][i]
+                for q in range(n):
+                    v = A.c[i][q][l]
+                    if v:
+                        row[j * n + q] -= v          # entry m[q][j]
+                key = tuple(row)
+                if any(key) and key not in seen:
+                    seen.add(key)
+                    seen.add(tuple(-x for x in key))
+                    rows.append(row)
+    return rows
 
 
 def derivation_space(A: Algebra) -> SubspaceBasis:
     """Canonical basis of the derivation algebra, as column-major matrix vectors."""
-    n = A.dim
-    rows = []
-    for (i, j) in _pairs(A):
-        for l in range(n):
-            row = [_ZERO] * (n * n)
-            for k in range(n):
-                v = A.c[i][j][k]
-                if v:
-                    row[k * n + l] += v          # entry m[l][k]
-            for p in range(n):
-                v = A.c[p][j][l]
-                if v:
-                    row[i * n + p] -= v          # entry m[p][i]
-            for q in range(n):
-                v = A.c[i][q][l]
-                if v:
-                    row[j * n + q] -= v          # entry m[q][j]
-            rows.append(row)
-    return solve_homogeneous(rows, n * n)
+    return solve_homogeneous(derivation_rows(A), A.dim * A.dim)
 
 
 def derivation_matrices(A: Algebra) -> list[Matrix]:

@@ -1,10 +1,11 @@
 """Independent slow-path oracles for the tests.
 
-Nothing here reuses the package's elimination or system builders: ranks
-come from a plain forward elimination written separately, sympy supplies a
-second independent RREF/nullspace, and the biderivation systems are
-reconstructed by probing unit tensors through residual evaluation instead
-of assembling coefficient rows directly.
+Nothing here reuses the package's system builders: ranks come from a plain
+forward elimination written separately, sympy supplies a second independent
+RREF/nullspace, and the biderivation systems are either reconstructed by
+probing unit tensors through residual evaluation or assembled directly from
+the right and left conditions over all n^3 tensor entries, the way the
+package once solved them.
 """
 
 from fractions import Fraction
@@ -77,3 +78,54 @@ def heisenberg_derivation_constraints(m):
         and m.data[1][2] == 0
         and m.data[2][2] == m.data[0][0] + m.data[1][1]
     )
+
+
+def right_bider_rows(A):
+    """The right condition on every basis triple (i,j,k), one row per output
+    coordinate l, over all n^3 tensor entries in flat order."""
+    n = A.dim
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    row = [Fraction(0)] * (n ** 3)
+                    for p in range(n):
+                        v = A.c[i][j][p]
+                        if v:
+                            row[(p * n + k) * n + l] += v       # t[p][k][l]
+                    for q in range(n):
+                        v = A.c[i][q][l]
+                        if v:
+                            row[(j * n + k) * n + q] -= v       # t[j][k][q]
+                    for q in range(n):
+                        v = A.c[q][j][l]
+                        if v:
+                            row[(i * n + k) * n + q] -= v       # t[i][k][q]
+                    rows.append(row)
+    return rows
+
+
+def left_bider_rows(A):
+    """Mirror of `right_bider_rows` for the left condition."""
+    n = A.dim
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    row = [Fraction(0)] * (n ** 3)
+                    for p in range(n):
+                        v = A.c[j][k][p]
+                        if v:
+                            row[(i * n + p) * n + l] += v       # t[i][p][l]
+                    for q in range(n):
+                        v = A.c[q][k][l]
+                        if v:
+                            row[(i * n + j) * n + q] -= v       # t[i][j][q]
+                    for q in range(n):
+                        v = A.c[j][q][l]
+                        if v:
+                            row[(i * n + k) * n + q] -= v       # t[i][k][q]
+                    rows.append(row)
+    return rows

@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from biderlie import (BilinearTensor, bider_space, builtin, derivation_space, is_bider,
+from biderlie import (Algebra, BilinearTensor, bider_space, builtin, derivation_space, is_bider,
                       is_left_bider, is_right_bider, left_bider_bilinear_space,
                       left_bider_witness, right_bider_bilinear_space, right_bider_witness,
-                      skew_symmetrize, symmetrize)
+                      opposite, skew_symmetrize, symmetrize)
 from biderlie.biderivations import (basis_tensors, left_residual, right_residual,
                                     spaces_intersection)
 from biderlie.cli import heisenberg_example_maps
-from biderlie.linalg import basis_vector
+from biderlie.linalg import basis_vector, solve_homogeneous
 
-from oracles import probe_rows, sympy_nullspace_dim
+from oracles import left_bider_rows, probe_rows, right_bider_rows, sympy_nullspace_dim
 
 F = Fraction
 
@@ -140,6 +140,36 @@ def test_right_space_against_probe_oracle(name):
     A = builtin(name)
     rows = _probe_system(A, right_residual)
     assert right_bider_bilinear_space(A).dim == sympy_nullspace_dim(rows)
+
+
+def _heisenberg5():
+    # [e_i, e_{2+i}] = e5 for i = 1, 2
+    entries = {}
+    for i in range(2):
+        entries[(i, 2 + i, 4)] = F(1)
+        entries[(2 + i, i, 4)] = F(-1)
+    return Algebra.from_entries("heisenberg5", 5, entries, "lie")
+
+
+ORACLE_INPUTS = {name: (lambda name=name: builtin(name)) for name in ALL_BUILTINS}
+ORACLE_INPUTS.update({
+    "opposite(L3)": lambda: opposite(builtin("L3")),
+    "opposite(L4)": lambda: opposite(builtin("L4")),
+    "lie122": lambda: Algebra.from_entries("lie122", 2, {(0, 1, 1): F(1)}, "lie"),
+    "heisenberg5": _heisenberg5,
+})
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_spaces_match_direct_system_oracle(name):
+    # canonical bases, not just dimensions, against the n^3-unknown systems
+    # assembled directly from the right and left conditions
+    A = ORACLE_INPUTS[name]()
+    right_rows, left_rows = right_bider_rows(A), left_bider_rows(A)
+    unknowns = A.dim ** 3
+    assert right_bider_bilinear_space(A) == solve_homogeneous(right_rows, unknowns)
+    assert left_bider_bilinear_space(A) == solve_homogeneous(left_rows, unknowns)
+    assert bider_space(A) == solve_homogeneous(right_rows + left_rows, unknowns)
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)

@@ -11,6 +11,7 @@ from biderlie import (Algebra, BilinearTensor, PolyLeftMap, PolyRightMap,
                       rhd, to_tensor, to_tensor_left, verify_lie_algebra,
                       verify_transpose_interplay)
 from biderlie.biderivations import basis_tensors, right_bider_bilinear_space
+from biderlie.bilinear import random_tensor
 from biderlie.cli import heisenberg_example_maps
 from biderlie.linalg import Matrix, basis_vector
 from biderlie.report import all_ok
@@ -39,6 +40,19 @@ def test_from_tensor_round_trip(example):
         for j in range(3):
             x, y = basis_vector(i, 3), basis_vector(j, 3)
             assert pl.evaluate(x, y) == b2.evaluate(x, y)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tensor_conversions_evaluate_back(n):
+    # the left conversions go through the right ones and a transpose; reading
+    # both maps back on basis pairs must give the tensor itself
+    rng = random.Random(n)
+    for _ in range(5):
+        B = random_tensor(rng, n)
+        assert basis_evaluation_tensor(from_tensor(B)) == B
+        assert basis_evaluation_tensor(from_tensor_left(B)) == B
+        assert to_tensor(from_tensor(B)) == B
+        assert to_tensor_left(from_tensor_left(B)) == B
 
 
 def test_zero_tensor_round_trip():

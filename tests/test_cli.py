@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,3 +166,25 @@ def test_console_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "B(e2,e1) = -e1" in proc.stdout
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_samples_below_one(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "L2", "--samples", samples])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader is gone before the first write, as with `biderlie der sl2 --json | head`
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.Popen([sys.executable, "-m", "biderlie.cli", "der", "sl2", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from biderlie import (ad, bracket, builtin, commutator, derivation_matrices,
-                      derivation_space, is_derivation)
-from biderlie.linalg import Matrix, canonicalize
+                      derivation_space, is_derivation, left_bider_bilinear_space,
+                      parse_algebra, right_bider_bilinear_space)
+from biderlie.cli import main
+from biderlie.linalg import Matrix, canonicalize, solve_homogeneous
 
 from conftest import random_rational_vector
 from oracles import (forward_elimination_rank, heisenberg_derivation_constraints,
-                     sympy_nullspace_dim)
+                     left_bider_rows, right_bider_rows, sympy_nullspace_dim)
 
 F = Fraction
 
@@ -118,3 +120,17 @@ def test_commutator_jacobi_exact():
 def test_is_derivation_dimension_mismatch(heisenberg):
     with pytest.raises(ValueError):
         is_derivation(heisenberg, Matrix.identity(2))
+
+
+def test_lie_declared_without_antisymmetry_uses_every_pair(capsys, tmp_path):
+    # declares kind lie but has only [e1,e2] = e2, so [e2,e1] = 0: the
+    # (2,1) pair carries constraints of its own and Der is 1-dimensional
+    path = tmp_path / "lie122.alg"
+    path.write_text("algebra lie122\ndim 2\nkind lie\nc 1 2 2 = 1\n")
+    assert main(["der", str(path)]) == 0
+    assert "dim Der = 1" in capsys.readouterr().out.splitlines()
+    A = parse_algebra(path.read_text())
+    assert derivation_space(A).dim == 1
+    assert all(is_derivation(A, m) for m in derivation_matrices(A))
+    assert right_bider_bilinear_space(A) == solve_homogeneous(right_bider_rows(A), 8)
+    assert left_bider_bilinear_space(A) == solve_homogeneous(left_bider_rows(A), 8)
