@@ -4,12 +4,18 @@ An algebra here is Q^n with a bilinear product fixed by structure constants:
 the product of basis elements is [e_i, e_j] = sum_k c[i][j][k] e_k. Elements
 are plain coordinate tuples (tuple of Fraction). The `kind` flag declares
 which identity the product is supposed to satisfy; it is never inferred,
-only verified by `check_kind`.
+only verified by `check_kind`. Dimensions are capped at `MAX_DIM`.
+
+`leibniz_sides` is the one place the derivation rule D[e_i,e_j] =
+[De_i,e_j] + [e_i,De_j] is evaluated. A left (right) Leibniz algebra is one
+whose left (right) multiplications are derivations, so the Leibniz kinds
+are checked through it, as are derivations and biderivations.
 
 Identity checks run on basis pairs/triples only; bilinearity extends them to
 all elements. Checkers scan triples in descending lexicographic order and
 report the first violation they meet, so the reported witnesses for the
-small classification algebras are the classical ones.
+small classification algebras are the classical ones. On the command
+line a builtin name wins over a file of the same name.
 """
 
 from __future__ import annotations
@@ -22,6 +28,11 @@ from typing import Iterable, Mapping, Sequence
 from .linalg import Vector, basis_vector, vec_add, vec_is_zero, vec_sub, vector, zero_vector
 
 KINDS = ("lie", "leibniz-left", "leibniz-right", "generic")
+
+# Largest dimension an input may declare, twice the intended scale of 8:
+# constants are a dense n^3 table and the spaces hold n^3-long vectors, so
+# an unbounded `dim` line or `abelian(n)` is an unbounded allocation.
+MAX_DIM = 16
 
 _ZERO = Fraction(0)
 
@@ -136,20 +147,35 @@ class KindReport:
     witness: TripleWitness | None = None
 
 
-def _left_leibniz_sides(A: Algebra, i: int, j: int, k: int) -> tuple[Vector, Vector]:
-    # [x,[y,z]] = [[x,y],z] + [y,[x,z]]
-    lhs = bracket(A, A.basis_element(i), A.c[j][k])
-    rhs = vec_add(bracket(A, A.c[i][j], A.basis_element(k)),
-                  bracket(A, A.basis_element(j), A.c[i][k]))
-    return lhs, rhs
+def leibniz_sides(A: Algebra, images: Sequence[Sequence[Fraction]], i: int,
+                  j: int) -> tuple[Vector, Vector]:
+    """D[e_i, e_j] and [De_i, e_j] + [e_i, De_j] for the linear map D e_p = images[p].
+
+    D is a derivation iff the two sides agree at every basis pair.
+    """
+    c = A.c
+    lhs = [_ZERO] * A.dim
+    rhs = [_ZERO] * A.dim
+    # D[e_i,e_j] = sum_p c[i][j][p] De_p;  [De_i,e_j] = sum_a (De_i)_a [e_a,e_j];
+    # [e_i,De_j] = sum_b (De_j)_b [e_i,e_b]
+    for out, coeffs, values in ((lhs, c[i][j], images),
+                                (rhs, images[i], [row[j] for row in c]),
+                                (rhs, images[j], c[i])):
+        for f, v in zip(coeffs, values):
+            if f:
+                for l, x in enumerate(v):
+                    if x:
+                        out[l] += f * x
+    return tuple(lhs), tuple(rhs)
 
 
-def _right_leibniz_sides(A: Algebra, i: int, j: int, k: int) -> tuple[Vector, Vector]:
-    # [[x,y],z] = [[x,z],y] + [x,[y,z]]
-    lhs = bracket(A, A.c[i][j], A.basis_element(k))
-    rhs = vec_add(bracket(A, A.c[i][k], A.basis_element(j)),
-                  bracket(A, A.basis_element(i), A.c[j][k]))
-    return lhs, rhs
+def _leibniz_kind_sides(A: Algebra, kind: str, i: int, j: int,
+                        k: int) -> tuple[Vector, Vector]:
+    if kind == "leibniz-left":
+        # [x,[y,z]] = [[x,y],z] + [y,[x,z]]: L_{e_i} is a derivation
+        return leibniz_sides(A, A.c[i], j, k)
+    # [[x,y],z] = [[x,z],y] + [x,[y,z]]: R_{e_k} is a derivation
+    return leibniz_sides(A, [row[k] for row in A.c], i, j)
 
 
 def _jacobi_defect(A: Algebra, i: int, j: int, k: int) -> Vector:
@@ -169,11 +195,8 @@ def triples_descending(n: int):
 def identity_residual(A: Algebra, identity: str, triple: tuple[int, int, int]) -> Vector:
     """Residual (rhs - lhs) of a named identity at one basis triple."""
     i, j, k = triple
-    if identity == "leibniz-left":
-        lhs, rhs = _left_leibniz_sides(A, i, j, k)
-        return vec_sub(rhs, lhs)
-    if identity == "leibniz-right":
-        lhs, rhs = _right_leibniz_sides(A, i, j, k)
+    if identity in ("leibniz-left", "leibniz-right"):
+        lhs, rhs = _leibniz_kind_sides(A, identity, i, j, k)
         return vec_sub(rhs, lhs)
     if identity == "jacobi":
         return _jacobi_defect(A, i, j, k)
@@ -206,9 +229,8 @@ def check_kind(A: Algebra, kind: str | None = None) -> KindReport:
                 w = TripleWitness("jacobi", (i, j, k), zero_vector(n), defect, defect)
                 return KindReport(kind, False, w)
         return KindReport(kind, True)
-    sides = _left_leibniz_sides if kind == "leibniz-left" else _right_leibniz_sides
     for (i, j, k) in triples_descending(n):
-        lhs, rhs = sides(A, i, j, k)
+        lhs, rhs = _leibniz_kind_sides(A, kind, i, j, k)
         if lhs != rhs:
             w = TripleWitness(kind, (i, j, k), lhs, rhs, vec_sub(rhs, lhs))
             return KindReport(kind, False, w)
@@ -240,8 +262,8 @@ def builtin(name: str) -> Algebra:
     m = _ABELIAN_RE.match(name)
     if m:
         n = int(m.group(1))
-        if n < 1:
-            raise ValueError("abelian(n) needs n >= 1")
+        if not 1 <= n <= MAX_DIM:
+            raise ValueError(f"abelian(n) needs 1 <= n <= {MAX_DIM}")
         return Algebra.from_entries(name, n, {}, "lie")
     one = Fraction(1)
     if name == "L1":

@@ -4,8 +4,10 @@ A bilinear map is a right biderivation when B([x,y],z) = [x,B(y,z)] +
 [B(x,z),y] holds, a left biderivation when B(x,[y,z]) = [B(x,y),z] +
 [y,B(x,z)] holds, and a biderivation when both do. B is right iff every
 x -> B(x, e_j) is a derivation, and left iff every y -> B(e_i, y) is one,
-i.e. iff B^t is right, so every space is solved through `Der`. Witness
-scans run in descending triple order (see `algebras`).
+i.e. iff B^t is right, so every space is solved through `Der`, and the
+predicates, residuals and witnesses ask `algebras.leibniz_sides` of
+x -> B(x, e_k) (of B^t for the left side). Witness scans run in descending
+triple order (see `algebras`).
 """
 
 from __future__ import annotations
@@ -13,34 +15,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .algebras import Algebra, TripleWitness, bracket, triples_descending
+from .algebras import Algebra, TripleWitness, leibniz_sides, triples_descending
 from .bilinear import BilinearTensor
 from .derivations import derivation_rows, derivation_space
-from .linalg import (SubspaceBasis, Vector, canonicalize, intersect, solve_homogeneous,
-                     vec_add, vec_sub)
+from .linalg import (Matrix, SubspaceBasis, Vector, canonicalize, intersect,
+                     solve_homogeneous, vec_sub)
 
 _ZERO = Fraction(0)
 
 
-def _right_sides(A: Algebra, B: BilinearTensor, i: int, j: int,
-                 k: int) -> tuple[Vector, Vector]:
-    # B([x,y],z) = [x,B(y,z)] + [B(x,z),y]
-    n = A.dim
-    lhs = [_ZERO] * n
-    for p in range(n):
-        f = A.c[i][j][p]
-        if f:
-            for l, v in enumerate(B.t[p][k]):
-                if v:
-                    lhs[l] += f * v
-    rhs = vec_add(bracket(A, A.basis_element(i), B.t[j][k]),
-                  bracket(A, B.t[i][k], A.basis_element(j)))
-    return tuple(lhs), rhs
-
-
 def right_residual(A: Algebra, B: BilinearTensor, i: int, j: int, k: int) -> Vector:
     """Defect (rhs - lhs) of the right condition at basis triple (i, j, k)."""
-    lhs, rhs = _right_sides(A, B, i, j, k)
+    lhs, rhs = leibniz_sides(A, [plane[k] for plane in B.t], i, j)
     return vec_sub(rhs, lhs)
 
 
@@ -54,8 +40,10 @@ def _first_failure(A: Algebra, B: BilinearTensor, identity: str,
     """Scan triples in descending order; `right_triple` maps each to the right condition's."""
     if A.dim != B.dim:
         raise ValueError(f"dimension mismatch: algebra dim {A.dim}, tensor dim {B.dim}")
+    images = tuple(zip(*B.t))    # images[k][p] = B(e_p, e_k): x -> B(x, e_k)
     for triple in triples_descending(A.dim):
-        lhs, rhs = _right_sides(A, B, *right_triple(triple))
+        i, j, k = right_triple(triple)
+        lhs, rhs = leibniz_sides(A, images[k], i, j)
         if lhs != rhs:
             return TripleWitness(identity, triple, lhs, rhs, vec_sub(rhs, lhs))
     return None
@@ -135,12 +123,13 @@ def bider_space(A: Algebra) -> SubspaceBasis:
                             row[j * m + t] += w * d[i * n + k]
             if any(row):
                 rows.append(row)
+    der_maps = [Matrix.from_col_major(d, n) for d in ders]
     members = []
     for x in solve_homogeneous(rows, n * m).vectors:
-        # column-major matrix of x -> T(x, e_j), for each j
-        cols = [[sum((x[j * m + t] * d[p] for t, d in enumerate(ders) if x[j * m + t]), _ZERO)
-                 for p in range(n * n)] for j in range(n)]
-        members.append([cols[j][i * n + k] for i in range(n) for j in range(n) for k in range(n)])
+        # x -> T(x, e_j) is sum_t x[j, t] D_t
+        maps = [sum((x[j * m + t] * D for t, D in enumerate(der_maps) if x[j * m + t]),
+                    Matrix.zeros(n, n)) for j in range(n)]
+        members.append(BilinearTensor.from_column_maps(maps).flatten())
     return canonicalize(members, n ** 3)
 
 

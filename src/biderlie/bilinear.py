@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import Vector, vector
+from .linalg import Matrix, Vector, vector
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -52,6 +52,11 @@ class BilinearTensor:
         return cls(dim, [[[Fraction(v[(i * dim + j) * dim + k]) for k in range(dim)]
                           for j in range(dim)] for i in range(dim)])
 
+    @classmethod
+    def from_column_maps(cls, maps: Sequence[Matrix]) -> "BilinearTensor":
+        """Inverse of `column_map`: maps[j] is the matrix of x -> B(x, e_j)."""
+        return cls(len(maps), zip(*(m.transpose().data for m in maps)))
+
     def flatten(self) -> Vector:
         n = self.dim
         return tuple(self.t[i][j][k] for i in range(n) for j in range(n) for k in range(n))
@@ -59,6 +64,10 @@ class BilinearTensor:
     def value(self, i: int, j: int) -> Vector:
         """B(e_i, e_j) as a coordinate vector."""
         return self.t[i][j]
+
+    def column_map(self, j: int) -> Matrix:
+        """The matrix of x -> B(x, e_j); its column i is B(e_i, e_j)."""
+        return Matrix(zip(*(plane[j] for plane in self.t)))
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """B(x, y) by bilinear extension of the basis values."""

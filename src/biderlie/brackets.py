@@ -182,12 +182,7 @@ class PolyLeftMap(_PolyMap):
 def from_tensor(B: BilinearTensor) -> PolyRightMap:
     """Bilinear map as a right poly map: one degree-1 term per basis column."""
     n = B.dim
-    terms: dict[MultiIndex, Matrix] = {}
-    for j in range(n):
-        m = Matrix(tuple(tuple(B.t[i][j][k] for i in range(n)) for k in range(n)))
-        if not m.is_zero():
-            terms[_unit_index(j, n)] = m
-    return PolyRightMap(n, terms)
+    return PolyRightMap(n, {_unit_index(j, n): B.column_map(j) for j in range(n)})
 
 
 def from_tensor_left(B: BilinearTensor) -> PolyLeftMap:
@@ -198,15 +193,12 @@ def from_tensor_left(B: BilinearTensor) -> PolyLeftMap:
 def to_tensor(P: PolyRightMap) -> BilinearTensor:
     """Exact inverse of `from_tensor`; defined only for pure degree-1 maps."""
     n = P.dim
-    t = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+    maps = [Matrix.zeros(n, n)] * n
     for a, m in P.terms.items():
         if sum(a) != 1:
             raise ValueError(f"term {a} has total degree {sum(a)}, expected 1")
-        j = a.index(1)
-        for k in range(n):
-            for i in range(n):
-                t[i][j][k] = m.data[k][i]
-    return BilinearTensor(n, t)
+        maps[a.index(1)] = m
+    return BilinearTensor.from_column_maps(maps)
 
 
 def to_tensor_left(P: PolyLeftMap) -> BilinearTensor:

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Algebra arguments accept either a path to an algebra file or a builtin name
-(abelian(n), L1..L4, heisenberg3, sl2). Output is deterministic: identical
-inputs and seed produce byte-identical reports. Exit code 0 iff every
-requested check passed.
+Algebra arguments accept either a builtin name (abelian(n), L1..L4,
+heisenberg3, sl2), which wins over a file of that name, or a path to an
+algebra file (`./sl2`). Output is deterministic: identical inputs and seed
+produce byte-identical reports. Exit code 0 iff every requested check
+passed.
 """
 
 from __future__ import annotations
@@ -37,27 +38,25 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _parse_file(arg: str, parse, missing: str):
+    try:
+        text = Path(arg).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise CliError(f"{arg}: {missing}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"{arg}: cannot read: {exc}") from None
+    try:
+        return parse(text)
+    except FormatError as exc:
+        raise CliError(f"{arg}: {exc}") from exc
+
+
 def _load_algebra(arg: str) -> Algebra:
-    path = Path(arg)
-    if path.exists():
-        try:
-            return parse_algebra(path.read_text())
-        except FormatError as exc:
-            raise CliError(f"{arg}: {exc}") from exc
+    # a builtin name wins over a file of the same name, which `./name` reaches
     try:
         return builtin(arg)
     except ValueError:
-        raise CliError(f"{arg}: no such file or builtin algebra") from None
-
-
-def _load_map(arg: str):
-    path = Path(arg)
-    if not path.exists():
-        raise CliError(f"{arg}: no such file")
-    try:
-        return parse_map(path.read_text())
-    except FormatError as exc:
-        raise CliError(f"{arg}: {exc}") from exc
+        return _parse_file(arg, parse_algebra, "no such file or builtin algebra")
 
 
 def _algebra_line(A: Algebra) -> str:
@@ -141,7 +140,7 @@ def cmd_bider(args) -> int:
 
 def cmd_bracket(args) -> int:
     A = _load_algebra(args.algebra)
-    m1, m2 = _load_map(args.map1), _load_map(args.map2)
+    m1, m2 = (_parse_file(arg, parse_map, "no such file") for arg in (args.map1, args.map2))
     for name, m in ((args.map1, m1), (args.map2, m2)):
         if m.dim != A.dim:
             raise CliError(f"{name}: map dimension {m.dim} does not match algebra dim {A.dim}")

@@ -3,7 +3,9 @@
 A derivation is a linear self-map D with D[x,y] = [Dx,y] + [x,Dy]. On
 coordinates D acts as an n x n matrix, so the defining rule on all basis
 pairs is a homogeneous linear system in the matrix entries; its nullspace
-is the derivation algebra. Unknowns are ordered column-major, rows by
+is the derivation algebra. `is_derivation` asks `algebras.leibniz_sides`;
+`derivation_rows` writes the rule out on its own, so the predicate checks
+the solver independently. Unknowns are ordered column-major, rows by
 basis pair (i, j) in ascending lexicographic order over all n^2 pairs,
 whatever the declared kind.
 """
@@ -13,30 +15,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebras import Algebra, bracket
-from .linalg import (Matrix, SubspaceBasis, Vector, mat_commutator, solve_homogeneous,
-                     vec_add, vec_sub)
+from .algebras import Algebra, bracket, leibniz_sides
+from .linalg import Matrix, SubspaceBasis, mat_commutator, solve_homogeneous
 
 _ZERO = Fraction(0)
-
-
-def leibniz_residual(A: Algebra, m: Matrix, i: int, j: int) -> Vector:
-    """Defect of the derivation rule at basis pair (i, j): rhs - lhs."""
-    lhs = m.apply(A.c[i][j])
-    rhs = vec_add(bracket(A, m.col(i), A.basis_element(j)),
-                  bracket(A, A.basis_element(i), m.col(j)))
-    return vec_sub(rhs, lhs)
 
 
 def is_derivation(A: Algebra, m: Matrix) -> bool:
     """True iff the derivation rule holds on all basis pairs."""
     if m.rows != A.dim or m.cols != A.dim:
         raise ValueError(f"expected a {A.dim}x{A.dim} matrix, got {m.rows}x{m.cols}")
+    images = m.transpose().data
     n = A.dim
-    return all(
-        all(x == 0 for x in leibniz_residual(A, m, i, j))
-        for i in range(n) for j in range(n)
-    )
+    for i in range(n):
+        for j in range(n):
+            lhs, rhs = leibniz_sides(A, images, i, j)
+            if lhs != rhs:
+                return False
+    return True
 
 
 def derivation_rows(A: Algebra) -> list[list[Fraction]]:

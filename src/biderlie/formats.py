@@ -11,7 +11,8 @@ Algebra files:
 
 One header of each kind (algebra / dim / kind) before any body line; body
 lines give one structure constant each with 1-based indices; omitted
-entries are zero; duplicate index triples are an error.
+entries are zero; duplicate index triples are an error. In algebra and map
+files alike, `dim` is at most `algebras.MAX_DIM`.
 
 Map files:
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebras import KINDS, Algebra
+from .algebras import KINDS, MAX_DIM, Algebra
 from .bilinear import BilinearTensor
 from .brackets import PolyLeftMap, PolyRightMap
 from .linalg import Matrix
@@ -69,13 +70,13 @@ def _index(tok: str, line_no: int, dim: int, what: str = "index") -> int:
     return i - 1
 
 
-def _positive_int(tok: str, line_no: int, what: str) -> int:
+def _dim(tok: str, line_no: int) -> int:
     try:
         n = int(tok)
     except ValueError:
-        raise FormatError(f"not an integer {what}: {tok!r}", line_no) from None
-    if n < 1:
-        raise FormatError(f"{what} must be positive, got {n}", line_no)
+        raise FormatError(f"not an integer dim: {tok!r}", line_no) from None
+    if not 1 <= n <= MAX_DIM:
+        raise FormatError(f"dim must be positive and at most {MAX_DIM}, got {n}", line_no)
     return n
 
 
@@ -98,7 +99,7 @@ def parse_algebra(text: str) -> Algebra:
                 raise FormatError("duplicate dim header", line_no)
             if len(toks) != 2:
                 raise FormatError("expected: dim <n>", line_no)
-            dim = _positive_int(toks[1], line_no, "dim")
+            dim = _dim(toks[1], line_no)
         elif head == "kind":
             if kind is not None:
                 raise FormatError("duplicate kind header", line_no)
@@ -173,7 +174,7 @@ def parse_map(text: str):
                 raise FormatError("duplicate dim header", line_no)
             if len(toks) != 2:
                 raise FormatError("expected: dim <n>", line_no)
-            dim = _positive_int(toks[1], line_no, "dim")
+            dim = _dim(toks[1], line_no)
         elif head == "t":
             if map_kind is None or dim is None:
                 raise FormatError("entries before the map/dim headers", line_no)

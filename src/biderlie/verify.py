@@ -68,16 +68,6 @@ def derivation_suite(A: Algebra) -> list[CheckResult]:
     ]
 
 
-def _derivation_column_tensor(D: Matrix, j: int, n: int) -> BilinearTensor:
-    """The bilinear map sending (x, e_j) to D x and (x, e_k) to 0 otherwise."""
-    t = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        col = D.col(i)
-        for k in range(n):
-            t[i][j][k] = col[k]
-    return BilinearTensor(n, t)
-
-
 def space_suite(A: Algebra) -> list[CheckResult]:
     suite = "spaces"
     n = A.dim
@@ -94,13 +84,14 @@ def space_suite(A: Algebra) -> list[CheckResult]:
             return False
         for flat in space.vectors:
             tensor = flip(BilinearTensor.from_flat(flat, n))
-            for j in range(n):
-                m = Matrix(tuple(tuple(tensor.t[i][j][k] for i in range(n)) for k in range(n)))
-                if not der.contains(m.to_col_major()):
-                    return False
+            if not all(der.contains(tensor.column_map(j).to_col_major()) for j in range(n)):
+                return False
+        zero = Matrix.zeros(n, n)
         for D in ders:
             for j in range(n):
-                if not space.contains(flip(_derivation_column_tensor(D, j, n)).flatten()):
+                # the tensor sending (x, e_j) to D x and (x, e_k) to 0 otherwise
+                maps = [D if k == j else zero for k in range(n)]
+                if not space.contains(flip(BilinearTensor.from_column_maps(maps)).flatten()):
                     return False
         return True
 

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -14,7 +13,3 @@ def heisenberg():
 @pytest.fixture
 def rng():
     return random.Random(0)
-
-
-def random_rational_vector(rng, n, span=3):
-    return tuple(Fraction(rng.randint(-span, span)) for _ in range(n))

@@ -5,12 +5,17 @@ forward elimination written separately, sympy supplies a second independent
 RREF/nullspace, and the biderivation systems are either reconstructed by
 probing unit tensors through residual evaluation or assembled directly from
 the right and left conditions over all n^3 tensor entries, the way the
-package once solved them.
+package once solved them. The identity sides below write each condition
+out as it reads, through the product alone, where the package asks every
+one of them as "is this map a derivation?".
 """
 
 from fractions import Fraction
 
 import sympy
+
+from biderlie.algebras import bracket
+from biderlie.linalg import basis_vector, vec_add
 
 
 def forward_elimination_rank(rows):
@@ -129,3 +134,63 @@ def left_bider_rows(A):
                             row[(i * n + k) * n + q] -= v       # t[i][k][q]
                     rows.append(row)
     return rows
+
+
+def right_bider_sides(A, B, i, j, k):
+    """B([x,y],z) and [x,B(y,z)] + [B(x,z),y] at (x,y,z) = (e_i,e_j,e_k)."""
+    n = A.dim
+    lhs = [Fraction(0)] * n
+    for p in range(n):
+        f = A.c[i][j][p]
+        if f:
+            for l, v in enumerate(B.t[p][k]):
+                if v:
+                    lhs[l] += f * v
+    rhs = vec_add(bracket(A, basis_vector(i, n), B.t[j][k]),
+                  bracket(A, B.t[i][k], basis_vector(j, n)))
+    return tuple(lhs), rhs
+
+
+def left_bider_sides(A, B, i, j, k):
+    """B(x,[y,z]) and [B(x,y),z] + [y,B(x,z)] at (x,y,z) = (e_i,e_j,e_k)."""
+    n = A.dim
+    lhs = [Fraction(0)] * n
+    for p in range(n):
+        f = A.c[j][k][p]
+        if f:
+            for l, v in enumerate(B.t[i][p]):
+                if v:
+                    lhs[l] += f * v
+    rhs = vec_add(bracket(A, B.t[i][j], basis_vector(k, n)),
+                  bracket(A, basis_vector(j, n), B.t[i][k]))
+    return tuple(lhs), rhs
+
+
+def left_leibniz_sides(A, i, j, k):
+    """[x,[y,z]] and [[x,y],z] + [y,[x,z]] at (x,y,z) = (e_i,e_j,e_k)."""
+    n = A.dim
+    lhs = bracket(A, basis_vector(i, n), A.c[j][k])
+    rhs = vec_add(bracket(A, A.c[i][j], basis_vector(k, n)),
+                  bracket(A, basis_vector(j, n), A.c[i][k]))
+    return lhs, rhs
+
+
+def right_leibniz_sides(A, i, j, k):
+    """[[x,y],z] and [[x,z],y] + [x,[y,z]] at (x,y,z) = (e_i,e_j,e_k)."""
+    n = A.dim
+    lhs = bracket(A, A.c[i][j], basis_vector(k, n))
+    rhs = vec_add(bracket(A, A.c[i][k], basis_vector(j, n)),
+                  bracket(A, basis_vector(i, n), A.c[j][k]))
+    return lhs, rhs
+
+
+def first_failure(n, sides):
+    """(triple, lhs, rhs, rhs - lhs) at the first triple in descending order
+    where `sides(i, j, k)` disagree, or None."""
+    for i in range(n - 1, -1, -1):
+        for j in range(n - 1, -1, -1):
+            for k in range(n - 1, -1, -1):
+                lhs, rhs = sides(i, j, k)
+                if lhs != rhs:
+                    return (i, j, k), lhs, rhs, tuple(b - a for a, b in zip(lhs, rhs))
+    return None

@@ -5,7 +5,7 @@ import pytest
 
 from biderlie import (Algebra, bracket, builtin, check_kind, identity_residual, opposite)
 
-from conftest import random_rational_vector
+from helpers import random_rational_vector
 
 F = Fraction
 

@@ -16,7 +16,7 @@ from biderlie.cli import heisenberg_example_maps
 from biderlie.linalg import Matrix, basis_vector
 from biderlie.report import all_ok
 
-from conftest import random_rational_vector
+from helpers import random_rational_vector
 
 F = Fraction
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from biderlie import builtin, parse_map, rhd, from_tensor, serialize_algebra
 from biderlie.algebras import Algebra
+from biderlie.bilinear import random_tensor
 from biderlie.cli import heisenberg_example_maps, main
 from biderlie.formats import serialize_map
 
@@ -188,3 +190,64 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_unreadable_inputs_are_one_line_errors(capsys, tmp_path):
+    # a directory and non-UTF-8 bytes, through both the algebra and the map loader
+    latin_alg = tmp_path / "latin1.alg"
+    latin_alg.write_bytes("algebra caf\xe9\ndim 2\nkind lie\n".encode("latin-1"))
+    latin_map = tmp_path / "latin1.map"
+    latin_map.write_bytes(b"map bilinear\ndim 2\n# \xff\n")
+    d = str(tmp_path)
+    for argv in (("der", d), ("der", str(latin_alg)),
+                 ("bracket", d, d, "--op", "rhd", "--algebra", "L2"),
+                 ("bracket", str(latin_map), str(latin_map), "--op", "lhd", "--algebra", "L2"),
+                 ("bracket", str(latin_map), str(latin_map), "--op", "rhd",
+                  "--algebra", str(latin_alg))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_builtin_name_wins_over_a_file_of_that_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sl2").write_text("algebra shadow\ndim 2\nkind lie\n")
+    code, out, _ = run_cli(capsys, "der", "sl2")
+    assert code == 0 and out.startswith("algebra sl2 (dim 3, kind lie)\n")
+    code, out, _ = run_cli(capsys, "der", "./sl2")
+    assert code == 0 and out.startswith("algebra shadow (dim 2, kind lie)\n")
+
+
+def test_solvers_ignore_the_declared_kind(capsys, tmp_path):
+    # der, bider and bracket never read `kind`: constants that fail the lie
+    # check give the same bases and brackets declared lie or generic
+    body = "dim 3\nc 1 2 3 = 1\nc 2 1 3 = -1\nc 1 3 1 = 2\nc 3 3 1 = 1\nc 2 3 2 = 1/2\n"
+    files = {}
+    for kind in ("lie", "generic"):
+        path = tmp_path / f"{kind}.alg"
+        path.write_text(f"algebra a\nkind {kind}\n{body}")
+        files[kind] = str(path)
+    code, out, _ = run_cli(capsys, "check", files["lie"])
+    assert code == 1 and "FAIL" in out
+    rng = random.Random(5)
+    maps = []
+    for idx in range(2):
+        path = tmp_path / f"b{idx}.map"
+        path.write_text(serialize_map(random_tensor(rng, 3)))
+        maps.append(str(path))
+
+    def result(argv):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        data = json.loads(out)
+        data.pop("kind", None)
+        return data
+
+    for argv in (["der", "{}"], ["bider", "{}", "--side", "right"],
+                 ["bider", "{}", "--side", "left"], ["bider", "{}", "--side", "both"],
+                 ["bracket", *maps, "--op", "rhd", "--algebra", "{}"],
+                 ["bracket", *maps, "--op", "lhd", "--algebra", "{}"]):
+        as_lie, as_generic = (result([a.format(files[k]) for a in argv])
+                              for k in ("lie", "generic"))
+        assert as_lie == as_generic, argv

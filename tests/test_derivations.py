@@ -9,7 +9,7 @@ from biderlie import (ad, bracket, builtin, commutator, derivation_matrices,
 from biderlie.cli import main
 from biderlie.linalg import Matrix, canonicalize, solve_homogeneous
 
-from conftest import random_rational_vector
+from helpers import random_rational_vector
 from oracles import (forward_elimination_rank, heisenberg_derivation_constraints,
                      left_bider_rows, right_bider_rows, sympy_nullspace_dim)
 

@@ -5,6 +5,7 @@ import pytest
 
 from biderlie import (BilinearTensor, FormatError, PolyLeftMap, PolyRightMap, builtin,
                       parse_algebra, parse_map, serialize_algebra, serialize_map)
+from biderlie.algebras import MAX_DIM, Algebra
 from biderlie.cli import heisenberg_example_maps
 from biderlie.linalg import Matrix
 
@@ -132,3 +133,27 @@ def test_comments_and_blank_lines_ignored():
 def test_serialize_rejects_unknown():
     with pytest.raises(TypeError):
         serialize_map(42)
+
+
+def test_dim_cap_refuses_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated a table for a dim over the cap")
+
+    monkeypatch.setattr(Algebra, "from_entries", refuse)
+    monkeypatch.setattr(BilinearTensor, "from_entries", refuse)
+    assert MAX_DIM >= 8
+    for dim in (MAX_DIM + 1, 100000):
+        with pytest.raises(FormatError) as exc:
+            parse_algebra(f"algebra big\ndim {dim}\nkind lie\nc 1 1 1 = 1\n")
+        assert exc.value.line_no == 2 and str(MAX_DIM) in str(exc.value)
+        for kind, entry in (("bilinear", "t 1 1 1 = 1"), ("polyright", "m (1) 1 1 = 1")):
+            with pytest.raises(FormatError) as exc:
+                parse_map(f"map {kind}\ndim {dim}\n{entry}\n")
+            assert exc.value.line_no == 2
+        with pytest.raises(ValueError, match=str(MAX_DIM)):
+            builtin(f"abelian({dim})")
+
+
+def test_dim_cap_admits_the_cap():
+    assert parse_algebra(f"algebra top\ndim {MAX_DIM}\nkind lie\n") == builtin(f"abelian({MAX_DIM})")
+    assert parse_map(f"map bilinear\ndim {MAX_DIM}\n").dim == MAX_DIM

@@ -12,7 +12,7 @@ from biderlie.brackets import PolyRightMap, rhd
 from biderlie.linalg import Matrix
 from biderlie.scalar_maps import bracket_matches_poly_form, evaluate_decomposition
 
-from conftest import random_rational_vector
+from helpers import random_rational_vector
 
 F = Fraction
 
