@@ -19,10 +19,19 @@ the coefficient matrices simply commutate term by term,
 so the bracket is exact, closed, and (because monomials are linearly
 independent over an infinite field) a map in this form is a right
 biderivation iff every coefficient matrix is a derivation.
+
+The bracket is computed in integers. Each operand's coefficient matrices
+are scaled once per call to sparse integer rows over one common
+denominator d1 (resp. d2). Both halves of every pair commutator,
++M_a N_b and -N_b M_a, are added into one integer entry list per output
+monomial a + b. Each output that is not all zero becomes one `Fraction`
+matrix, over d1 * d2. `lhd` runs the same kernel, since a left map carries
+the terms of its transposed right map.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -32,7 +41,8 @@ from .bilinear import BilinearTensor, skew_symmetrize, symmetrize
 from .biderivations import (basis_tensors, left_bider_bilinear_space,
                             right_bider_bilinear_space)
 from .derivations import derivation_matrices, is_derivation
-from .linalg import Matrix, Vector, basis_vector, mat_commutator
+from .linalg import (IntRows, Matrix, Vector, add_commutator, basis_vector,
+                     common_denominator, from_int_flat, int_rows, int_scaled)
 from .report import CheckResult, check
 
 MultiIndex = tuple[int, ...]
@@ -235,17 +245,29 @@ def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
     return is_right_bider_poly(A, P.transpose())
 
 
+def _scaled_terms(terms: Mapping[MultiIndex, Matrix]
+                  ) -> tuple[int, list[tuple[MultiIndex, IntRows]]]:
+    """The coefficient matrices over one common denominator, as sparse integer rows."""
+    den = common_denominator(terms.values())
+    return den, [(a, int_rows(m, den)) for a, m in terms.items()]
+
+
 def _bracket_terms(t1: Mapping[MultiIndex, Matrix], t2: Mapping[MultiIndex, Matrix]) -> dict[MultiIndex, Matrix]:
-    acc: dict[MultiIndex, Matrix] = {}
-    for a, m in t1.items():
-        for b, nmat in t2.items():
-            comm = mat_commutator(m, nmat)
-            if comm.is_zero():
-                continue
+    """sum_{a,b} y^(a+b) [M_a, N_b], accumulated in integers per output monomial."""
+    if not t1 or not t2:
+        return {}
+    (d1, rows1), (d2, rows2) = _scaled_terms(t1), _scaled_terms(t2)
+    n = len(rows1[0][1])
+    acc: dict[MultiIndex, list[int]] = {}
+    for a, m in rows1:
+        for b, nmat in rows2:
             g = tuple(x + y for x, y in zip(a, b))
-            cur = acc.get(g)
-            acc[g] = comm if cur is None else cur + comm
-    return acc
+            out = acc.get(g)
+            if out is None:
+                out = acc[g] = [0] * (n * n)
+            add_commutator(out, m, nmat, n)
+    den = d1 * d2
+    return {g: from_int_flat(out, n, den) for g, out in acc.items() if any(out)}
 
 
 def rhd(B1: PolyRightMap, B2: PolyRightMap) -> PolyRightMap:
@@ -357,52 +379,98 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
     For every ordered pair (B1, B2) of canonical bilinear right
     biderivations:
 
-      (a) rhd(B1, B2) equals the transpose of lhd(B1^t, B2^t), compared
-          term by term (an identity of polynomial maps);
-      (b) when both are replaced by their symmetric doubles, or both by
-          their skew doubles, rhd(B1, B2)(x, y) = lhd(B1, B2)(y, x) on all
-          basis pairs;
-      (c) for one symmetric and one skew double,
-          rhd(B1, B2)(x, y) = lhd(B2, B1)(y, x) on all basis pairs.
+      (a) rhd(B1, B2)(x, y) = lhd(B1^t, B2^t)(y, x);
+      (b) the same swap rhd(B1, B2)(x, y) = lhd(B1, B2)(y, x) when both are
+          replaced by their symmetric doubles, or both by their skew doubles;
+      (c) rhd(B1, B2)(x, y) = lhd(B2, B1)(y, x) for one symmetric and one
+          skew double.
 
     In (b) and (c) the same tensor is reinterpreted as a left biderivation,
     legitimate because symmetric and skew right biderivations are left
-    biderivations.
+    biderivations. Each side is also compared with the composition it
+    stands for, from the tensors themselves:
+
+      rhd(B1, B2)(x, y) = B1(B2(x, y), y) - B2(B1(x, y), y)
+      lhd(B1, B2)(x, y) = B1(x, B2(x, y)) - B2(x, B1(x, y)).
+
+    The frozen argument runs over every e_j and e_j + e_k (j < k), the free
+    one over every e_p at once: with the frozen argument fixed, each tensor
+    is the matrix whose column p is `BilinearTensor.evaluate` at e_p, and
+    the composition is the commutator of two such matrices. A frozen sum
+    makes the cross terms y^(a+b), a != b, of the bracket count. Every side
+    is compared in integers, as a numerator matrix over its denominator.
     """
     n = A.dim
     tensors = basis_tensors(right_bider_bilinear_space(A), n)
     suite = "transpose"
-    rights = [from_tensor(t) for t in tensors]
-    lefts_of_transpose = [from_tensor_left(t.transpose()) for t in tensors]
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    frozen = basis + [tuple(x + y for x, y in zip(basis[j], basis[k]))
+                      for j in range(n) for k in range(j + 1, n)]
+
+    def frozen_maps(value):
+        """Per frozen v, the matrix whose column p is value(e_p, v)."""
+        return [int_scaled(Matrix._wrap(tuple(zip(*(value(e, v) for e in basis))))) for v in frozen]
+
+    # an operand is its poly map and its frozen matrices
+    def right_op(t):
+        return from_tensor(t), frozen_maps(t.evaluate)
+
+    def left_op(t):
+        return from_tensor_left(t), frozen_maps(lambda e, v: t.evaluate(v, e))
+
+    def values(P):
+        """Per frozen v, P's matrix in the free argument."""
+        den, rows = _scaled_terms(P.terms)
+        out = []
+        for v in frozen:
+            acc = [0] * (n * n)
+            for a, m in rows:
+                f = math.prod(x ** e for x, e in zip(v, a))
+                if f:
+                    for r, row in enumerate(m):
+                        for c, w in row:
+                            acc[r * n + c] += f * w
+            out.append((den, acc))
+        return out
+
+    def composition(f1, f2):
+        (d1, a), (d2, b) = f1, f2
+        out = [0] * (n * n)
+        add_commutator(out, a, b, n)
+        return d1 * d2, out
+
+    def same(p, q) -> bool:
+        (dp, a), (dq, b) = p, q
+        return a == b if dp == dq else [x * dq for x in a] == [y * dp for y in b]
+
+    def holds(r1, r2, l1, l2) -> bool:
+        """rhd(r1, r2)(x, y) = lhd(l1, l2)(y, x), each side equal to its composition."""
+        right, left = values(rhd(r1[0], r2[0])), values(lhd(l1[0], l2[0]))
+        for k, got in enumerate(right):
+            if not (same(got, left[k]) and same(got, composition(r1[1][k], r2[1][k]))
+                    and same(left[k], composition(l1[1][k], l2[1][k]))):
+                return False
+        return True
+
+    rights = [right_op(t) for t in tensors]
+    lefts_of_transpose = [left_op(t.transpose()) for t in tensors]
     sym = [symmetrize(t) for t in tensors]
     skew = [skew_symmetrize(t) for t in tensors]
-    sym_r = [from_tensor(t) for t in sym]
-    sym_l = [from_tensor_left(t) for t in sym]
-    skew_r = [from_tensor(t) for t in skew]
-    skew_l = [from_tensor_left(t) for t in skew]
-    basis = [basis_vector(i, n) for i in range(n)]
-
-    def swapped_equal(right_bracket, left_bracket) -> bool:
-        return all(right_bracket.evaluate(x, y) == left_bracket.evaluate(y, x)
-                   for x in basis for y in basis)
+    sym_r, sym_l = [right_op(t) for t in sym], [left_op(t) for t in sym]
+    skew_r, skew_l = [right_op(t) for t in skew], [left_op(t) for t in skew]
 
     main_bad = matched_bad = mixed_bad = None
     for i in range(len(tensors)):
         for j in range(len(tensors)):
-            if main_bad is None:
-                if rhd(rights[i], rights[j]) != lhd(lefts_of_transpose[i],
-                                                    lefts_of_transpose[j]).transpose():
-                    main_bad = (i, j)
-            if matched_bad is None:
-                ok = (swapped_equal(rhd(sym_r[i], sym_r[j]), lhd(sym_l[i], sym_l[j]))
-                      and swapped_equal(rhd(skew_r[i], skew_r[j]), lhd(skew_l[i], skew_l[j])))
-                if not ok:
-                    matched_bad = (i, j)
-            if mixed_bad is None:
-                ok = (swapped_equal(rhd(sym_r[i], skew_r[j]), lhd(skew_l[j], sym_l[i]))
-                      and swapped_equal(rhd(skew_r[i], sym_r[j]), lhd(sym_l[j], skew_l[i])))
-                if not ok:
-                    mixed_bad = (i, j)
+            if main_bad is None and not holds(rights[i], rights[j],
+                                              lefts_of_transpose[i], lefts_of_transpose[j]):
+                main_bad = (i, j)
+            if matched_bad is None and not (holds(sym_r[i], sym_r[j], sym_l[i], sym_l[j])
+                                            and holds(skew_r[i], skew_r[j], skew_l[i], skew_l[j])):
+                matched_bad = (i, j)
+            if mixed_bad is None and not (holds(sym_r[i], skew_r[j], skew_l[j], sym_l[i])
+                                          and holds(skew_r[i], sym_r[j], sym_l[j], skew_l[i])):
+                mixed_bad = (i, j)
 
     def w(pair):
         return None if pair is None else {"basis_pair": list(pair)}

@@ -4,6 +4,12 @@ Dense matrices with `fractions.Fraction` entries, reduced row echelon form,
 nullspace bases, and canonical subspace bases. No floating point appears
 anywhere in this module; every result is exact.
 
+Matrix products and commutators run on integers: each operand is scaled by
+its common denominator to sparse integer rows, one loop (`add_product`)
+accumulates the product into a flat integer list, and the result becomes
+`Fraction`s once per entry. The brackets reuse these pieces to scale each
+operand once per call instead of once per pair of terms.
+
 A subspace is always carried around in canonical form: the nonzero rows of
 the reduced row echelon form of any spanning set, coordinates in
 lexicographic order, each pivot entry 1 and alone in its column. Two spans
@@ -146,37 +152,14 @@ class Matrix:
     def __neg__(self):
         return Matrix._wrap(tuple(tuple(-a for a in row) for row in self.data))
 
-    def _int_scaled(self) -> tuple[list[list[int]], int]:
-        """Entries times the common denominator, as plain ints."""
-        den = 1
-        for row in self.data:
-            for x in row:
-                d = x.denominator
-                if d != 1:
-                    den = den * d // math.gcd(den, d)
-        if den == 1:
-            return [[x.numerator for x in row] for row in self.data], 1
-        return [[x.numerator * (den // x.denominator) for x in row] for row in self.data], den
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
-            # scale to integers, multiply with zero-skips, normalize once per entry
-            a, da = self._int_scaled()
-            b, db = other._int_scaled()
-            den = da * db
-            out = [[0] * other.cols for _ in range(self.rows)]
-            for r, arow in enumerate(a):
-                acc = out[r]
-                for k, v in enumerate(arow):
-                    if v:
-                        brow = b[k]
-                        for c, w in enumerate(brow):
-                            if w:
-                                acc[c] += v * w
-            return Matrix._wrap(tuple(
-                tuple(Fraction(p, den) if p else _ZERO for p in row) for row in out))
+            (da, a), (db, b) = int_scaled(self), int_scaled(other)
+            out = [0] * (self.rows * other.cols)
+            add_product(out, a, b, other.cols)
+            return from_int_flat(out, other.cols, da * db)
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
             return Matrix._wrap(tuple(tuple(f * a for a in row) for row in self.data))
@@ -198,29 +181,69 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+def common_denominator(mats: Iterable[Matrix]) -> int:
+    """Least common denominator of every entry of `mats`."""
+    den = 1
+    for m in mats:
+        for row in m.data:
+            for x in row:
+                d = x.denominator
+                if d != 1 and den % d:
+                    den = den * d // math.gcd(den, d)
+    return den
+
+
+IntRows = list[list[tuple[int, int]]]
+
+
+def int_rows(m: Matrix, den: int) -> IntRows:
+    """den * m as sparse integer rows of (column, entry); den must clear m's denominators."""
+    if den == 1:
+        return [[(c, x.numerator) for c, x in enumerate(row) if x] for row in m.data]
+    return [[(c, x.numerator * (den // x.denominator)) for c, x in enumerate(row) if x]
+            for row in m.data]
+
+
+def int_scaled(m: Matrix) -> tuple[int, IntRows]:
+    """m as its least common denominator d and the sparse integer rows of d * m."""
+    den = common_denominator((m,))
+    return den, int_rows(m, den)
+
+
+def add_product(out: list[int], a: IntRows, b: IntRows, width: int, sign: int = 1) -> None:
+    """out += sign * (a b), with out the row-major entries of a rows(a) x width matrix."""
+    for r, arow in enumerate(a):
+        base = r * width
+        for k, v in arow:
+            v *= sign
+            for c, w in b[k]:
+                out[base + c] += v * w
+
+
+def add_commutator(out: list[int], a: IntRows, b: IntRows, n: int) -> None:
+    """out += a b - b a for square n x n integer rows (hot path of the brackets)."""
+    add_product(out, a, b, n)
+    add_product(out, b, a, n, -1)
+
+
+def from_int_flat(out: Sequence[int], width: int, den: int) -> Matrix:
+    """The matrix with row-major entries out / den."""
+    if den == 1:
+        vals = [Fraction(p) if p else _ZERO for p in out]
+    else:
+        vals = [Fraction(p, den) if p else _ZERO for p in out]
+    return Matrix._wrap(tuple([tuple(vals[r:r + width]) for r in range(0, len(vals), width)]))
+
+
 def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    """a b - b a in one integer-scaled pass (hot path of the brackets)."""
+    """a b - b a: the one-pair case of the bracket kernel."""
     if (a.rows, a.cols) != (b.rows, b.cols) or a.rows != a.cols:
         raise ValueError("commutator needs two square matrices of equal size")
-    ai, da = a._int_scaled()
-    bi, db = b._int_scaled()
-    den = da * db
     n = a.rows
-    out = [[0] * n for _ in range(n)]
-    for r in range(n):
-        acc = out[r]
-        for k, v in enumerate(ai[r]):
-            if v:
-                for c, w in enumerate(bi[k]):
-                    if w:
-                        acc[c] += v * w
-        for k, v in enumerate(bi[r]):
-            if v:
-                for c, w in enumerate(ai[k]):
-                    if w:
-                        acc[c] -= v * w
-    return Matrix._wrap(tuple(
-        tuple(Fraction(p, den) if p else _ZERO for p in row) for row in out))
+    (da, ai), (db, bi) = int_scaled(a), int_scaled(b)
+    out = [0] * (n * n)
+    add_commutator(out, ai, bi, n)
+    return from_int_flat(out, n, da * db)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:

@@ -7,7 +7,10 @@ probing unit tensors through residual evaluation or assembled directly from
 the right and left conditions over all n^3 tensor entries, the way the
 package once solved them. The identity sides below write each condition
 out as it reads, through the product alone, where the package asks every
-one of them as "is this map a derivation?".
+one of them as "is this map a derivation?". The bracket reference takes
+one matrix commutator per pair of terms, the way the package first
+computed it, and the matrix references multiply entry by entry in
+`Fraction`s.
 """
 
 from fractions import Fraction
@@ -15,7 +18,7 @@ from fractions import Fraction
 import sympy
 
 from biderlie.algebras import bracket
-from biderlie.linalg import basis_vector, vec_add
+from biderlie.linalg import Matrix, basis_vector, mat_commutator, vec_add
 
 
 def forward_elimination_rank(rows):
@@ -194,3 +197,24 @@ def first_failure(n, sides):
                 if lhs != rhs:
                     return (i, j, k), lhs, rhs, tuple(b - a for a, b in zip(lhs, rhs))
     return None
+
+
+def bracket_terms_per_pair(t1, t2):
+    """sum_{a,b} y^(a+b) [M_a, N_b]: one `mat_commutator` per pair of terms,
+    summed with `Matrix` addition; all-zero outputs are dropped."""
+    acc = {}
+    for a, m in t1.items():
+        for b, nmat in t2.items():
+            comm = mat_commutator(m, nmat)
+            if comm.is_zero():
+                continue
+            g = tuple(x + y for x, y in zip(a, b))
+            cur = acc.get(g)
+            acc[g] = comm if cur is None else cur + comm
+    return {g: m for g, m in acc.items() if not m.is_zero()}
+
+
+def matrix_product(a, b):
+    """a b by the textbook triple loop over `Fraction` entries."""
+    return Matrix([[sum((a.data[r][k] * b.data[k][c] for k in range(a.cols)), Fraction(0))
+                    for c in range(b.cols)] for r in range(a.rows)])

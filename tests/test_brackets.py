@@ -10,13 +10,17 @@ from biderlie import (Algebra, BilinearTensor, PolyLeftMap, PolyRightMap,
                       is_left_bider_poly, is_right_bider, is_right_bider_poly, lhd,
                       rhd, to_tensor, to_tensor_left, verify_lie_algebra,
                       verify_transpose_interplay)
+import biderlie.brackets as brackets_module
+from biderlie.brackets import random_multi_index
 from biderlie.biderivations import basis_tensors, right_bider_bilinear_space
 from biderlie.bilinear import random_tensor
 from biderlie.cli import heisenberg_example_maps
+from biderlie.formats import serialize_map
 from biderlie.linalg import Matrix, basis_vector
 from biderlie.report import all_ok
 
 from helpers import random_rational_vector
+from oracles import bracket_terms_per_pair
 
 F = Fraction
 
@@ -221,8 +225,9 @@ def test_jacobi_explicit(example):
     assert jac.is_zero()
 
 
-@pytest.mark.parametrize("name", ["heisenberg3", "abelian(2)", "sl2"])
+@pytest.mark.parametrize("name", ["heisenberg3", "abelian(2)", "sl2", "L1", "L2", "L3", "L4"])
 def test_transpose_interplay_suite(name):
+    # criterion 8 runs the suite, through `verify`, on every builtin
     assert all_ok(verify_transpose_interplay(builtin(name)))
 
 
@@ -251,3 +256,131 @@ def test_rhd_type_and_dim_errors():
         rhd(p, from_tensor_left(BilinearTensor.zero(2)))
     with pytest.raises(ValueError):
         rhd(p, PolyRightMap.single(3, (1, 0, 0), Matrix.identity(3)))
+
+
+# --- the integer bracket kernel against the per-pair reference ---------------
+
+def _heisenberg(n):
+    k = n // 2
+    entries = {}
+    for i in range(k):
+        entries[(i, k + i, n - 1)] = F(1)
+        entries[(k + i, i, n - 1)] = F(-1)
+    return Algebra.from_entries(f"heisenberg{n}", n, entries, "lie")
+
+
+def _random_terms(rng, n, count, denominators):
+    terms = {}
+    while len(terms) < count:
+        terms[random_multi_index(rng, n, 3)] = Matrix(
+            [[F(rng.choice((0, 0, 1, -1, 2, -3)), rng.choice(denominators)) for _ in range(n)]
+             for _ in range(n)])
+    return terms
+
+
+def _derivation_terms(rng, ders, n, count):
+    terms = {}
+    while len(terms) < count:
+        alpha = random_multi_index(rng, n, 3)
+        d1, d2 = rng.sample(ders, 2)
+        terms[alpha] = (F(rng.choice((-3, 1, 2)), rng.choice((1, 2))) * d1
+                        + F(rng.choice((-1, 3)), 2) * d2)
+    return terms
+
+
+def _assert_kernel_matches_reference(t1, t2, n):
+    got = brackets_module._bracket_terms(t1, t2)
+    want = bracket_terms_per_pair(t1, t2)
+    assert got == want
+    assert all(not m.is_zero() for m in got.values())
+    for cls in (PolyRightMap, PolyLeftMap):
+        assert serialize_map(cls(n, got)) == serialize_map(cls(n, want))
+    return got
+
+
+def _cancelling_terms():
+    # at y1 y2 the pair commutators [E12, E21] and [E21, E12] cancel
+    e11, e12, e21 = (Matrix([[1, 0], [0, 0]]), Matrix([[0, 1], [0, 0]]),
+                     Matrix([[0, 0], [1, 0]]))
+    return {(1, 0): e12, (0, 1): e21, (0, 0): e11}, {(0, 1): e21, (1, 0): e12}
+
+
+@pytest.mark.parametrize("case", ["mixed-denominators", "empty", "dim-1", "self",
+                                  "cancelling", "heisenberg7-40-terms"])
+def test_bracket_kernel_matches_per_pair_reference(case):
+    rng = random.Random(case)
+    if case == "mixed-denominators":
+        for n in (2, 3, 4):
+            for _ in range(20):
+                t1 = _random_terms(rng, n, rng.randint(1, 6), (1, 2, 3))
+                t2 = _random_terms(rng, n, rng.randint(1, 6), (1, 5, 7))
+                _assert_kernel_matches_reference(t1, t2, n)
+    elif case == "empty":
+        t = _random_terms(rng, 3, 4, (1, 2))
+        assert _assert_kernel_matches_reference({}, t, 3) == {}
+        assert _assert_kernel_matches_reference(t, {}, 3) == {}
+        assert _assert_kernel_matches_reference({}, {}, 3) == {}
+    elif case == "dim-1":
+        t1, t2 = _random_terms(rng, 1, 3, (1, 2, 3)), _random_terms(rng, 1, 3, (1, 5))
+        assert _assert_kernel_matches_reference(t1, t2, 1) == {}
+    elif case == "self":
+        for n in (2, 3):
+            t = _random_terms(rng, n, 6, (1, 2, 3))
+            assert _assert_kernel_matches_reference(t, t, n) == {}
+    elif case == "cancelling":
+        t1, t2 = _cancelling_terms()
+        got = _assert_kernel_matches_reference(t1, t2, 2)
+        assert set(got) == {(0, 1), (1, 0)}
+        assert (1, 1) not in got
+    else:
+        ders = derivation_matrices(_heisenberg(7))
+        t1, t2 = _derivation_terms(rng, ders, 7, 40), _derivation_terms(rng, ders, 7, 40)
+        assert len(_assert_kernel_matches_reference(t1, t2, 7)) > 40
+
+
+# --- the transpose suite must be able to fail --------------------------------
+
+def _anticommutator_terms(t1, t2):
+    acc = {}
+    for a, m in t1.items():
+        for b, nmat in t2.items():
+            g = tuple(x + y for x, y in zip(a, b))
+            anti = m * nmat + nmat * m
+            acc[g] = acc[g] + anti if g in acc else anti
+    return acc
+
+
+def _diagonal_terms(t1, t2):
+    out = {}
+    for a, m in t1.items():
+        if a in t2:
+            out.update(bracket_terms_per_pair({a: m}, {a: t2[a]}))
+    return out
+
+
+_IDENTITIES = ("bracket-transpose-identity", "matched-symmetry-swap", "mixed-symmetry-swap")
+
+
+def _statuses(name):
+    return {r.identity: r.status for r in verify_transpose_interplay(builtin(name))}
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "L4", "L2", "L3"])
+def test_transpose_suite_catches_anticommutators(monkeypatch, name):
+    monkeypatch.setattr(brackets_module, "_bracket_terms", _anticommutator_terms)
+    assert _statuses(name) == dict.fromkeys(_IDENTITIES, "fail")
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "L4", "L2", "L3"])
+def test_transpose_suite_catches_dropped_cross_terms(monkeypatch, name):
+    # bracket only the terms of equal monomials, dropping y^(a+b) for a != b
+    monkeypatch.setattr(brackets_module, "_bracket_terms", _diagonal_terms)
+    expect = dict.fromkeys(_IDENTITIES, "fail")
+    if name == "L4":
+        # L4's basis is y1 M and y2 M with one matrix M, so every bracket of
+        # two basis maps is 0 with or without its cross terms: identity (a)
+        # brackets only those, the doubled maps of (b) and (c) mix both terms
+        tensors = basis_tensors(right_bider_bilinear_space(builtin("L4")), 2)
+        assert all(rhd(from_tensor(s), from_tensor(t)).is_zero() for s in tensors for t in tensors)
+        expect["bracket-transpose-identity"] = "pass"
+    assert _statuses(name) == expect

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from biderlie.linalg import (Matrix, SubspaceBasis, canonicalize, full_space, intersect,
                              mat_commutator, nullspace, rref, vec_is_zero, vector)
 
-from oracles import forward_elimination_rank, sympy_nullspace_dim, sympy_rref
+from oracles import (forward_elimination_rank, matrix_product, sympy_nullspace_dim,
+                     sympy_rref)
 
 F = Fraction
 
@@ -150,6 +152,22 @@ def test_commutator_fused_path_matches_definition():
     a = Matrix([[F(1, 2), 1, 0], [0, F(-2, 3), 1], [1, 0, 1]])
     b = Matrix([[0, 1, F(3, 5)], [1, 0, 0], [0, F(1, 7), 2]])
     assert mat_commutator(a, b) == a * b - b * a
+
+
+def test_integer_product_kernel_matches_entrywise_fractions():
+    # Matrix products and commutators share one integer-scaled product loop;
+    # check it against products taken entry by entry in Fractions
+    rng = random.Random(5)
+    def rand(rows, cols):
+        return Matrix([[F(rng.choice((0, 0, 1, -2, 3)), rng.choice((1, 2, 3, 7)))
+                        for _ in range(cols)] for _ in range(rows)])
+    for rows, inner, cols in [(1, 1, 1), (2, 3, 4), (4, 2, 3), (5, 5, 5)]:
+        a, b = rand(rows, inner), rand(inner, cols)
+        assert a * b == matrix_product(a, b)
+    for n in (1, 2, 3, 6):
+        a, b = rand(n, n), rand(n, n)
+        assert mat_commutator(a, b) == matrix_product(a, b) - matrix_product(b, a)
+    assert Matrix.zeros(2, 3) * rand(3, 2) == Matrix.zeros(2, 2)
 
 
 def test_matrix_shape_errors():
