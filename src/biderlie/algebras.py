@@ -9,7 +9,11 @@ only verified by `check_kind`. Dimensions are capped at `MAX_DIM`.
 `leibniz_sides` is the one place the derivation rule D[e_i,e_j] =
 [De_i,e_j] + [e_i,De_j] is evaluated. A left (right) Leibniz algebra is one
 whose left (right) multiplications are derivations, so the Leibniz kinds
-are checked through it, as are derivations and biderivations.
+are checked through it, as are derivations and biderivations. It works in
+integers: the constants are scaled to integers once per algebra
+(`int_constants`), the images of D by the caller, and both sides share one
+denominator, so a scan compares integer lists and builds `Fraction`s only
+for the sides it reports.
 
 Identity checks run on basis pairs/triples only; bilinearity extends them to
 all elements. Checkers scan triples in descending lexicographic order and
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Vector, basis_vector, vec_add, vec_is_zero, vec_sub, vector, zero_vector
+from .linalg import (Vector, basis_vector, int_dense, vec_add, vec_is_zero, vec_sub, vector,
+                     zero_vector)
 
 KINDS = ("lie", "leibniz-left", "leibniz-right", "generic")
 
@@ -46,7 +51,7 @@ class Algebra:
     name, which is only a label.
     """
 
-    __slots__ = ("name", "dim", "c", "kind")
+    __slots__ = ("name", "dim", "c", "kind", "_ints")
 
     def __init__(self, name: str, dim: int, c, kind: str):
         if kind not in KINDS:
@@ -62,6 +67,7 @@ class Algebra:
         self.dim = dim
         self.c = table
         self.kind = kind
+        self._ints = None
 
     @classmethod
     def from_entries(cls, name: str, dim: int, entries: Mapping[tuple[int, int, int], Fraction],
@@ -147,35 +153,64 @@ class KindReport:
     witness: TripleWitness | None = None
 
 
-def leibniz_sides(A: Algebra, images: Sequence[Sequence[Fraction]], i: int,
-                  j: int) -> tuple[Vector, Vector]:
-    """D[e_i, e_j] and [De_i, e_j] + [e_i, De_j] for the linear map D e_p = images[p].
+IntTable = tuple[tuple[tuple[int, ...], ...], ...]
 
-    D is a derivation iff the two sides agree at every basis pair.
+
+def int_constants(A: Algebra) -> tuple[int, IntTable, IntTable]:
+    """(d, c, r): the structure constants over their common denominator d.
+
+    c[i][j] is d [e_i, e_j] as integers and r[k][a] = c[a][k], the images
+    of R_{e_k}. Scaled once per algebra and kept on it.
     """
-    c = A.c
-    lhs = [_ZERO] * A.dim
-    rhs = [_ZERO] * A.dim
+    if A._ints is None:
+        n = A.dim
+        den, flat = int_dense([row for plane in A.c for row in plane])
+        c = tuple(tuple(tuple(flat[i * n + j]) for j in range(n)) for i in range(n))
+        A._ints = (den, c, tuple(tuple(c[a][k] for a in range(n)) for k in range(n)))
+    return A._ints
+
+
+def leibniz_sides(A: Algebra, images: Sequence[Sequence[int]], i: int,
+                  j: int) -> tuple[list[int], list[int]]:
+    """D[e_i, e_j] and [De_i, e_j] + [e_i, De_j] for the linear map D e_p = images[p] / e.
+
+    `images` are integer vectors over a denominator e the caller keeps.
+    Both sides come back as integer lists over the one denominator d * e,
+    d from `int_constants`, so they agree iff the lists are equal. D is a
+    derivation iff the two sides agree at every basis pair.
+    """
+    _, c, cols = int_constants(A)
+    lhs = [0] * A.dim
+    rhs = [0] * A.dim
     # D[e_i,e_j] = sum_p c[i][j][p] De_p;  [De_i,e_j] = sum_a (De_i)_a [e_a,e_j];
     # [e_i,De_j] = sum_b (De_j)_b [e_i,e_b]
     for out, coeffs, values in ((lhs, c[i][j], images),
-                                (rhs, images[i], [row[j] for row in c]),
+                                (rhs, images[i], cols[j]),
                                 (rhs, images[j], c[i])):
         for f, v in zip(coeffs, values):
             if f:
                 for l, x in enumerate(v):
                     if x:
                         out[l] += f * x
-    return tuple(lhs), tuple(rhs)
+    return lhs, rhs
+
+
+def over(v: Sequence[int], den: int) -> Vector:
+    """The integer vector v divided by den, as Fractions."""
+    return tuple(Fraction(x, den) for x in v)
 
 
 def _leibniz_kind_sides(A: Algebra, kind: str, i: int, j: int,
-                        k: int) -> tuple[Vector, Vector]:
+                        k: int) -> tuple[list[int], list[int], int]:
+    """Both sides of a Leibniz identity as integer lists, and their denominator."""
+    den, c, cols = int_constants(A)
     if kind == "leibniz-left":
         # [x,[y,z]] = [[x,y],z] + [y,[x,z]]: L_{e_i} is a derivation
-        return leibniz_sides(A, A.c[i], j, k)
-    # [[x,y],z] = [[x,z],y] + [x,[y,z]]: R_{e_k} is a derivation
-    return leibniz_sides(A, [row[k] for row in A.c], i, j)
+        lhs, rhs = leibniz_sides(A, c[i], j, k)
+    else:
+        # [[x,y],z] = [[x,z],y] + [x,[y,z]]: R_{e_k} is a derivation
+        lhs, rhs = leibniz_sides(A, cols[k], i, j)
+    return lhs, rhs, den * den
 
 
 def _jacobi_defect(A: Algebra, i: int, j: int, k: int) -> Vector:
@@ -196,8 +231,8 @@ def identity_residual(A: Algebra, identity: str, triple: tuple[int, int, int]) -
     """Residual (rhs - lhs) of a named identity at one basis triple."""
     i, j, k = triple
     if identity in ("leibniz-left", "leibniz-right"):
-        lhs, rhs = _leibniz_kind_sides(A, identity, i, j, k)
-        return vec_sub(rhs, lhs)
+        lhs, rhs, den = _leibniz_kind_sides(A, identity, i, j, k)
+        return over([b - a for a, b in zip(lhs, rhs)], den)
     if identity == "jacobi":
         return _jacobi_defect(A, i, j, k)
     raise ValueError(f"unknown identity {identity!r}")
@@ -230,8 +265,9 @@ def check_kind(A: Algebra, kind: str | None = None) -> KindReport:
                 return KindReport(kind, False, w)
         return KindReport(kind, True)
     for (i, j, k) in triples_descending(n):
-        lhs, rhs = _leibniz_kind_sides(A, kind, i, j, k)
+        lhs, rhs, den = _leibniz_kind_sides(A, kind, i, j, k)
         if lhs != rhs:
+            lhs, rhs = over(lhs, den), over(rhs, den)
             w = TripleWitness(kind, (i, j, k), lhs, rhs, vec_sub(rhs, lhs))
             return KindReport(kind, False, w)
     return KindReport(kind, True)

@@ -6,8 +6,9 @@ A bilinear map is a right biderivation when B([x,y],z) = [x,B(y,z)] +
 x -> B(x, e_j) is a derivation, and left iff every y -> B(e_i, y) is one,
 i.e. iff B^t is right, so every space is solved through `Der`, and the
 predicates, residuals and witnesses ask `algebras.leibniz_sides` of
-x -> B(x, e_k) (of B^t for the left side). Witness scans run in descending
-triple order (see `algebras`).
+x -> B(x, e_k) (of B^t for the left side), with B scaled to integers once
+per scan and only a reported witness divided back into `Fraction`s.
+Witness scans run in descending triple order (see `algebras`).
 """
 
 from __future__ import annotations
@@ -15,19 +16,29 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .algebras import Algebra, TripleWitness, leibniz_sides, triples_descending
+from .algebras import (Algebra, TripleWitness, int_constants, leibniz_sides, over,
+                       triples_descending)
 from .bilinear import BilinearTensor
 from .derivations import derivation_rows, derivation_space
-from .linalg import (Matrix, SubspaceBasis, Vector, canonicalize, intersect,
-                     solve_homogeneous, vec_sub)
+from .linalg import (Matrix, SubspaceBasis, Vector, canonicalize, combination, int_dense,
+                     int_scaled, intersect, solve_homogeneous, vec_sub)
 
 _ZERO = Fraction(0)
 
 
+def _int_images(A: Algebra, B: BilinearTensor) -> tuple[int, list[list[list[int]]]]:
+    """(den, images): images[k][p] = B(e_p, e_k), the map x -> B(x, e_k), as integer
+    vectors; den is the denominator `leibniz_sides` returns their sides over."""
+    n = B.dim
+    e, flat = int_dense([row for plane in B.t for row in plane])
+    return int_constants(A)[0] * e, [[flat[p * n + k] for p in range(n)] for k in range(n)]
+
+
 def right_residual(A: Algebra, B: BilinearTensor, i: int, j: int, k: int) -> Vector:
     """Defect (rhs - lhs) of the right condition at basis triple (i, j, k)."""
-    lhs, rhs = leibniz_sides(A, [plane[k] for plane in B.t], i, j)
-    return vec_sub(rhs, lhs)
+    den, images = _int_images(A, B)
+    lhs, rhs = leibniz_sides(A, images[k], i, j)
+    return over([b - a for a, b in zip(lhs, rhs)], den)
 
 
 def left_residual(A: Algebra, B: BilinearTensor, i: int, j: int, k: int) -> Vector:
@@ -40,11 +51,12 @@ def _first_failure(A: Algebra, B: BilinearTensor, identity: str,
     """Scan triples in descending order; `right_triple` maps each to the right condition's."""
     if A.dim != B.dim:
         raise ValueError(f"dimension mismatch: algebra dim {A.dim}, tensor dim {B.dim}")
-    images = tuple(zip(*B.t))    # images[k][p] = B(e_p, e_k): x -> B(x, e_k)
+    den, images = _int_images(A, B)
     for triple in triples_descending(A.dim):
         i, j, k = right_triple(triple)
         lhs, rhs = leibniz_sides(A, images[k], i, j)
         if lhs != rhs:
+            lhs, rhs = over(lhs, den), over(rhs, den)
             return TripleWitness(identity, triple, lhs, rhs, vec_sub(rhs, lhs))
     return None
 
@@ -123,12 +135,11 @@ def bider_space(A: Algebra) -> SubspaceBasis:
                             row[j * m + t] += w * d[i * n + k]
             if any(row):
                 rows.append(row)
-    der_maps = [Matrix.from_col_major(d, n) for d in ders]
+    der_maps = [int_scaled(Matrix.from_col_major(d, n).data) for d in ders]
     members = []
     for x in solve_homogeneous(rows, n * m).vectors:
         # x -> T(x, e_j) is sum_t x[j, t] D_t
-        maps = [sum((x[j * m + t] * D for t, D in enumerate(der_maps) if x[j * m + t]),
-                    Matrix.zeros(n, n)) for j in range(n)]
+        maps = [combination(x[j * m:(j + 1) * m], der_maps, n, n) for j in range(n)]
         members.append(BilinearTensor.from_column_maps(maps).flatten())
     return canonicalize(members, n ** 3)
 
@@ -140,4 +151,4 @@ def spaces_intersection(A: Algebra) -> SubspaceBasis:
 
 def basis_tensors(space: SubspaceBasis, dim: int) -> list[BilinearTensor]:
     """Unpack a canonical tensor-space basis into tensors."""
-    return [BilinearTensor.from_flat(v, dim) for v in space.vectors]
+    return [BilinearTensor._from_flat_trusted(v, dim) for v in space.vectors]

@@ -4,6 +4,10 @@ The layout is t[i][j][k]: the e_k coefficient of B(e_i, e_j), first index =
 first argument, shared by every module in the package. Flattened coordinates
 use the index (i*n + j)*n + k, which is also the unknown order of the
 biderivation solvers.
+
+The public constructors coerce and check every entry; results built inside
+the package (sums, scalar multiples, transposes, combinations) are already
+`Fraction` tables of the right shape and go through the trusted `_wrap`.
 """
 
 from __future__ import annotations
@@ -32,8 +36,17 @@ class BilinearTensor:
         self.t = table
 
     @classmethod
+    def _wrap(cls, dim: int, t: tuple[tuple[Vector, ...], ...]) -> "BilinearTensor":
+        # trusted constructor: t is already a dim^3 tuple table of Fractions
+        B = object.__new__(cls)
+        B.dim = dim
+        B.t = t
+        return B
+
+    @classmethod
     def zero(cls, dim: int) -> "BilinearTensor":
-        return cls(dim, [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)])
+        row = (_ZERO,) * dim
+        return cls._wrap(dim, ((row,) * dim,) * dim)
 
     @classmethod
     def from_entries(cls, dim: int, entries: Mapping[tuple[int, int, int], Fraction]) -> "BilinearTensor":
@@ -53,9 +66,15 @@ class BilinearTensor:
                           for j in range(dim)] for i in range(dim)])
 
     @classmethod
+    def _from_flat_trusted(cls, v: Sequence[Fraction], dim: int) -> "BilinearTensor":
+        # `from_flat` for a flat vector of Fractions built inside the package
+        rows = [tuple(v[p:p + dim]) for p in range(0, dim ** 3, dim)]
+        return cls._wrap(dim, tuple(tuple(rows[i * dim:(i + 1) * dim]) for i in range(dim)))
+
+    @classmethod
     def from_column_maps(cls, maps: Sequence[Matrix]) -> "BilinearTensor":
         """Inverse of `column_map`: maps[j] is the matrix of x -> B(x, e_j)."""
-        return cls(len(maps), zip(*(m.transpose().data for m in maps)))
+        return cls._wrap(len(maps), tuple(zip(*(m.transpose().data for m in maps))))
 
     def flatten(self) -> Vector:
         n = self.dim
@@ -67,7 +86,7 @@ class BilinearTensor:
 
     def column_map(self, j: int) -> Matrix:
         """The matrix of x -> B(x, e_j); its column i is B(e_i, e_j)."""
-        return Matrix(zip(*(plane[j] for plane in self.t)))
+        return Matrix._wrap(tuple(zip(*(plane[j] for plane in self.t))))
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """B(x, y) by bilinear extension of the basis values."""
@@ -92,8 +111,7 @@ class BilinearTensor:
 
     def transpose(self) -> "BilinearTensor":
         """The map (x, y) -> B(y, x); indices swapped in the first two slots."""
-        n = self.dim
-        return BilinearTensor(n, [[self.t[j][i] for j in range(n)] for i in range(n)])
+        return BilinearTensor._wrap(self.dim, tuple(zip(*self.t)))
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -104,28 +122,33 @@ class BilinearTensor:
     def is_zero(self) -> bool:
         return all(not x for p in self.t for r in p for x in r)
 
+    def _zip_with(self, other, op) -> "BilinearTensor":
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        return BilinearTensor._wrap(self.dim, tuple(
+            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(p1, p2))
+            for p1, p2 in zip(self.t, other.t)))
+
     def __add__(self, other):
         if not isinstance(other, BilinearTensor):
             return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        n = self.dim
-        return BilinearTensor(n, [[[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(p1, p2)]
-                                  for p1, p2 in zip(self.t, other.t)])
+        return self._zip_with(other, Fraction.__add__)
 
     def __sub__(self, other):
         if not isinstance(other, BilinearTensor):
             return NotImplemented
-        return self + (-other)
+        return self._zip_with(other, Fraction.__sub__)
+
+    def _map(self, op) -> "BilinearTensor":
+        return BilinearTensor._wrap(self.dim, tuple(tuple(tuple(map(op, r)) for r in p)
+                                                     for p in self.t))
 
     def __neg__(self):
-        return BilinearTensor(self.dim, [[[-x for x in r] for r in p] for p in self.t])
+        return self._map(Fraction.__neg__)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return BilinearTensor(self.dim, [[[f * x for x in r] for r in p] for p in self.t])
+            return self._map(Fraction(other).__mul__)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -161,5 +184,6 @@ def half_decomposition(B: BilinearTensor) -> tuple[BilinearTensor, BilinearTenso
 
 def random_tensor(rng, dim: int, span: int = 3) -> BilinearTensor:
     """Small-coefficient random tensor, for seeded property runs."""
-    return BilinearTensor(dim, [[[Fraction(rng.randint(-span, span)) for _ in range(dim)]
-                                 for _ in range(dim)] for _ in range(dim)])
+    return BilinearTensor._wrap(dim, tuple(tuple(tuple(Fraction(rng.randint(-span, span))
+                                                       for _ in range(dim))
+                                                 for _ in range(dim)) for _ in range(dim)))

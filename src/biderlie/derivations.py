@@ -3,7 +3,8 @@
 A derivation is a linear self-map D with D[x,y] = [Dx,y] + [x,Dy]. On
 coordinates D acts as an n x n matrix, so the defining rule on all basis
 pairs is a homogeneous linear system in the matrix entries; its nullspace
-is the derivation algebra. `is_derivation` asks `algebras.leibniz_sides`;
+is the derivation algebra. `is_derivation` asks `algebras.leibniz_sides`,
+on the matrix columns scaled to integers;
 `derivation_rows` writes the rule out on its own, so the predicate checks
 the solver independently. Unknowns are ordered column-major, rows by
 basis pair (i, j) in ascending lexicographic order over all n^2 pairs,
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebras import Algebra, bracket, leibniz_sides
-from .linalg import Matrix, SubspaceBasis, mat_commutator, solve_homogeneous
+from .linalg import Matrix, SubspaceBasis, int_dense, mat_commutator, solve_homogeneous
 
 _ZERO = Fraction(0)
 
@@ -25,7 +26,7 @@ def is_derivation(A: Algebra, m: Matrix) -> bool:
     """True iff the derivation rule holds on all basis pairs."""
     if m.rows != A.dim or m.cols != A.dim:
         raise ValueError(f"expected a {A.dim}x{A.dim} matrix, got {m.rows}x{m.cols}")
-    images = m.transpose().data
+    _, images = int_dense(m.transpose().data)
     n = A.dim
     for i in range(n):
         for j in range(n):

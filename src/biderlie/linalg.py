@@ -4,11 +4,13 @@ Dense matrices with `fractions.Fraction` entries, reduced row echelon form,
 nullspace bases, and canonical subspace bases. No floating point appears
 anywhere in this module; every result is exact.
 
-Matrix products and commutators run on integers: each operand is scaled by
-its common denominator to sparse integer rows, one loop (`add_product`)
-accumulates the product into a flat integer list, and the result becomes
-`Fraction`s once per entry. The brackets reuse these pieces to scale each
-operand once per call instead of once per pair of terms.
+Products, commutators and linear combinations run on integers: each
+operand is scaled by its common denominator to sparse integer rows
+(`int_scaled`), one loop accumulates into a flat integer list
+(`add_product` for products, `combine` for sums sum_i f_i M_i over one
+common denominator), and the result becomes `Fraction`s once per entry
+(`from_int_flat`). A vector is the one-row case. Callers that combine the
+same operands many times scale them once and keep the scaled form.
 
 A subspace is always carried around in canonical form: the nonzero rows of
 the reduced row echelon form of any spanning set, coordinates in
@@ -156,7 +158,7 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
-            (da, a), (db, b) = int_scaled(self), int_scaled(other)
+            (da, a), (db, b) = int_scaled(self.data), int_scaled(other.data)
             out = [0] * (self.rows * other.cols)
             add_product(out, a, b, other.cols)
             return from_int_flat(out, other.cols, da * db)
@@ -181,33 +183,72 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def common_denominator(mats: Iterable[Matrix]) -> int:
-    """Least common denominator of every entry of `mats`."""
+def common_denominator(rows: Iterable[Sequence[Fraction]]) -> int:
+    """Least common denominator of every entry of `rows`."""
     den = 1
-    for m in mats:
-        for row in m.data:
-            for x in row:
-                d = x.denominator
-                if d != 1 and den % d:
-                    den = den * d // math.gcd(den, d)
+    for row in rows:
+        for x in row:
+            d = x.denominator
+            if d != 1 and den % d:
+                den = den * d // math.gcd(den, d)
     return den
 
 
 IntRows = list[list[tuple[int, int]]]
 
 
-def int_rows(m: Matrix, den: int) -> IntRows:
-    """den * m as sparse integer rows of (column, entry); den must clear m's denominators."""
+def int_rows(rows: Iterable[Sequence[Fraction]], den: int) -> IntRows:
+    """den * rows as sparse integer rows of (column, entry); den must clear their denominators."""
     if den == 1:
-        return [[(c, x.numerator) for c, x in enumerate(row) if x] for row in m.data]
+        return [[(c, x.numerator) for c, x in enumerate(row) if x] for row in rows]
     return [[(c, x.numerator * (den // x.denominator)) for c, x in enumerate(row) if x]
-            for row in m.data]
+            for row in rows]
 
 
-def int_scaled(m: Matrix) -> tuple[int, IntRows]:
-    """m as its least common denominator d and the sparse integer rows of d * m."""
-    den = common_denominator((m,))
-    return den, int_rows(m, den)
+def int_scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[int, IntRows]:
+    """Rows (a matrix's `data`, or one vector) as their least common denominator d
+    and the sparse integer rows of d * rows."""
+    den = common_denominator(rows)
+    return den, int_rows(rows, den)
+
+
+def int_dense(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """Rows as their least common denominator d and the dense integer rows of d * rows."""
+    den = common_denominator(rows)
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
+def combine(coeffs: Sequence[Fraction], scaled: Sequence[tuple[int, IntRows]],
+            rows: int, width: int) -> tuple[int, list[int]]:
+    """sum_i coeffs[i] * (r_i / d_i) for scaled[i] = (d_i, r_i), in integers.
+
+    The r_i are sparse integer rows of a rows x width matrix. Returns
+    (den, out): den is the least common multiple of the
+    coeffs[i].denominator * d_i, out the row-major entries of den times the
+    sum. Zero coefficients are skipped; `coeffs` may hold ints.
+    """
+    den = 1
+    for f, (d, _) in zip(coeffs, scaled):
+        if f:
+            d *= f.denominator
+            if den % d:
+                den = den * d // math.gcd(den, d)
+    out = [0] * (rows * width)
+    for f, (d, r) in zip(coeffs, scaled):
+        if f:
+            k = f.numerator * (den // (f.denominator * d))
+            for i, row in enumerate(r):
+                base = i * width
+                for c, x in row:
+                    out[base + c] += k * x
+    return den, out
+
+
+def combination(coeffs: Sequence[Fraction], scaled: Sequence[tuple[int, IntRows]],
+                rows: int, width: int) -> Matrix:
+    """sum_i coeffs[i] * scaled[i] (see `combine`) as a rows x width matrix."""
+    den, out = combine(coeffs, scaled, rows, width)
+    return from_int_flat(out, width, den)
 
 
 def add_product(out: list[int], a: IntRows, b: IntRows, width: int, sign: int = 1) -> None:
@@ -240,7 +281,7 @@ def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
     if (a.rows, a.cols) != (b.rows, b.cols) or a.rows != a.cols:
         raise ValueError("commutator needs two square matrices of equal size")
     n = a.rows
-    (da, ai), (db, bi) = int_scaled(a), int_scaled(b)
+    (da, ai), (db, bi) = int_scaled(a.data), int_scaled(b.data)
     out = [0] * (n * n)
     add_commutator(out, ai, bi, n)
     return from_int_flat(out, n, da * db)
@@ -376,14 +417,6 @@ def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
         row = [av[coord] for av in a.vectors] + [-bv[coord] for bv in b.vectors]
         rows.append(row)
     coeffs = nullspace(Matrix(rows))
-    vecs = []
-    for cv in coeffs.vectors:
-        w = [_ZERO] * a.ambient_dim
-        for i, av in enumerate(a.vectors):
-            f = cv[i]
-            if f:
-                for c, x in enumerate(av):
-                    if x:
-                        w[c] += f * x
-        vecs.append(tuple(w))
+    pool = [int_scaled((av,)) for av in a.vectors]
+    vecs = [combination(cv[:a.dim], pool, 1, a.ambient_dim).data[0] for cv in coeffs.vectors]
     return canonicalize(vecs, a.ambient_dim)

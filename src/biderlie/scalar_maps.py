@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 from .algebras import Algebra
 from .brackets import MultiIndex, PolyRightMap, monomial_value, rhd
 from .derivations import commutator, is_derivation
-from .linalg import Matrix, Vector, basis_vector
+from .linalg import Matrix, Vector, basis_vector, combination, int_scaled
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -206,15 +206,14 @@ def exp_nilpotent_exact(F: Matrix, s: Fraction) -> Matrix:
     """
     n = F.rows
     s = Fraction(s)
-    acc = Matrix.identity(n)
     power = Matrix.identity(n)
-    coeff = _ONE
+    coeffs, powers = [_ONE], [int_scaled(power.data)]
     for k in range(1, n + 1):
         power = power * F
         if power.is_zero():
-            return acc
-        coeff = coeff * s / k
-        acc = acc + coeff * power
+            return combination(coeffs, powers, n, n)
+        coeffs.append(coeffs[-1] * s / k)
+        powers.append(int_scaled(power.data))
     raise ValueError("matrix is not nilpotent")
 
 

@@ -19,7 +19,8 @@ from .biderivations import (basis_tensors, bider_space, is_bider, is_left_bider,
                             right_bider_bilinear_space, spaces_intersection)
 from .brackets import random_fraction, verify_lie_algebra, verify_transpose_interplay
 from .derivations import commutator, derivation_matrices, derivation_space, is_derivation
-from .linalg import Matrix, canonicalize, intersect
+from .linalg import (IntRows, Matrix, SubspaceBasis, canonicalize, combination, int_scaled,
+                     intersect)
 from .report import CheckResult, check, skip, witness_from_triple
 from .scalar_maps import (ScalarPoly, ScalarTimesDerivation, bracket_matches_poly_form,
                           exp_curve_check, iff_derivation_check)
@@ -108,13 +109,15 @@ def space_suite(A: Algebra) -> list[CheckResult]:
     ]
 
 
-def _random_member(rng: random.Random, tensors: list[BilinearTensor], n: int) -> BilinearTensor:
-    acc = BilinearTensor.zero(n)
-    for t in tensors:
-        f = random_fraction(rng)
-        if f:
-            acc = acc + f * t
-    return acc
+def _pool(space: SubspaceBasis) -> list[tuple[int, IntRows]]:
+    """A tensor space's basis, each flat vector scaled to integers once."""
+    return [int_scaled((v,)) for v in space.vectors]
+
+
+def _random_member(rng: random.Random, pool: list[tuple[int, IntRows]], n: int) -> BilinearTensor:
+    """A random rational combination of a `_pool`."""
+    coeffs = [random_fraction(rng) for _ in pool]
+    return BilinearTensor._from_flat_trusted(combination(coeffs, pool, 1, n ** 3).data[0], n)
 
 
 def _symmetric_tensor_space(n: int):
@@ -160,30 +163,32 @@ def symmetry_suite(A: Algebra, samples: int = 25, seed: int = 0) -> list[CheckRe
             decomposition_ok = False
         if symmetrize(B) - skew_symmetrize(B) != 2 * B.transpose():
             twice_transpose_ok = False
-    bider_tensors = basis_tensors(bider_space(A), n)
+    bider_pool = _pool(bider_space(A))
     doubles_are_biders = True
     for _ in range(samples):
-        B = _random_member(rng, bider_tensors, n)
+        B = _random_member(rng, bider_pool, n)
         sb, ab = symmetrize(B), skew_symmetrize(B)
         if not (sb.is_symmetric() and ab.is_skew() and is_bider(A, sb) and is_bider(A, ab)):
             doubles_are_biders = False
     right = right_bider_bilinear_space(A)
-    right_tensors = basis_tensors(right, n)
-    sym_members = basis_tensors(intersect(right, _symmetric_tensor_space(n)), n)
-    skew_members = basis_tensors(intersect(right, _skew_tensor_space(n)), n)
-    onesided_ok = all(is_left_bider(A, t) for t in sym_members + skew_members)
+    right_pool = _pool(right)
+    sym_space = intersect(right, _symmetric_tensor_space(n))
+    skew_space = intersect(right, _skew_tensor_space(n))
+    onesided_ok = all(is_left_bider(A, t) for t in basis_tensors(sym_space, n)
+                      + basis_tensors(skew_space, n))
+    sym_pool, skew_pool = _pool(sym_space), _pool(skew_space)
     for _ in range(samples):
-        for pool in (sym_members, skew_members):
+        for pool in (sym_pool, skew_pool):
             B = _random_member(rng, pool, n)
             if not is_left_bider(A, B):
                 onesided_ok = False
         # conditional form on doubles of arbitrary right members
-        B = _random_member(rng, right_tensors, n)
+        B = _random_member(rng, right_pool, n)
         for D in (symmetrize(B), skew_symmetrize(B)):
             if is_right_bider(A, D) and not is_left_bider(A, D):
                 onesided_ok = False
     closure_ok = all(
-        is_right_bider(A, _random_member(rng, right_tensors, n)) for _ in range(samples)
+        is_right_bider(A, _random_member(rng, right_pool, n)) for _ in range(samples)
     )
     return [
         check(suite, "half-sum-decomposition", decomposition_ok),
@@ -213,6 +218,7 @@ def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[Ch
     n = A.dim
     rng = random.Random(seed)
     ders = derivation_matrices(A)
+    der_pool = [int_scaled(d.data) for d in ders]
     equivalence_ok = True
     non_derivation_hits = 0
     for i in range(sweep_samples):
@@ -220,11 +226,7 @@ def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[Ch
         while g.is_zero():
             g = _random_scalar_poly(rng, n)
         if i % 2 == 0 and ders:
-            F = Matrix.zeros(n, n)
-            for d in ders:
-                f = random_fraction(rng)
-                if f:
-                    F = F + f * d
+            F = combination([random_fraction(rng) for _ in ders], der_pool, n, n)
         else:
             F = _random_matrix(rng, n)
         if not is_derivation(A, F):

@@ -10,7 +10,9 @@ out as it reads, through the product alone, where the package asks every
 one of them as "is this map a derivation?". The bracket reference takes
 one matrix commutator per pair of terms, the way the package first
 computed it, and the matrix references multiply entry by entry in
-`Fraction`s.
+`Fraction`s. The linear-combination references fold one `Fraction`
+product and sum at a time, matrix by matrix, where the package scales
+every operand to integers once.
 """
 
 from fractions import Fraction
@@ -218,3 +220,37 @@ def matrix_product(a, b):
     """a b by the textbook triple loop over `Fraction` entries."""
     return Matrix([[sum((a.data[r][k] * b.data[k][c] for k in range(a.cols)), Fraction(0))
                     for c in range(b.cols)] for r in range(a.rows)])
+
+
+def derivation_sides(A, m, i, j):
+    """D[e_i,e_j] and [De_i,e_j] + [e_i,De_j] for the matrix D = m, through the product."""
+    n = A.dim
+    lhs = m.apply(A.c[i][j])
+    rhs = vec_add(bracket(A, m.col(i), basis_vector(j, n)),
+                  bracket(A, basis_vector(i, n), m.col(j)))
+    return lhs, rhs
+
+
+def is_derivation_reference(A, m):
+    return all(lhs == rhs for lhs, rhs in (derivation_sides(A, m, i, j)
+                                           for i in range(A.dim) for j in range(A.dim)))
+
+
+def fraction_combination(coeffs, items, zero):
+    """zero + sum_i coeffs[i] * items[i], folded one `Fraction` scalar product and sum
+    at a time (matrices or tensors)."""
+    acc = zero
+    for f, x in zip(coeffs, items):
+        acc = acc + Fraction(f) * x
+    return acc
+
+
+def poly_terms_combination(coeffs, term_dicts):
+    """sum_i coeffs[i] * P_i for poly-map term dicts, matrix by matrix with `Matrix`
+    scalar products and sums; all-zero matrices are dropped."""
+    acc = {}
+    for f, terms in zip(coeffs, term_dicts):
+        for a, m in terms.items():
+            t = Fraction(f) * m
+            acc[a] = acc[a] + t if a in acc else t
+    return {a: m for a, m in acc.items() if not m.is_zero()}

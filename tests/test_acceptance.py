@@ -5,6 +5,7 @@ lines while the suite is green). Everything is exact arithmetic except the
 one-parameter-curve check, whose tolerances are pinned below.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -17,8 +18,9 @@ from biderlie import (Algebra, BilinearTensor, ScalarPoly, ScalarTimesDerivation
                       derivation_matrices, derivation_space, exp_curve_check,
                       identity_residual, iff_derivation_check, is_bider,
                       is_left_bider, is_right_bider, left_bider_witness,
-                      right_bider_bilinear_space, skew_symmetrize, symmetrize,
+                      right_bider_bilinear_space, run_all, skew_symmetrize, symmetrize,
                       verify_lie_algebra, verify_transpose_interplay)
+from biderlie import cli
 from biderlie.cli import heisenberg_example_maps, main
 from biderlie.linalg import Matrix
 from biderlie.report import all_ok
@@ -177,12 +179,53 @@ def test_criterion_7_scalar_class_suite():
     report(f"criterion 7: scalar-times-derivation suite in {elapsed:.2f}s", ok)
 
 
-def test_criterion_8_cli_contract(capsys):
+# sha256 of the stdout of `biderlie verify <name>`, and of `verify <name> --json
+# --seed 0` for the builtins the verify-sweep benchmark runs (the digests in
+# bench/expected.json). Recorded before the integer rewrite of the sample
+# arithmetic, which must not change a byte.
+VERIFY_TEXT_SHA256 = {
+    "abelian(2)": "0f99bee4b3c3113b081154c58e5dd09651ce492247f34cad28e26e7dcc632527",
+    "abelian(3)": "024b623fdb1d25f20ce9c47c43f73c4da6c23263cab3d2ac3881b525449bb8a5",
+    "abelian(4)": "ddfbb53070fb983c271c11536361f8b19e7ec9b40599d5cd0b676313b7e8b46b",
+    "L1": "7f9013f11c239fba8a77cacb4f6d0aa18cd52392594dbf3c25136bad8921d7cd",
+    "L2": "4132859fb115ca193b9d3e338c79ebff994a05bebbfc62699c7aa7bfbf76b3ed",
+    "L3": "2d9da9ec63d388d14162d2131c6514344f267c9c647031bb2797923bf87a7125",
+    "L4": "b74667dba6dfdc540d7e891dd24e9142cc08e5649b120a9925f12086a28fdacf",
+    "heisenberg3": "18f973406f8c719ca60d69d798622b52080ee1e6d07cb62a79ee358fb060eb95",
+    "sl2": "f46e8afddabc24ec72110142d961fb0510cf69bcca3a703a2cdf29bfe4d710d5",
+}
+VERIFY_JSON_SHA256 = {
+    "abelian(2)": "b374f2270293267ebce12b928c70b36e2e3b85d8270a4c111a5e1a8d56277fc1",
+    "L2": "ab1c97cc4187df748eb6d9b294ec067688add90fd9b65bf94c20f67aeaa5b7c2",
+    "heisenberg3": "36fb3ba248ac0b31bfa757f7eadc79dd2f515905fc04251a407ec4671013616f",
+    "L3": "73e00142405efa03fab149254590631ba873908cb282f134ce32c180ffc8c7f2",
+    "L4": "180cd885565467720a515dca5f61fff9574e3a1fdca5263158a2709dc055033b",
+}
+
+
+def test_criterion_8_cli_contract(capsys, monkeypatch):
+    # the suites of each builtin run once; its text and JSON reports both
+    # render that one list of checks
+    checks = {}
+
+    def run_once(A, seed, samples):
+        key = (A.name, seed, samples)
+        if key not in checks:
+            checks[key] = run_all(A, seed=seed, samples=samples)
+        return checks[key]
+
+    monkeypatch.setattr(cli, "run_all", run_once)
     ok = True
     for name in BUILTINS:
-        code = main(["verify", name])
-        capsys.readouterr()
-        ok &= code == 0
+        runs = [(["verify", name], VERIFY_TEXT_SHA256[name])]
+        if name in VERIFY_JSON_SHA256:
+            runs.append((["verify", name, "--json", "--seed", "0"], VERIFY_JSON_SHA256[name]))
+        for argv, digest in runs:
+            code = main(argv)
+            out = capsys.readouterr().out
+            ok &= code == 0
+            ok &= hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(checks) == len(BUILTINS)
     code = main(["example", "heisenberg"])
     out = capsys.readouterr().out
     ok &= code == 0 and "B(e2,e1) = -e1" in out.splitlines()

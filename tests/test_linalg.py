@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biderlie.linalg import (Matrix, SubspaceBasis, canonicalize, full_space, intersect,
-                             mat_commutator, nullspace, rref, vec_is_zero, vector)
+from biderlie.linalg import (Matrix, SubspaceBasis, canonicalize, combination, full_space,
+                             int_scaled, intersect, mat_commutator, nullspace, rref,
+                             vec_is_zero, vector)
 
-from oracles import (forward_elimination_rank, matrix_product, sympy_nullspace_dim,
-                     sympy_rref)
+from oracles import (forward_elimination_rank, fraction_combination, matrix_product,
+                     sympy_nullspace_dim, sympy_rref)
 
 F = Fraction
 
@@ -168,6 +169,26 @@ def test_integer_product_kernel_matches_entrywise_fractions():
         a, b = rand(n, n), rand(n, n)
         assert mat_commutator(a, b) == matrix_product(a, b) - matrix_product(b, a)
     assert Matrix.zeros(2, 3) * rand(3, 2) == Matrix.zeros(2, 2)
+
+
+def test_integer_combination_kernel_matches_fraction_fold():
+    # sum_i f_i M_i over one common denominator, against a fold of Fraction
+    # scalar products and sums; a vector is the one-row case
+    rng = random.Random(6)
+    def rand(rows, cols):
+        return Matrix([[F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 7))
+                        for _ in range(cols)] for _ in range(rows)])
+    for rows, cols, count in [(1, 1, 1), (1, 8, 4), (2, 2, 3), (3, 3, 6), (4, 2, 5)]:
+        for _ in range(10):
+            mats = [rand(rows, cols) for _ in range(count)]
+            coeffs = [rng.choice((0, 1, -3, F(2, 7), F(-5, 6))) for _ in mats]
+            want = fraction_combination(coeffs, mats, Matrix.zeros(rows, cols))
+            got = combination(coeffs, [int_scaled(m.data) for m in mats], rows, cols)
+            assert got == want
+            assert all(type(x) is Fraction for row in got.data for x in row)
+    m = rand(2, 2)
+    assert combination([0, F(0)], [int_scaled(m.data)] * 2, 2, 2) == Matrix.zeros(2, 2)
+    assert combination([], [], 2, 2) == Matrix.zeros(2, 2)
 
 
 def test_matrix_shape_errors():
