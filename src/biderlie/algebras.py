@@ -4,7 +4,8 @@ An algebra here is Q^n with a bilinear product fixed by structure constants:
 the product of basis elements is [e_i, e_j] = sum_k c[i][j][k] e_k. Elements
 are plain coordinate tuples (tuple of Fraction). The `kind` flag declares
 which identity the product is supposed to satisfy; it is never inferred,
-only verified by `check_kind`. Dimensions are capped at `MAX_DIM`.
+only verified by `check_kind`. Dimensions are capped at `MAX_DIM`, and the
+monomial degrees of poly map files at `MAX_DEGREE`.
 
 `leibniz_sides` is the one place the derivation rule D[e_i,e_j] =
 [De_i,e_j] + [e_i,De_j] is evaluated. A left (right) Leibniz algebra is one
@@ -38,6 +39,12 @@ KINDS = ("lie", "leibniz-left", "leibniz-right", "generic")
 # constants are a dense n^3 table and the spaces hold n^3-long vectors, so
 # an unbounded `dim` line or `abelian(n)` is an unbounded allocation.
 MAX_DIM = 16
+
+# Largest total degree of a monomial in a poly map file. Evaluating a map
+# raises each coordinate to its exponent, so an unbounded exponent in a
+# three-line file (m (99999999999,0) 1 1 = 1) is an unbounded computation.
+# Drawn maps have degree at most 3 and brackets add degrees.
+MAX_DEGREE = 1000
 
 _ZERO = Fraction(0)
 
@@ -88,10 +95,6 @@ class Algebra:
 
     def basis_element(self, i: int) -> Vector:
         return basis_vector(i, self.dim)
-
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] as a coordinate vector."""
-        return self.c[i][j]
 
     def __eq__(self, other):
         return (

@@ -20,15 +20,20 @@ so the bracket is exact, closed, and (because monomials are linearly
 independent over an infinite field) a map in this form is a right
 biderivation iff every coefficient matrix is a derivation.
 
-The arithmetic runs in integers. Each map's coefficient matrices are
-scaled once per map, to sparse integer rows over one common denominator
-(`_PolyMap.scaled`), and kept with the map. The bracket adds both halves of
-every pair commutator, +M_a N_b and -N_b M_a, into one integer entry list
-per output monomial a + b; sums and scalar multiples of maps go through
-`linalg.combine` per monomial. Each output that is not all zero becomes
-one `Fraction` matrix. `lhd` runs the same kernel, since a left map
-carries the terms of its transposed right map. Maps built this way skip
-the checks of the public constructor, which validates parsed input.
+The arithmetic runs in integers. A map is its integer form: one
+denominator and, per monomial, the row-major integer entries of its
+coefficient matrix over it. The bracket adds both halves of every pair
+commutator, +M_a N_b and -N_b M_a, into one integer entry list per output
+monomial a + b, over the product of the operands' denominators; sums and
+scalar multiples of maps go through `linalg.combine`. Neither reduces what
+it returns. A map is put in lowest terms, as sparse integer rows
+(`_PolyMap.scaled`), when it is used as an operand or hashed, and its
+`Fraction` matrices (`terms`) are a view built the first time they are
+read; both are kept with the map. `lhd` runs the same kernel, since a left
+map carries the terms of its transposed right map. Maps built this way
+skip the checks of the public constructor, which validates parsed input
+and derives the integer form from the `Fraction` matrices it is given the
+first time that form is used.
 """
 
 from __future__ import annotations
@@ -42,9 +47,10 @@ from .algebras import Algebra
 from .bilinear import BilinearTensor, skew_symmetrize, symmetrize
 from .biderivations import (basis_tensors, left_bider_bilinear_space,
                             right_bider_bilinear_space)
-from .derivations import derivation_matrices, is_derivation
+from .derivations import derivation_matrices, derives
 from .linalg import (IntRows, Matrix, Vector, add_commutator, basis_vector, combination,
-                     combine, common_denominator, from_int_flat, int_rows, int_scaled)
+                     combine, common_denominator, flat_rows, from_int_flat, int_rows,
+                     int_scaled)
 from .report import CheckResult, check
 
 MultiIndex = tuple[int, ...]
@@ -63,6 +69,7 @@ def _clean(terms: Mapping[MultiIndex, Matrix]) -> dict[MultiIndex, Matrix]:
     return {a: m for a, m in terms.items() if not m.is_zero()}
 
 
+IntTerms = dict[MultiIndex, list[int]]
 Scaled = tuple[int, list[tuple[MultiIndex, IntRows]]]
 
 
@@ -70,11 +77,16 @@ class _PolyMap:
     """Shared mechanics of the two polynomial map representations.
 
     `_frozen` is the argument the monomials read: 1 (y) for right maps, 0 (x) for left.
-    A map is immutable: `terms` is not changed after construction, so the
-    scaled form computed from it can be kept.
+    A map is its integer form: a denominator `_den` and, per monomial, the
+    row-major integer entries of `_den` times its coefficient matrix, none
+    all zero and not necessarily in lowest terms. A map is immutable, so
+    what is derived from that form is derived once and kept: the `terms`
+    view and the lowest-terms operand rows of `scaled`. The public
+    constructor is given the `Fraction` matrices instead, and derives the
+    integer form from them on first use (`_int_form`).
     """
 
-    __slots__ = ("dim", "terms", "_scaled")
+    __slots__ = ("dim", "_den", "_ints", "_terms", "_scaled")
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, Matrix]):
         for a, m in terms.items():
@@ -83,15 +95,18 @@ class _PolyMap:
             if m.rows != dim or m.cols != dim:
                 raise ValueError(f"coefficient matrix must be {dim}x{dim}")
         self.dim = dim
-        self.terms = _clean(terms)
-        self._scaled = None
+        self._terms = _clean(terms)
+        self._den = self._ints = self._scaled = None
 
     @classmethod
-    def _of(cls, dim: int, terms: dict[MultiIndex, Matrix], scaled: Scaled | None = None):
-        # trusted constructor: terms maps valid multi-indices to nonzero dim x dim matrices
+    def _of(cls, dim: int, den: int, ints: IntTerms, terms: dict[MultiIndex, Matrix] | None = None,
+            scaled: Scaled | None = None):
+        # trusted constructor: ints maps valid multi-indices to nonzero dim*dim entry lists
         P = object.__new__(cls)
         P.dim = dim
-        P.terms = terms
+        P._den = den
+        P._ints = ints
+        P._terms = terms
         P._scaled = scaled
         return P
 
@@ -103,12 +118,49 @@ class _PolyMap:
     def single(cls, dim: int, alpha: MultiIndex, m: Matrix):
         return cls(dim, {tuple(alpha): m})
 
+    @property
+    def terms(self) -> dict[MultiIndex, Matrix]:
+        """The coefficient matrix of each monomial, as `Fraction`s: a view of the
+        integer form, built on first read and kept. Read it, do not change it."""
+        if self._terms is None:
+            n, den = self.dim, self._den
+            self._terms = {a: from_int_flat(flat, n, den) for a, flat in self._ints.items()}
+        return self._terms
+
+    def _int_form(self) -> tuple[int, IntTerms]:
+        """(den, entries per monomial). For a map built from `Fraction` matrices it
+        is computed here, once, over their least common denominator, which puts
+        it in lowest terms and so gives `scaled` at the same time."""
+        if self._ints is None:
+            n, terms = self.dim, self._terms
+            den = common_denominator(row for m in terms.values() for row in m.data)
+            ints, scaled = {}, []
+            for a, m in terms.items():
+                rows = int_rows(m.data, den)
+                flat = [0] * (n * n)
+                for r, row in enumerate(rows):
+                    for c, x in row:
+                        flat[r * n + c] = x
+                ints[a] = flat
+                scaled.append((a, rows))
+            self._den, self._ints, self._scaled = den, ints, (den, scaled)
+        return self._den, self._ints
+
     def scaled(self) -> Scaled:
-        """(d, [(a, rows)]): the coefficient matrices over their common denominator d,
-        as sparse integer rows of d * M_a. Computed once per map."""
+        """(d, [(a, rows)]): the integer form in lowest terms, d the least common
+        denominator of the coefficient matrices and rows the sparse integer rows of
+        d * M_a. The operand form of the kernels; computed once per map."""
+        den, ints = self._int_form()
         if self._scaled is None:
-            den = common_denominator(row for m in self.terms.values() for row in m.data)
-            self._scaled = den, [(a, int_rows(m.data, den)) for a, m in self.terms.items()]
+            n = self.dim
+            g = den
+            for flat in ints.values():
+                if g == 1:
+                    break
+                g = math.gcd(g, *flat)
+            if g != 1:
+                ints = {a: [x // g for x in flat] for a, flat in ints.items()}
+            self._scaled = den // g, [(a, flat_rows(flat, n)) for a, flat in ints.items()]
         return self._scaled
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
@@ -124,14 +176,14 @@ class _PolyMap:
                            [(den, rows) for _, rows in terms], self.dim, self.dim)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._int_form()[1]
 
     def degree(self) -> int:
         """Largest total degree in the frozen argument; -1 for the zero map."""
-        return max((sum(a) for a in self.terms), default=-1)
+        return max((sum(a) for a in self._int_form()[1]), default=-1)
 
     def support(self) -> set[MultiIndex]:
-        return set(self.terms)
+        return set(self._int_form()[1])
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -144,7 +196,8 @@ class _PolyMap:
         return _linear_combination((1, -1), (self, other))
 
     def __neg__(self):
-        return type(self)._of(self.dim, {a: -m for a, m in self.terms.items()})
+        den, ints = self._int_form()
+        return type(self)._of(self.dim, den, {a: [-x for x in flat] for a, flat in ints.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -154,34 +207,57 @@ class _PolyMap:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.dim == other.dim and self.terms == other.terms
+        # equal lowest-terms forms, compared without reducing either
+        if type(other) is not type(self) or self.dim != other.dim:
+            return False
+        (d, a), (e, b) = self._int_form(), other._int_form()
+        return a.keys() == b.keys() and all(_same((d, flat), (e, b[m])) for m, flat in a.items())
 
     def __hash__(self):
-        return hash((type(self).__name__, self.dim, frozenset(self.terms.items())))
+        den, terms = self.scaled()
+        return hash((type(self).__name__, self.dim, den,
+                     frozenset((a, tuple(map(tuple, rows))) for a, rows in terms)))
 
     def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, terms={len(self.terms)}, degree={self.degree()})"
+        return (f"{type(self).__name__}(dim={self.dim}, terms={len(self.support())}, "
+                f"degree={self.degree()})")
+
+
+def _same(p: tuple[int, list[int]], q: tuple[int, list[int]]) -> bool:
+    """p = (d, a) and q = (e, b) hold the same rationals a / d and b / e: a e = b d."""
+    (d, a), (e, b) = p, q
+    return a == b if d == e else [x * e for x in a] == [y * d for y in b]
 
 
 def _linear_combination(coeffs: Sequence[Fraction], maps: Sequence[_PolyMap]):
-    """sum_i coeffs[i] * maps[i] for maps of one class, per monomial in integers."""
+    """sum_i coeffs[i] * maps[i] for maps of one class, in integers.
+
+    Each map enters `combine` as one tall matrix: its lowest-terms rows
+    stacked in one block per monomial of the union of the supports.
+    """
     cls, n = type(maps[0]), maps[0].dim
-    by_monomial: dict[MultiIndex, tuple[list, list]] = {}
-    for f, P in zip(coeffs, maps):
-        if P.dim != n:
-            raise ValueError("dimension mismatch")
-        if f:
-            den, terms = P.scaled()
-            for a, rows in terms:
-                fs, scaled = by_monomial.setdefault(a, ([], []))
-                fs.append(f)
-                scaled.append((den, rows))
-    out = {}
-    for a, (fs, scaled) in by_monomial.items():
-        den, flat = combine(fs, scaled, n, n)
-        if any(flat):
-            out[a] = from_int_flat(flat, n, den)
-    return cls._of(n, out)
+    if any(P.dim != n for P in maps):
+        raise ValueError("dimension mismatch")
+    used = [(f, P.scaled()) for f, P in zip(coeffs, maps) if f]
+    block: dict[MultiIndex, int] = {}
+    for _, (_, terms) in used:
+        for a, _ in terms:
+            block.setdefault(a, len(block))
+    tall = []
+    for _, (den, terms) in used:
+        rows: IntRows = [[]] * (len(block) * n)
+        for a, r in terms:
+            i = block[a] * n
+            rows[i:i + n] = r
+        tall.append((den, rows))
+    den, flat = combine([f for f, _ in used], tall, len(block) * n, n)
+    size = n * n
+    ints = {}
+    for a, i in block.items():
+        out = flat[i * size:(i + 1) * size]
+        if any(out):
+            ints[a] = out
+    return cls._of(n, den, ints)
 
 
 class PolyRightMap(_PolyMap):
@@ -192,7 +268,7 @@ class PolyRightMap(_PolyMap):
 
     def transpose(self) -> "PolyLeftMap":
         """(x, y) -> B(y, x): the same terms read as a left map."""
-        return PolyLeftMap._of(self.dim, dict(self.terms), self._scaled)
+        return PolyLeftMap._of(self.dim, self._den, self._ints, self._terms, self._scaled)
 
 
 class PolyLeftMap(_PolyMap):
@@ -202,7 +278,7 @@ class PolyLeftMap(_PolyMap):
     fixed_first_arg = _PolyMap.fixed_arg
 
     def transpose(self) -> "PolyRightMap":
-        return PolyRightMap._of(self.dim, dict(self.terms), self._scaled)
+        return PolyRightMap._of(self.dim, self._den, self._ints, self._terms, self._scaled)
 
 
 def from_tensor(B: BilinearTensor) -> PolyRightMap:
@@ -249,11 +325,13 @@ def is_right_bider_poly(A: Algebra, P: PolyRightMap) -> bool:
 
     Over Q the monomials y^a are linearly independent as functions, so this
     coefficient-wise criterion is equivalent to x -> B(x, y) being a
-    derivation for every y.
+    derivation for every y. Each matrix is asked through its integer columns,
+    which are strided slices of the map's row-major integer entries.
     """
     if A.dim != P.dim:
         raise ValueError("dimension mismatch")
-    return all(is_derivation(A, m) for m in P.terms.values())
+    n = P.dim
+    return all(derives(A, [flat[p::n] for p in range(n)]) for flat in P._int_form()[1].values())
 
 
 def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
@@ -261,13 +339,12 @@ def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
     return is_right_bider_poly(A, P.transpose())
 
 
-def _bracket_terms(P1: _PolyMap, P2: _PolyMap) -> dict[MultiIndex, Matrix]:
-    """sum_{a,b} y^(a+b) [M_a, N_b], accumulated in integers per output monomial."""
-    if not P1.terms or not P2.terms:
-        return {}
+def _bracket_terms(P1: _PolyMap, P2: _PolyMap) -> tuple[int, IntTerms]:
+    """sum_{a,b} y^(a+b) [M_a, N_b] as an integer form (den, entries per monomial),
+    accumulated in integers per output monomial from the operands' lowest-terms rows."""
     (d1, rows1), (d2, rows2) = P1.scaled(), P2.scaled()
     n = P1.dim
-    acc: dict[MultiIndex, list[int]] = {}
+    acc: IntTerms = {}
     for a, m in rows1:
         for b, nmat in rows2:
             g = tuple(x + y for x, y in zip(a, b))
@@ -275,8 +352,7 @@ def _bracket_terms(P1: _PolyMap, P2: _PolyMap) -> dict[MultiIndex, Matrix]:
             if out is None:
                 out = acc[g] = [0] * (n * n)
             add_commutator(out, m, nmat, n)
-    den = d1 * d2
-    return {g: from_int_flat(out, n, den) for g, out in acc.items() if any(out)}
+    return d1 * d2, {g: out for g, out in acc.items() if any(out)}
 
 
 def rhd(B1: PolyRightMap, B2: PolyRightMap) -> PolyRightMap:
@@ -285,7 +361,7 @@ def rhd(B1: PolyRightMap, B2: PolyRightMap) -> PolyRightMap:
         raise TypeError("rhd expects two right maps")
     if B1.dim != B2.dim:
         raise ValueError("dimension mismatch")
-    return PolyRightMap._of(B1.dim, _bracket_terms(B1, B2))
+    return PolyRightMap._of(B1.dim, *_bracket_terms(B1, B2))
 
 
 def lhd(B1: PolyLeftMap, B2: PolyLeftMap) -> PolyLeftMap:
@@ -294,7 +370,7 @@ def lhd(B1: PolyLeftMap, B2: PolyLeftMap) -> PolyLeftMap:
         raise TypeError("lhd expects two left maps")
     if B1.dim != B2.dim:
         raise ValueError("dimension mismatch")
-    return PolyLeftMap._of(B1.dim, _bracket_terms(B1, B2))
+    return PolyLeftMap._of(B1.dim, *_bracket_terms(B1, B2))
 
 
 def random_fraction(rng: random.Random, span: int = 2) -> Fraction:
@@ -318,10 +394,10 @@ def _random_map(rng: random.Random, cls, base_maps, derivations: Sequence[tuple[
         if not derivations:
             break
         alpha = random_multi_index(rng, n)
-        m = combination([random_fraction(rng) for _ in derivations], derivations, n, n)
-        if not m.is_zero():
+        den, flat = combine([random_fraction(rng) for _ in derivations], derivations, n, n)
+        if any(flat):
             coeffs.append(1)
-            maps.append(cls._of(n, {alpha: m}))
+            maps.append(cls._of(n, den, {alpha: flat}))
     if not maps:
         return cls.zero(n)
     return _linear_combination(coeffs, maps)
@@ -415,10 +491,15 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     frozen = basis + [tuple(x + y for x, y in zip(basis[j], basis[k]))
                       for j in range(n) for k in range(j + 1, n)]
+    at_frozen: dict[MultiIndex, list[int]] = {}  # each monomial's values at the frozen points
 
     def frozen_maps(value):
-        """Per frozen v, the matrix whose column p is value(e_p, v)."""
-        return [int_scaled(tuple(zip(*(value(e, v) for e in basis)))) for v in frozen]
+        """Per frozen v, the scaled matrix whose column p is value(e_p, v); None when it is 0."""
+        out = []
+        for v in frozen:
+            den, rows = int_scaled(tuple(zip(*(value(e, v) for e in basis))))
+            out.append((den, rows) if any(rows) else None)
+        return out
 
     # an operand is its poly map and its frozen matrices
     def right_op(t):
@@ -428,27 +509,33 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
         return from_tensor_left(t), frozen_maps(lambda e, v: t.evaluate(v, e))
 
     def values(P):
-        """Per frozen v, P's matrix in the free argument."""
-        den, terms = P.scaled()
-        scaled = [(den, rows) for _, rows in terms]
-        return [combine([monomial_value(a, v) for a, _ in terms], scaled, n, n) for v in frozen]
+        """Per frozen v, P's matrix in the free argument, from every term of P's integer form."""
+        den, ints = P._int_form()
+        out = [[0] * (n * n) for _ in frozen]
+        for a, flat in ints.items():
+            ws = at_frozen.get(a)
+            if ws is None:
+                ws = at_frozen[a] = [monomial_value(a, v) for v in frozen]
+            for k, w in enumerate(ws):
+                if w:
+                    out[k] = [x + w * y for x, y in zip(out[k], flat)]
+        return [(den, flat) for flat in out]
 
-    def composition(f1, f2):
+    def is_composition(got, f1, f2) -> bool:
+        """got equals f1 f2 - f2 f1; with an operand 0 that is got = 0, and no product."""
+        if f1 is None or f2 is None:
+            return not any(got[1])
         (d1, a), (d2, b) = f1, f2
         out = [0] * (n * n)
         add_commutator(out, a, b, n)
-        return d1 * d2, out
-
-    def same(p, q) -> bool:
-        (dp, a), (dq, b) = p, q
-        return a == b if dp == dq else [x * dq for x in a] == [y * dp for y in b]
+        return _same(got, (d1 * d2, out))
 
     def holds(r1, r2, l1, l2) -> bool:
         """rhd(r1, r2)(x, y) = lhd(l1, l2)(y, x), each side equal to its composition."""
         right, left = values(rhd(r1[0], r2[0])), values(lhd(l1[0], l2[0]))
         for k, got in enumerate(right):
-            if not (same(got, left[k]) and same(got, composition(r1[1][k], r2[1][k]))
-                    and same(left[k], composition(l1[1][k], l2[1][k]))):
+            if not (_same(got, left[k]) and is_composition(got, r1[1][k], r2[1][k])
+                    and is_composition(left[k], l1[1][k], l2[1][k])):
                 return False
         return True
 
@@ -457,7 +544,10 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
     lefts_of_transpose = [left_op(t.transpose()) for t in tensors]
     sym = [symmetrize(t) for t in tensors]
     skew = [skew_symmetrize(t) for t in tensors]
-    sym_r, sym_l = [right_op(t) for t in sym], [left_op(t) for t in sym]
+    # a symmetric double is its own transpose: its left operand is its right one
+    # read as a left map, with the same frozen matrices
+    sym_r = [right_op(t) for t in sym]
+    sym_l = [(P.transpose(), maps) for P, maps in sym_r]
     skew_r, skew_l = [right_op(t) for t in skew], [left_op(t) for t in skew]
     skew_lt = [left_op(t.transpose()) for t in skew]
 

@@ -3,12 +3,13 @@
 A derivation is a linear self-map D with D[x,y] = [Dx,y] + [x,Dy]. On
 coordinates D acts as an n x n matrix, so the defining rule on all basis
 pairs is a homogeneous linear system in the matrix entries; its nullspace
-is the derivation algebra. `is_derivation` asks `algebras.leibniz_sides`,
-on the matrix columns scaled to integers;
-`derivation_rows` writes the rule out on its own, so the predicate checks
-the solver independently. Unknowns are ordered column-major, rows by
-basis pair (i, j) in ascending lexicographic order over all n^2 pairs,
-whatever the declared kind.
+is the derivation algebra. `derives` asks `algebras.leibniz_sides` at
+every basis pair, on integer columns: `is_derivation` scales a matrix's
+columns to integers for it, and the poly-map predicates of `brackets` hand
+it the integer columns their maps hold. `derivation_rows` writes the rule
+out on its own, so the predicates check the solver independently.
+Unknowns are ordered column-major, rows by basis pair (i, j) in ascending
+lexicographic order over all n^2 pairs, whatever the declared kind.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ def is_derivation(A: Algebra, m: Matrix) -> bool:
     """True iff the derivation rule holds on all basis pairs."""
     if m.rows != A.dim or m.cols != A.dim:
         raise ValueError(f"expected a {A.dim}x{A.dim} matrix, got {m.rows}x{m.cols}")
-    _, images = int_dense(m.transpose().data)
+    return derives(A, int_dense(m.transpose().data)[1])
+
+
+def derives(A: Algebra, images: Sequence[Sequence[int]]) -> bool:
+    """True iff D e_p = images[p] / e, for any denominator e, satisfies the rule at
+    every basis pair; `images` are the integer columns of e D."""
     n = A.dim
     for i in range(n):
         for j in range(n):

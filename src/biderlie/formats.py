@@ -12,7 +12,8 @@ Algebra files:
 One header of each kind (algebra / dim / kind) before any body line; body
 lines give one structure constant each with 1-based indices; omitted
 entries are zero; duplicate index triples are an error. In algebra and map
-files alike, `dim` is at most `algebras.MAX_DIM`.
+files alike, `dim` is at most `algebras.MAX_DIM`; the total degree of a
+monomial in a poly map file is at most `algebras.MAX_DEGREE`.
 
 Map files:
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebras import KINDS, MAX_DIM, Algebra
+from .algebras import KINDS, MAX_DEGREE, MAX_DIM, Algebra
 from .bilinear import BilinearTensor
 from .brackets import PolyLeftMap, PolyRightMap
 from .linalg import Matrix
@@ -152,6 +153,8 @@ def _parse_exponents(tok: str, line_no: int, dim: int) -> tuple[int, ...]:
         if e < 0:
             raise FormatError(f"negative exponent {e}", line_no)
         out.append(e)
+    if sum(out) > MAX_DEGREE:
+        raise FormatError(f"monomial degree {sum(out)} exceeds {MAX_DEGREE}", line_no)
     return tuple(out)
 
 

@@ -57,11 +57,6 @@ def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, v: Sequence[Fraction]) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
@@ -203,6 +198,12 @@ def int_rows(rows: Iterable[Sequence[Fraction]], den: int) -> IntRows:
         return [[(c, x.numerator) for c, x in enumerate(row) if x] for row in rows]
     return [[(c, x.numerator * (den // x.denominator)) for c, x in enumerate(row) if x]
             for row in rows]
+
+
+def flat_rows(flat: Sequence[int], width: int) -> IntRows:
+    """Row-major integer entries as sparse integer rows of (column, entry)."""
+    return [[(c, x) for c, x in enumerate(flat[r:r + width]) if x]
+            for r in range(0, len(flat), width)]
 
 
 def int_scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[int, IntRows]:

@@ -156,21 +156,6 @@ def decompose_by_basis(P: PolyRightMap) -> list[list[ScalarPoly]]:
     return out
 
 
-def evaluate_decomposition(fs: list[list[ScalarPoly]], x: Sequence[Fraction],
-                           y: Sequence[Fraction]) -> Vector:
-    """sum_i x_i f_i(y), the reconstruction of the decomposed map."""
-    n = len(fs)
-    out = [_ZERO] * n
-    for i in range(n):
-        if not x[i]:
-            continue
-        for l in range(n):
-            v = fs[i][l].evaluate(y)
-            if v:
-                out[l] += x[i] * v
-    return tuple(out)
-
-
 def iff_derivation_check(A: Algebra, s: ScalarTimesDerivation) -> bool:
     """Equivalence test: B = g(y)F(x) is a right biderivation iff F derives A.
 

@@ -254,3 +254,17 @@ def poly_terms_combination(coeffs, term_dicts):
             t = Fraction(f) * m
             acc[a] = acc[a] + t if a in acc else t
     return {a: m for a, m in acc.items() if not m.is_zero()}
+
+
+def evaluate_decomposition(fs, x, y):
+    """sum_i x_i f_i(y): a map rebuilt from its `scalar_maps.decompose_by_basis` grid."""
+    n = len(fs)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        if not x[i]:
+            continue
+        for l in range(n):
+            v = fs[i][l].evaluate(y)
+            if v:
+                out[l] += x[i] * v
+    return tuple(out)

@@ -16,11 +16,11 @@ from biderlie.biderivations import basis_tensors, right_bider_bilinear_space
 from biderlie.bilinear import random_tensor
 from biderlie.cli import heisenberg_example_maps
 from biderlie.formats import parse_map, serialize_map
-from biderlie.linalg import Matrix, basis_vector
+from biderlie.linalg import Matrix, basis_vector, from_int_flat
 from biderlie.report import all_ok
 
 from helpers import random_rational_vector
-from oracles import bracket_terms_per_pair, poly_terms_combination
+from oracles import bracket_terms_per_pair, is_derivation_reference, poly_terms_combination
 
 F = Fraction
 
@@ -285,6 +285,93 @@ def test_poly_map_arithmetic_matches_matrix_by_matrix_reference(cls):
         assert br(-s, s - P).terms == bracket_terms_per_pair((-s).terms, (s - P).terms)
 
 
+@pytest.mark.parametrize("cls", [PolyRightMap, PolyLeftMap])
+def test_integer_born_maps_equal_and_hash_as_their_fraction_born_copies(cls):
+    # a bracket's integer form is over d1 d2 and need not be in lowest terms:
+    # (E12 / 2) and (2/3 E21) bracket to 2 (E11 - E22) over 6, which is
+    # (E11 - E22) / 3; the map rebuilt from its `Fraction` terms holds it over 3
+    br = rhd if cls is PolyRightMap else lhd
+    P = cls.single(2, (1, 0), Matrix([[0, F(1, 2)], [0, 0]]))
+    Q = cls.single(2, (0, 1), Matrix([[0, 0], [F(2, 3), 0]]))
+    R = br(P, Q)
+    assert R._int_form() == (6, {(1, 1): [2, 0, 0, -2]})
+    born = cls(2, R.terms)
+    assert born._int_form()[0] == 3
+    assert R.scaled() == born.scaled() == (3, [((1, 1), [[(0, 1)], [(1, -1)]])])
+    for a, b in ((R, born), (born, R), (R, parse_map(serialize_map(R)))):
+        assert a == b and hash(a) == hash(b)
+    assert R != 2 * R and R != -R and R != cls.zero(2)
+    assert 2 * R - R == born and hash(2 * R - R) == hash(born)
+    # the same on random brackets and combinations of mixed denominators
+    rng = random.Random(cls.__name__)
+    for _ in range(20):
+        n = rng.randint(2, 3)
+        X, Y = (cls(n, _random_terms(rng, n, rng.randint(1, 4), (1, 2, 4, 6, 9)))
+                for _ in range(2))
+        f = F(rng.randint(1, 6), rng.randint(1, 6))
+        for got in (br(X, Y), f * br(X, Y), br(X, Y) + br(Y, X), -br(f * X, Y), X - f * Y):
+            twin = cls(n, got.terms)
+            assert got == twin and twin == got and hash(got) == hash(twin)
+            assert got.scaled()[0] == twin._int_form()[0]
+            assert got == parse_map(serialize_map(got))
+
+
+@pytest.mark.parametrize("cls", [PolyRightMap, PolyLeftMap])
+def test_bracket_terms_view_and_file_text_match_the_reference(cls):
+    # `.terms` of a bracket is a view built from its integer form on first read;
+    # it and the file text must be those of the per-pair `Fraction` reference
+    br = rhd if cls is PolyRightMap else lhd
+    rng = random.Random(f"view-{cls.__name__}")
+    for n in (1, 2, 3, 5):
+        for _ in range(8):
+            X, Y = (cls(n, _random_terms(rng, n, rng.randint(1, min(n + 2, 6)), (1, 2, 3, 5, 7)))
+                    for _ in range(2))
+            R = br(X, Y)
+            assert R._terms is None
+            want = bracket_terms_per_pair(X.terms, Y.terms)
+            assert R.terms == want and R.terms is R.terms
+            assert serialize_map(R) == serialize_map(cls(n, want))
+            assert serialize_map(br(R, X)) == serialize_map(
+                cls(n, bracket_terms_per_pair(want, X.terms)))
+
+
+def _der_terms(rng, ders, n, count, bad=False):
+    # combinations of the Der basis with mixed denominators; with `bad`, exactly
+    # one term is nudged off Der
+    terms = {}
+    while len(terms) < count:
+        terms[random_multi_index(rng, n, 2)] = sum(
+            (F(rng.choice((-3, 1, 2)), rng.choice((1, 2, 3, 5))) * d for d in ders),
+            Matrix.zeros(n, n))
+    if bad:  # the identity is no derivation of an algebra with a nonzero product
+        alpha = rng.choice(list(terms))
+        terms[alpha] = terms[alpha] + F(1, 5) * Matrix.identity(n)
+    return terms
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "sl2", "L3", "L4", "rescaled"])
+def test_poly_predicates_match_the_derivation_reference_per_term(name):
+    A = (Algebra.from_entries("rescaled", 3, {(0, 1, 2): F(2, 3), (1, 0, 2): F(-2, 3),
+                                              (2, 0, 0): F(1, 5)}, "generic")
+         if name == "rescaled" else builtin(name))
+    n = A.dim
+    ders = derivation_matrices(A)
+    rng = random.Random(name)
+    seen = set()
+    for trial in range(12):
+        for cls, predicate in ((PolyRightMap, is_right_bider_poly),
+                               (PolyLeftMap, is_left_bider_poly)):
+            P = cls(n, _der_terms(rng, ders, n, 3, bad=trial % 2 == 1))
+            br = rhd if cls is PolyRightMap else lhd
+            # integer-born maps too: a bracket (over d1 d2) and a combination with it
+            bracket = br(P, P + cls(n, _der_terms(rng, ders, n, 2)))
+            for Q in (P, bracket, F(5, 6) * P - bracket):
+                want = [is_derivation_reference(A, m) for m in Q.terms.values()]
+                assert predicate(A, Q) == all(want)
+                seen.add(want.count(False))
+    assert {0, 1} <= seen
+
+
 def test_rhd_type_and_dim_errors():
     m = Matrix.identity(2)
     p = PolyRightMap.single(2, (1, 0), m)
@@ -325,14 +412,16 @@ def _derivation_terms(rng, ders, n, count):
 
 
 def _assert_kernel_matches_reference(t1, t2, n):
-    # the kernel reads each map's scaled form; the reference gets the same maps' terms
+    # the kernel reads each map's scaled form and returns an integer form (den,
+    # entries per monomial); the reference gets the same maps' terms
     P1, P2 = PolyRightMap(n, t1), PolyRightMap(n, t2)
-    got = brackets_module._bracket_terms(P1, P2)
+    den, ints = brackets_module._bracket_terms(P1, P2)
+    assert all(any(flat) and len(flat) == n * n for flat in ints.values())
+    got = {g: from_int_flat(flat, n, den) for g, flat in ints.items()}
     want = bracket_terms_per_pair(P1.terms, P2.terms)
     assert got == want
-    assert all(not m.is_zero() for m in got.values())
     for cls in (PolyRightMap, PolyLeftMap):
-        assert serialize_map(cls(n, got)) == serialize_map(cls(n, want))
+        assert serialize_map(cls._of(n, den, ints)) == serialize_map(cls(n, want))
     return got
 
 
@@ -378,6 +467,11 @@ def test_bracket_kernel_matches_per_pair_reference(case):
 
 # --- the transpose suite must be able to fail --------------------------------
 
+def _kernel_form(terms, n):
+    # a term dict as the kernel's return form (den, entries per monomial)
+    return PolyRightMap(n, terms)._int_form()
+
+
 def _anticommutator_terms(P1, P2):
     acc = {}
     for a, m in P1.terms.items():
@@ -385,7 +479,7 @@ def _anticommutator_terms(P1, P2):
             g = tuple(x + y for x, y in zip(a, b))
             anti = m * nmat + nmat * m
             acc[g] = acc[g] + anti if g in acc else anti
-    return acc
+    return _kernel_form(acc, P1.dim)
 
 
 def _diagonal_terms(P1, P2):
@@ -393,7 +487,31 @@ def _diagonal_terms(P1, P2):
     for a, m in P1.terms.items():
         if a in P2.terms:
             out.update(bracket_terms_per_pair({a: m}, {a: P2.terms[a]}))
-    return out
+    return _kernel_form(out, P1.dim)
+
+
+_KERNEL = brackets_module._bracket_terms
+
+
+def _spurious_terms(P1, P2):
+    # the right bracket plus E_11 (y_j^2 - sum_{k != j} y_j y_k), j the first index
+    # with no y_j term in P1: over the frozen points that is nonzero at e_j alone,
+    # where a degree-1 P1 is the zero matrix, so only a bracket value compared
+    # with zero there can tell
+    n = P1.dim
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    j = next((j for j in range(n) if units[j] not in P1.support()), None)
+    if j is None:
+        return _KERNEL(P1, P2)
+    terms = dict(bracket_terms_per_pair(P1.terms, P2.terms))
+    e11 = Matrix.from_col_major([1] + [0] * (n * n - 1), n)
+    spurious = {tuple(2 * x for x in units[j]): e11}
+    for k in range(n):
+        if k != j:
+            spurious[tuple(x + y for x, y in zip(units[j], units[k]))] = -e11
+    for g, m in spurious.items():
+        terms[g] = terms[g] + m if g in terms else m
+    return _kernel_form(terms, n)
 
 
 _IDENTITIES = ("bracket-transpose-identity", "matched-symmetry-swap", "mixed-symmetry-swap")
@@ -423,3 +541,13 @@ def test_transpose_suite_catches_dropped_cross_terms(monkeypatch, name):
         (main,) = [r for r in verify_transpose_interplay(builtin("L4"))
                    if r.identity == "bracket-transpose-identity"]
         assert "doubles" in main.witness
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "L4", "L2", "L3"])
+def test_transpose_suite_compares_brackets_where_an_operand_is_zero(monkeypatch, name):
+    # the suite skips the product where a frozen operand is 0, but not the
+    # comparison of the bracket's value there with 0
+    monkeypatch.setattr(brackets_module, "_bracket_terms", _spurious_terms)
+    results = {r.identity: r for r in verify_transpose_interplay(builtin(name))}
+    assert results["bracket-transpose-identity"].status == "fail"
+    assert results["bracket-transpose-identity"].witness == {"basis_pair": [0, 0]}

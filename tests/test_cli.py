@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from biderlie import builtin, parse_map, rhd, from_tensor, serialize_algebra
-from biderlie.algebras import Algebra
+from biderlie.algebras import MAX_DEGREE, Algebra
 from biderlie.bilinear import random_tensor
 from biderlie.cli import heisenberg_example_maps, main
 from biderlie.formats import serialize_map
@@ -208,6 +208,21 @@ def test_unreadable_inputs_are_one_line_errors(capsys, tmp_path):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_map_degree_over_the_cap_is_a_one_line_error(capsys, tmp_path):
+    huge = tmp_path / "huge.map"
+    huge.write_text("map polyright\ndim 2\nm (99999999999,0) 1 1 = 1\n")
+    fine = tmp_path / "fine.map"
+    fine.write_text(f"map polyright\ndim 2\nm ({MAX_DEGREE},0) 1 2 = 1\n")
+    for argv in (("bracket", str(huge), str(fine), "--op", "rhd", "--algebra", "L2"),
+                 ("bracket", str(fine), str(huge), "--op", "rhd", "--algebra", "L2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {huge}: line 3: monomial degree 99999999999 exceeds {MAX_DEGREE}\n"
+    code, out, _ = run_cli(capsys, "bracket", str(fine), str(fine), "--op", "rhd",
+                           "--algebra", "L2")
+    assert (code, out) == (0, "map polyright\ndim 2\n")
 
 
 def test_builtin_name_wins_over_a_file_of_that_name(capsys, tmp_path, monkeypatch):

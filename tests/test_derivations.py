@@ -6,12 +6,14 @@ import pytest
 from biderlie import (ad, bracket, builtin, commutator, derivation_matrices,
                       derivation_space, is_derivation, left_bider_bilinear_space,
                       parse_algebra, right_bider_bilinear_space)
+import biderlie.verify as verify
 from biderlie.cli import main
-from biderlie.linalg import Matrix, canonicalize, solve_homogeneous
+from biderlie.linalg import Matrix, canonicalize, mat_commutator, solve_homogeneous
 
 from helpers import random_rational_vector
 from oracles import (forward_elimination_rank, heisenberg_derivation_constraints,
-                     left_bider_rows, right_bider_rows, sympy_nullspace_dim)
+                     is_derivation_reference, left_bider_rows, right_bider_rows,
+                     sympy_nullspace_dim)
 
 F = Fraction
 
@@ -134,3 +136,31 @@ def test_lie_declared_without_antisymmetry_uses_every_pair(capsys, tmp_path):
     assert all(is_derivation(A, m) for m in derivation_matrices(A))
     assert right_bider_bilinear_space(A) == solve_homogeneous(right_bider_rows(A), 8)
     assert left_bider_bilinear_space(A) == solve_homogeneous(left_bider_rows(A), 8)
+
+
+def _derivation_suite_reference(A, ders):
+    """The suite's three checks, one `mat_commutator` and `Matrix` sum at a time."""
+    space = derivation_space(A)
+    closure = all(space.contains(mat_commutator(a, b).to_col_major()) for a in ders for b in ders)
+    jacobi = all((mat_commutator(a, mat_commutator(b, c)) + mat_commutator(b, mat_commutator(c, a))
+                  + mat_commutator(c, mat_commutator(a, b))).is_zero()
+                 for a in ders for b in ders for c in ders)
+    return [all(is_derivation_reference(A, d) for d in ders), closure, jacobi]
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "sl2", "L3", "L4", "abelian(3)"])
+def test_integer_derivation_suite_matches_fraction_reference(monkeypatch, name):
+    # the suite sums commutators in integers over the Der basis scaled once; on the
+    # solved basis, and on that basis plus a matrix outside Der (closure then fails;
+    # Jacobi holds for any commutators), it must read like the `Fraction` reference
+    A = builtin(name)
+    n = A.dim
+    ders = derivation_matrices(A)
+    outside = Matrix([[F(int((r, c) in ((0, n - 1), (n - 1, 0))), 3) for c in range(n)]
+                      for r in range(n)])
+    for basis in (ders, ders + [outside]):
+        monkeypatch.setattr(verify, "derivation_matrices", lambda _A, basis=basis: basis)
+        got = [r.status == "pass" for r in verify.derivation_suite(A)]
+        assert got == _derivation_suite_reference(A, basis)
+    if name != "abelian(3)":
+        assert got == [False, False, True]

@@ -5,7 +5,7 @@ import pytest
 
 from biderlie import (BilinearTensor, FormatError, PolyLeftMap, PolyRightMap, builtin,
                       parse_algebra, parse_map, serialize_algebra, serialize_map)
-from biderlie.algebras import MAX_DIM, Algebra
+from biderlie.algebras import MAX_DEGREE, MAX_DIM, Algebra
 from biderlie.cli import heisenberg_example_maps
 from biderlie.linalg import Matrix
 
@@ -157,3 +157,24 @@ def test_dim_cap_refuses_before_allocating(monkeypatch):
 def test_dim_cap_admits_the_cap():
     assert parse_algebra(f"algebra top\ndim {MAX_DIM}\nkind lie\n") == builtin(f"abelian({MAX_DIM})")
     assert parse_map(f"map bilinear\ndim {MAX_DIM}\n").dim == MAX_DIM
+
+
+def test_degree_cap_refuses_huge_exponents():
+    # before the cap this parsed, and evaluate at 2 e_1 computed 2^99999999999
+    assert MAX_DEGREE >= 100
+    for exps in ("(99999999999,0)", f"({MAX_DEGREE + 1},0)", f"({MAX_DEGREE},1)",
+                 f"({MAX_DEGREE // 2 + 1},{MAX_DEGREE // 2})"):
+        for kind in ("polyright", "polyleft"):
+            with pytest.raises(FormatError) as exc:
+                parse_map(f"map {kind}\ndim 2\nm (0,1) 1 1 = 1\nm {exps} 1 1 = 1\n")
+            assert exc.value.line_no == 4 and str(MAX_DEGREE) in str(exc.value)
+
+
+def test_degree_cap_admits_the_cap():
+    half = MAX_DEGREE // 2
+    for exps in ((MAX_DEGREE, 0), (half, MAX_DEGREE - half)):
+        text = f"map polyright\ndim 2\nm ({exps[0]},{exps[1]}) 1 2 = 1/3\n"
+        p = parse_map(text)
+        assert p.degree() == MAX_DEGREE and serialize_map(p) == text
+        assert p.evaluate((F(1), F(0)), (F(1), F(1))) == (F(0), F(0))
+        assert p.evaluate((F(0), F(1)), (F(1), F(1))) == (F(1, 3), F(0))

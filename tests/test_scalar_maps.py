@@ -10,9 +10,10 @@ from biderlie import (ScalarPoly, ScalarTimesDerivation, ad, bracket, builtin,
                       to_poly_right)
 from biderlie.brackets import PolyRightMap, rhd
 from biderlie.linalg import Matrix
-from biderlie.scalar_maps import bracket_matches_poly_form, evaluate_decomposition
+from biderlie.scalar_maps import bracket_matches_poly_form
 
 from helpers import random_rational_vector
+from oracles import evaluate_decomposition
 
 F = Fraction
 
