@@ -1,20 +1,24 @@
 """Algebras presented by structure constants.
 
 An algebra here is Q^n with a bilinear product fixed by structure constants:
-the product of basis elements is [e_i, e_j] = sum_k c[i][j][k] e_k. Elements
-are plain coordinate tuples (tuple of Fraction). The `kind` flag declares
-which identity the product is supposed to satisfy; it is never inferred,
-only verified by `check_kind`. Dimensions are capped at `MAX_DIM`, and the
-monomial degrees of poly map files at `MAX_DEGREE`.
+the product of basis elements is [e_i, e_j] = sum_k c[i][j][k] e_k. The
+product is a `BilinearTensor` (`A.product`, whose table is `A.c`), so its
+evaluation, validation, transpose (the opposite product) and integer form
+are the tensor's. Elements are plain coordinate tuples (tuple of Fraction).
+The `kind` flag declares which identity the product is supposed to
+satisfy; it is never inferred, only verified by `check_kind`. Dimensions
+are capped at `MAX_DIM`, and the monomial degrees of poly map files at
+`MAX_DEGREE`.
 
 `leibniz_sides` is the one place the derivation rule D[e_i,e_j] =
-[De_i,e_j] + [e_i,De_j] is evaluated. A left (right) Leibniz algebra is one
-whose left (right) multiplications are derivations, so the Leibniz kinds
-are checked through it, as are derivations and biderivations. It works in
-integers: the constants are scaled to integers once per algebra
-(`int_constants`), the images of D by the caller, and both sides share one
+[De_i,e_j] + [e_i,De_j] is evaluated. It works in integers: the product's
+integer form against images of D the caller scales, both sides over one
 denominator, so a scan compares integer lists and builds `Fraction`s only
-for the sides it reports.
+for the sides it reports. A bilinear map B is a right (left) biderivation
+of A when every x -> B(x, e_k) (every y -> B(e_i, y)) is a derivation, and
+`bider_witness` is the one scan for a triple where that fails. A right
+(left) Leibniz algebra is one whose product is a right (left) biderivation
+of itself, so `check_kind` asks that scan of `A.product`.
 
 Identity checks run on basis pairs/triples only; bilinearity extends them to
 all elements. Checkers scan triples in descending lexicographic order and
@@ -30,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import (Vector, basis_vector, int_dense, vec_add, vec_is_zero, vec_sub, vector,
-                     zero_vector)
+from .bilinear import BilinearTensor
+from .linalg import Vector, basis_vector, vec_add, vec_is_zero, vec_sub, vector, zero_vector
 
 KINDS = ("lie", "leibniz-left", "leibniz-right", "generic")
 
@@ -46,46 +50,45 @@ MAX_DIM = 16
 # Drawn maps have degree at most 3 and brackets add degrees.
 MAX_DEGREE = 1000
 
-_ZERO = Fraction(0)
+# the side of the biderivation condition each Leibniz kind puts on the product
+_LEIBNIZ_SIDE = {"leibniz-right": "right", "leibniz-left": "left"}
 
 
 class Algebra:
     """Finite-dimensional algebra over Q given by structure constants.
 
-    `c[i][j][k]` is the e_k coefficient of [e_i, e_j] (0-based). Constants
-    are stored in full, without antisymmetric compression, so Leibniz and
-    generic products fit the same type. Structural equality ignores the
-    name, which is only a label.
+    `c[i][j][k]` is the e_k coefficient of [e_i, e_j] (0-based): the table
+    of the product tensor, given as a nested table or as the tensor itself.
+    Constants are stored in full, without antisymmetric compression, so
+    Leibniz and generic products fit the same type. Structural equality
+    ignores the name, which is only a label.
     """
 
-    __slots__ = ("name", "dim", "c", "kind", "_ints")
+    __slots__ = ("name", "dim", "product", "kind")
 
     def __init__(self, name: str, dim: int, c, kind: str):
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
         if dim < 1:
             raise ValueError("dimension must be positive")
-        table = tuple(tuple(vector(row) for row in plane) for plane in c)
-        if len(table) != dim or any(len(p) != dim for p in table) or any(
-            len(r) != dim for p in table for r in p
-        ):
-            raise ValueError(f"structure constants must form a {dim}^3 table")
+        product = c if isinstance(c, BilinearTensor) else BilinearTensor(dim, c)
+        if product.dim != dim:
+            raise ValueError(f"a product on dim {dim} needs a {dim}^3 table")
         self.name = name
         self.dim = dim
-        self.c = table
+        self.product = product
         self.kind = kind
-        self._ints = None
 
     @classmethod
     def from_entries(cls, name: str, dim: int, entries: Mapping[tuple[int, int, int], Fraction],
                      kind: str) -> "Algebra":
         """Build from sparse 0-based (i, j, k) -> coefficient entries."""
-        c = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), v in entries.items():
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise ValueError(f"index {(i, j, k)} out of range for dim {dim}")
-            c[i][j][k] = Fraction(v)
-        return cls(name, dim, c, kind)
+        return cls(name, dim, BilinearTensor.from_entries(dim, entries), kind)
+
+    @property
+    def c(self) -> tuple[tuple[Vector, ...], ...]:
+        """The structure constants, the product tensor's table."""
+        return self.product.t
 
     def element(self, coords: Iterable) -> Vector:
         v = vector(coords)
@@ -101,11 +104,11 @@ class Algebra:
             isinstance(other, Algebra)
             and self.dim == other.dim
             and self.kind == other.kind
-            and self.c == other.c
+            and self.product == other.product
         )
 
     def __hash__(self):
-        return hash((self.dim, self.kind, self.c))
+        return hash((self.dim, self.kind, self.product))
 
     def __repr__(self):
         return f"Algebra({self.name!r}, dim={self.dim}, kind={self.kind!r})"
@@ -113,24 +116,7 @@ class Algebra:
 
 def bracket(A: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
     """Product [x, y], evaluated bilinearly through the structure constants."""
-    if len(x) != A.dim or len(y) != A.dim:
-        raise ValueError(f"dimension mismatch: algebra dim {A.dim}, got {len(x)} and {len(y)}")
-    n = A.dim
-    out = [_ZERO] * n
-    for i in range(n):
-        xi = x[i]
-        if not xi:
-            continue
-        ci = A.c[i]
-        for j in range(n):
-            yj = y[j]
-            if not yj:
-                continue
-            f = xi * yj
-            for k, ck in enumerate(ci[j]):
-                if ck:
-                    out[k] += f * ck
-    return tuple(out)
+    return A.product.evaluate(x, y)
 
 
 @dataclass(frozen=True)
@@ -156,33 +142,16 @@ class KindReport:
     witness: TripleWitness | None = None
 
 
-IntTable = tuple[tuple[tuple[int, ...], ...], ...]
-
-
-def int_constants(A: Algebra) -> tuple[int, IntTable, IntTable]:
-    """(d, c, r): the structure constants over their common denominator d.
-
-    c[i][j] is d [e_i, e_j] as integers and r[k][a] = c[a][k], the images
-    of R_{e_k}. Scaled once per algebra and kept on it.
-    """
-    if A._ints is None:
-        n = A.dim
-        den, flat = int_dense([row for plane in A.c for row in plane])
-        c = tuple(tuple(tuple(flat[i * n + j]) for j in range(n)) for i in range(n))
-        A._ints = (den, c, tuple(tuple(c[a][k] for a in range(n)) for k in range(n)))
-    return A._ints
-
-
 def leibniz_sides(A: Algebra, images: Sequence[Sequence[int]], i: int,
                   j: int) -> tuple[list[int], list[int]]:
     """D[e_i, e_j] and [De_i, e_j] + [e_i, De_j] for the linear map D e_p = images[p] / e.
 
     `images` are integer vectors over a denominator e the caller keeps.
     Both sides come back as integer lists over the one denominator d * e,
-    d from `int_constants`, so they agree iff the lists are equal. D is a
-    derivation iff the two sides agree at every basis pair.
+    d from the product's `int_form`, so they agree iff the lists are equal.
+    D is a derivation iff the two sides agree at every basis pair.
     """
-    _, c, cols = int_constants(A)
+    _, c, cols = A.product.int_form()
     lhs = [0] * A.dim
     rhs = [0] * A.dim
     # D[e_i,e_j] = sum_p c[i][j][p] De_p;  [De_i,e_j] = sum_a (De_i)_a [e_a,e_j];
@@ -198,22 +167,38 @@ def leibniz_sides(A: Algebra, images: Sequence[Sequence[int]], i: int,
     return lhs, rhs
 
 
-def over(v: Sequence[int], den: int) -> Vector:
-    """The integer vector v divided by den, as Fractions."""
-    return tuple(Fraction(x, den) for x in v)
+def _bider_sides(A: Algebra, B: BilinearTensor, side: str,
+                 triples: Iterable[tuple[int, int, int]]):
+    """(triple, lhs, rhs) of B's right or left condition at each basis triple, the
+    sides as integer lists over the denominator of A's integer form times B's."""
+    _, c, cols = B.int_form()
+    for i, j, k in triples:
+        # right: B([x,y],z) = [x,B(y,z)] + [B(x,z),y], x -> B(x, e_k) derives at (e_i, e_j);
+        # left: B(x,[y,z]) = [B(x,y),z] + [y,B(x,z)], y -> B(e_i, y) derives at (e_j, e_k)
+        if side == "right":
+            yield (i, j, k), *leibniz_sides(A, cols[k], i, j)
+        else:
+            yield (i, j, k), *leibniz_sides(A, c[i], j, k)
 
 
-def _leibniz_kind_sides(A: Algebra, kind: str, i: int, j: int,
-                        k: int) -> tuple[list[int], list[int], int]:
-    """Both sides of a Leibniz identity as integer lists, and their denominator."""
-    den, c, cols = int_constants(A)
-    if kind == "leibniz-left":
-        # [x,[y,z]] = [[x,y],z] + [y,[x,z]]: L_{e_i} is a derivation
-        lhs, rhs = leibniz_sides(A, c[i], j, k)
-    else:
-        # [[x,y],z] = [[x,z],y] + [x,[y,z]]: R_{e_k} is a derivation
-        lhs, rhs = leibniz_sides(A, cols[k], i, j)
-    return lhs, rhs, den * den
+def bider_defect(A: Algebra, B: BilinearTensor, side: str,
+                 triple: tuple[int, int, int]) -> tuple[Vector, Vector, Vector]:
+    """lhs, rhs and residual (rhs - lhs) of B's right or left condition at a basis triple."""
+    _, lhs, rhs = next(_bider_sides(A, B, side, [triple]))
+    den = A.product.int_form()[0] * B.int_form()[0]
+    lhs, rhs = (tuple(Fraction(x, den) for x in v) for v in (lhs, rhs))
+    return lhs, rhs, vec_sub(rhs, lhs)
+
+
+def bider_witness(A: Algebra, B: BilinearTensor, side: str,
+                  identity: str) -> TripleWitness | None:
+    """First basis triple, in descending order, at which B fails the `side` condition."""
+    if A.dim != B.dim:
+        raise ValueError(f"dimension mismatch: algebra dim {A.dim}, tensor dim {B.dim}")
+    for triple, lhs, rhs in _bider_sides(A, B, side, triples_descending(A.dim)):
+        if lhs != rhs:
+            return TripleWitness(identity, triple, *bider_defect(A, B, side, triple))
+    return None
 
 
 def _jacobi_defect(A: Algebra, i: int, j: int, k: int) -> Vector:
@@ -232,12 +217,10 @@ def triples_descending(n: int):
 
 def identity_residual(A: Algebra, identity: str, triple: tuple[int, int, int]) -> Vector:
     """Residual (rhs - lhs) of a named identity at one basis triple."""
-    i, j, k = triple
-    if identity in ("leibniz-left", "leibniz-right"):
-        lhs, rhs, den = _leibniz_kind_sides(A, identity, i, j, k)
-        return over([b - a for a, b in zip(lhs, rhs)], den)
+    if identity in _LEIBNIZ_SIDE:
+        return bider_defect(A, A.product, _LEIBNIZ_SIDE[identity], triple)[2]
     if identity == "jacobi":
-        return _jacobi_defect(A, i, j, k)
+        return _jacobi_defect(A, *triple)
     raise ValueError(f"unknown identity {identity!r}")
 
 
@@ -245,7 +228,8 @@ def check_kind(A: Algebra, kind: str | None = None) -> KindReport:
     """Verify the identity demanded by `kind` on all basis triples.
 
     `kind` defaults to the algebra's declared kind. Failure is data, not an
-    error: the report carries the first failing triple with both sides.
+    error: the report carries the first failing triple with both sides. A
+    Leibniz kind holds iff the product is a biderivation of A on that side.
     """
     kind = A.kind if kind is None else kind
     if kind not in KINDS:
@@ -253,38 +237,31 @@ def check_kind(A: Algebra, kind: str | None = None) -> KindReport:
     n = A.dim
     if kind == "generic":
         return KindReport(kind, True)
-    if kind == "lie":
-        for i in range(n - 1, -1, -1):
-            for j in range(n - 1, -1, -1):
-                defect = vec_add(A.c[i][j], A.c[j][i])
-                if not vec_is_zero(defect):
-                    w = TripleWitness("antisymmetry", (i, j), A.c[i][j],
-                                      tuple(-x for x in A.c[j][i]), defect)
-                    return KindReport(kind, False, w)
-        for (i, j, k) in triples_descending(n):
-            defect = _jacobi_defect(A, i, j, k)
+    if kind in _LEIBNIZ_SIDE:
+        w = bider_witness(A, A.product, _LEIBNIZ_SIDE[kind], kind)
+        return KindReport(kind, w is None, w)
+    for i in range(n - 1, -1, -1):
+        for j in range(n - 1, -1, -1):
+            defect = vec_add(A.c[i][j], A.c[j][i])
             if not vec_is_zero(defect):
-                w = TripleWitness("jacobi", (i, j, k), zero_vector(n), defect, defect)
+                w = TripleWitness("antisymmetry", (i, j), A.c[i][j],
+                                  tuple(-x for x in A.c[j][i]), defect)
                 return KindReport(kind, False, w)
-        return KindReport(kind, True)
     for (i, j, k) in triples_descending(n):
-        lhs, rhs, den = _leibniz_kind_sides(A, kind, i, j, k)
-        if lhs != rhs:
-            lhs, rhs = over(lhs, den), over(rhs, den)
-            w = TripleWitness(kind, (i, j, k), lhs, rhs, vec_sub(rhs, lhs))
+        defect = _jacobi_defect(A, i, j, k)
+        if not vec_is_zero(defect):
+            w = TripleWitness("jacobi", (i, j, k), zero_vector(n), defect, defect)
             return KindReport(kind, False, w)
     return KindReport(kind, True)
 
 
 def opposite(A: Algebra) -> Algebra:
-    """Opposite product {x,y} = [y,x]: constants transposed in the first two indices.
+    """Opposite product {x,y} = [y,x]: the product tensor transposed.
 
     The left/right Leibniz kinds swap; lie and generic are self-opposite.
     """
-    n = A.dim
-    c = [[A.c[j][i] for j in range(n)] for i in range(n)]
     kind = {"leibniz-left": "leibniz-right", "leibniz-right": "leibniz-left"}.get(A.kind, A.kind)
-    return Algebra(f"{A.name}-opposite", n, c, kind)
+    return Algebra(f"{A.name}-opposite", A.dim, A.product.transpose(), kind)
 
 
 _ABELIAN_RE = re.compile(r"^abelian\((\d+)\)$")

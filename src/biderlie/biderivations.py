@@ -4,70 +4,43 @@ A bilinear map is a right biderivation when B([x,y],z) = [x,B(y,z)] +
 [B(x,z),y] holds, a left biderivation when B(x,[y,z]) = [B(x,y),z] +
 [y,B(x,z)] holds, and a biderivation when both do. B is right iff every
 x -> B(x, e_j) is a derivation, and left iff every y -> B(e_i, y) is one,
-i.e. iff B^t is right, so every space is solved through `Der`, and the
-predicates, residuals and witnesses ask `algebras.leibniz_sides` of
-x -> B(x, e_k) (of B^t for the left side), with B scaled to integers once
-per scan and only a reported witness divided back into `Fraction`s.
-Witness scans run in descending triple order (see `algebras`).
+i.e. iff B^t is right, so every space is solved through `Der`. The
+predicates, residuals and witnesses are `algebras.bider_witness` and
+`algebras.bider_defect`, the scan that also decides the Leibniz kinds (an
+algebra's product is a biderivation of it); they read the tensor's integer
+form and divide only a reported witness back into `Fraction`s. Witness
+scans run in descending triple order (see `algebras`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
-from .algebras import (Algebra, TripleWitness, int_constants, leibniz_sides, over,
-                       triples_descending)
+from .algebras import Algebra, TripleWitness, bider_defect, bider_witness
 from .bilinear import BilinearTensor
 from .derivations import derivation_rows, derivation_space
-from .linalg import (Matrix, SubspaceBasis, Vector, canonicalize, combination, int_dense,
-                     int_scaled, intersect, solve_homogeneous, vec_sub)
+from .linalg import (Matrix, SubspaceBasis, Vector, canonicalize, combination, int_scaled,
+                     intersect, solve_homogeneous)
 
 _ZERO = Fraction(0)
 
 
-def _int_images(A: Algebra, B: BilinearTensor) -> tuple[int, list[list[list[int]]]]:
-    """(den, images): images[k][p] = B(e_p, e_k), the map x -> B(x, e_k), as integer
-    vectors; den is the denominator `leibniz_sides` returns their sides over."""
-    n = B.dim
-    e, flat = int_dense([row for plane in B.t for row in plane])
-    return int_constants(A)[0] * e, [[flat[p * n + k] for p in range(n)] for k in range(n)]
-
-
 def right_residual(A: Algebra, B: BilinearTensor, i: int, j: int, k: int) -> Vector:
     """Defect (rhs - lhs) of the right condition at basis triple (i, j, k)."""
-    den, images = _int_images(A, B)
-    lhs, rhs = leibniz_sides(A, images[k], i, j)
-    return over([b - a for a, b in zip(lhs, rhs)], den)
+    return bider_defect(A, B, "right", (i, j, k))[2]
 
 
 def left_residual(A: Algebra, B: BilinearTensor, i: int, j: int, k: int) -> Vector:
     """Defect (rhs - lhs) of the left condition at basis triple (i, j, k)."""
-    return right_residual(A, B.transpose(), j, k, i)
-
-
-def _first_failure(A: Algebra, B: BilinearTensor, identity: str,
-                   right_triple: Callable) -> TripleWitness | None:
-    """Scan triples in descending order; `right_triple` maps each to the right condition's."""
-    if A.dim != B.dim:
-        raise ValueError(f"dimension mismatch: algebra dim {A.dim}, tensor dim {B.dim}")
-    den, images = _int_images(A, B)
-    for triple in triples_descending(A.dim):
-        i, j, k = right_triple(triple)
-        lhs, rhs = leibniz_sides(A, images[k], i, j)
-        if lhs != rhs:
-            lhs, rhs = over(lhs, den), over(rhs, den)
-            return TripleWitness(identity, triple, lhs, rhs, vec_sub(rhs, lhs))
-    return None
+    return bider_defect(A, B, "left", (i, j, k))[2]
 
 
 def right_bider_witness(A: Algebra, B: BilinearTensor) -> TripleWitness | None:
-    return _first_failure(A, B, "right-biderivation", lambda t: t)
+    return bider_witness(A, B, "right", "right-biderivation")
 
 
 def left_bider_witness(A: Algebra, B: BilinearTensor) -> TripleWitness | None:
-    return _first_failure(A, B.transpose(), "left-biderivation",
-                          lambda t: (t[1], t[2], t[0]))
+    return bider_witness(A, B, "left", "left-biderivation")
 
 
 def is_right_bider(A: Algebra, B: BilinearTensor) -> bool:
@@ -105,8 +78,7 @@ def right_bider_bilinear_space(A: Algebra) -> SubspaceBasis:
     sorted by pivot they are canonical.
     """
     n = A.dim
-    transposed = (tuple(v[(j * n + i) * n + k] for i in range(n) for j in range(n)
-                        for k in range(n))
+    transposed = (BilinearTensor._from_flat_trusted(v, n).transpose().flatten()
                   for v in left_bider_bilinear_space(A).vectors)
     return SubspaceBasis(n ** 3, tuple(sorted(
             transposed, key=lambda v: next(c for c, x in enumerate(v) if x))))

@@ -1,13 +1,19 @@
 """Bilinear maps B: A x A -> A as rank-3 coefficient tensors.
 
 The layout is t[i][j][k]: the e_k coefficient of B(e_i, e_j), first index =
-first argument, shared by every module in the package. Flattened coordinates
-use the index (i*n + j)*n + k, which is also the unknown order of the
-biderivation solvers.
+first argument, shared by every module in the package. An algebra's own
+product is one of these tensors (`Algebra.product`, whose table is the
+structure constants `A.c`), so evaluation, validation, sparse construction
+and the transpose (the opposite product) live here once. Flattened
+coordinates use the index (i*n + j)*n + k, which is also the unknown order
+of the biderivation solvers.
 
-The public constructors coerce and check every entry; results built inside
-the package (sums, scalar multiples, transposes, combinations) are already
-`Fraction` tables of the right shape and go through the trusted `_wrap`.
+The public constructors coerce and check every entry once; results built
+inside the package (sums, scalar multiples, transposes, combinations) are
+already `Fraction` tables of the right shape and go through the trusted
+`_wrap`. A tensor keeps one integer form, filled on first use
+(`int_form`): the entries over their common denominator, read by every
+Leibniz-rule scan.
 """
 
 from __future__ import annotations
@@ -15,25 +21,28 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import Matrix, Vector, vector
+from .linalg import Matrix, Vector, int_dense, vector
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
+
+IntTable = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class BilinearTensor:
     """Immutable bilinear map given by its basis values."""
 
-    __slots__ = ("dim", "t")
+    __slots__ = ("dim", "t", "_ints")
 
     def __init__(self, dim: int, t):
         table = tuple(tuple(vector(row) for row in plane) for plane in t)
         if len(table) != dim or any(len(p) != dim for p in table) or any(
             len(r) != dim for p in table for r in p
         ):
-            raise ValueError(f"tensor must be {dim}^3")
+            raise ValueError(f"a bilinear map on dim {dim} needs a {dim}^3 table")
         self.dim = dim
         self.t = table
+        self._ints = None
 
     @classmethod
     def _wrap(cls, dim: int, t: tuple[tuple[Vector, ...], ...]) -> "BilinearTensor":
@@ -41,6 +50,7 @@ class BilinearTensor:
         B = object.__new__(cls)
         B.dim = dim
         B.t = t
+        B._ints = None
         return B
 
     @classmethod
@@ -56,14 +66,13 @@ class BilinearTensor:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"index {(i, j, k)} out of range for dim {dim}")
             t[i][j][k] = Fraction(v)
-        return cls(dim, t)
+        return cls._wrap(dim, tuple(tuple(tuple(row) for row in plane) for plane in t))
 
     @classmethod
     def from_flat(cls, v: Sequence[Fraction], dim: int) -> "BilinearTensor":
         if len(v) != dim ** 3:
             raise ValueError(f"expected {dim ** 3} coordinates, got {len(v)}")
-        return cls(dim, [[[Fraction(v[(i * dim + j) * dim + k]) for k in range(dim)]
-                          for j in range(dim)] for i in range(dim)])
+        return cls._from_flat_trusted(vector(v), dim)
 
     @classmethod
     def _from_flat_trusted(cls, v: Sequence[Fraction], dim: int) -> "BilinearTensor":
@@ -75,6 +84,28 @@ class BilinearTensor:
     def from_column_maps(cls, maps: Sequence[Matrix]) -> "BilinearTensor":
         """Inverse of `column_map`: maps[j] is the matrix of x -> B(x, e_j)."""
         return cls._wrap(len(maps), tuple(zip(*(m.transpose().data for m in maps))))
+
+    def int_form(self) -> tuple[int, IntTable, IntTable]:
+        """(d, c, r): the entries over their common denominator d, kept once filled.
+
+        c[i][j] is d B(e_i, e_j) as integers and r[k][a] = c[a][k], the
+        images of x -> B(x, e_k); the images of y -> B(e_i, y) are c[i].
+        """
+        if self._ints is None:
+            n = self.dim
+            den, flat = int_dense([row for plane in self.t for row in plane])
+            c = tuple(tuple(tuple(flat[i * n + j]) for j in range(n)) for i in range(n))
+            self._ints = (den, c, tuple(tuple(c[a][k] for a in range(n)) for k in range(n)))
+        return self._ints
+
+    def entries(self):
+        """The nonzero entries ((i, j, k), value), in ascending index order."""
+        n = self.dim
+        for i in range(n):
+            for j in range(n):
+                for k, v in enumerate(self.t[i][j]):
+                    if v:
+                        yield (i, j, k), v
 
     def flatten(self) -> Vector:
         n = self.dim

@@ -23,7 +23,7 @@ from .biderivations import (basis_tensors, bider_space, is_bider, is_right_bider
 from .brackets import (PolyLeftMap, PolyRightMap, counterexample_bracket, from_tensor,
                        from_tensor_left, lhd, rhd)
 from .derivations import derivation_space
-from .formats import FormatError, parse_algebra, parse_map, serialize_map
+from .formats import FormatError, entry_lines, parse_algebra, parse_map, serialize_map
 from .linalg import Matrix
 from .report import (all_ok, format_element, render_table, to_json_checks, triple_str,
                      witness_from_triple)
@@ -107,15 +107,7 @@ def cmd_der(args) -> int:
 
 
 def _tensor_lines(t: BilinearTensor) -> list[str]:
-    n = t.dim
-    lines = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = t.t[i][j][k]
-                if v:
-                    lines.append(f"  t {i + 1} {j + 1} {k + 1} = {v}")
-    return lines or ["  (zero)"]
+    return ["  " + line for line in entry_lines(t, "t")] or ["  (zero)"]
 
 
 def cmd_bider(args) -> int:

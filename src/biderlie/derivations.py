@@ -48,7 +48,7 @@ def derivation_rows(A: Algebra) -> list[list[Fraction]]:
     Zero rows and rows equal up to sign to an earlier one are dropped: for
     an antisymmetric product, the rows of the pairs (i, i) and (j > i, i).
     """
-    n = A.dim
+    n, c = A.dim, A.c
     rows = []
     seen = set()
     for i in range(n):
@@ -56,15 +56,15 @@ def derivation_rows(A: Algebra) -> list[list[Fraction]]:
             for l in range(n):
                 row = [_ZERO] * (n * n)
                 for k in range(n):
-                    v = A.c[i][j][k]
+                    v = c[i][j][k]
                     if v:
                         row[k * n + l] += v          # entry m[l][k]
                 for p in range(n):
-                    v = A.c[p][j][l]
+                    v = c[p][j][l]
                     if v:
                         row[i * n + p] -= v          # entry m[p][i]
                 for q in range(n):
-                    v = A.c[i][q][l]
+                    v = c[i][q][l]
                     if v:
                         row[j * n + q] -= v          # entry m[q][j]
                 key = tuple(row)

@@ -21,8 +21,10 @@ Map files:
     dim 3                   dim 3
     t 1 2 3 = 1/2           m (0,1,0) 1 2 = 1/2
 
-A `t` line is one tensor entry; an `m` line is entry (row, col) of the
-coefficient matrix attached to the monomial exponent vector, written
+A `t` line is one tensor entry, as a `c` line is one entry of the product
+tensor of an algebra: both are read by one helper and written from the
+tensor's nonzero entries by `entry_lines`. An `m` line is entry (row, col)
+of the coefficient matrix attached to the monomial exponent vector, written
 without spaces. Serialization is canonical: sorted indices, normalized
 rationals, so parse(serialize(x)) == x and serialized forms are diffable.
 """
@@ -71,14 +73,36 @@ def _index(tok: str, line_no: int, dim: int, what: str = "index") -> int:
     return i - 1
 
 
-def _dim(tok: str, line_no: int) -> int:
+def _dim(toks: list[str], line_no: int, dim: int | None) -> int:
+    """The dimension a `dim <n>` header declares; `dim` is the one read before, if any."""
+    if dim is not None:
+        raise FormatError("duplicate dim header", line_no)
+    if len(toks) != 2:
+        raise FormatError("expected: dim <n>", line_no)
     try:
-        n = int(tok)
+        n = int(toks[1])
     except ValueError:
-        raise FormatError(f"not an integer dim: {tok!r}", line_no) from None
+        raise FormatError(f"not an integer dim: {toks[1]!r}", line_no) from None
     if not 1 <= n <= MAX_DIM:
         raise FormatError(f"dim must be positive and at most {MAX_DIM}, got {n}", line_no)
     return n
+
+
+def _entry(toks: list[str], line_no: int, dim: int,
+           entries: dict[tuple[int, int, int], Fraction]) -> None:
+    """Add the tensor entry of a `c` or `t` line, `<head> i j k = p/q`, to `entries`."""
+    head = toks[0]
+    if len(toks) != 6 or toks[4] != "=":
+        raise FormatError(f"expected: {head} i j k = p/q", line_no)
+    i, j, k = (_index(tok, line_no, dim) for tok in toks[1:4])
+    if (i, j, k) in entries:
+        raise FormatError(f"duplicate entry {head} {i + 1} {j + 1} {k + 1}", line_no)
+    entries[(i, j, k)] = _fraction(toks[5], line_no)
+
+
+def entry_lines(B: BilinearTensor, head: str) -> list[str]:
+    """One `<head> i j k = p/q` line per nonzero entry of B, 1-based, in index order."""
+    return [f"{head} {i + 1} {j + 1} {k + 1} = {v}" for (i, j, k), v in B.entries()]
 
 
 def parse_algebra(text: str) -> Algebra:
@@ -96,11 +120,7 @@ def parse_algebra(text: str) -> Algebra:
                 raise FormatError("expected: algebra <name>", line_no)
             name = toks[1]
         elif head == "dim":
-            if dim is not None:
-                raise FormatError("duplicate dim header", line_no)
-            if len(toks) != 2:
-                raise FormatError("expected: dim <n>", line_no)
-            dim = _dim(toks[1], line_no)
+            dim = _dim(toks, line_no, dim)
         elif head == "kind":
             if kind is not None:
                 raise FormatError("duplicate kind header", line_no)
@@ -111,14 +131,7 @@ def parse_algebra(text: str) -> Algebra:
             if name is None or dim is None or kind is None:
                 raise FormatError("structure constants before the algebra/dim/kind headers",
                                   line_no)
-            if len(toks) != 6 or toks[4] != "=":
-                raise FormatError("expected: c i j k = p/q", line_no)
-            i = _index(toks[1], line_no, dim)
-            j = _index(toks[2], line_no, dim)
-            k = _index(toks[3], line_no, dim)
-            if (i, j, k) in entries:
-                raise FormatError(f"duplicate entry c {i + 1} {j + 1} {k + 1}", line_no)
-            entries[(i, j, k)] = _fraction(toks[5], line_no)
+            _entry(toks, line_no, dim, entries)
         else:
             raise FormatError(f"unrecognized directive {head!r}", line_no)
     if name is None or dim is None or kind is None:
@@ -128,14 +141,7 @@ def parse_algebra(text: str) -> Algebra:
 
 def serialize_algebra(A: Algebra) -> str:
     lines = [f"algebra {A.name}", f"dim {A.dim}", f"kind {A.kind}"]
-    n = A.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = A.c[i][j][k]
-                if v:
-                    lines.append(f"c {i + 1} {j + 1} {k + 1} = {v}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + entry_lines(A.product, "c")) + "\n"
 
 
 def _parse_exponents(tok: str, line_no: int, dim: int) -> tuple[int, ...]:
@@ -173,24 +179,13 @@ def parse_map(text: str):
                 raise FormatError(f"expected: map <{'|'.join(MAP_KINDS)}>", line_no)
             map_kind = toks[1]
         elif head == "dim":
-            if dim is not None:
-                raise FormatError("duplicate dim header", line_no)
-            if len(toks) != 2:
-                raise FormatError("expected: dim <n>", line_no)
-            dim = _dim(toks[1], line_no)
+            dim = _dim(toks, line_no, dim)
         elif head == "t":
             if map_kind is None or dim is None:
                 raise FormatError("entries before the map/dim headers", line_no)
             if map_kind != "bilinear":
                 raise FormatError(f"t lines belong to bilinear maps, not {map_kind}", line_no)
-            if len(toks) != 6 or toks[4] != "=":
-                raise FormatError("expected: t i j k = p/q", line_no)
-            i = _index(toks[1], line_no, dim)
-            j = _index(toks[2], line_no, dim)
-            k = _index(toks[3], line_no, dim)
-            if (i, j, k) in tensor_entries:
-                raise FormatError(f"duplicate entry t {i + 1} {j + 1} {k + 1}", line_no)
-            tensor_entries[(i, j, k)] = _fraction(toks[5], line_no)
+            _entry(toks, line_no, dim, tensor_entries)
         elif head == "m":
             if map_kind is None or dim is None:
                 raise FormatError("entries before the map/dim headers", line_no)
@@ -214,7 +209,7 @@ def parse_map(text: str):
     for (alpha, r, c), v in poly_entries.items():
         grid = grids.setdefault(alpha, [[Fraction(0)] * dim for _ in range(dim)])
         grid[r][c] = v
-    terms = {alpha: Matrix(grid) for alpha, grid in grids.items()}
+    terms = {alpha: Matrix._wrap(tuple(map(tuple, grid))) for alpha, grid in grids.items()}
     cls = PolyRightMap if map_kind == "polyright" else PolyLeftMap
     return cls(dim, terms)
 
@@ -222,15 +217,7 @@ def parse_map(text: str):
 def serialize_map(obj) -> str:
     """Canonical text for a tensor or poly map; inverse of `parse_map`."""
     if isinstance(obj, BilinearTensor):
-        n = obj.dim
-        lines = ["map bilinear", f"dim {n}"]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    v = obj.t[i][j][k]
-                    if v:
-                        lines.append(f"t {i + 1} {j + 1} {k + 1} = {v}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(["map bilinear", f"dim {obj.dim}"] + entry_lines(obj, "t")) + "\n"
     if isinstance(obj, (PolyRightMap, PolyLeftMap)):
         kind = "polyright" if isinstance(obj, PolyRightMap) else "polyleft"
         n = obj.dim

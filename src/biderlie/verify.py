@@ -20,8 +20,8 @@ from .biderivations import (basis_tensors, bider_space, is_bider, is_left_bider,
                             right_bider_bilinear_space, spaces_intersection)
 from .brackets import random_fraction, verify_lie_algebra, verify_transpose_interplay
 from .derivations import derivation_matrices, derivation_space, is_derivation
-from .linalg import (IntRows, Matrix, SubspaceBasis, add_commutator, canonicalize, combination,
-                     flat_rows, int_scaled, intersect)
+from .linalg import (IntRows, Matrix, SubspaceBasis, add_commutator, combination, flat_rows,
+                     int_scaled, intersect)
 from .report import CheckResult, check, skip, witness_from_triple
 from .scalar_maps import (ScalarPoly, ScalarTimesDerivation, bracket_matches_poly_form,
                           exp_curve_check, iff_derivation_check)
@@ -126,27 +126,23 @@ def _random_member(rng: random.Random, pool: list[tuple[int, IntRows]], n: int) 
     return BilinearTensor._from_flat_trusted(combination(coeffs, pool, 1, n ** 3).data[0], n)
 
 
-def _symmetric_tensor_space(n: int):
+def _transpose_eigenspace(n: int, sign: int) -> SubspaceBasis:
+    """Canonical basis of the tensors with B^t = sign * B, sign = 1 or -1.
+
+    One vector per (i <= j, k), i < j for sign -1: 1 at (i, j, k) and sign
+    at (j, i, k). (j, i, k) comes later in the flat order and is no pivot,
+    so the vectors are already in canonical form, sorted by pivot.
+    """
     vecs = []
     for i in range(n):
-        for j in range(i, n):
+        for j in range(i if sign == 1 else i + 1, n):
             for k in range(n):
-                t = BilinearTensor.from_entries(n, {(i, j, k): Fraction(1)})
+                v = [_ZERO] * n ** 3
+                v[(i * n + j) * n + k] = Fraction(1)
                 if i != j:
-                    t = t + BilinearTensor.from_entries(n, {(j, i, k): Fraction(1)})
-                vecs.append(t.flatten())
-    return canonicalize(vecs, n ** 3)
-
-
-def _skew_tensor_space(n: int):
-    vecs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                t = (BilinearTensor.from_entries(n, {(i, j, k): Fraction(1)})
-                     - BilinearTensor.from_entries(n, {(j, i, k): Fraction(1)}))
-                vecs.append(t.flatten())
-    return canonicalize(vecs, n ** 3)
+                    v[(j * n + i) * n + k] = Fraction(sign)
+                vecs.append(tuple(v))
+    return SubspaceBasis(n ** 3, tuple(vecs))
 
 
 def symmetry_suite(A: Algebra, samples: int = 25, seed: int = 0) -> list[CheckResult]:
@@ -178,8 +174,8 @@ def symmetry_suite(A: Algebra, samples: int = 25, seed: int = 0) -> list[CheckRe
             doubles_are_biders = False
     right = right_bider_bilinear_space(A)
     right_pool = _pool(right)
-    sym_space = intersect(right, _symmetric_tensor_space(n))
-    skew_space = intersect(right, _skew_tensor_space(n))
+    sym_space = intersect(right, _transpose_eigenspace(n, 1))
+    skew_space = intersect(right, _transpose_eigenspace(n, -1))
     onesided_ok = all(is_left_bider(A, t) for t in basis_tensors(sym_space, n)
                       + basis_tensors(skew_space, n))
     sym_pool, skew_pool = _pool(sym_space), _pool(skew_space)

@@ -18,7 +18,8 @@ from biderlie import (Algebra, BilinearTensor, ScalarPoly, ScalarTimesDerivation
                       derivation_matrices, derivation_space, exp_curve_check,
                       identity_residual, iff_derivation_check, is_bider,
                       is_left_bider, is_right_bider, left_bider_witness,
-                      right_bider_bilinear_space, run_all, skew_symmetrize, symmetrize,
+                      right_bider_bilinear_space, run_all, serialize_algebra,
+                      skew_symmetrize, symmetrize,
                       verify_lie_algebra, verify_transpose_interplay)
 from biderlie import cli
 from biderlie.cli import heisenberg_example_maps, main
@@ -203,7 +204,47 @@ VERIFY_JSON_SHA256 = {
 }
 
 
-def test_criterion_8_cli_contract(capsys, monkeypatch):
+# Algebra files whose declared identity fails, one per kind of witness, all
+# with non-integer constants; and sha256 of `check <file>` and `check <file>
+# --json`, of `bider <name> --side right|left|both` (the three outputs
+# concatenated) and of `serialize_algebra` over the builtins. Recorded before
+# the product became a `BilinearTensor`, which must not change a byte.
+FAILING_ALGEBRAS = {
+    "leibniz-left": "algebra ll\ndim 2\nkind leibniz-left\nc 1 2 1 = 1/3\nc 2 2 1 = 5/7\n",
+    "leibniz-right": "algebra lr\ndim 2\nkind leibniz-right\nc 2 1 1 = 1/3\nc 2 2 1 = 5/7\n",
+    "antisymmetry": "algebra as\ndim 2\nkind lie\nc 1 2 1 = 1/2\nc 2 1 1 = -1/3\n",
+    "jacobi": ("algebra jac\ndim 3\nkind lie\nc 1 2 1 = 1/2\nc 2 1 1 = -1/2\nc 2 3 3 = 5/3\n"
+               "c 3 2 3 = -5/3\nc 1 3 2 = 1\nc 3 1 2 = -1\n"),
+}
+CHECK_SHA256 = {
+    "leibniz-left": ("57f7870e0c47194f6fa849db9e08ab32b2a63588b4d47ea15797739ac4b75d7c",
+                     "ca4237ff4f94f6d018fbc0446cf3a2e7cc92e4a306f9bb05bca61e1be9071f37"),
+    "leibniz-right": ("c8b6add299d2b0bd9dfa659adf1756d2309be77769af3c3b5e1d74593a4b36b6",
+                      "7a3961560a8b1246dc4d3471c7ede6f0549e4eccd7583ff24fb4356fb78ad488"),
+    "antisymmetry": ("192e0fc295b61b61dab59d6cd90120379e56a8200467884869548a5a3b64461b",
+                     "8fcd94d4c81d631602c7d4a5867830aca10b7f3434ab4f411f135c154fb5da87"),
+    "jacobi": ("5d8766eaeea8c97bb100223efd2e198b660f24fceaf2bbf4b1164eebb480c822",
+               "c5296152b16aee8a9dedea64aa4249c3f449c26149b4c4a43ee851a8e55f5154"),
+}
+BIDER_SIDES_SHA256 = {
+    "abelian(2)": "568181a78379069842c28a8c4c60437fc33599be00b837685e79c9120f80de0d",
+    "abelian(3)": "078536ee68c322954ce8b0f37c998dd3f4f9551f5f07362e5bd194ea7e0fdffe",
+    "abelian(4)": "d6ff556111f867a29e5642bcb4f9bc239a9971205e80654bce7de5737d241c0f",
+    "L1": "12de716f5375e5e529408f397754fbdc3eac87e6a9bf72f83b1b4a2de20d851f",
+    "L2": "3b891ffaf9535a68790aab3839289bfe7225ea016de309399422c219f0643559",
+    "L3": "3d75167abc02be7a8b10473b3318f16532ceede5692f5a49e500ba5c7d69d72d",
+    "L4": "3777fb2d1870cf46a82268704b9a61689f7907c4cd49b68bc638cb066dc39f06",
+    "heisenberg3": "c79e19602c471bbe13041c14f21c88585f8b26814b890424cc613c57d10360e1",
+    "sl2": "3422ef6101ae16543eca6e5d0c9c5cf733a097facb644fd3cb9feba43e8fd346",
+}
+SERIALIZED_BUILTINS_SHA256 = "10b49c3ce3e9c692f434a448b779ef59019dd0d933bdca48a5a98c2a11e22ff7"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_criterion_8_cli_contract(capsys, monkeypatch, tmp_path):
     # the suites of each builtin run once; its text and JSON reports both
     # render that one list of checks
     checks = {}
@@ -236,4 +277,21 @@ def test_criterion_8_cli_contract(capsys, monkeypatch):
     ok &= json.dumps(data, indent=2, sort_keys=True) == out.strip()
     ok &= data["ok"] is True and len(data["checks"]) > 0
     ok &= all(c["status"] in ("pass", "fail", "skip") for c in data["checks"])
-    report("criterion 8: CLI verify/example/--json contract", ok)
+    for kind, text in FAILING_ALGEBRAS.items():
+        path = tmp_path / f"{kind}.alg"
+        path.write_text(text)
+        for argv, digest in zip((["check", str(path)], ["check", str(path), "--json"]),
+                                CHECK_SHA256[kind]):
+            code = main(argv)
+            out = capsys.readouterr().out
+            ok &= code == 1 and kind in out
+            ok &= _sha256(out) == digest
+    for name in BUILTINS:
+        outs = []
+        for side in ("right", "left", "both"):
+            ok &= main(["bider", name, "--side", side]) == 0
+            outs.append(capsys.readouterr().out)
+        ok &= _sha256("".join(outs)) == BIDER_SIDES_SHA256[name]
+    ok &= _sha256("".join(serialize_algebra(builtin(n)) for n in BUILTINS)) \
+        == SERIALIZED_BUILTINS_SHA256
+    report("criterion 8: CLI verify/example/check/bider/--json contract", ok)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -392,7 +393,15 @@ def _heisenberg(n):
     return Algebra.from_entries(f"heisenberg{n}", n, entries, "lie")
 
 
+def _refuse_more_than_the_monomials(n, count):
+    # random_multi_index(rng, n, 3) draws one of C(n + 3, 3) multi-indices
+    if count > math.comb(n + 3, 3):
+        raise ValueError(f"{count} terms, but only {math.comb(n + 3, 3)} monomials of "
+                         f"degree at most 3 in {n} variables")
+
+
 def _random_terms(rng, n, count, denominators):
+    _refuse_more_than_the_monomials(n, count)
     terms = {}
     while len(terms) < count:
         terms[random_multi_index(rng, n, 3)] = Matrix(
@@ -402,6 +411,7 @@ def _random_terms(rng, n, count, denominators):
 
 
 def _derivation_terms(rng, ders, n, count):
+    _refuse_more_than_the_monomials(n, count)
     terms = {}
     while len(terms) < count:
         alpha = random_multi_index(rng, n, 3)
@@ -463,6 +473,15 @@ def test_bracket_kernel_matches_per_pair_reference(case):
         ders = derivation_matrices(_heisenberg(7))
         t1, t2 = _derivation_terms(rng, ders, 7, 40), _derivation_terms(rng, ders, 7, 40)
         assert len(_assert_kernel_matches_reference(t1, t2, 7)) > 40
+
+
+def test_term_drawers_refuse_more_terms_than_monomials():
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        _random_terms(rng, 1, 5, (1, 2))
+    with pytest.raises(ValueError):
+        _derivation_terms(rng, [Matrix.identity(1), 2 * Matrix.identity(1)], 1, 5)
+    assert len(_random_terms(rng, 1, 4, (1, 2))) == 4
 
 
 # --- the transpose suite must be able to fail --------------------------------

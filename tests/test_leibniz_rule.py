@@ -11,6 +11,7 @@ that against the `Fraction` references.
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -159,12 +160,15 @@ def test_integer_predicate_corpus_reaches_both_outcomes():
 @pytest.mark.parametrize("A", ALGEBRAS, ids=lambda A: A.name)
 def test_leibniz_witnesses_and_residuals_match_written_out_identities(A):
     n = A.dim
-    for kind, sides in (("leibniz-left", left_leibniz_sides),
-                        ("leibniz-right", right_leibniz_sides)):
+    for kind, sides, bider_witness in (("leibniz-left", left_leibniz_sides, left_bider_witness),
+                                       ("leibniz-right", right_leibniz_sides, right_bider_witness)):
         expected = first_failure(n, lambda i, j, k: sides(A, i, j, k))
         report = check_kind(A, kind)
         assert report.ok == (expected is None)
         assert _found(report.witness) == expected
+        # a Leibniz kind asks whether the product is a biderivation on that side
+        as_bider = bider_witness(A, A.product)
+        assert report.witness == (as_bider and replace(as_bider, identity=kind))
         for triple in itertools.product(range(n), repeat=3):
             assert identity_residual(A, kind, triple) == _residual(sides(A, *triple))
 
