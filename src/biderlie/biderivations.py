@@ -4,12 +4,14 @@ A bilinear map is a right biderivation when B([x,y],z) = [x,B(y,z)] +
 [B(x,z),y] holds, a left biderivation when B(x,[y,z]) = [B(x,y),z] +
 [y,B(x,z)] holds, and a biderivation when both do. B is right iff every
 x -> B(x, e_j) is a derivation, and left iff every y -> B(e_i, y) is one,
-i.e. iff B^t is right, so every space is solved through `Der`. The
-predicates, residuals and witnesses are `algebras.bider_witness` and
-`algebras.bider_defect`, the scan that also decides the Leibniz kinds (an
-algebra's product is a biderivation of it); they read the tensor's integer
-form and divide only a reported witness back into `Fraction`s. Witness
-scans run in descending triple order (see `algebras`).
+i.e. iff B^t is right. So the right and left spaces are copies of the
+`Der` basis, and the two-sided space solves the left condition in
+coordinates over the right basis. The predicates, residuals and witnesses
+are `algebras.bider_witness` and `algebras.bider_defect`, the scan that
+also decides the Leibniz kinds (an algebra's product is a biderivation of
+it); they read the tensor's integer form and divide only a reported
+witness back into `Fraction`s. Witness scans run in descending triple
+order (see `algebras`).
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from fractions import Fraction
 from .algebras import Algebra, TripleWitness, bider_defect, bider_witness
 from .bilinear import BilinearTensor
 from .derivations import derivation_rows, derivation_space
-from .linalg import (Matrix, SubspaceBasis, Vector, canonicalize, combination, int_scaled,
-                     intersect, solve_homogeneous)
+from .linalg import SubspaceBasis, Vector, add_product, int_scaled, intersect, solve_homogeneous
 
 _ZERO = Fraction(0)
 
@@ -87,33 +88,27 @@ def right_bider_bilinear_space(A: Algebra) -> SubspaceBasis:
 def bider_space(A: Algebra) -> SubspaceBasis:
     """Canonical basis of the tensors satisfying both conditions at once.
 
-    A right biderivation is T(x, e_j) = sum_t x[j, t] D_t x over the `Der`
-    basis D_t. The left condition, `derivation_rows` on every block, is
-    solved for the n * dim Der coordinates x, not the n^3 tensor entries.
+    The left condition, every block i (y -> B(e_i, y)) a derivation, is
+    solved for coordinates x over the canonical right basis R: each row of
+    `derivation_rows` applied to block i of every R_u. The solutions lift
+    to the canonical basis vectors sum_u x_u R_u (see `linalg`).
     """
-    n = A.dim
-    ders = derivation_space(A).vectors
-    m = len(ders)
-    der_rows = derivation_rows(A)
-    rows = []
-    for i in range(n):
-        for der_row in der_rows:
-            row = [_ZERO] * (n * m)
-            for q, w in enumerate(der_row):
-                if w:
-                    j, k = divmod(q, n)
-                    for t, d in enumerate(ders):
-                        if d[i * n + k]:
-                            row[j * m + t] += w * d[i * n + k]
-            if any(row):
-                rows.append(row)
-    der_maps = [int_scaled(Matrix.from_col_major(d, n).data) for d in ders]
-    members = []
-    for x in solve_homogeneous(rows, n * m).vectors:
-        # x -> T(x, e_j) is sum_t x[j, t] D_t
-        maps = [combination(x[j * m:(j + 1) * m], der_maps, n, n) for j in range(n)]
-        members.append(BilinearTensor.from_column_maps(maps).flatten())
-    return canonicalize(members, n ** 3)
+    n, nn = A.dim, A.dim ** 2
+    right = right_bider_bilinear_space(A)
+    scaled = right.int_form()
+    # scaling a row of the system keeps its solutions
+    der_rows = [int_scaled((row,))[1][0] for row in derivation_rows(A)]
+    cols = []
+    for _, (vec,) in scaled:
+        blocks = [[] for _ in range(nn)]        # row q: entry q of each block of d_u R_u
+        for c, x in vec:
+            blocks[c % nn].append((c // nn, x))
+        cols.append([0] * (len(der_rows) * n))
+        add_product(cols[-1], der_rows, blocks, n)
+    rows = [[Fraction(s, d) if s else _ZERO for s, (d, _) in zip(row, scaled)]
+            for row in zip(*cols) if any(row)]
+    coords = solve_homogeneous(rows, right.dim)
+    return SubspaceBasis(n ** 3, tuple(right.member(x) for x in coords.vectors))
 
 
 def spaces_intersection(A: Algebra) -> SubspaceBasis:

@@ -16,13 +16,25 @@ A subspace is always carried around in canonical form: the nonzero rows of
 the reduced row echelon form of any spanning set, coordinates in
 lexicographic order, each pivot entry 1 and alone in its column. Two spans
 are equal iff their canonical bases compare equal component-wise, which
-turns subspace comparison into plain tuple comparison.
+turns subspace comparison into plain tuple comparison. Each canonical basis
+takes one `rref`, by two facts:
+
+- Reversed columns. Read in m's column order, the standard kernel vectors
+  of the echelon form of m with its columns reversed each start with a 1
+  at a free column that no other one touches: they are the canonical
+  nullspace basis.
+- Lifting. If R is a canonical basis and X the canonical basis of a set of
+  coordinates over R, the vectors sum_u x_u R_u are canonical: each has
+  entry x_u at R_u's pivot and is zero before the pivot of its first
+  nonzero coordinate. `intersect` and `biderivations.bider_space` solve
+  for coordinates and lift them (`SubspaceBasis.member`). Read backwards,
+  v lies in the span iff it is the lift of its own pivot entries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -294,11 +306,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     nrows, ncols = m.rows, m.cols
     pivot_row = 0
     for col in range(ncols):
-        pr = None
-        for r in range(pivot_row, nrows):
-            if rows[r][col]:
-                pr = r
-                break
+        pr = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
         if pr is None:
             continue
         rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
@@ -328,24 +336,32 @@ class SubspaceBasis:
 
     ambient_dim: int
     vectors: tuple[Vector, ...]
+    _scaled: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
+    def int_form(self) -> list[tuple[int, IntRows]]:
+        """Each vector as its least common denominator d and the one sparse integer
+        row of d * vector, which starts at the pivot; filled on first use."""
+        if self._scaled is None:
+            object.__setattr__(self, "_scaled", [int_scaled((v,)) for v in self.vectors])
+        return self._scaled
+
+    def member(self, coeffs: Sequence[Fraction]) -> Vector:
+        """The combination sum_u coeffs[u] * vectors[u]."""
+        if len(coeffs) != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates, got {len(coeffs)}")
+        den, out = combine(coeffs, self.int_form(), 1, self.ambient_dim)
+        return tuple(Fraction(p, den) if p else _ZERO for p in out)
+
     def contains(self, v: Sequence[Fraction]) -> bool:
-        """Exact span membership, by reduction against the RREF rows."""
+        """Exact span membership: v is the member with its pivot entries as coordinates."""
         if len(v) != self.ambient_dim:
             raise ValueError(f"ambient dimension mismatch: {self.ambient_dim} vs {len(v)}")
-        residual = [Fraction(x) for x in v]
-        for row in self.vectors:
-            p = next(c for c, x in enumerate(row) if x)
-            f = residual[p]
-            if f:
-                for c in range(p, self.ambient_dim):
-                    if row[c]:
-                        residual[c] -= f * row[c]
-        return all(x == 0 for x in residual)
+        v = vector(v)
+        return self.member([v[r[0][0][0]] for _, r in self.int_form()]) == v
 
     def contains_all(self, vectors: Iterable[Sequence[Fraction]]) -> bool:
         return all(self.contains(v) for v in vectors)
@@ -366,13 +382,11 @@ def canonicalize(vectors: Iterable[Sequence[Fraction]], ambient_dim: int | None 
         if not vecs:
             raise ValueError("ambient_dim is required for an empty vector set")
         ambient_dim = len(vecs[0])
-    for v in vecs:
-        if len(v) != ambient_dim:
-            raise ValueError("vectors do not share the ambient dimension")
-    vecs = [v for v in vecs if not vec_is_zero(v)]
+    if any(len(v) != ambient_dim for v in vecs):
+        raise ValueError("vectors do not share the ambient dimension")
     if not vecs:
         return SubspaceBasis(ambient_dim, ())
-    red, rank = rref(Matrix(vecs))
+    red, rank = rref(Matrix._wrap(tuple(vecs)))
     return SubspaceBasis(ambient_dim, red.data[:rank])
 
 
@@ -381,43 +395,41 @@ def full_space(n: int) -> SubspaceBasis:
 
 
 def nullspace(m: Matrix) -> SubspaceBasis:
-    """Canonical basis of {v : m v = 0}; its dimension is cols(m) - rank(m)."""
-    red, rank = rref(m)
-    pivots = []
-    for r in range(rank):
-        row = red.data[r]
-        pivots.append(next(c for c, x in enumerate(row) if x))
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    """Canonical basis of {v : m v = 0}, read off the rref of m with its columns reversed."""
+    n = m.cols
+    red, rank = rref(Matrix._wrap(tuple(row[::-1] for row in m.data)))
+    # each echelon row read in m's column order, with its pivot
+    rows = [(row[::-1], n - 1 - next(c for c, x in enumerate(row) if x))
+            for row in red.data[:rank]]
     vecs = []
-    for f in free:
-        v = [_ZERO] * m.cols
+    for f in sorted(set(range(n)).difference(p for _, p in rows)):
+        v = [_ZERO] * n
         v[f] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red.data[r][f]
+        for row, p in rows:
+            v[p] = -row[f]
         vecs.append(tuple(v))
-    return canonicalize(vecs, m.cols)
+    return SubspaceBasis(n, tuple(vecs))
 
 
 def solve_homogeneous(rows: Sequence[Sequence[Fraction]], unknowns: int) -> SubspaceBasis:
-    """Nullspace of a row list; an empty system yields the full space."""
+    """Nullspace of a row list in `unknowns` unknowns; an empty system yields the full space."""
+    if any(len(row) != unknowns for row in rows):
+        raise ValueError(f"every row of the system needs {unknowns} entries, one per unknown")
     if not rows:
         return full_space(unknowns)
     return nullspace(Matrix(rows))
 
 
 def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Intersection of two subspaces of the same ambient space."""
+    """Intersection of two subspaces of the same ambient space: the solutions of
+    sum x_u a_u = sum y_v b_v, whose x-parts are canonical since b is
+    independent (x fixes y), lifted through a."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if a.dim == 0 or b.dim == 0:
         return SubspaceBasis(a.ambient_dim, ())
-    # w in both spans: w = sum x_i a_i = sum y_j b_j; solve for (x, y) stacked.
-    rows = []
-    for coord in range(a.ambient_dim):
-        row = [av[coord] for av in a.vectors] + [-bv[coord] for bv in b.vectors]
-        rows.append(row)
-    coeffs = nullspace(Matrix(rows))
-    pool = [int_scaled((av,)) for av in a.vectors]
-    vecs = [combination(cv[:a.dim], pool, 1, a.ambient_dim).data[0] for cv in coeffs.vectors]
-    return canonicalize(vecs, a.ambient_dim)
+    minus_b = [tuple(-x for x in bv) for bv in b.vectors]
+    # row c: coordinate c of every a_u, then of every -b_v
+    rows = tuple(ra + rb for ra, rb in zip(zip(*a.vectors), zip(*minus_b)))
+    coeffs = nullspace(Matrix._wrap(rows))
+    return SubspaceBasis(a.ambient_dim, tuple(a.member(x[:a.dim]) for x in coeffs.vectors))

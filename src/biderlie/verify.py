@@ -20,8 +20,8 @@ from .biderivations import (basis_tensors, bider_space, is_bider, is_left_bider,
                             right_bider_bilinear_space, spaces_intersection)
 from .brackets import random_fraction, verify_lie_algebra, verify_transpose_interplay
 from .derivations import derivation_matrices, derivation_space, is_derivation
-from .linalg import (IntRows, Matrix, SubspaceBasis, add_commutator, combination, flat_rows,
-                     int_scaled, intersect)
+from .linalg import (Matrix, SubspaceBasis, add_commutator, combination, flat_rows, int_scaled,
+                     intersect)
 from .report import CheckResult, check, skip, witness_from_triple
 from .scalar_maps import (ScalarPoly, ScalarTimesDerivation, bracket_matches_poly_form,
                           exp_curve_check, iff_derivation_check)
@@ -115,15 +115,10 @@ def space_suite(A: Algebra) -> list[CheckResult]:
     ]
 
 
-def _pool(space: SubspaceBasis) -> list[tuple[int, IntRows]]:
-    """A tensor space's basis, each flat vector scaled to integers once."""
-    return [int_scaled((v,)) for v in space.vectors]
-
-
-def _random_member(rng: random.Random, pool: list[tuple[int, IntRows]], n: int) -> BilinearTensor:
-    """A random rational combination of a `_pool`."""
-    coeffs = [random_fraction(rng) for _ in pool]
-    return BilinearTensor._from_flat_trusted(combination(coeffs, pool, 1, n ** 3).data[0], n)
+def _random_member(rng: random.Random, space: SubspaceBasis, n: int) -> BilinearTensor:
+    """A random rational combination of a tensor space's basis."""
+    return BilinearTensor._from_flat_trusted(
+        space.member([random_fraction(rng) for _ in space.vectors]), n)
 
 
 def _transpose_eigenspace(n: int, sign: int) -> SubspaceBasis:
@@ -165,32 +160,30 @@ def symmetry_suite(A: Algebra, samples: int = 25, seed: int = 0) -> list[CheckRe
             decomposition_ok = False
         if symmetrize(B) - skew_symmetrize(B) != 2 * B.transpose():
             twice_transpose_ok = False
-    bider_pool = _pool(bider_space(A))
+    both = bider_space(A)
     doubles_are_biders = True
     for _ in range(samples):
-        B = _random_member(rng, bider_pool, n)
+        B = _random_member(rng, both, n)
         sb, ab = symmetrize(B), skew_symmetrize(B)
         if not (sb.is_symmetric() and ab.is_skew() and is_bider(A, sb) and is_bider(A, ab)):
             doubles_are_biders = False
     right = right_bider_bilinear_space(A)
-    right_pool = _pool(right)
     sym_space = intersect(right, _transpose_eigenspace(n, 1))
     skew_space = intersect(right, _transpose_eigenspace(n, -1))
     onesided_ok = all(is_left_bider(A, t) for t in basis_tensors(sym_space, n)
                       + basis_tensors(skew_space, n))
-    sym_pool, skew_pool = _pool(sym_space), _pool(skew_space)
     for _ in range(samples):
-        for pool in (sym_pool, skew_pool):
-            B = _random_member(rng, pool, n)
+        for space in (sym_space, skew_space):
+            B = _random_member(rng, space, n)
             if not is_left_bider(A, B):
                 onesided_ok = False
         # conditional form on doubles of arbitrary right members
-        B = _random_member(rng, right_pool, n)
+        B = _random_member(rng, right, n)
         for D in (symmetrize(B), skew_symmetrize(B)):
             if is_right_bider(A, D) and not is_left_bider(A, D):
                 onesided_ok = False
     closure_ok = all(
-        is_right_bider(A, _random_member(rng, right_pool, n)) for _ in range(samples)
+        is_right_bider(A, _random_member(rng, right, n)) for _ in range(samples)
     )
     return [
         check(suite, "half-sum-decomposition", decomposition_ok),

@@ -5,7 +5,10 @@ forward elimination written separately, sympy supplies a second independent
 RREF/nullspace, and the biderivation systems are either reconstructed by
 probing unit tensors through residual evaluation or assembled directly from
 the right and left conditions over all n^3 tensor entries, the way the
-package once solved them. The identity sides below write each condition
+package once solved them. The two-pass `nullspace_reference` and the
+canonicalizing `intersect_reference` are the package's earlier solvers,
+which canonicalize every result with a second elimination; sympy's kernel,
+canonicalized by sympy's own RREF, is a third. The identity sides below write each condition
 out as it reads, through the product alone, where the package asks every
 one of them as "is this map a derivation?". The bracket reference takes
 one matrix commutator per pair of terms, the way the package first
@@ -20,7 +23,8 @@ from fractions import Fraction
 import sympy
 
 from biderlie.algebras import bracket
-from biderlie.linalg import Matrix, basis_vector, mat_commutator, vec_add
+from biderlie.linalg import (Matrix, SubspaceBasis, basis_vector, canonicalize, combination,
+                             int_scaled, mat_commutator, rref, vec_add)
 
 
 def forward_elimination_rank(rows):
@@ -62,6 +66,62 @@ def sympy_rref(rows):
 def sympy_nullspace_dim(rows):
     mat = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
     return len(mat.nullspace())
+
+
+def nullspace_reference(m):
+    """Canonical nullspace basis in two passes: the standard kernel vectors of
+    the RREF of m, then `canonicalize` of those."""
+    red, rank = rref(m)
+    pivots = [next(c for c, x in enumerate(red.data[r]) if x) for r in range(rank)]
+    vecs = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red.data[r][f]
+        vecs.append(tuple(v))
+    return canonicalize(vecs, m.cols)
+
+
+def intersect_reference(a, b):
+    """a meet b: solve sum x_i a_i = sum y_j b_j with `nullspace_reference`,
+    combine the a-parts and `canonicalize` the combinations."""
+    if a.dim == 0 or b.dim == 0:
+        return SubspaceBasis(a.ambient_dim, ())
+    rows = [[av[c] for av in a.vectors] + [-bv[c] for bv in b.vectors]
+            for c in range(a.ambient_dim)]
+    pool = [int_scaled((av,)) for av in a.vectors]
+    vecs = [combination(x[:a.dim], pool, 1, a.ambient_dim).data[0]
+            for x in nullspace_reference(Matrix(rows)).vectors]
+    return canonicalize(vecs, a.ambient_dim)
+
+
+def _sympy_canonical(vectors, ambient_dim):
+    """Canonical basis of the span of sympy column vectors, by sympy's RREF."""
+    if not vectors:
+        return SubspaceBasis(ambient_dim, ())
+    red, pivots = sympy.Matrix.hstack(*vectors).T.rref()
+    return SubspaceBasis(ambient_dim, tuple(
+        tuple(Fraction(int(v.p), int(v.q)) for v in red.row(i)) for i in range(len(pivots))))
+
+
+def _sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+
+
+def sympy_canonical_nullspace(m):
+    """sympy's kernel of m, canonicalized by sympy's RREF."""
+    return _sympy_canonical(_sympy_matrix(m.data).nullspace(), m.cols)
+
+
+def sympy_intersection(a, b):
+    """a meet b by sympy: the kernel of [a^T | -b^T], its a-parts lifted through
+    a and canonicalized by sympy's RREF."""
+    if a.dim == 0 or b.dim == 0:
+        return SubspaceBasis(a.ambient_dim, ())
+    at = _sympy_matrix(a.vectors).T
+    system = at.row_join(-_sympy_matrix(b.vectors).T)
+    return _sympy_canonical([at * x[:a.dim, 0] for x in system.nullspace()], a.ambient_dim)
 
 
 def probe_rows(residual_fn, unknowns, probes):

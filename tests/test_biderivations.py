@@ -7,12 +7,15 @@ from biderlie import (Algebra, BilinearTensor, bider_space, builtin, derivation_
                       is_left_bider, is_right_bider, left_bider_bilinear_space,
                       left_bider_witness, right_bider_bilinear_space, right_bider_witness,
                       opposite, skew_symmetrize, symmetrize)
+from biderlie import linalg
 from biderlie.biderivations import (basis_tensors, left_residual, right_residual,
                                     spaces_intersection)
 from biderlie.cli import heisenberg_example_maps
-from biderlie.linalg import basis_vector, solve_homogeneous
+from biderlie.linalg import (Matrix, basis_vector, canonicalize, intersect, nullspace,
+                             solve_homogeneous)
 
-from oracles import left_bider_rows, probe_rows, right_bider_rows, sympy_nullspace_dim
+from oracles import (intersect_reference, left_bider_rows, nullspace_reference, probe_rows,
+                     right_bider_rows, sympy_nullspace_dim)
 
 F = Fraction
 
@@ -170,6 +173,59 @@ def test_spaces_match_direct_system_oracle(name):
     assert right_bider_bilinear_space(A) == solve_homogeneous(right_rows, unknowns)
     assert left_bider_bilinear_space(A) == solve_homogeneous(left_rows, unknowns)
     assert bider_space(A) == solve_homogeneous(right_rows + left_rows, unknowns)
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_spaces_match_two_pass_reference_solvers(name):
+    # the same n^3-unknown systems, solved by the reference solvers that
+    # canonicalize every result with a second elimination
+    A = ORACLE_INPUTS[name]()
+    right_rows, left_rows = right_bider_rows(A), left_bider_rows(A)
+    right, left = nullspace_reference(Matrix(right_rows)), nullspace_reference(Matrix(left_rows))
+    assert right_bider_bilinear_space(A) == right
+    assert left_bider_bilinear_space(A) == left
+    assert bider_space(A) == nullspace_reference(Matrix(right_rows + left_rows))
+    assert spaces_intersection(A) == intersect_reference(right, left)
+
+
+def test_each_canonical_basis_takes_one_rref(monkeypatch):
+    # a second canonicalizing pass would be a second rref
+    original, calls = linalg.rref, []
+    def counted(m):
+        calls.append(m)
+        return original(m)
+    monkeypatch.setattr(linalg, "rref", counted)
+    def rrefs(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+    a = canonicalize([(1, 0, 1, 0), (0, 1, 1, 2)])
+    b = canonicalize([(1, 1, 2, 2), (0, 0, 0, 1)])
+    assert rrefs(nullspace, Matrix([[1, 2, 0, 1], [2, 4, 1, 0]])) == 1
+    assert rrefs(canonicalize, [(1, 2, 3), (2, 4, 6), (0, 1, 1)]) == 1
+    assert rrefs(intersect, a, b) == 1
+    # Der, then the left condition in coordinates over the right basis; a
+    # system without rows takes none (abelian(n) and L1 have no Der rows,
+    # and every right biderivation of L2 is a left one)
+    want = {"abelian(2)": 0, "abelian(3)": 0, "abelian(4)": 0, "L1": 0, "L2": 1, "L3": 2,
+            "L4": 2, "heisenberg3": 2, "sl2": 2}
+    assert {name: rrefs(bider_space, builtin(name)) for name in ALL_BUILTINS} == want
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_right_space_membership_reads_the_pivots(name):
+    # every basis vector is a member; one with a non-pivot coordinate
+    # perturbed is not, since its pivot entries name the unperturbed vector
+    space = right_bider_bilinear_space(builtin(name))
+    pivots = {next(c for c, x in enumerate(v) if x) for v in space.vectors}
+    free = [c for c in range(space.ambient_dim) if c not in pivots]
+    for v in space.vectors:
+        assert space.contains(v)
+        for c in free[:3] + free[-3:]:
+            bumped = list(v)
+            bumped[c] += F(1, 3)
+            assert not space.contains(bumped)
+    assert space.contains(space.member([F(u + 1, 2) for u in range(space.dim)]))
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)

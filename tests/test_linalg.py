@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from biderlie.linalg import (Matrix, SubspaceBasis, canonicalize, combination, full_space,
                              int_scaled, intersect, mat_commutator, nullspace, rref,
-                             vec_is_zero, vector)
+                             solve_homogeneous, vec_is_zero, vector)
 
-from oracles import (forward_elimination_rank, fraction_combination, matrix_product,
-                     sympy_nullspace_dim, sympy_rref)
+from oracles import (forward_elimination_rank, fraction_combination, intersect_reference,
+                     matrix_product, nullspace_reference, sympy_canonical_nullspace,
+                     sympy_intersection, sympy_nullspace_dim, sympy_rref)
 
 F = Fraction
 
@@ -129,6 +130,106 @@ def test_canonicalize_idempotent_and_span_invariant(m, coeff_rows):
         extra.append(tuple(comb))
     widened = canonicalize(list(m.data) + extra, m.cols)
     assert widened == base
+
+
+fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def shaped_matrices(draw, max_dim=6):
+    """Dense, low-rank, full-rank and zero matrices; the dense and low-rank
+    ones also get zero rows and zero columns."""
+    rows, cols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    shape = draw(st.sampled_from(("dense", "low-rank", "full-rank", "zero")))
+    if shape == "zero":
+        return Matrix.zeros(rows, cols)
+    if shape == "low-rank":
+        k = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        left = Matrix(draw(st.lists(st.lists(fractions, min_size=k, max_size=k),
+                                    min_size=rows, max_size=rows)))
+        right = Matrix(draw(st.lists(st.lists(fractions, min_size=cols, max_size=cols),
+                                     min_size=k, max_size=k)))
+        data = [list(row) for row in (left * right).data]
+    else:
+        data = draw(st.lists(st.lists(fractions, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    if shape == "full-rank":
+        # a strictly diagonally dominant leading block has full rank
+        for i in range(min(rows, cols)):
+            data[i][i] += 100
+        return Matrix(data)
+    for r in draw(st.sets(st.integers(0, rows - 1))):
+        data[r] = [0] * cols
+    for c in draw(st.sets(st.integers(0, cols - 1))):
+        for row in data:
+            row[c] = 0
+    return Matrix(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrices())
+def test_nullspace_matches_two_pass_reference_and_sympy(m):
+    # one elimination of the column-reversed matrix gives the canonical
+    # basis the two-pass solver and sympy's canonicalized kernel give
+    got = nullspace(m)
+    assert got == nullspace_reference(m)
+    assert got == sympy_canonical_nullspace(m)
+    assert got.dim == m.cols - forward_elimination_rank(m.data)
+    assert all(type(x) is Fraction for v in got.vectors for x in v)
+
+
+@st.composite
+def subspace_pairs(draw, max_dim=6):
+    """Two subspaces of one Q^d, either side possibly 0 or all of Q^d; in a
+    third of the draws a lies inside b."""
+    d = draw(st.integers(1, max_dim))
+    def span(max_vectors):
+        vecs = draw(st.lists(st.lists(fractions, min_size=d, max_size=d), max_size=max_vectors))
+        return canonicalize(vecs, d)
+    a, b = span(d + 1), span(d + 1)
+    if draw(st.integers(0, 2)) == 0:
+        b = canonicalize(list(a.vectors) + list(b.vectors), d)
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_pairs())
+def test_intersect_matches_canonicalizing_reference_and_sympy(pair):
+    a, b = pair
+    got = intersect(a, b)
+    assert got == intersect_reference(a, b)
+    assert got == sympy_intersection(a, b)
+    assert got == intersect(b, a)
+    if a.is_subspace_of(b):
+        assert got == a
+
+
+def test_intersect_with_a_zero_side_and_a_subspace():
+    a = canonicalize([(1, 2, 0, 1), (0, 1, F(1, 2), 0)])
+    zero = SubspaceBasis(4, ())
+    for x, y in ((a, zero), (zero, a), (zero, zero)):
+        assert intersect(x, y) == intersect_reference(x, y) == zero
+    wider = canonicalize(list(a.vectors) + [(0, 0, 1, 3)])
+    assert intersect(a, wider) == intersect(wider, a) == a
+    assert intersect(a, wider) == sympy_intersection(a, wider)
+
+
+def test_solve_homogeneous_refuses_rows_of_the_wrong_length():
+    # a row of 3 entries in 2 unknowns used to be solved in Q^3
+    with pytest.raises(ValueError):
+        solve_homogeneous([[1, 0, 0]], 2)
+    with pytest.raises(ValueError):
+        solve_homogeneous([[1, 0], [1]], 2)
+    assert solve_homogeneous([], 2) == full_space(2)
+    assert solve_homogeneous([[1, 0]], 2) == SubspaceBasis(2, ((F(0), F(1)),))
+
+
+def test_member_combines_the_basis():
+    space = canonicalize([(1, 0, 2), (0, 1, F(-1, 3))])
+    assert space.member([F(1, 2), 3]) == (F(1, 2), F(3), F(0))
+    assert space.member([0, 0]) == (F(0),) * 3
+    with pytest.raises(ValueError):
+        space.member([1])
 
 
 def test_membership_and_subspace():
