@@ -27,6 +27,10 @@ from biderlie.linalg import (Matrix, SubspaceBasis, basis_vector, canonicalize, 
                              int_scaled, mat_commutator, rref, vec_add)
 
 
+def _sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+
+
 def forward_elimination_rank(rows):
     """Rank by forward Gaussian elimination only (no back-substitution)."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -57,15 +61,13 @@ def forward_elimination_rank(rows):
 
 def sympy_rref(rows):
     """(rref rows, rank) via sympy, entries back as Fractions."""
-    mat = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
-    red, pivots = mat.rref()
+    red, pivots = _sympy_matrix(rows).rref()
     out = [[Fraction(int(v.p), int(v.q)) for v in red.row(i)] for i in range(red.rows)]
     return out, len(pivots)
 
 
 def sympy_nullspace_dim(rows):
-    mat = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
-    return len(mat.nullspace())
+    return len(_sympy_matrix(rows).nullspace())
 
 
 def nullspace_reference(m):
@@ -103,10 +105,6 @@ def _sympy_canonical(vectors, ambient_dim):
     red, pivots = sympy.Matrix.hstack(*vectors).T.rref()
     return SubspaceBasis(ambient_dim, tuple(
         tuple(Fraction(int(v.p), int(v.q)) for v in red.row(i)) for i in range(len(pivots))))
-
-
-def _sympy_matrix(rows):
-    return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
 
 
 def sympy_canonical_nullspace(m):
