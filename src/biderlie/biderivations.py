@@ -21,7 +21,7 @@ from fractions import Fraction
 from .algebras import Algebra, TripleWitness, bider_defect, bider_witness
 from .bilinear import BilinearTensor
 from .derivations import derivation_rows, derivation_space
-from .linalg import SubspaceBasis, Vector, add_product, int_scaled, intersect, solve_homogeneous
+from .linalg import SubspaceBasis, Vector, add_product, int_scaled, intersect, solve_over
 
 _ZERO = Fraction(0)
 
@@ -90,25 +90,21 @@ def bider_space(A: Algebra) -> SubspaceBasis:
 
     The left condition, every block i (y -> B(e_i, y)) a derivation, is
     solved for coordinates x over the canonical right basis R: each row of
-    `derivation_rows` applied to block i of every R_u. The solutions lift
-    to the canonical basis vectors sum_u x_u R_u (see `linalg`).
+    `derivation_rows` applied to block i of every R_u, lifted by
+    `linalg.solve_over`.
     """
     n, nn = A.dim, A.dim ** 2
     right = right_bider_bilinear_space(A)
-    scaled = right.int_form()
     # scaling a row of the system keeps its solutions
     der_rows = [int_scaled((row,))[1][0] for row in derivation_rows(A)]
     cols = []
-    for _, (vec,) in scaled:
+    for _, (vec,) in right.int_form():
         blocks = [[] for _ in range(nn)]        # row q: entry q of each block of d_u R_u
         for c, x in vec:
             blocks[c % nn].append((c // nn, x))
         cols.append([0] * (len(der_rows) * n))
         add_product(cols[-1], der_rows, blocks, n)
-    rows = [[Fraction(s, d) if s else _ZERO for s, (d, _) in zip(row, scaled)]
-            for row in zip(*cols) if any(row)]
-    coords = solve_homogeneous(rows, right.dim)
-    return SubspaceBasis(n ** 3, tuple(right.member(x) for x in coords.vectors))
+    return solve_over(right, zip(*cols))
 
 
 def spaces_intersection(A: Algebra) -> SubspaceBasis:

@@ -264,7 +264,6 @@ class PolyRightMap(_PolyMap):
     """B(x, y) = sum_a y^a (M_a x): linear in x, polynomial in y."""
 
     _frozen = 1
-    fixed_second_arg = _PolyMap.fixed_arg
 
     def transpose(self) -> "PolyLeftMap":
         """(x, y) -> B(y, x): the same terms read as a left map."""
@@ -275,7 +274,6 @@ class PolyLeftMap(_PolyMap):
     """B(x, y) = sum_a x^a (N_a y): polynomial in x, linear in y."""
 
     _frozen = 0
-    fixed_first_arg = _PolyMap.fixed_arg
 
     def transpose(self) -> "PolyRightMap":
         return PolyRightMap._of(self.dim, self._den, self._ints, self._terms, self._scaled)

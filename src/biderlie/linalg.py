@@ -26,9 +26,12 @@ takes one `rref`, by two facts:
 - Lifting. If R is a canonical basis and X the canonical basis of a set of
   coordinates over R, the vectors sum_u x_u R_u are canonical: each has
   entry x_u at R_u's pivot and is zero before the pivot of its first
-  nonzero coordinate. `intersect` and `biderivations.bider_space` solve
-  for coordinates and lift them (`SubspaceBasis.member`). Read backwards,
-  v lies in the span iff it is the lift of its own pivot entries.
+  nonzero coordinate. `solve_over` solves a system in coordinates over R
+  and lifts its solutions (`SubspaceBasis.member`) for its three callers:
+  `intersect`, `biderivations.bider_space` and the symmetric and skew
+  parts in `verify.symmetry_suite`. Read backwards, v lies in the span iff
+  it is the lift of its own pivot entries, so `intersect(a, b)` solves over
+  a for the vectors whose residual against b is zero.
 """
 
 from __future__ import annotations
@@ -363,11 +366,8 @@ class SubspaceBasis:
         v = vector(v)
         return self.member([v[r[0][0][0]] for _, r in self.int_form()]) == v
 
-    def contains_all(self, vectors: Iterable[Sequence[Fraction]]) -> bool:
-        return all(self.contains(v) for v in vectors)
-
     def is_subspace_of(self, other: "SubspaceBasis") -> bool:
-        return other.contains_all(self.vectors)
+        return all(other.contains(v) for v in self.vectors)
 
 
 def canonicalize(vectors: Iterable[Sequence[Fraction]], ambient_dim: int | None = None) -> SubspaceBasis:
@@ -420,16 +420,31 @@ def solve_homogeneous(rows: Sequence[Sequence[Fraction]], unknowns: int) -> Subs
     return nullspace(Matrix(rows))
 
 
+def solve_over(space: SubspaceBasis, rows: Iterable[Sequence[int]]) -> SubspaceBasis:
+    """The members sum_u x_u space_u whose coordinates x solve `rows`, canonical by
+    Lifting. Entry u of a row is its form's value at d_u space_u, row u of
+    `space.int_form()`; zero rows are dropped while they are still integers."""
+    dens = [d for d, _ in space.int_form()]
+    coords = solve_homogeneous([[Fraction(s, d) if s else _ZERO for s, d in zip(row, dens)]
+                                for row in rows if any(row)], space.dim)
+    return SubspaceBasis(space.ambient_dim, tuple(space.member(x) for x in coords.vectors))
+
+
 def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Intersection of two subspaces of the same ambient space: the solutions of
-    sum x_u a_u = sum y_v b_v, whose x-parts are canonical since b is
-    independent (x fixes y), lifted through a."""
+    """Intersection of two canonical subspaces of one ambient space, solved over a:
+    v lies in b iff its residual v - b.member(v at b's pivots) is zero, and each
+    coordinate of the residuals of a's basis vectors is one row. Both arguments
+    must be canonical, as every `SubspaceBasis` is; b's pivots are read off."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return SubspaceBasis(a.ambient_dim, ())
-    minus_b = [tuple(-x for x in bv) for bv in b.vectors]
-    # row c: coordinate c of every a_u, then of every -b_v
-    rows = tuple(ra + rb for ra, rb in zip(zip(*a.vectors), zip(*minus_b)))
-    coeffs = nullspace(Matrix._wrap(rows))
-    return SubspaceBasis(a.ambient_dim, tuple(a.member(x[:a.dim]) for x in coeffs.vectors))
+    den, brows = int_scaled(b.vectors)
+    pivot_of = {row[0][0]: v for v, row in enumerate(brows)}
+    residuals = []
+    for _, (vec,) in a.int_form():
+        res = [0] * a.ambient_dim               # den times the residual of the scaled vector
+        for c, x in vec:
+            res[c] = den * x
+        at_pivots = [[(pivot_of[c], x) for c, x in vec if c in pivot_of]]
+        add_product(res, at_pivots, brows, a.ambient_dim, -1)
+        residuals.append(res)
+    return solve_over(a, zip(*residuals))

@@ -18,10 +18,11 @@ from .bilinear import BilinearTensor, half_decomposition, random_tensor, skew_sy
 from .biderivations import (basis_tensors, bider_space, is_bider, is_left_bider,
                             is_right_bider, left_bider_bilinear_space,
                             right_bider_bilinear_space, spaces_intersection)
-from .brackets import random_fraction, verify_lie_algebra, verify_transpose_interplay
+from .brackets import (random_fraction, random_multi_index, verify_lie_algebra,
+                       verify_transpose_interplay)
 from .derivations import derivation_matrices, derivation_space, is_derivation
 from .linalg import (Matrix, SubspaceBasis, add_commutator, combination, flat_rows, int_scaled,
-                     intersect)
+                     solve_over)
 from .report import CheckResult, check, skip, witness_from_triple
 from .scalar_maps import (ScalarPoly, ScalarTimesDerivation, bracket_matches_poly_form,
                           exp_curve_check, iff_derivation_check)
@@ -121,23 +122,13 @@ def _random_member(rng: random.Random, space: SubspaceBasis, n: int) -> Bilinear
         space.member([random_fraction(rng) for _ in space.vectors]), n)
 
 
-def _transpose_eigenspace(n: int, sign: int) -> SubspaceBasis:
-    """Canonical basis of the tensors with B^t = sign * B, sign = 1 or -1.
-
-    One vector per (i <= j, k), i < j for sign -1: 1 at (i, j, k) and sign
-    at (j, i, k). (j, i, k) comes later in the flat order and is no pivot,
-    so the vectors are already in canonical form, sorted by pivot.
-    """
-    vecs = []
-    for i in range(n):
-        for j in range(i if sign == 1 else i + 1, n):
-            for k in range(n):
-                v = [_ZERO] * n ** 3
-                v[(i * n + j) * n + k] = Fraction(1)
-                if i != j:
-                    v[(j * n + i) * n + k] = Fraction(sign)
-                vecs.append(tuple(v))
-    return SubspaceBasis(n ** 3, tuple(vecs))
+def _transpose_part(right: SubspaceBasis, n: int, sign: int) -> SubspaceBasis:
+    """Canonical basis of the members B of `right` with B^t = sign * B, sign = 1
+    or -1: one row B_ijk - sign * B_jik per i >= j and k, solved over right."""
+    flats = [dict(vec) for _, (vec,) in right.int_form()]
+    pairs = [((i * n + j) * n + k, (j * n + i) * n + k)
+             for i in range(n) for j in range(i + 1) for k in range(n)]
+    return solve_over(right, ([f.get(p, 0) - sign * f.get(q, 0) for f in flats] for p, q in pairs))
 
 
 def symmetry_suite(A: Algebra, samples: int = 25, seed: int = 0) -> list[CheckResult]:
@@ -168,8 +159,8 @@ def symmetry_suite(A: Algebra, samples: int = 25, seed: int = 0) -> list[CheckRe
         if not (sb.is_symmetric() and ab.is_skew() and is_bider(A, sb) and is_bider(A, ab)):
             doubles_are_biders = False
     right = right_bider_bilinear_space(A)
-    sym_space = intersect(right, _transpose_eigenspace(n, 1))
-    skew_space = intersect(right, _transpose_eigenspace(n, -1))
+    sym_space = _transpose_part(right, n, 1)
+    skew_space = _transpose_part(right, n, -1)
     onesided_ok = all(is_left_bider(A, t) for t in basis_tensors(sym_space, n)
                       + basis_tensors(skew_space, n))
     for _ in range(samples):
@@ -197,10 +188,8 @@ def symmetry_suite(A: Algebra, samples: int = 25, seed: int = 0) -> list[CheckRe
 def _random_scalar_poly(rng: random.Random, n: int, max_degree: int = 2) -> ScalarPoly:
     coeffs = {}
     for _ in range(rng.randint(1, 4)):
-        alpha = [0] * n
-        for _ in range(rng.randint(0, max_degree)):
-            alpha[rng.randrange(n)] += 1
-        coeffs[tuple(alpha)] = coeffs.get(tuple(alpha), _ZERO) + random_fraction(rng)
+        alpha = random_multi_index(rng, n, max_degree)
+        coeffs[alpha] = coeffs.get(alpha, _ZERO) + random_fraction(rng)
     return ScalarPoly(n, coeffs)
 
 

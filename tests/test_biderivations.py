@@ -13,6 +13,7 @@ from biderlie.biderivations import (basis_tensors, left_residual, right_residual
 from biderlie.cli import heisenberg_example_maps
 from biderlie.linalg import (Matrix, basis_vector, canonicalize, intersect, nullspace,
                              solve_homogeneous)
+from biderlie.verify import _transpose_part
 
 from oracles import (intersect_reference, left_bider_rows, nullspace_reference, probe_rows,
                      right_bider_rows, sympy_nullspace_dim)
@@ -210,6 +211,57 @@ def test_each_canonical_basis_takes_one_rref(monkeypatch):
     want = {"abelian(2)": 0, "abelian(3)": 0, "abelian(4)": 0, "L1": 0, "L2": 1, "L3": 2,
             "L4": 2, "heisenberg3": 2, "sl2": 2}
     assert {name: rrefs(bider_space, builtin(name)) for name in ALL_BUILTINS} == want
+
+
+def test_intersect_solves_over_its_first_argument(monkeypatch):
+    # one unknown per basis vector of a, none for b: membership in b is a
+    # condition on a's coordinates, not a second set of unknowns
+    a = canonicalize([(1, 0, 1, 0, 2), (0, 1, 1, 2, 0)])
+    b = canonicalize([(1, 1, 2, 2, 2), (0, 0, 0, 1, 0), (1, 0, 0, 0, 2)])
+    original, calls = linalg.rref, []
+    def counted(m):
+        calls.append(m)
+        return original(m)
+    monkeypatch.setattr(linalg, "rref", counted)
+    meet = intersect(a, b)
+    assert [m.cols for m in calls] == [a.dim]
+    assert meet.dim == 1 and meet == intersect_reference(a, b)
+
+
+def _idempotents():
+    # e1 e1 = e1 and e2 e2 = e2: D(e_i) = D(e_i) e_i + e_i D(e_i) forces
+    # D(e_i) = 0, so Der is 0 and so is the right space
+    return Algebra.from_entries("idempotents", 2, {(0, 0, 0): F(1), (1, 1, 1): F(1)}, "generic")
+
+
+TRANSPOSE_PART_INPUTS = {name: (lambda name=name: builtin(name)) for name in ALL_BUILTINS}
+TRANSPOSE_PART_INPUTS.update({"heisenberg5": _heisenberg5, "idempotents": _idempotents})
+
+
+@pytest.mark.parametrize("name", TRANSPOSE_PART_INPUTS)
+def test_transpose_parts_match_reference_intersections(name):
+    # the symmetric and skew parts of the right space, solved over it, against
+    # the stacked-system intersection of the right space with the canonicalized
+    # spanning sets e_ijk + e_jik (i <= j) and e_ijk - e_jik (i < j)
+    A = TRANSPOSE_PART_INPUTS[name]()
+    n = A.dim
+    right = right_bider_bilinear_space(A)
+
+    def unit(i, j, k):
+        return BilinearTensor.from_entries(n, {(i, j, k): F(1)})
+
+    pairs = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)]
+    symmetric = [(unit(i, j, k) + unit(j, i, k) if i != j else unit(i, j, k)).flatten()
+                 for i, j, k in pairs]
+    skew = [(unit(i, j, k) - unit(j, i, k)).flatten() for i, j, k in pairs if i != j]
+    sym_part, skew_part = _transpose_part(right, n, 1), _transpose_part(right, n, -1)
+    assert sym_part == intersect_reference(right, canonicalize(symmetric, n ** 3))
+    assert skew_part == intersect_reference(right, canonicalize(skew, n ** 3))
+    if name == "idempotents":
+        assert right.dim == 0       # solve_over on an empty basis
+    if name.startswith("abelian"):
+        # every tensor is a right biderivation of an abelian algebra
+        assert (sym_part.dim, skew_part.dim) == (n * n * (n + 1) // 2, n * n * (n - 1) // 2)
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from biderlie import BilinearTensor, half_decomposition, skew_symmetrize, symmetrize
 from biderlie.cli import heisenberg_example_maps
-from biderlie.linalg import canonicalize
-from biderlie.verify import _transpose_eigenspace
 
 F = Fraction
 
@@ -135,18 +133,3 @@ def test_dimension_checks():
         b + BilinearTensor.zero(3)
     with pytest.raises(ValueError):
         BilinearTensor.from_entries(2, {(2, 0, 0): F(1)})
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_transpose_eigenspaces_are_the_canonical_symmetric_and_skew_spaces(n):
-    # spanning sets e_ijk + e_jik (i <= j) and e_ijk - e_jik (i < j), canonicalized
-    def unit(i, j, k):
-        return BilinearTensor.from_entries(n, {(i, j, k): F(1)})
-
-    pairs = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)]
-    symmetric = [(unit(i, j, k) + unit(j, i, k) if i != j else unit(i, j, k)).flatten()
-                 for i, j, k in pairs]
-    skew = [(unit(i, j, k) - unit(j, i, k)).flatten() for i, j, k in pairs if i != j]
-    assert _transpose_eigenspace(n, 1) == canonicalize(symmetric, n ** 3)
-    assert _transpose_eigenspace(n, -1) == canonicalize(skew, n ** 3)
-    assert _transpose_eigenspace(n, 1).dim == n * n * (n + 1) // 2
