@@ -21,7 +21,7 @@ from fractions import Fraction
 from .algebras import Algebra, TripleWitness, bider_defect, bider_witness
 from .bilinear import BilinearTensor
 from .derivations import derivation_rows, derivation_space
-from .linalg import SubspaceBasis, Vector, add_product, int_scaled, intersect, solve_over
+from .linalg import SubspaceBasis, Vector, add_product, intersect, solve_over
 
 _ZERO = Fraction(0)
 
@@ -95,8 +95,7 @@ def bider_space(A: Algebra) -> SubspaceBasis:
     """
     n, nn = A.dim, A.dim ** 2
     right = right_bider_bilinear_space(A)
-    # scaling a row of the system keeps its solutions
-    der_rows = [int_scaled((row,))[1][0] for row in derivation_rows(A)]
+    der_rows = [[(c, x) for c, x in enumerate(row) if x] for row in derivation_rows(A)]
     cols = []
     for _, (vec,) in right.int_form():
         blocks = [[] for _ in range(nn)]        # row q: entry q of each block of d_u R_u

@@ -7,7 +7,8 @@ is the derivation algebra. `derives` asks `algebras.leibniz_sides` at
 every basis pair, on integer columns: `is_derivation` scales a matrix's
 columns to integers for it, and the poly-map predicates of `brackets` hand
 it the integer columns their maps hold. `derivation_rows` writes the rule
-out on its own, so the predicates check the solver independently.
+out on its own, in integers from the product's `int_form`, so the
+predicates check the solver independently.
 Unknowns are ordered column-major, rows by basis pair (i, j) in ascending
 lexicographic order over all n^2 pairs, whatever the declared kind.
 """
@@ -19,8 +20,6 @@ from typing import Sequence
 
 from .algebras import Algebra, bracket, leibniz_sides
 from .linalg import Matrix, SubspaceBasis, int_dense, mat_commutator, solve_homogeneous
-
-_ZERO = Fraction(0)
 
 
 def is_derivation(A: Algebra, m: Matrix) -> bool:
@@ -42,19 +41,22 @@ def derives(A: Algebra, images: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def derivation_rows(A: Algebra) -> list[list[Fraction]]:
-    """The derivation rule at every basis pair (i, j), one row per output coordinate.
+def derivation_rows(A: Algebra) -> list[list[int]]:
+    """The derivation rule at every basis pair (i, j), one row per output coordinate,
+    in integers: d times the rule, with d > 0 the denominator of the product's
+    `int_form`, so the rows have the rule's solutions.
 
     Zero rows and rows equal up to sign to an earlier one are dropped: for
     an antisymmetric product, the rows of the pairs (i, i) and (j > i, i).
     """
-    n, c = A.dim, A.c
+    n = A.dim
+    _, c, _ = A.product.int_form()
     rows = []
     seen = set()
     for i in range(n):
         for j in range(n):
             for l in range(n):
-                row = [_ZERO] * (n * n)
+                row = [0] * (n * n)
                 for k in range(n):
                     v = c[i][j][k]
                     if v:

@@ -4,6 +4,14 @@ Dense matrices with `fractions.Fraction` entries, reduced row echelon form,
 nullspace bases, and canonical subspace bases. No floating point appears
 anywhere in this module; every result is exact.
 
+`rref` is the one elimination, and it is sparse and fraction-free: each
+row is scaled once to a primitive integer row {column: entry}, every row
+operation is an integer one followed by division by the row's content (cf.
+Bareiss, Math. Comp. 22, 1968), and only the echelon form it returns
+divides by the pivots. Integer systems (`derivations.derivation_rows`,
+the coordinate rows of `solve_over`) reach it through `solve_homogeneous`
+without becoming `Fraction`s.
+
 Products, commutators and linear combinations run on integers: each
 operand is scaled by its common denominator to sparse integer rows
 (`int_scaled`), one loop accumulates into a flat integer list
@@ -95,6 +103,7 @@ class Matrix:
     @classmethod
     def _wrap(cls, data: tuple[Vector, ...]) -> "Matrix":
         # trusted constructor: data is already a rectangular tuple of Fraction tuples
+        # (or, for a system on its way to `rref`, of int and Fraction tuples)
         m = object.__new__(cls)
         m.data = data
         m.rows = len(data)
@@ -303,29 +312,75 @@ def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
     return from_int_flat(out, n, da * db)
 
 
+SparseRow = dict[int, int]
+
+
+def _primitive(row: SparseRow) -> SparseRow:
+    """row divided by its content, the gcd of its entries; an empty row stays empty."""
+    g = math.gcd(*row.values())
+    return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
+def _eliminate(row: SparseRow, piv: SparseRow, col: int) -> SparseRow:
+    """The primitive part of (p/g) row - (f/g) piv, with p = piv[col], f = row[col] and
+    g their gcd: a nonzero multiple of row - (f/p) piv, zero at col."""
+    p, f = piv[col], row[col]
+    g = math.gcd(p, f)
+    a, b = p // g, f // g
+    out = {c: a * x for c, x in row.items()}
+    for c, x in piv.items():
+        v = out.get(c, 0) - b * x
+        if v:
+            out[c] = v
+        else:
+            del out[c]
+    return _primitive(out)
+
+
 def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank, by exact Gauss-Jordan elimination."""
-    rows = [list(r) for r in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivot_row = 0
-    for col in range(ncols):
-        pr = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
-        if pr is None:
-            continue
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        if lead != 1:
-            inv = _ONE / lead
-            rows[pivot_row] = [x * inv for x in rows[pivot_row]]
-        piv = rows[pivot_row]
-        for r in range(nrows):
-            if r != pivot_row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], piv)]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return Matrix._wrap(tuple(tuple(r) for r in rows)), pivot_row
+    """Reduced row echelon form and rank, by sparse fraction-free elimination.
+
+    Each row is scaled once to a primitive integer row {column: entry}.
+    Pivot columns run left to right; among the rows whose first nonzero is
+    in the column, the pivot row has the fewest nonzeros, then the smallest
+    leading entry, and every other one is eliminated against it
+    (`_eliminate`, which divides by the content). Back-substitution clears
+    each pivot column above its row, from the last pivot upward. Only the
+    output divides by the pivots, so each entry becomes a `Fraction` once.
+    """
+    ncols = m.cols
+    starting: dict[int, list[SparseRow]] = {}       # rows by their first nonzero column
+    for data in m.data:
+        den = common_denominator((data,))
+        row = {c: x.numerator * (den // x.denominator) for c, x in enumerate(data) if x}
+        if row:
+            starting.setdefault(min(row), []).append(_primitive(row))
+    pivots: dict[int, SparseRow] = {}               # pivot column -> its row, left to right
+    while starting:
+        col = min(starting)
+        rows = starting.pop(col)
+        piv = min(rows, key=lambda r: (len(r), abs(r[col])))
+        for row in rows:
+            if row is not piv:
+                row = _eliminate(row, piv, col)
+                if row:
+                    starting.setdefault(min(row), []).append(row)
+        pivots[col] = piv
+    cols = list(pivots)
+    for i in range(len(cols) - 1, 0, -1):
+        col = cols[i]
+        for above in cols[:i]:
+            if col in pivots[above]:
+                pivots[above] = _eliminate(pivots[above], pivots[col], col)
+    out = []
+    for col, row in pivots.items():
+        p = row[col]
+        dense = [_ZERO] * ncols
+        for c, x in row.items():
+            dense[c] = Fraction(x, p)
+        out.append(tuple(dense))
+    out.extend([(_ZERO,) * ncols] * (m.rows - len(pivots)))
+    return Matrix._wrap(tuple(out)), len(pivots)
 
 
 @dataclass(frozen=True)
@@ -360,10 +415,13 @@ class SubspaceBasis:
         return tuple(Fraction(p, den) if p else _ZERO for p in out)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        """Exact span membership: v is the member with its pivot entries as coordinates."""
+        """Exact span membership: v is the member with its pivot entries as coordinates.
+        Entries that are neither `Fraction`s nor ints are coerced (`vector`)."""
         if len(v) != self.ambient_dim:
             raise ValueError(f"ambient dimension mismatch: {self.ambient_dim} vs {len(v)}")
-        v = vector(v)
+        v = tuple(v)
+        if not all(type(x) is Fraction or type(x) is int for x in v):
+            v = vector(v)
         return self.member([v[r[0][0][0]] for _, r in self.int_form()]) == v
 
     def is_subspace_of(self, other: "SubspaceBasis") -> bool:
@@ -411,22 +469,29 @@ def nullspace(m: Matrix) -> SubspaceBasis:
     return SubspaceBasis(n, tuple(vecs))
 
 
-def solve_homogeneous(rows: Sequence[Sequence[Fraction]], unknowns: int) -> SubspaceBasis:
-    """Nullspace of a row list in `unknowns` unknowns; an empty system yields the full space."""
+def solve_homogeneous(rows: Sequence[Sequence[int | Fraction]], unknowns: int) -> SubspaceBasis:
+    """Nullspace of a row list in `unknowns` unknowns; an empty system yields the full space.
+
+    Entries are ints or `Fraction`s and reach `rref` as they are, so an
+    integer system stays integer until the echelon form divides by its pivots.
+    """
     if any(len(row) != unknowns for row in rows):
         raise ValueError(f"every row of the system needs {unknowns} entries, one per unknown")
     if not rows:
         return full_space(unknowns)
-    return nullspace(Matrix(rows))
+    return nullspace(Matrix._wrap(tuple(map(tuple, rows))))
 
 
 def solve_over(space: SubspaceBasis, rows: Iterable[Sequence[int]]) -> SubspaceBasis:
     """The members sum_u x_u space_u whose coordinates x solve `rows`, canonical by
     Lifting. Entry u of a row is its form's value at d_u space_u, row u of
-    `space.int_form()`; zero rows are dropped while they are still integers."""
+    `space.int_form()`; zero rows are dropped, and each row is multiplied by
+    the lcm of the d_u, which keeps it integer."""
     dens = [d for d, _ in space.int_form()]
-    coords = solve_homogeneous([[Fraction(s, d) if s else _ZERO for s, d in zip(row, dens)]
-                                for row in rows if any(row)], space.dim)
+    lcm = math.lcm(*dens)
+    scale = [lcm // d for d in dens]
+    coords = solve_homogeneous([[s * k for s, k in zip(row, scale)] for row in rows if any(row)],
+                               space.dim)
     return SubspaceBasis(space.ambient_dim, tuple(space.member(x) for x in coords.vectors))
 
 

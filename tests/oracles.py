@@ -5,17 +5,20 @@ forward elimination written separately, sympy supplies a second independent
 RREF/nullspace, and the biderivation systems are either reconstructed by
 probing unit tensors through residual evaluation or assembled directly from
 the right and left conditions over all n^3 tensor entries, the way the
-package once solved them. The two-pass `nullspace_reference` and the
+package once solved them. `rref_reference` is the package's earlier dense
+`Fraction` Gauss-Jordan elimination, and `derivation_rows_reference` its
+earlier `Fraction` row builder. The two-pass `nullspace_reference` and the
 canonicalizing `intersect_reference` are the package's earlier solvers,
-which canonicalize every result with a second elimination; sympy's kernel,
-canonicalized by sympy's own RREF, is a third. The identity sides below write each condition
-out as it reads, through the product alone, where the package asks every
-one of them as "is this map a derivation?". The bracket reference takes
-one matrix commutator per pair of terms, the way the package first
-computed it, and the matrix references multiply entry by entry in
-`Fraction`s. The linear-combination references fold one `Fraction`
-product and sum at a time, matrix by matrix, where the package scales
-every operand to integers once.
+which canonicalize every result with a second elimination; both eliminate
+with `rref_reference`, so they stay independent of the sparse kernel.
+sympy's kernel, canonicalized by sympy's own RREF, is a third. The
+identity sides below write each condition out as it reads, through the
+product alone, where the package asks every one of them as "is this map a
+derivation?". The bracket reference takes one matrix commutator per pair
+of terms, the way the package first computed it, and the matrix references
+multiply entry by entry in `Fraction`s. The linear-combination references
+fold one `Fraction` product and sum at a time, matrix by matrix, where the
+package scales every operand to integers once.
 """
 
 from fractions import Fraction
@@ -23,8 +26,8 @@ from fractions import Fraction
 import sympy
 
 from biderlie.algebras import bracket
-from biderlie.linalg import (Matrix, SubspaceBasis, basis_vector, canonicalize, combination,
-                             int_scaled, mat_commutator, rref, vec_add)
+from biderlie.linalg import (Matrix, SubspaceBasis, basis_vector, combination, int_scaled,
+                             mat_commutator, vec_add, vector)
 
 
 def _sympy_matrix(rows):
@@ -70,10 +73,44 @@ def sympy_nullspace_dim(rows):
     return len(_sympy_matrix(rows).nullspace())
 
 
+def rref_reference(m):
+    """Reduced row echelon form and rank, by dense Gauss-Jordan elimination in `Fraction`s."""
+    rows = [[Fraction(x) for x in r] for r in m.data]
+    nrows, ncols = m.rows, m.cols
+    pivot_row = 0
+    for col in range(ncols):
+        pr = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
+        if pr is None:
+            continue
+        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
+        lead = rows[pivot_row][col]
+        if lead != 1:
+            inv = 1 / lead
+            rows[pivot_row] = [x * inv for x in rows[pivot_row]]
+        piv = rows[pivot_row]
+        for r in range(nrows):
+            if r != pivot_row and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], piv)]
+        pivot_row += 1
+        if pivot_row == nrows:
+            break
+    return Matrix._wrap(tuple(tuple(r) for r in rows)), pivot_row
+
+
+def canonicalize_reference(vectors, ambient_dim):
+    """Canonical basis of the span of `vectors`: the nonzero rows of `rref_reference`."""
+    vecs = [vector(v) for v in vectors]
+    if not vecs:
+        return SubspaceBasis(ambient_dim, ())
+    red, rank = rref_reference(Matrix._wrap(tuple(vecs)))
+    return SubspaceBasis(ambient_dim, red.data[:rank])
+
+
 def nullspace_reference(m):
     """Canonical nullspace basis in two passes: the standard kernel vectors of
-    the RREF of m, then `canonicalize` of those."""
-    red, rank = rref(m)
+    `rref_reference` of m, then `canonicalize_reference` of those."""
+    red, rank = rref_reference(m)
     pivots = [next(c for c, x in enumerate(red.data[r]) if x) for r in range(rank)]
     vecs = []
     for f in (c for c in range(m.cols) if c not in pivots):
@@ -82,12 +119,12 @@ def nullspace_reference(m):
         for r, p in enumerate(pivots):
             v[p] = -red.data[r][f]
         vecs.append(tuple(v))
-    return canonicalize(vecs, m.cols)
+    return canonicalize_reference(vecs, m.cols)
 
 
 def intersect_reference(a, b):
     """a meet b: solve sum x_i a_i = sum y_j b_j with `nullspace_reference`,
-    combine the a-parts and `canonicalize` the combinations."""
+    combine the a-parts and `canonicalize_reference` the combinations."""
     if a.dim == 0 or b.dim == 0:
         return SubspaceBasis(a.ambient_dim, ())
     rows = [[av[c] for av in a.vectors] + [-bv[c] for bv in b.vectors]
@@ -95,7 +132,7 @@ def intersect_reference(a, b):
     pool = [int_scaled((av,)) for av in a.vectors]
     vecs = [combination(x[:a.dim], pool, 1, a.ambient_dim).data[0]
             for x in nullspace_reference(Matrix(rows)).vectors]
-    return canonicalize(vecs, a.ambient_dim)
+    return canonicalize_reference(vecs, a.ambient_dim)
 
 
 def _sympy_canonical(vectors, ambient_dim):
@@ -133,6 +170,37 @@ def probe_rows(residual_fn, unknowns, probes):
     n_rows = len(columns[0])
     assert all(len(c) == n_rows for c in columns)
     return [[columns[u][r] for u in range(unknowns)] for r in range(n_rows)]
+
+
+def derivation_rows_reference(A):
+    """The derivation rule at every basis pair (i, j), one `Fraction` row per output
+    coordinate, built from the structure constants as they are; zero rows and rows
+    equal up to sign to an earlier one are dropped."""
+    n, c = A.dim, A.c
+    rows = []
+    seen = set()
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                row = [Fraction(0)] * (n * n)
+                for k in range(n):
+                    v = c[i][j][k]
+                    if v:
+                        row[k * n + l] += v          # entry m[l][k]
+                for p in range(n):
+                    v = c[p][j][l]
+                    if v:
+                        row[i * n + p] -= v          # entry m[p][i]
+                for q in range(n):
+                    v = c[i][q][l]
+                    if v:
+                        row[j * n + q] -= v          # entry m[q][j]
+                key = tuple(row)
+                if any(key) and key not in seen:
+                    seen.add(key)
+                    seen.add(tuple(-x for x in key))
+                    rows.append(row)
+    return rows
 
 
 def heisenberg_derivation_constraints(m):

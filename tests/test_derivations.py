@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from biderlie import (ad, bracket, builtin, commutator, derivation_matrices,
-                      derivation_space, is_derivation, left_bider_bilinear_space,
-                      parse_algebra, right_bider_bilinear_space)
+from biderlie import (BUILTIN_NAMES, Algebra, ad, bracket, builtin, commutator,
+                      derivation_matrices, derivation_space, is_derivation,
+                      left_bider_bilinear_space, parse_algebra, right_bider_bilinear_space)
 import biderlie.verify as verify
 from biderlie.cli import main
+from biderlie.derivations import derivation_rows
 from biderlie.linalg import Matrix, canonicalize, mat_commutator, solve_homogeneous
 
 from helpers import random_rational_vector
-from oracles import (forward_elimination_rank, heisenberg_derivation_constraints,
-                     is_derivation_reference, left_bider_rows, right_bider_rows,
+from oracles import (derivation_rows_reference, forward_elimination_rank,
+                     heisenberg_derivation_constraints, is_derivation_reference,
+                     left_bider_rows, nullspace_reference, right_bider_rows,
                      sympy_nullspace_dim)
 
 F = Fraction
@@ -164,3 +166,29 @@ def test_integer_derivation_suite_matches_fraction_reference(monkeypatch, name):
         assert got == _derivation_suite_reference(A, basis)
     if name != "abelian(3)":
         assert got == [False, False, True]
+
+
+def _fractional_algebra():
+    """A generic 3-dim algebra with constants over 3, 5 and 7 and a 2-dim Der."""
+    return Algebra.from_entries("fractional", 3, {
+        (0, 1, 2): F(2, 3), (1, 0, 2): F(-2, 3), (0, 2, 2): F(1, 5), (2, 0, 2): F(-1, 5),
+        (1, 1, 2): F(3, 7)}, "generic")
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("fractional",))
+def test_integer_derivation_rows_are_positive_multiples_of_the_reference(name):
+    # the rows come from the product's integer form, so each is d > 0 times the
+    # Fraction row of the same pair and coordinate, in the same order; a
+    # positive d also keeps the drop of rows equal up to sign unchanged
+    A = _fractional_algebra() if name == "fractional" else builtin(name)
+    rows, ref = derivation_rows(A), derivation_rows_reference(A)
+    assert len(rows) == len(ref)
+    assert all(type(x) is int for row in rows for x in row)
+    for row, want in zip(rows, ref):
+        lead = next(c for c, x in enumerate(want) if x)
+        d = F(row[lead]) / want[lead]
+        assert d > 0 and all(x == d * y for x, y in zip(row, want))
+    if ref:
+        assert derivation_space(A) == nullspace_reference(Matrix(ref))
+    else:
+        assert derivation_space(A).dim == A.dim ** 2

@@ -1,16 +1,21 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from biderlie.linalg import (Matrix, SubspaceBasis, canonicalize, combination, full_space,
-                             int_scaled, intersect, mat_commutator, nullspace, rref,
-                             solve_homogeneous, vec_is_zero, vector)
+from biderlie import Algebra, bracket, linalg
+from biderlie.derivations import derivation_rows
+from biderlie.linalg import (Matrix, SubspaceBasis, _eliminate, canonicalize, combination,
+                             full_space, int_scaled, intersect, mat_commutator, nullspace,
+                             rref, solve_homogeneous, vec_is_zero, vector)
 
 from oracles import (forward_elimination_rank, fraction_combination, intersect_reference,
-                     matrix_product, nullspace_reference, sympy_canonical_nullspace,
-                     sympy_intersection, sympy_nullspace_dim, sympy_rref)
+                     matrix_product, nullspace_reference, rref_reference,
+                     sympy_canonical_nullspace, sympy_intersection, sympy_nullspace_dim,
+                     sympy_rref)
 
 F = Fraction
 
@@ -111,6 +116,162 @@ def test_rref_matches_sympy(m):
     assert [list(r) for r in red.data] == oracle_rows
     assert rank == forward_elimination_rank(m.data)
     assert nullspace(m).dim == sympy_nullspace_dim(m.data)
+
+
+sevenths = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def echelon_inputs(draw, max_dim=7):
+    """Rational matrices with denominators up to 7, sparse or dense: of full or
+    deficient rank (tall, wide or square), with zero rows and columns and with
+    rows duplicated or negated from another row."""
+    rows, cols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    entries = draw(st.sampled_from((sevenths, st.one_of(st.just(F(0)), sevenths))))
+    k = draw(st.integers(0, min(rows, cols)))           # a bound on the rank
+    if k == 0:
+        data = [[F(0)] * cols for _ in range(rows)]
+    else:
+        left = Matrix(draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                                    min_size=rows, max_size=rows)))
+        right = Matrix(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                                     min_size=k, max_size=k)))
+        data = [list(row) for row in (left * right).data]
+    for r in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        data[r] = [F(0)] * cols
+    for c in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in data:
+            row[c] = F(0)
+    for dst, src, sign in draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                                  st.integers(0, rows - 1),
+                                                  st.sampled_from((1, -1))), max_size=2)):
+        data[dst] = [sign * x for x in data[src]]
+    return Matrix(data)
+
+
+def _assert_rref_is_reference(m):
+    red, rank = rref(m)
+    want, want_rank = rref_reference(m)
+    assert rank == want_rank
+    assert red.data == want.data
+    assert all(type(x) is Fraction for row in red.data for x in row)
+    # each row scaled by a positive integer to integers: the same echelon form
+    ints = []
+    for row in m.data:
+        den = math.lcm(*(x.denominator for x in row))
+        ints.append(tuple(x.numerator * (den // x.denominator) for x in row))
+    assert rref(Matrix._wrap(tuple(ints))) == (red, rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_inputs())
+def test_rref_matches_dense_reference(m):
+    # the sparse integer kernel reproduces the dense Fraction elimination
+    # exactly: rank, pivots and every entry
+    _assert_rref_is_reference(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(echelon_inputs())
+def test_rref_eliminates_each_row_at_most_once_per_column(m):
+    # each forward step moves a row's first nonzero strictly right, and
+    # back-substitution clears each pivot column once in each row above it:
+    # at most rows * cols + rank^2 eliminations, however the pivots are picked
+    original, calls = linalg._eliminate, 0
+    budget = m.rows * m.cols + min(m.rows, m.cols) ** 2
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise AssertionError(f"more than {budget} eliminations")
+        return original(*args)
+    linalg._eliminate = counted
+    try:
+        _, rank = rref(m)
+    finally:
+        linalg._eliminate = original
+    assert calls <= m.rows * m.cols + rank ** 2
+
+
+integer_rows = st.dictionaries(st.integers(0, 5), st.integers(-60, 60).filter(bool), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_rows, integer_rows, st.integers(0, 5), st.integers(-60, 60).filter(bool),
+       st.integers(-60, 60).filter(bool))
+def test_eliminate_gives_the_primitive_row_of_the_rational_step(row, piv, col, f, p):
+    # row - (f/p) piv up to a nonzero factor, zero at col, divided by its content:
+    # without the division the entries would grow from step to step
+    row, piv = {**row, col: f}, {**piv, col: p}
+    got = _eliminate(dict(row), dict(piv), col)
+    want = [F(row.get(c, 0)) - F(f, p) * piv.get(c, 0) for c in range(6)]
+    assert col not in got and all(got.values())
+    assert (not got) == (not any(want))
+    if got:
+        assert math.gcd(*got.values()) == 1
+        lead = next(c for c in range(6) if want[c])
+        ratio = F(got[lead]) / want[lead]
+        assert all(got.get(c, 0) == ratio * want[c] for c in range(6))
+
+
+def _hilbert(rows, cols):
+    return Matrix([[F(1, i + j + 1) for j in range(cols)] for i in range(rows)])
+
+
+# unimodular; in this basis heisenberg5's products are dense with constants in -2..2
+DENSE_BASIS = ((1, 0, -1, 0, -1), (-1, 1, 1, 0, 2), (-1, -1, 2, 0, 1), (0, -1, 1, 1, 0),
+               (-1, 1, 2, 0, 4))
+
+
+def dense_heisenberg5():
+    """heisenberg5 in the basis f_i = P e_i, P = DENSE_BASIS (inverted by sympy)."""
+    entries = {}
+    for i in range(2):
+        entries[(i, 2 + i, 4)] = F(1)
+        entries[(2 + i, i, 4)] = F(-1)
+    A = Algebra.from_entries("heisenberg5", 5, entries, "lie")
+    P = Matrix(DENSE_BASIS)
+    inv = sympy.Matrix(DENSE_BASIS).inv()
+    P_inv = Matrix([[F(int(x.p), int(x.q)) for x in inv.row(r)] for r in range(5)])
+    cols = [P.col(i) for i in range(5)]
+    c = [[P_inv.apply(bracket(A, cols[i], cols[j])) for j in range(5)] for i in range(5)]
+    return Algebra("heisenberg5-dense", 5, c, "lie")
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (6, 10), (10, 6)])
+def test_rref_matches_dense_reference_on_hilbert_matrices(shape):
+    # coefficient growth: scaled to integers, the rows have entries near lcm(1..16)
+    _assert_rref_is_reference(_hilbert(*shape))
+
+
+def test_rref_matches_dense_reference_on_the_dense_heisenberg5_system():
+    rows = derivation_rows(dense_heisenberg5())
+    _assert_rref_is_reference(Matrix(rows))
+    # and column-reversed, the way `nullspace` eliminates it
+    _assert_rref_is_reference(Matrix(row[::-1] for row in rows))
+
+
+def test_contains_reads_exact_entries_as_they_are():
+    # ints and Fractions go in as they are and anything else through `vector`;
+    # membership must read the same for every form of one vector
+    space = canonicalize([(1, F(1, 2), 0, 2), (0, 0, 1, F(-1, 3))])
+    member = (F(1, 3), F(1, 6), F(-2, 7), F(2, 3) + F(2, 21))
+    cases = {
+        (F(2), F(1), F(3), F(3)): True,
+        member: True,
+        (F(1), F(1), F(0), F(0)): False,
+        (F(0), F(0), F(0), F(1, 5)): False,
+    }
+    for v, want in cases.items():
+        forms = [v, list(v), tuple(str(x) for x in v), (str(v[0]), v[1], v[2], v[3])]
+        if all(x.denominator == 1 for x in v):
+            forms += [tuple(int(x) for x in v), (int(v[0]), v[1], str(v[2]), v[3])]
+        for form in forms:
+            assert space.contains(form) is want, form
+            assert space.contains(vector(form)) is want
+        for bad in (v[:3], list(v) + [0], tuple(str(x) for x in v[:3])):
+            with pytest.raises(ValueError):
+                space.contains(bad)
 
 
 @settings(max_examples=40, deadline=None)
