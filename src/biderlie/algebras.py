@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .bilinear import BilinearTensor
-from .linalg import Vector, basis_vector, vec_add, vec_is_zero, vec_sub, vector, zero_vector
+from .linalg import Vector, basis_vector, vec_add, vec_is_zero, vector, zero_vector
 
 KINDS = ("lie", "leibniz-left", "leibniz-right", "generic")
 
@@ -186,8 +186,9 @@ def bider_defect(A: Algebra, B: BilinearTensor, side: str,
     """lhs, rhs and residual (rhs - lhs) of B's right or left condition at a basis triple."""
     _, lhs, rhs = next(_bider_sides(A, B, side, [triple]))
     den = A.product.int_form()[0] * B.int_form()[0]
-    lhs, rhs = (tuple(Fraction(x, den) for x in v) for v in (lhs, rhs))
-    return lhs, rhs, vec_sub(rhs, lhs)
+    lhs, rhs, res = (tuple(Fraction(x, den) for x in v)
+                     for v in (lhs, rhs, [y - x for x, y in zip(lhs, rhs)]))
+    return lhs, rhs, res
 
 
 def bider_witness(A: Algebra, B: BilinearTensor, side: str,

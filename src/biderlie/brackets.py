@@ -22,18 +22,18 @@ biderivation iff every coefficient matrix is a derivation.
 
 The arithmetic runs in integers. A map is its integer form: one
 denominator and, per monomial, the row-major integer entries of its
-coefficient matrix over it. The bracket adds both halves of every pair
-commutator, +M_a N_b and -N_b M_a, into one integer entry list per output
-monomial a + b, over the product of the operands' denominators; sums and
-scalar multiples of maps go through `linalg.combine`. Neither reduces what
-it returns. A map is put in lowest terms, as sparse integer rows
-(`_PolyMap.scaled`), when it is used as an operand or hashed, and its
-`Fraction` matrices (`terms`) are a view built the first time they are
-read; both are kept with the map. `lhd` runs the same kernel, since a left
-map carries the terms of its transposed right map. Maps built this way
-skip the checks of the public constructor, which validates parsed input
-and derives the integer form from the `Fraction` matrices it is given the
-first time that form is used.
+coefficient matrix over it. Map files are parsed into that form and written
+from it (`formats`). The bracket reads each operand term as its sparse
+integer rows and its flat list of nonzero entries, and adds both halves of
+every pair commutator, +M_a N_b and -N_b M_a, into one integer entry list
+per output monomial a + b, over the product of the operands' denominators;
+sums and scalar multiples of maps go through `linalg.combine`. Neither
+reduces what it returns. A map is put in lowest terms, as sparse integer
+rows (`_PolyMap.scaled`), when it is used as an operand or hashed; its
+`Fraction` matrices (`terms`) are a view built and kept on first read.
+`lhd` runs the same kernel, since a left map carries the terms of its
+transposed right map. The public constructor takes `Fraction` matrices,
+validates them, and derives the integer form from them on first use.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ from .biderivations import (basis_tensors, left_bider_bilinear_space,
                             right_bider_bilinear_space)
 from .derivations import derivation_matrices, derives
 from .linalg import (IntRows, Matrix, Vector, add_commutator, basis_vector, combination,
-                     combine, common_denominator, flat_rows, from_int_flat, int_rows,
-                     int_scaled)
+                     combine, flat_rows, from_int_flat, int_scaled)
 from .report import CheckResult, check
 
 MultiIndex = tuple[int, ...]
@@ -129,21 +128,13 @@ class _PolyMap:
 
     def _int_form(self) -> tuple[int, IntTerms]:
         """(den, entries per monomial). For a map built from `Fraction` matrices it
-        is computed here, once, over their least common denominator, which puts
-        it in lowest terms and so gives `scaled` at the same time."""
+        is computed here, once, from one read of each entry's integer ratio, over
+        their least common denominator, which puts it in lowest terms."""
         if self._ints is None:
-            n, terms = self.dim, self._terms
-            den = common_denominator(row for m in terms.values() for row in m.data)
-            ints, scaled = {}, []
-            for a, m in terms.items():
-                rows = int_rows(m.data, den)
-                flat = [0] * (n * n)
-                for r, row in enumerate(rows):
-                    for c, x in row:
-                        flat[r * n + c] = x
-                ints[a] = flat
-                scaled.append((a, rows))
-            self._den, self._ints, self._scaled = den, ints, (den, scaled)
+            ratios = {a: [x.as_integer_ratio() for row in m.data for x in row]
+                      for a, m in self._terms.items()}
+            den = self._den = math.lcm(*{d for flat in ratios.values() for _, d in flat})
+            self._ints = {a: [p * (den // d) for p, d in flat] for a, flat in ratios.items()}
         return self._den, self._ints
 
     def scaled(self) -> Scaled:
@@ -337,19 +328,31 @@ def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
     return is_right_bider_poly(A, P.transpose())
 
 
+def _entries(rows: IntRows, n: int) -> list[tuple[int, int, int]]:
+    """The nonzero entries (r n, k, v) of a matrix given by its sparse integer rows."""
+    return [(r * n, k, v) for r, row in enumerate(rows) for k, v in row]
+
+
 def _bracket_terms(P1: _PolyMap, P2: _PolyMap) -> tuple[int, IntTerms]:
-    """sum_{a,b} y^(a+b) [M_a, N_b] as an integer form (den, entries per monomial),
-    accumulated in integers per output monomial from the operands' lowest-terms rows."""
-    (d1, rows1), (d2, rows2) = P1.scaled(), P2.scaled()
+    """sum_{a,b} y^(a+b) [M_a, N_b] as an integer form (den, entries per monomial) over
+    d1 d2, from the operands' lowest-terms rows: a pair of terms adds M_a N_b and
+    subtracts N_b M_a in one flat loop each."""
+    (d1, t1), (d2, t2) = P1.scaled(), P2.scaled()
     n = P1.dim
+    ops1, ops2 = ([(a, _entries(rows, n), rows) for a, rows in t] for t in (t1, t2))
     acc: IntTerms = {}
-    for a, m in rows1:
-        for b, nmat in rows2:
-            g = tuple(x + y for x, y in zip(a, b))
+    for a, e1, r1 in ops1:
+        for b, e2, r2 in ops2:
+            g = tuple([x + y for x, y in zip(a, b)])
             out = acc.get(g)
             if out is None:
                 out = acc[g] = [0] * (n * n)
-            add_commutator(out, m, nmat, n)
+            for rn, k, v in e1:
+                for c, w in r2[k]:
+                    out[rn + c] += v * w
+            for rn, k, v in e2:
+                for c, w in r1[k]:
+                    out[rn + c] -= v * w
     return d1 * d2, {g: out for g, out in acc.items() if any(out)}
 
 

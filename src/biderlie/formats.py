@@ -25,18 +25,23 @@ A `t` line is one tensor entry, as a `c` line is one entry of the product
 tensor of an algebra: both are read by one helper and written from the
 tensor's nonzero entries by `entry_lines`. An `m` line is entry (row, col)
 of the coefficient matrix attached to the monomial exponent vector, written
-without spaces. Serialization is canonical: sorted indices, normalized
-rationals, so parse(serialize(x)) == x and serialized forms are diffable.
+without spaces. A poly map is read into its integer form (one denominator,
+the lcm of its entries' denominators, and integer entries per monomial; an
+all-zero monomial is dropped) and written from it, each entry reduced to the
+text `str(Fraction)` gives, so no `Fraction` matrix is built on the way.
+Serialization is canonical: sorted indices, normalized rationals, so
+parse(serialize(x)) == x and serialized forms are diffable.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .algebras import KINDS, MAX_DEGREE, MAX_DIM, Algebra
 from .bilinear import BilinearTensor
 from .brackets import PolyLeftMap, PolyRightMap
-from .linalg import Matrix
+from .linalg import common_denominator
 
 MAP_KINDS = ("bilinear", "polyright", "polyleft")
 
@@ -169,7 +174,8 @@ def parse_map(text: str):
     map_kind: str | None = None
     dim: int | None = None
     tensor_entries: dict[tuple[int, int, int], Fraction] = {}
-    poly_entries: dict[tuple[tuple[int, ...], int, int], Fraction] = {}
+    grids: dict[tuple[int, ...], list[Fraction | None]] = {}  # row-major, None where unread
+    exponents: dict[str, tuple[int, ...]] = {}  # each exponent token is parsed once
     for line_no, toks in _lines(text):
         head = toks[0]
         if head == "map":
@@ -193,42 +199,51 @@ def parse_map(text: str):
                 raise FormatError("m lines belong to poly maps, not bilinear", line_no)
             if len(toks) != 6 or toks[4] != "=":
                 raise FormatError("expected: m (a1,...,an) r c = p/q", line_no)
-            alpha = _parse_exponents(toks[1], line_no, dim)
-            r = _index(toks[2], line_no, dim, "row")
-            c = _index(toks[3], line_no, dim, "col")
-            if (alpha, r, c) in poly_entries:
+            alpha = exponents.get(toks[1])
+            if alpha is None:
+                alpha = exponents[toks[1]] = _parse_exponents(toks[1], line_no, dim)
+            i = _index(toks[2], line_no, dim, "row") * dim + _index(toks[3], line_no, dim, "col")
+            grid = grids.get(alpha)
+            if grid is None:
+                grid = grids[alpha] = [None] * (dim * dim)
+            elif grid[i] is not None:
                 raise FormatError("duplicate poly map entry", line_no)
-            poly_entries[(alpha, r, c)] = _fraction(toks[5], line_no)
+            grid[i] = _fraction(toks[5], line_no)
         else:
             raise FormatError(f"unrecognized directive {head!r}", line_no)
     if map_kind is None or dim is None:
         raise FormatError("missing map or dim header")
     if map_kind == "bilinear":
         return BilinearTensor.from_entries(dim, tensor_entries)
-    grids: dict[tuple[int, ...], list[list[Fraction]]] = {}
-    for (alpha, r, c), v in poly_entries.items():
-        grid = grids.setdefault(alpha, [[Fraction(0)] * dim for _ in range(dim)])
-        grid[r][c] = v
-    terms = {alpha: Matrix._wrap(tuple(map(tuple, grid))) for alpha, grid in grids.items()}
-    cls = PolyRightMap if map_kind == "polyright" else PolyLeftMap
-    return cls(dim, terms)
+    den = common_denominator([x for x in grid if x is not None] for grid in grids.values())
+    ints = {}
+    for alpha, grid in grids.items():
+        flat = [0 if x is None else x.numerator * (den // x.denominator) for x in grid]
+        if any(flat):
+            ints[alpha] = flat
+    return (PolyRightMap if map_kind == "polyright" else PolyLeftMap)._of(dim, den, ints)
 
 
 def serialize_map(obj) -> str:
-    """Canonical text for a tensor or poly map; inverse of `parse_map`."""
+    """Canonical text for a tensor or poly map; inverse of `parse_map`. A poly map is
+    written from its integer form, each entry x / den reduced to `str(Fraction)`'s text."""
     if isinstance(obj, BilinearTensor):
         return "\n".join(["map bilinear", f"dim {obj.dim}"] + entry_lines(obj, "t")) + "\n"
     if isinstance(obj, (PolyRightMap, PolyLeftMap)):
         kind = "polyright" if isinstance(obj, PolyRightMap) else "polyleft"
         n = obj.dim
+        den, ints = obj._int_form()
+        at = [f" {r + 1} {c + 1} = " for r in range(n) for c in range(n)]
+        text: dict[int, str] = {}  # each distinct entry is reduced once
         lines = [f"map {kind}", f"dim {n}"]
-        for alpha in sorted(obj.terms):
-            m = obj.terms[alpha]
-            exp = "(" + ",".join(str(e) for e in alpha) + ")"
-            for r in range(n):
-                for c in range(n):
-                    v = m.data[r][c]
-                    if v:
-                        lines.append(f"m {exp} {r + 1} {c + 1} = {v}")
+        for alpha in sorted(ints):
+            head = "m (" + ",".join(map(str, alpha)) + ")"
+            for pos, x in zip(at, ints[alpha]):
+                if x:
+                    v = text.get(x)
+                    if v is None:
+                        g = math.gcd(x, den)
+                        v = text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+                    lines.append(f"{head}{pos}{v}")
         return "\n".join(lines) + "\n"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

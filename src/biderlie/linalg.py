@@ -74,12 +74,6 @@ def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"vector length mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
@@ -128,9 +122,6 @@ class Matrix:
     def to_col_major(self) -> Vector:
         """Column-major coordinate vector; the unknown order used by the solvers."""
         return tuple(self.data[r][c] for c in range(self.cols) for r in range(self.rows))
-
-    def row(self, i: int) -> Vector:
-        return self.data[i]
 
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.data)
@@ -216,14 +207,6 @@ def common_denominator(rows: Iterable[Sequence[Fraction]]) -> int:
 IntRows = list[list[tuple[int, int]]]
 
 
-def int_rows(rows: Iterable[Sequence[Fraction]], den: int) -> IntRows:
-    """den * rows as sparse integer rows of (column, entry); den must clear their denominators."""
-    if den == 1:
-        return [[(c, x.numerator) for c, x in enumerate(row) if x] for row in rows]
-    return [[(c, x.numerator * (den // x.denominator)) for c, x in enumerate(row) if x]
-            for row in rows]
-
-
 def flat_rows(flat: Sequence[int], width: int) -> IntRows:
     """Row-major integer entries as sparse integer rows of (column, entry)."""
     return [[(c, x) for c, x in enumerate(flat[r:r + width]) if x]
@@ -234,7 +217,8 @@ def int_scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[int, IntRows]:
     """Rows (a matrix's `data`, or one vector) as their least common denominator d
     and the sparse integer rows of d * rows."""
     den = common_denominator(rows)
-    return den, int_rows(rows, den)
+    return den, [[(c, x.numerator * (den // x.denominator)) for c, x in enumerate(row) if x]
+                 for row in rows]
 
 
 def int_dense(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
@@ -415,17 +399,17 @@ class SubspaceBasis:
         return tuple(Fraction(p, den) if p else _ZERO for p in out)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        """Exact span membership: v is the member with its pivot entries as coordinates.
-        Entries that are neither `Fraction`s nor ints are coerced (`vector`)."""
+        """Exact span membership: v is the member with its pivot entries as coordinates,
+        compared in integers as den * v against the combination over den. Entries
+        that are neither `Fraction`s nor ints are coerced (`vector`)."""
         if len(v) != self.ambient_dim:
             raise ValueError(f"ambient dimension mismatch: {self.ambient_dim} vs {len(v)}")
         v = tuple(v)
         if not all(type(x) is Fraction or type(x) is int for x in v):
             v = vector(v)
-        return self.member([v[r[0][0][0]] for _, r in self.int_form()]) == v
-
-    def is_subspace_of(self, other: "SubspaceBasis") -> bool:
-        return all(other.contains(v) for v in self.vectors)
+        scaled = self.int_form()
+        den, out = combine([v[r[0][0][0]] for _, r in scaled], scaled, 1, self.ambient_dim)
+        return all(x.numerator * den == p * x.denominator for x, p in zip(v, out))
 
 
 def canonicalize(vectors: Iterable[Sequence[Fraction]], ambient_dim: int | None = None) -> SubspaceBasis:
@@ -446,10 +430,6 @@ def canonicalize(vectors: Iterable[Sequence[Fraction]], ambient_dim: int | None 
         return SubspaceBasis(ambient_dim, ())
     red, rank = rref(Matrix._wrap(tuple(vecs)))
     return SubspaceBasis(ambient_dim, red.data[:rank])
-
-
-def full_space(n: int) -> SubspaceBasis:
-    return SubspaceBasis(n, tuple(basis_vector(i, n) for i in range(n)))
 
 
 def nullspace(m: Matrix) -> SubspaceBasis:
@@ -478,7 +458,8 @@ def solve_homogeneous(rows: Sequence[Sequence[int | Fraction]], unknowns: int) -
     if any(len(row) != unknowns for row in rows):
         raise ValueError(f"every row of the system needs {unknowns} entries, one per unknown")
     if not rows:
-        return full_space(unknowns)
+        return SubspaceBasis(unknowns, tuple(basis_vector(i, unknowns)
+                                             for i in range(unknowns)))
     return nullspace(Matrix._wrap(tuple(map(tuple, rows))))
 
 

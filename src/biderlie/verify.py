@@ -90,8 +90,7 @@ def space_suite(A: Algebra) -> list[CheckResult]:
         flip = BilinearTensor.transpose if side == "left" else (lambda t: t)
         if space.dim != n * der.dim:
             return False
-        for flat in space.vectors:
-            tensor = flip(BilinearTensor.from_flat(flat, n))
+        for tensor in map(flip, basis_tensors(space, n)):
             if not all(der.contains(tensor.column_map(j).to_col_major()) for j in range(n)):
                 return False
         zero = Matrix.zeros(n, n)

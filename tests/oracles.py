@@ -18,7 +18,9 @@ derivation?". The bracket reference takes one matrix commutator per pair
 of terms, the way the package first computed it, and the matrix references
 multiply entry by entry in `Fraction`s. The linear-combination references
 fold one `Fraction` product and sum at a time, matrix by matrix, where the
-package scales every operand to integers once.
+package scales every operand to integers once. The poly map serializer
+writes the `Fraction` matrices of `.terms`, where the package writes the
+integer form.
 """
 
 from fractions import Fraction
@@ -26,6 +28,7 @@ from fractions import Fraction
 import sympy
 
 from biderlie.algebras import bracket
+from biderlie.brackets import PolyRightMap
 from biderlie.linalg import (Matrix, SubspaceBasis, basis_vector, combination, int_scaled,
                              mat_commutator, vec_add, vector)
 
@@ -133,6 +136,16 @@ def intersect_reference(a, b):
     vecs = [combination(x[:a.dim], pool, 1, a.ambient_dim).data[0]
             for x in nullspace_reference(Matrix(rows)).vectors]
     return canonicalize_reference(vecs, a.ambient_dim)
+
+
+def full_space(n):
+    """The canonical basis of Q^n: its unit vectors."""
+    return SubspaceBasis(n, tuple(basis_vector(i, n) for i in range(n)))
+
+
+def is_subspace_of(a, b):
+    """Every canonical basis vector of a lies in b."""
+    return all(b.contains(v) for v in a.vectors)
 
 
 def _sympy_canonical(vectors, ambient_dim):
@@ -394,3 +407,19 @@ def evaluate_decomposition(fs, x, y):
             if v:
                 out[l] += x[i] * v
     return tuple(out)
+
+
+def serialize_map_reference(P):
+    """A poly map's file text written from the `Fraction` matrices of `.terms`, entry
+    by entry in monomial, row and column order, as the package once wrote it."""
+    kind = "polyright" if isinstance(P, PolyRightMap) else "polyleft"
+    n = P.dim
+    lines = [f"map {kind}", f"dim {n}"]
+    for alpha in sorted(P.terms):
+        exp = "(" + ",".join(str(e) for e in alpha) + ")"
+        for r in range(n):
+            for c in range(n):
+                v = P.terms[alpha].data[r][c]
+                if v:
+                    lines.append(f"m {exp} {r + 1} {c + 1} = {v}")
+    return "\n".join(lines) + "\n"

@@ -3,15 +3,19 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from biderlie import builtin, parse_map, rhd, from_tensor, serialize_algebra
+import biderlie.linalg as linalg
+from biderlie import (BilinearTensor, PolyRightMap, builtin, from_tensor, from_tensor_left, lhd,
+                      parse_map, rhd, serialize_algebra)
 from biderlie.algebras import MAX_DEGREE, Algebra
 from biderlie.bilinear import random_tensor
 from biderlie.cli import heisenberg_example_maps, main
 from biderlie.formats import serialize_map
+from biderlie.linalg import Matrix
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +86,51 @@ def test_bracket_command_matches_library(capsys, tmp_path):
                            "--algebra", str(alg))
     assert code == 0
     assert parse_map(out) == rhd(from_tensor(b1), from_tensor(b2))
+
+
+def test_bracket_command_runs_in_integers_from_file_to_file(capsys, tmp_path, monkeypatch):
+    # map files are parsed into, and written from, the integer form: no `Fraction`
+    # matrix is built from it, in text mode or --json, for either op and order
+    A, b1, b2 = heisenberg_example_maps()
+    alg = tmp_path / "h3.alg"
+    alg.write_text(serialize_algebra(A))
+    rng = random.Random("integer-file-path")
+    files = {}
+    for name in ("p1", "p2"):
+        P = PolyRightMap(3, {(rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, 2)): Matrix(
+            [[rng.choice((0, 1, -2, F(1, 2), F(-3, 4))) for _ in range(3)] for _ in range(3)])
+            for _ in range(4)})
+        files[name, "rhd"], files[name, "lhd"] = P, P.transpose()
+    for name, b in (("b1", b1), ("b2", b2)):
+        files[name, "rhd"] = files[name, "lhd"] = b
+    paths = {}
+    for (name, op), m in files.items():
+        paths[name, op] = tmp_path / f"{name}-{op}.map"
+        paths[name, op].write_text(serialize_map(m))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Fraction matrix on the file-to-file path")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("biderlie")]:
+        if getattr(module, "from_int_flat", None) is linalg.from_int_flat:
+            monkeypatch.setattr(module, "from_int_flat", refuse)
+    for op, br, convert in (("rhd", rhd, from_tensor), ("lhd", lhd, from_tensor_left)):
+        for first, second in (("p1", "p2"), ("p2", "p1"), ("b1", "p2"), ("p1", "b2")):
+            want = br(*(convert(m) if isinstance(m, BilinearTensor) else m
+                        for m in (files[first, op], files[second, op])))
+            argv = ["bracket", str(paths[first, op]), str(paths[second, op]), "--op", op,
+                    "--algebra", str(alg)]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == "" and parse_map(out) == want
+            code, out, err = run_cli(capsys, *argv, "--json")
+            assert code == 0 and err == ""
+            assert parse_map(json.loads(out)["result_mapfile"]) == want
+    # with poly map files alone, no `Matrix` is built at all
+    monkeypatch.setattr(Matrix, "_wrap", refuse)
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    code, out, _ = run_cli(capsys, "bracket", str(paths["p1", "lhd"]), str(paths["p2", "lhd"]),
+                           "--op", "lhd", "--algebra", str(alg))
+    assert code == 0 and out.startswith("map polyleft\ndim 3\n")
 
 
 def test_bracket_rejects_wrong_side_map(capsys, tmp_path):

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biderlie import (BilinearTensor, FormatError, PolyLeftMap, PolyRightMap, builtin,
                       parse_algebra, parse_map, serialize_algebra, serialize_map)
 from biderlie.algebras import MAX_DEGREE, MAX_DIM, Algebra
 from biderlie.cli import heisenberg_example_maps
 from biderlie.linalg import Matrix
+
+from oracles import serialize_map_reference
 
 F = Fraction
 
@@ -178,3 +181,75 @@ def test_degree_cap_admits_the_cap():
         assert p.degree() == MAX_DEGREE and serialize_map(p) == text
         assert p.evaluate((F(1), F(0)), (F(1), F(1))) == (F(0), F(0))
         assert p.evaluate((F(0), F(1)), (F(1), F(1))) == (F(1, 3), F(0))
+
+
+# --- poly maps through their integer form -------------------------------------
+
+@st.composite
+def poly_maps(draw):
+    """A poly map of dim 1-4 with denominators up to 7 and negative entries. The
+    integer form is given as it is, scaled by k (so not in lowest terms when
+    k > 1), or the map is built from the `Fraction` matrices it stands for."""
+    n = draw(st.integers(1, 4))
+    cls = draw(st.sampled_from((PolyRightMap, PolyLeftMap)))
+    den, k = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    alphas = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4, unique=True))
+    ints = {a: draw(st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n).filter(any))
+            for a in alphas}
+    if draw(st.booleans()):
+        return cls(n, {a: Matrix([[F(flat[r * n + c], den) for c in range(n)] for r in range(n)])
+                       for a, flat in ints.items()})
+    return cls._of(n, k * den, {a: [k * x for x in flat] for a, flat in ints.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_maps())
+def test_serialize_map_matches_the_fraction_reference(P):
+    text = serialize_map(P)
+    assert text == serialize_map_reference(P)
+    again = parse_map(text)
+    assert type(again) is type(P) and again == P
+    assert serialize_map(again) == text
+
+
+def test_parse_drops_zero_entries_and_all_zero_monomials():
+    for kind, cls in (("polyright", PolyRightMap), ("polyleft", PolyLeftMap)):
+        base = f"map {kind}\ndim 2\nm (1,0) 1 2 = 1/2\nm (0,1) 2 1 = -3\n"
+        zeros = "m (1,0) 2 2 = 0\nm (2,0) 1 1 = 0\nm (2,0) 2 1 = 0/5\n"
+        P = parse_map(base + zeros)
+        assert type(P) is cls and P == parse_map(base)
+        assert P.support() == {(1, 0), (0, 1)}
+        # one denominator, the lcm of the entry denominators
+        assert P._int_form() == (2, {(1, 0): [0, 1, 0, 0], (0, 1): [0, 0, -6, 0]})
+        assert serialize_map(P) == serialize_map(parse_map(base))
+
+
+def test_parse_of_all_zero_entries_is_the_zero_map():
+    for kind, cls in (("polyright", PolyRightMap), ("polyleft", PolyLeftMap)):
+        Z = parse_map(f"map {kind}\ndim 3\nm (1,0,0) 1 1 = 0\nm (0,0,0) 2 3 = -0\n")
+        assert type(Z) is cls and Z == cls.zero(3)
+        assert Z.is_zero() and Z.support() == set() and Z.degree() == -1
+        assert serialize_map(Z) == f"map {kind}\ndim 3\n"
+
+
+@pytest.mark.parametrize("tok", ["+2", "-0", "0.5", "3/6", "-7/14", "1e2", "-1.25"])
+def test_parse_reads_entries_as_fraction_does(tok):
+    P = parse_map(f"map polyright\ndim 2\nm (1,0) 1 2 = {tok}\n")
+    # y = e1 gives the matrix of the (1,0) term, x = e2 its second column
+    assert P.evaluate((F(0), F(1)), (F(1), F(0))) == (F(tok), F(0))
+    assert P.is_zero() == (F(tok) == 0)
+    if F(tok):
+        assert P.terms[(1, 0)].data[0][1] == F(tok)
+        assert serialize_map(P) == f"map polyright\ndim 2\nm (1,0) 1 2 = {F(tok)}\n"
+
+
+@pytest.mark.parametrize("body,fragment", [
+    ("m (1,0) 1 1 = 0\nm (1,0) 1 1 = 1\n", "duplicate"),   # a zero entry still counts
+    ("m (1,0) 1 1 = 1\nm (01,0) 1 1 = 2\n", "duplicate"),  # one monomial, two spellings
+    ("m (1,0) 1 1 = 1/0\n", "rational"),
+    ("m (1,0) 1 1 = 1\nm (1,0) 1 3 = 1\n", "out of range"),
+])
+def test_poly_map_parse_errors_after_a_first_entry(body, fragment):
+    with pytest.raises(FormatError) as exc:
+        parse_map("map polyleft\ndim 2\n" + body)
+    assert fragment in str(exc.value) and exc.value.line_no == 2 + body.count("\n")
