@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .bilinear import BilinearTensor
-from .linalg import Vector, basis_vector, vec_add, vec_is_zero, vector, zero_vector
+from .linalg import Vector, basis_vector, vector
 
 KINDS = ("lie", "leibniz-left", "leibniz-right", "generic")
 
@@ -148,29 +148,36 @@ def leibniz_sides(A: Algebra, images: Sequence[Sequence[int]], i: int,
 
     `images` are integer vectors over a denominator e the caller keeps.
     Both sides come back as integer lists over the one denominator d * e,
-    d from the product's `int_form`, so they agree iff the lists are equal.
-    D is a derivation iff the two sides agree at every basis pair.
+    d the product matrix's, so they agree iff the lists are equal. D is a
+    derivation iff the two sides agree at every basis pair.
     """
-    _, c, cols = A.product.int_form()
-    lhs = [0] * A.dim
-    rhs = [0] * A.dim
-    # D[e_i,e_j] = sum_p c[i][j][p] De_p;  [De_i,e_j] = sum_a (De_i)_a [e_a,e_j];
-    # [e_i,De_j] = sum_b (De_j)_b [e_i,e_b]
-    for out, coeffs, values in ((lhs, c[i][j], images),
-                                (rhs, images[i], cols[j]),
-                                (rhs, images[j], c[i])):
-        for f, v in zip(coeffs, values):
+    n = A.dim
+    rows = A.product.matrix.sparse       # row a*n + b: d [e_a, e_b]
+    lhs = [0] * n
+    rhs = [0] * n
+    # D[e_i,e_j] = sum_p c[i][j][p] De_p
+    for p, f in rows[i * n + j]:
+        for l, x in enumerate(images[p]):
+            if x:
+                lhs[l] += f * x
+    # [De_i,e_j] = sum_a (De_i)_a [e_a,e_j];  [e_i,De_j] = sum_b (De_j)_b [e_i,e_b]
+    for coeffs, at in ((images[i], range(j, n * n, n)), (images[j], range(i * n, i * n + n))):
+        for f, r in zip(coeffs, at):
             if f:
-                for l, x in enumerate(v):
-                    if x:
-                        out[l] += f * x
+                for l, x in rows[r]:
+                    rhs[l] += f * x
     return lhs, rhs
+
+
+def _fractions(v: Sequence[int], den: int) -> Vector:
+    """The integer vector v over den, as `Fraction`s."""
+    return tuple(Fraction(x, den) for x in v)
 
 
 def _bider_sides(A: Algebra, B: BilinearTensor, side: str,
                  triples: Iterable[tuple[int, int, int]]):
     """(triple, lhs, rhs) of B's right or left condition at each basis triple, the
-    sides as integer lists over the denominator of A's integer form times B's."""
+    sides as integer lists over the denominator of A's product matrix times B's."""
     _, c, cols = B.int_form()
     for i, j, k in triples:
         # right: B([x,y],z) = [x,B(y,z)] + [B(x,z),y], x -> B(x, e_k) derives at (e_i, e_j);
@@ -185,10 +192,8 @@ def bider_defect(A: Algebra, B: BilinearTensor, side: str,
                  triple: tuple[int, int, int]) -> tuple[Vector, Vector, Vector]:
     """lhs, rhs and residual (rhs - lhs) of B's right or left condition at a basis triple."""
     _, lhs, rhs = next(_bider_sides(A, B, side, [triple]))
-    den = A.product.int_form()[0] * B.int_form()[0]
-    lhs, rhs, res = (tuple(Fraction(x, den) for x in v)
-                     for v in (lhs, rhs, [y - x for x, y in zip(lhs, rhs)]))
-    return lhs, rhs, res
+    den = A.product.matrix.den * B.matrix.den
+    return tuple(_fractions(v, den) for v in (lhs, rhs, [y - x for x, y in zip(lhs, rhs)]))
 
 
 def bider_witness(A: Algebra, B: BilinearTensor, side: str,
@@ -202,11 +207,17 @@ def bider_witness(A: Algebra, B: BilinearTensor, side: str,
     return None
 
 
-def _jacobi_defect(A: Algebra, i: int, j: int, k: int) -> Vector:
-    s = bracket(A, A.c[i][j], A.basis_element(k))
-    s = vec_add(s, bracket(A, A.c[j][k], A.basis_element(i)))
-    s = vec_add(s, bracket(A, A.c[k][i], A.basis_element(j)))
-    return s
+def _jacobi_defect(c, i: int, j: int, k: int) -> list[int]:
+    """d^2 ([[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]), c the product's
+    integer table over d."""
+    out = [0] * len(c)
+    for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+        for p, f in enumerate(c[a][b]):
+            if f:
+                for l, x in enumerate(c[p][e]):
+                    if x:
+                        out[l] += f * x
+    return out
 
 
 def triples_descending(n: int):
@@ -221,7 +232,8 @@ def identity_residual(A: Algebra, identity: str, triple: tuple[int, int, int]) -
     if identity in _LEIBNIZ_SIDE:
         return bider_defect(A, A.product, _LEIBNIZ_SIDE[identity], triple)[2]
     if identity == "jacobi":
-        return _jacobi_defect(A, *triple)
+        d, c, _ = A.product.int_form()
+        return _fractions(_jacobi_defect(c, *triple), d * d)
     raise ValueError(f"unknown identity {identity!r}")
 
 
@@ -231,6 +243,8 @@ def check_kind(A: Algebra, kind: str | None = None) -> KindReport:
     `kind` defaults to the algebra's declared kind. Failure is data, not an
     error: the report carries the first failing triple with both sides. A
     Leibniz kind holds iff the product is a biderivation of A on that side.
+    The Lie scans run on the product's integer form and divide only the
+    witness they report.
     """
     kind = A.kind if kind is None else kind
     if kind not in KINDS:
@@ -241,17 +255,19 @@ def check_kind(A: Algebra, kind: str | None = None) -> KindReport:
     if kind in _LEIBNIZ_SIDE:
         w = bider_witness(A, A.product, _LEIBNIZ_SIDE[kind], kind)
         return KindReport(kind, w is None, w)
+    d, c, _ = A.product.int_form()
     for i in range(n - 1, -1, -1):
         for j in range(n - 1, -1, -1):
-            defect = vec_add(A.c[i][j], A.c[j][i])
-            if not vec_is_zero(defect):
-                w = TripleWitness("antisymmetry", (i, j), A.c[i][j],
-                                  tuple(-x for x in A.c[j][i]), defect)
+            defect = [x + y for x, y in zip(c[i][j], c[j][i])]
+            if any(defect):
+                w = TripleWitness("antisymmetry", (i, j), _fractions(c[i][j], d),
+                                  _fractions([-x for x in c[j][i]], d), _fractions(defect, d))
                 return KindReport(kind, False, w)
     for (i, j, k) in triples_descending(n):
-        defect = _jacobi_defect(A, i, j, k)
-        if not vec_is_zero(defect):
-            w = TripleWitness("jacobi", (i, j, k), zero_vector(n), defect, defect)
+        defect = _jacobi_defect(c, i, j, k)
+        if any(defect):
+            w = TripleWitness("jacobi", (i, j, k), _fractions([0] * n, 1),
+                              _fractions(defect, d * d), _fractions(defect, d * d))
             return KindReport(kind, False, w)
     return KindReport(kind, True)
 

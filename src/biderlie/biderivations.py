@@ -16,14 +16,10 @@ order (see `algebras`).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebras import Algebra, TripleWitness, bider_defect, bider_witness
 from .bilinear import BilinearTensor
 from .derivations import derivation_rows, derivation_space
-from .linalg import SubspaceBasis, Vector, add_product, intersect, solve_over
-
-_ZERO = Fraction(0)
+from .linalg import Matrix, SubspaceBasis, Vector, intersect, solve_over
 
 
 def right_residual(A: Algebra, B: BilinearTensor, i: int, j: int, k: int) -> Vector:
@@ -65,11 +61,12 @@ def left_bider_bilinear_space(A: Algebra) -> SubspaceBasis:
     Block i of the flat order is the column-major y -> B(e_i, y), so this is
     the canonical `Der` basis copied into each block: dim(A) * dim Der(A).
     """
-    n = A.dim
-    ders = derivation_space(A).vectors
-    pad = (_ZERO,) * (n * n)
-    return SubspaceBasis(n ** 3, tuple(pad * i + d + pad * (n - 1 - i)
-                                       for i in range(n) for d in ders))
+    n, nn = A.dim, A.dim ** 2
+    der = derivation_space(A).basis
+    pad = (0,) * nn
+    ints = [x for i in range(n) for d in range(0, len(der.ints), nn)
+            for x in pad * i + der.ints[d:d + nn] + pad * (n - 1 - i)]
+    return SubspaceBasis._of(Matrix._of(n * der.rows, n * nn, der.den, ints))
 
 
 def right_bider_bilinear_space(A: Algebra) -> SubspaceBasis:
@@ -78,11 +75,14 @@ def right_bider_bilinear_space(A: Algebra) -> SubspaceBasis:
     The transposes of the left basis; their supports are disjoint, so
     sorted by pivot they are canonical.
     """
-    n = A.dim
-    transposed = (BilinearTensor._from_flat_trusted(v, n).transpose().flatten()
-                  for v in left_bider_bilinear_space(A).vectors)
-    return SubspaceBasis(n ** 3, tuple(sorted(
-            transposed, key=lambda v: next(c for c, x in enumerate(v) if x))))
+    n, size = A.dim, A.dim ** 3
+    left = left_bider_bilinear_space(A).basis
+    # entry (i, j, k) of B^t is entry (j, i, k) of B
+    swap = [(j * n + i) * n + k for i in range(n) for j in range(n) for k in range(n)]
+    rows = sorted(([left.ints[r + c] for c in swap] for r in range(0, len(left.ints), size)),
+                  key=lambda row: next(c for c, x in enumerate(row) if x))
+    return SubspaceBasis._of(Matrix._of(left.rows, size, left.den,
+                                        [x for row in rows for x in row]))
 
 
 def bider_space(A: Algebra) -> SubspaceBasis:
@@ -95,15 +95,13 @@ def bider_space(A: Algebra) -> SubspaceBasis:
     """
     n, nn = A.dim, A.dim ** 2
     right = right_bider_bilinear_space(A)
-    der_rows = [[(c, x) for c, x in enumerate(row) if x] for row in derivation_rows(A)]
-    cols = []
-    for _, (vec,) in right.int_form():
-        blocks = [[] for _ in range(nn)]        # row q: entry q of each block of d_u R_u
-        for c, x in vec:
-            blocks[c % nn].append((c // nn, x))
-        cols.append([0] * (len(der_rows) * n))
-        add_product(cols[-1], der_rows, blocks, n)
-    return solve_over(right, zip(*cols))
+    rows = derivation_rows(A)
+    # row u * n + i of blocks: block i of R_u, column-major y -> R_u(e_i, y)
+    blocks = Matrix._of(right.dim * n, nn, right.basis.den, right.basis.ints)
+    values = Matrix._from_flat(len(rows), nn, (x for r in rows for x in r)) * blocks.transpose()
+    w = values.cols
+    return solve_over(right, (values.ints[q * w + i:(q + 1) * w:n]
+                              for q in range(len(rows)) for i in range(n)))
 
 
 def spaces_intersection(A: Algebra) -> SubspaceBasis:
@@ -113,4 +111,4 @@ def spaces_intersection(A: Algebra) -> SubspaceBasis:
 
 def basis_tensors(space: SubspaceBasis, dim: int) -> list[BilinearTensor]:
     """Unpack a canonical tensor-space basis into tensors."""
-    return [BilinearTensor._from_flat_trusted(v, dim) for v in space.vectors]
+    return [BilinearTensor._of(dim, m) for m in space.basis.split(dim * dim, dim)]

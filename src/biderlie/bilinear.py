@@ -8,141 +8,127 @@ and the transpose (the opposite product) live here once. Flattened
 coordinates use the index (i*n + j)*n + k, which is also the unknown order
 of the biderivation solvers.
 
-The public constructors coerce and check every entry once; results built
-inside the package (sums, scalar multiples, transposes, combinations) are
-already `Fraction` tables of the right shape and go through the trusted
-`_wrap`. A tensor keeps one integer form, filled on first use
-(`int_form`): the entries over their common denominator, read by every
-Leibniz-rule scan.
+A tensor is held as one n^2 x n `linalg.Matrix`, whose row i*n + j is
+B(e_i, e_j): one denominator and integer entries, in lowest terms. The
+table `t` and the integer tables of `int_form` are read off it. Sums,
+scalar multiples and transposes are integer `Matrix` operations. The
+public constructors coerce and check every entry once; results built
+inside the package go through the trusted `_of`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import Matrix, Vector, int_dense, vector
+from .linalg import Matrix, Vector
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 IntTable = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class BilinearTensor:
-    """Immutable bilinear map given by its basis values."""
+    """Immutable bilinear map given by its basis values, the rows of `matrix`."""
 
-    __slots__ = ("dim", "t", "_ints")
+    __slots__ = ("dim", "matrix")
 
     def __init__(self, dim: int, t):
-        table = tuple(tuple(vector(row) for row in plane) for plane in t)
+        table = [[tuple(row) for row in plane] for plane in t]
         if len(table) != dim or any(len(p) != dim for p in table) or any(
             len(r) != dim for p in table for r in p
         ):
             raise ValueError(f"a bilinear map on dim {dim} needs a {dim}^3 table")
         self.dim = dim
-        self.t = table
-        self._ints = None
+        self.matrix = Matrix._from_flat(dim * dim, dim, (x for p in table for r in p for x in r))
 
     @classmethod
-    def _wrap(cls, dim: int, t: tuple[tuple[Vector, ...], ...]) -> "BilinearTensor":
-        # trusted constructor: t is already a dim^3 tuple table of Fractions
+    def _of(cls, dim: int, matrix: Matrix) -> "BilinearTensor":
+        # trusted constructor: matrix is dim^2 x dim
         B = object.__new__(cls)
         B.dim = dim
-        B.t = t
-        B._ints = None
+        B.matrix = matrix
         return B
 
     @classmethod
     def zero(cls, dim: int) -> "BilinearTensor":
-        row = (_ZERO,) * dim
-        return cls._wrap(dim, ((row,) * dim,) * dim)
+        return cls._of(dim, Matrix.zeros(dim * dim, dim))
 
     @classmethod
     def from_entries(cls, dim: int, entries: Mapping[tuple[int, int, int], Fraction]) -> "BilinearTensor":
         """Sparse 0-based (i, j, k) -> coefficient construction."""
-        t = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        flat: list = [0] * dim ** 3
         for (i, j, k), v in entries.items():
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"index {(i, j, k)} out of range for dim {dim}")
-            t[i][j][k] = Fraction(v)
-        return cls._wrap(dim, tuple(tuple(tuple(row) for row in plane) for plane in t))
+            flat[(i * dim + j) * dim + k] = v
+        return cls._of(dim, Matrix._from_flat(dim * dim, dim, flat))
 
     @classmethod
     def from_flat(cls, v: Sequence[Fraction], dim: int) -> "BilinearTensor":
         if len(v) != dim ** 3:
             raise ValueError(f"expected {dim ** 3} coordinates, got {len(v)}")
-        return cls._from_flat_trusted(vector(v), dim)
-
-    @classmethod
-    def _from_flat_trusted(cls, v: Sequence[Fraction], dim: int) -> "BilinearTensor":
-        # `from_flat` for a flat vector of Fractions built inside the package
-        rows = [tuple(v[p:p + dim]) for p in range(0, dim ** 3, dim)]
-        return cls._wrap(dim, tuple(tuple(rows[i * dim:(i + 1) * dim]) for i in range(dim)))
+        return cls._of(dim, Matrix._from_flat(dim * dim, dim, v))
 
     @classmethod
     def from_column_maps(cls, maps: Sequence[Matrix]) -> "BilinearTensor":
         """Inverse of `column_map`: maps[j] is the matrix of x -> B(x, e_j)."""
-        return cls._wrap(len(maps), tuple(zip(*(m.transpose().data for m in maps))))
+        n = len(maps)
+        cols = [m.transpose() for m in maps]          # row i of cols[j] is B(e_i, e_j)
+        den = math.lcm(*(m.den for m in cols))
+        ints = [x * (den // m.den) for i in range(n) for m in cols
+                for x in m.ints[i * n:(i + 1) * n]]
+        return cls._of(n, Matrix._of(n * n, n, den, ints))
+
+    @property
+    def t(self) -> tuple[tuple[Vector, ...], ...]:
+        """The table t[i][j][k] of `Fraction`s, read off the matrix."""
+        n, rows = self.dim, self.matrix.data
+        return tuple(rows[i * n:(i + 1) * n] for i in range(n))
 
     def int_form(self) -> tuple[int, IntTable, IntTable]:
-        """(d, c, r): the entries over their common denominator d, kept once filled.
+        """(d, c, r): the matrix's denominator d and its integer entries as tables.
 
         c[i][j] is d B(e_i, e_j) as integers and r[k][a] = c[a][k], the
         images of x -> B(x, e_k); the images of y -> B(e_i, y) are c[i].
+        Built on each call, so a scan reads it once.
         """
-        if self._ints is None:
-            n = self.dim
-            den, flat = int_dense([row for plane in self.t for row in plane])
-            c = tuple(tuple(tuple(flat[i * n + j]) for j in range(n)) for i in range(n))
-            self._ints = (den, c, tuple(tuple(c[a][k] for a in range(n)) for k in range(n)))
-        return self._ints
+        n, m = self.dim, self.matrix
+        rows = [m.ints[p:p + n] for p in range(0, n ** 3, n)]
+        c = tuple(tuple(rows[i * n:(i + 1) * n]) for i in range(n))
+        return m.den, c, tuple(tuple(rows[k::n]) for k in range(n))
 
     def entries(self):
         """The nonzero entries ((i, j, k), value), in ascending index order."""
         n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for k, v in enumerate(self.t[i][j]):
-                    if v:
-                        yield (i, j, k), v
+        for p, row in enumerate(self.matrix.data):
+            for k, v in enumerate(row):
+                if v:
+                    yield (p // n, p % n, k), v
 
     def flatten(self) -> Vector:
-        n = self.dim
-        return tuple(self.t[i][j][k] for i in range(n) for j in range(n) for k in range(n))
-
-    def value(self, i: int, j: int) -> Vector:
-        """B(e_i, e_j) as a coordinate vector."""
-        return self.t[i][j]
+        return tuple(x for row in self.matrix.data for x in row)
 
     def column_map(self, j: int) -> Matrix:
         """The matrix of x -> B(x, e_j); its column i is B(e_i, e_j)."""
-        return Matrix._wrap(tuple(zip(*(plane[j] for plane in self.t))))
+        n, ints = self.dim, self.matrix.ints
+        return Matrix._of(n, n, self.matrix.den,
+                          [ints[(i * n + j) * n + k] for k in range(n) for i in range(n)])
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        """B(x, y) by bilinear extension of the basis values."""
+        """B(x, y) by bilinear extension of the basis values: the row x (x) y times the matrix."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ValueError(f"dimension mismatch: tensor dim {n}, got {len(x)} and {len(y)}")
-        out = [_ZERO] * n
-        for i in range(n):
-            xi = x[i]
-            if not xi:
-                continue
-            ti = self.t[i]
-            for j in range(n):
-                yj = y[j]
-                if not yj:
-                    continue
-                f = xi * yj
-                for k, v in enumerate(ti[j]):
-                    if v:
-                        out[k] += f * v
-        return tuple(out)
+        return (Matrix._from_flat(1, n * n, [a * b for a in x for b in y]) * self.matrix).data[0]
 
     def transpose(self) -> "BilinearTensor":
         """The map (x, y) -> B(y, x); indices swapped in the first two slots."""
-        return BilinearTensor._wrap(self.dim, tuple(zip(*self.t)))
+        n, ints = self.dim, self.matrix.ints
+        rows = [ints[p:p + n] for p in range(0, n ** 3, n)]     # row i*n + j: B(e_i, e_j)
+        swapped = [x for i in range(n) for row in rows[i::n] for x in row]
+        return BilinearTensor._of(n, Matrix._of(n * n, n, self.matrix.den, swapped))
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -151,47 +137,36 @@ class BilinearTensor:
         return self.transpose() == -self
 
     def is_zero(self) -> bool:
-        return all(not x for p in self.t for r in p for x in r)
-
-    def _zip_with(self, other, op) -> "BilinearTensor":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return BilinearTensor._wrap(self.dim, tuple(
-            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(p1, p2))
-            for p1, p2 in zip(self.t, other.t)))
+        return self.matrix.is_zero()
 
     def __add__(self, other):
         if not isinstance(other, BilinearTensor):
             return NotImplemented
-        return self._zip_with(other, Fraction.__add__)
+        return BilinearTensor._of(self.dim, self.matrix + other.matrix)
 
     def __sub__(self, other):
         if not isinstance(other, BilinearTensor):
             return NotImplemented
-        return self._zip_with(other, Fraction.__sub__)
-
-    def _map(self, op) -> "BilinearTensor":
-        return BilinearTensor._wrap(self.dim, tuple(tuple(tuple(map(op, r)) for r in p)
-                                                     for p in self.t))
+        return BilinearTensor._of(self.dim, self.matrix - other.matrix)
 
     def __neg__(self):
-        return self._map(Fraction.__neg__)
+        return BilinearTensor._of(self.dim, -self.matrix)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._map(Fraction(other).__mul__)
+            return BilinearTensor._of(self.dim, other * self.matrix)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, BilinearTensor) and self.dim == other.dim and self.t == other.t
+        return isinstance(other, BilinearTensor) and self.matrix == other.matrix
 
     def __hash__(self):
-        return hash((self.dim, self.t))
+        return hash((self.dim, self.matrix))
 
     def __repr__(self):
-        nz = sum(1 for p in self.t for r in p for x in r if x)
+        nz = sum(1 for x in self.matrix.ints if x)
         return f"BilinearTensor(dim={self.dim}, nonzero={nz})"
 
 
@@ -215,6 +190,5 @@ def half_decomposition(B: BilinearTensor) -> tuple[BilinearTensor, BilinearTenso
 
 def random_tensor(rng, dim: int, span: int = 3) -> BilinearTensor:
     """Small-coefficient random tensor, for seeded property runs."""
-    return BilinearTensor._wrap(dim, tuple(tuple(tuple(Fraction(rng.randint(-span, span))
-                                                       for _ in range(dim))
-                                                 for _ in range(dim)) for _ in range(dim)))
+    return BilinearTensor._of(dim, Matrix._of(dim * dim, dim, 1, [rng.randint(-span, span)
+                                                                 for _ in range(dim ** 3)]))

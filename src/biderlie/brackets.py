@@ -20,20 +20,18 @@ so the bracket is exact, closed, and (because monomials are linearly
 independent over an infinite field) a map in this form is a right
 biderivation iff every coefficient matrix is a derivation.
 
-The arithmetic runs in integers. A map is its integer form: one
-denominator and, per monomial, the row-major integer entries of its
-coefficient matrix over it. Map files are parsed into that form and written
-from it (`formats`). The bracket reads each operand term as its sparse
-integer rows and its flat list of nonzero entries, and adds both halves of
-every pair commutator, +M_a N_b and -N_b M_a, into one integer entry list
-per output monomial a + b, over the product of the operands' denominators;
-sums and scalar multiples of maps go through `linalg.combine`. Neither
-reduces what it returns. A map is put in lowest terms, as sparse integer
-rows (`_PolyMap.scaled`), when it is used as an operand or hashed; its
-`Fraction` matrices (`terms`) are a view built and kept on first read.
-`lhd` runs the same kernel, since a left map carries the terms of its
-transposed right map. The public constructor takes `Fraction` matrices,
-validates them, and derives the integer form from them on first use.
+The arithmetic runs in integers. A map is its sorted monomials and one
+tall `linalg.Matrix` that stacks their coefficient matrices over one
+denominator, in lowest terms, so equal maps have equal forms. Map files are
+parsed into that form and written from it (`formats`). The bracket reads
+each operand block as its sparse integer rows and its flat list of nonzero
+entries, and adds both halves of every pair commutator, +M_a N_b and
+-N_b M_a, into one integer entry list per output monomial a + b, over the
+product of the operands' denominators; sums and scalar multiples of maps go
+through `linalg.combine`. The `Fraction` matrices (`terms`) are a view of
+the blocks. `lhd` runs the same kernel, since a left map carries the terms
+of its transposed right map. The public constructor takes `Matrix`
+coefficients and stacks them over the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -48,8 +46,7 @@ from .bilinear import BilinearTensor, skew_symmetrize, symmetrize
 from .biderivations import (basis_tensors, left_bider_bilinear_space,
                             right_bider_bilinear_space)
 from .derivations import derivation_matrices, derives
-from .linalg import (IntRows, Matrix, Vector, add_commutator, basis_vector, combination,
-                     combine, flat_rows, from_int_flat, int_scaled)
+from .linalg import IntRows, Matrix, Vector, add_product, basis_vector, combine, lowest_terms
 from .report import CheckResult, check
 
 MultiIndex = tuple[int, ...]
@@ -60,32 +57,18 @@ def monomial_value(alpha: MultiIndex, v: Sequence[Fraction]) -> Fraction:
     return math.prod(x ** a for a, x in zip(alpha, v) if a)
 
 
-def _unit_index(j: int, n: int) -> MultiIndex:
-    return tuple(1 if i == j else 0 for i in range(n))
-
-
-def _clean(terms: Mapping[MultiIndex, Matrix]) -> dict[MultiIndex, Matrix]:
-    return {a: m for a, m in terms.items() if not m.is_zero()}
-
-
-IntTerms = dict[MultiIndex, list[int]]
-Scaled = tuple[int, list[tuple[MultiIndex, IntRows]]]
-
-
 class _PolyMap:
     """Shared mechanics of the two polynomial map representations.
 
     `_frozen` is the argument the monomials read: 1 (y) for right maps, 0 (x) for left.
-    A map is its integer form: a denominator `_den` and, per monomial, the
-    row-major integer entries of `_den` times its coefficient matrix, none
-    all zero and not necessarily in lowest terms. A map is immutable, so
-    what is derived from that form is derived once and kept: the `terms`
-    view and the lowest-terms operand rows of `scaled`. The public
-    constructor is given the `Fraction` matrices instead, and derives the
-    integer form from them on first use (`_int_form`).
+    A map is its sorted `monomials` and one tall `Matrix`, whose block of
+    `dim` rows i is the coefficient matrix of monomials[i], none all zero.
+    The tall matrix holds one denominator across the monomials, in lowest
+    terms, which the bracket kernel needs; so two maps are equal iff their
+    monomials and tall matrices are. `terms` is a view of the blocks.
     """
 
-    __slots__ = ("dim", "_den", "_ints", "_terms", "_scaled")
+    __slots__ = ("dim", "monomials", "tall")
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, Matrix]):
         for a, m in terms.items():
@@ -93,20 +76,18 @@ class _PolyMap:
                 raise ValueError(f"bad multi-index {a} for dim {dim}")
             if m.rows != dim or m.cols != dim:
                 raise ValueError(f"coefficient matrix must be {dim}x{dim}")
+        den = math.lcm(*(m.den for m in terms.values()))
         self.dim = dim
-        self._terms = _clean(terms)
-        self._den = self._ints = self._scaled = None
+        self.monomials, self.tall = _stacked(dim, den, {
+            tuple(a): [x * (den // m.den) for x in m.ints] for a, m in terms.items()})
 
     @classmethod
-    def _of(cls, dim: int, den: int, ints: IntTerms, terms: dict[MultiIndex, Matrix] | None = None,
-            scaled: Scaled | None = None):
-        # trusted constructor: ints maps valid multi-indices to nonzero dim*dim entry lists
+    def _of(cls, dim: int, monomials: tuple[MultiIndex, ...], tall: Matrix):
+        # trusted constructor: sorted valid monomials, no all-zero block in tall
         P = object.__new__(cls)
         P.dim = dim
-        P._den = den
-        P._ints = ints
-        P._terms = terms
-        P._scaled = scaled
+        P.monomials = monomials
+        P.tall = tall
         return P
 
     @classmethod
@@ -119,40 +100,13 @@ class _PolyMap:
 
     @property
     def terms(self) -> dict[MultiIndex, Matrix]:
-        """The coefficient matrix of each monomial, as `Fraction`s: a view of the
-        integer form, built on first read and kept. Read it, do not change it."""
-        if self._terms is None:
-            n, den = self.dim, self._den
-            self._terms = {a: from_int_flat(flat, n, den) for a, flat in self._ints.items()}
-        return self._terms
+        """The coefficient matrix of each monomial: the blocks of the tall matrix."""
+        return dict(zip(self.monomials, self.tall.split(self.dim, self.dim)))
 
-    def _int_form(self) -> tuple[int, IntTerms]:
-        """(den, entries per monomial). For a map built from `Fraction` matrices it
-        is computed here, once, from one read of each entry's integer ratio, over
-        their least common denominator, which puts it in lowest terms."""
-        if self._ints is None:
-            ratios = {a: [x.as_integer_ratio() for row in m.data for x in row]
-                      for a, m in self._terms.items()}
-            den = self._den = math.lcm(*{d for flat in ratios.values() for _, d in flat})
-            self._ints = {a: [p * (den // d) for p, d in flat] for a, flat in ratios.items()}
-        return self._den, self._ints
-
-    def scaled(self) -> Scaled:
-        """(d, [(a, rows)]): the integer form in lowest terms, d the least common
-        denominator of the coefficient matrices and rows the sparse integer rows of
-        d * M_a. The operand form of the kernels; computed once per map."""
-        den, ints = self._int_form()
-        if self._scaled is None:
-            n = self.dim
-            g = den
-            for flat in ints.values():
-                if g == 1:
-                    break
-                g = math.gcd(g, *flat)
-            if g != 1:
-                ints = {a: [x // g for x in flat] for a, flat in ints.items()}
-            self._scaled = den // g, [(a, flat_rows(flat, n)) for a, flat in ints.items()]
-        return self._scaled
+    def _blocks(self) -> list[IntRows]:
+        """The sparse integer rows of each block of the tall matrix, over its denominator."""
+        n, rows = self.dim, self.tall.sparse
+        return [rows[i:i + n] for i in range(0, len(rows), n or 1)]
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
@@ -162,19 +116,19 @@ class _PolyMap:
 
     def fixed_arg(self, v: Sequence[Fraction]) -> Matrix:
         """The linear map in the free argument when the frozen one is v."""
-        den, terms = self.scaled()
-        return combination([monomial_value(a, v) for a, _ in terms],
-                           [(den, rows) for _, rows in terms], self.dim, self.dim)
+        n, den = self.dim, self.tall.den
+        return Matrix._of(n, n, *combine([monomial_value(a, v) for a in self.monomials],
+                                         [(den, rows) for rows in self._blocks()], n, n))
 
     def is_zero(self) -> bool:
-        return not self._int_form()[1]
+        return not self.monomials
 
     def degree(self) -> int:
         """Largest total degree in the frozen argument; -1 for the zero map."""
-        return max((sum(a) for a in self._int_form()[1]), default=-1)
+        return max((sum(a) for a in self.monomials), default=-1)
 
     def support(self) -> set[MultiIndex]:
-        return set(self._int_form()[1])
+        return set(self.monomials)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -187,8 +141,7 @@ class _PolyMap:
         return _linear_combination((1, -1), (self, other))
 
     def __neg__(self):
-        den, ints = self._int_form()
-        return type(self)._of(self.dim, den, {a: [-x for x in flat] for a, flat in ints.items()})
+        return type(self)._of(self.dim, self.monomials, -self.tall)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -198,57 +151,55 @@ class _PolyMap:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        # equal lowest-terms forms, compared without reducing either
-        if type(other) is not type(self) or self.dim != other.dim:
-            return False
-        (d, a), (e, b) = self._int_form(), other._int_form()
-        return a.keys() == b.keys() and all(_same((d, flat), (e, b[m])) for m, flat in a.items())
+        return (type(other) is type(self)
+                and (self.monomials, self.tall) == (other.monomials, other.tall))
 
     def __hash__(self):
-        den, terms = self.scaled()
-        return hash((type(self).__name__, self.dim, den,
-                     frozenset((a, tuple(map(tuple, rows))) for a, rows in terms)))
+        return hash((type(self).__name__, self.monomials, self.tall))
+
+    def transpose(self):
+        """(x, y) -> B(y, x): the same terms read as a map of the other side."""
+        other = PolyLeftMap if self._frozen else PolyRightMap
+        return other._of(self.dim, self.monomials, self.tall)
 
     def __repr__(self):
-        return (f"{type(self).__name__}(dim={self.dim}, terms={len(self.support())}, "
+        return (f"{type(self).__name__}(dim={self.dim}, terms={len(self.monomials)}, "
                 f"degree={self.degree()})")
 
 
-def _same(p: tuple[int, list[int]], q: tuple[int, list[int]]) -> bool:
-    """p = (d, a) and q = (e, b) hold the same rationals a / d and b / e: a e = b d."""
-    (d, a), (e, b) = p, q
-    return a == b if d == e else [x * e for x in a] == [y * d for y in b]
+def _stacked(n: int, den: int, ints: Mapping[MultiIndex, Sequence[int]]
+             ) -> tuple[tuple[MultiIndex, ...], Matrix]:
+    """The monomials and tall matrix of the map whose monomial a has the coefficient
+    matrix ints[a] / den, n * n row-major integers; all-zero ones are dropped."""
+    monomials = tuple(sorted(a for a, flat in ints.items() if any(flat)))
+    tall: list[int] = []
+    for a in monomials:
+        tall += ints[a]
+    return monomials, Matrix._of(len(monomials) * n, n, den, tall)
 
 
 def _linear_combination(coeffs: Sequence[Fraction], maps: Sequence[_PolyMap]):
     """sum_i coeffs[i] * maps[i] for maps of one class, in integers.
 
-    Each map enters `combine` as one tall matrix: its lowest-terms rows
-    stacked in one block per monomial of the union of the supports.
+    Each map enters `combine` as one tall matrix: its blocks restacked in
+    one block per monomial of the union of the supports.
     """
     cls, n = type(maps[0]), maps[0].dim
     if any(P.dim != n for P in maps):
         raise ValueError("dimension mismatch")
-    used = [(f, P.scaled()) for f, P in zip(coeffs, maps) if f]
-    block: dict[MultiIndex, int] = {}
-    for _, (_, terms) in used:
-        for a, _ in terms:
-            block.setdefault(a, len(block))
+    used = [(f, P) for f, P in zip(coeffs, maps) if f]
+    block = {a: i for i, a in enumerate(dict.fromkeys(a for _, P in used for a in P.monomials))}
     tall = []
-    for _, (den, terms) in used:
+    for _, P in used:
         rows: IntRows = [[]] * (len(block) * n)
-        for a, r in terms:
+        for a, r in zip(P.monomials, P._blocks()):
             i = block[a] * n
             rows[i:i + n] = r
-        tall.append((den, rows))
+        tall.append((P.tall.den, rows))
     den, flat = combine([f for f, _ in used], tall, len(block) * n, n)
     size = n * n
-    ints = {}
-    for a, i in block.items():
-        out = flat[i * size:(i + 1) * size]
-        if any(out):
-            ints[a] = out
-    return cls._of(n, den, ints)
+    return cls._of(n, *_stacked(n, den, {a: flat[i * size:(i + 1) * size]
+                                         for a, i in block.items()}))
 
 
 class PolyRightMap(_PolyMap):
@@ -256,24 +207,18 @@ class PolyRightMap(_PolyMap):
 
     _frozen = 1
 
-    def transpose(self) -> "PolyLeftMap":
-        """(x, y) -> B(y, x): the same terms read as a left map."""
-        return PolyLeftMap._of(self.dim, self._den, self._ints, self._terms, self._scaled)
-
 
 class PolyLeftMap(_PolyMap):
     """B(x, y) = sum_a x^a (N_a y): polynomial in x, linear in y."""
 
     _frozen = 0
 
-    def transpose(self) -> "PolyRightMap":
-        return PolyRightMap._of(self.dim, self._den, self._ints, self._terms, self._scaled)
-
 
 def from_tensor(B: BilinearTensor) -> PolyRightMap:
     """Bilinear map as a right poly map: one degree-1 term per basis column."""
     n = B.dim
-    return PolyRightMap(n, {_unit_index(j, n): B.column_map(j) for j in range(n)})
+    return PolyRightMap(n, {tuple(int(i == j) for i in range(n)): B.column_map(j)
+                            for j in range(n)})
 
 
 def from_tensor_left(B: BilinearTensor) -> PolyLeftMap:
@@ -315,12 +260,13 @@ def is_right_bider_poly(A: Algebra, P: PolyRightMap) -> bool:
     Over Q the monomials y^a are linearly independent as functions, so this
     coefficient-wise criterion is equivalent to x -> B(x, y) being a
     derivation for every y. Each matrix is asked through its integer columns,
-    which are strided slices of the map's row-major integer entries.
+    which are strided slices of the tall matrix's row-major integer entries.
     """
     if A.dim != P.dim:
         raise ValueError("dimension mismatch")
-    n = P.dim
-    return all(derives(A, [flat[p::n] for p in range(n)]) for flat in P._int_form()[1].values())
+    n, ints = P.dim, P.tall.ints
+    return all(derives(A, [ints[b + p:b + n * n:n] for p in range(n)])
+               for b in range(0, len(ints), n * n))
 
 
 def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
@@ -328,19 +274,15 @@ def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
     return is_right_bider_poly(A, P.transpose())
 
 
-def _entries(rows: IntRows, n: int) -> list[tuple[int, int, int]]:
-    """The nonzero entries (r n, k, v) of a matrix given by its sparse integer rows."""
-    return [(r * n, k, v) for r, row in enumerate(rows) for k, v in row]
-
-
-def _bracket_terms(P1: _PolyMap, P2: _PolyMap) -> tuple[int, IntTerms]:
-    """sum_{a,b} y^(a+b) [M_a, N_b] as an integer form (den, entries per monomial) over
-    d1 d2, from the operands' lowest-terms rows: a pair of terms adds M_a N_b and
-    subtracts N_b M_a in one flat loop each."""
-    (d1, t1), (d2, t2) = P1.scaled(), P2.scaled()
+def _bracket_terms(P1: _PolyMap, P2: _PolyMap) -> tuple[tuple[MultiIndex, ...], Matrix]:
+    """sum_{a,b} y^(a+b) [M_a, N_b] as the monomials and tall matrix of a map, over
+    d1 d2, from the operands' blocks, each as its sparse rows and its nonzero
+    entries (r n, k, v): a pair of terms adds M_a N_b and subtracts N_b M_a in
+    one flat loop each."""
     n = P1.dim
-    ops1, ops2 = ([(a, _entries(rows, n), rows) for a, rows in t] for t in (t1, t2))
-    acc: IntTerms = {}
+    ops1, ops2 = ([(a, [(r * n, k, v) for r, row in enumerate(rows) for k, v in row], rows)
+                   for a, rows in zip(P.monomials, P._blocks())] for P in (P1, P2))
+    acc: dict[MultiIndex, list[int]] = {}
     for a, e1, r1 in ops1:
         for b, e2, r2 in ops2:
             g = tuple([x + y for x, y in zip(a, b)])
@@ -353,7 +295,7 @@ def _bracket_terms(P1: _PolyMap, P2: _PolyMap) -> tuple[int, IntTerms]:
             for rn, k, v in e2:
                 for c, w in r1[k]:
                     out[rn + c] -= v * w
-    return d1 * d2, {g: out for g, out in acc.items() if any(out)}
+    return _stacked(n, P1.tall.den * P2.tall.den, acc)
 
 
 def rhd(B1: PolyRightMap, B2: PolyRightMap) -> PolyRightMap:
@@ -385,20 +327,20 @@ def random_multi_index(rng: random.Random, n: int, max_degree: int = 2) -> Multi
     return tuple(alpha)
 
 
-def _random_map(rng: random.Random, cls, base_maps, derivations: Sequence[tuple[int, IntRows]],
-                n: int):
-    """A random combination of `base_maps` plus up to two terms y^a D, D a random
-    combination of the scaled `derivations`."""
+def _random_map(rng: random.Random, cls, base_maps, derivations: Sequence[Matrix], n: int):
+    """A random rational sum of `base_maps` plus up to two terms y^a D, D a random
+    rational sum of `derivations`."""
     coeffs = [random_fraction(rng) for _ in base_maps]
     maps = list(base_maps)
     for _ in range(rng.randint(0, 2)):
         if not derivations:
             break
         alpha = random_multi_index(rng, n)
-        den, flat = combine([random_fraction(rng) for _ in derivations], derivations, n, n)
+        den, flat = combine([random_fraction(rng) for _ in derivations],
+                            [(d.den, d.sparse) for d in derivations], n, n)
         if any(flat):
             coeffs.append(1)
-            maps.append(cls._of(n, den, {alpha: flat}))
+            maps.append(cls._of(n, *_stacked(n, den, {alpha: flat})))
     if not maps:
         return cls.zero(n)
     return _linear_combination(coeffs, maps)
@@ -409,7 +351,7 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
     """Property suite: the bracket makes the biderivation side a Lie algebra.
 
     Draws `samples` triples of random right (or left) biderivations, each a
-    rational combination of the computed bilinear basis plus up to two
+    rational sum over the computed bilinear basis plus up to two
     random degree <= 2 derivation-coefficient terms, and checks closure,
     bilinearity in both slots, alternativity, and the Jacobi sum, all in
     exact arithmetic. Violations are reported as counterexamples; none are
@@ -423,7 +365,7 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
     is_member = is_right_bider_poly if right else is_left_bider_poly
     cls, br = (PolyRightMap, rhd) if right else (PolyLeftMap, lhd)
     base_maps = [convert(t) for t in basis_tensors(space, A.dim)]
-    ders = [int_scaled(d.data) for d in derivation_matrices(A)]
+    ders = derivation_matrices(A)
     rng = random.Random(seed)
     suite = f"bracket-{side}"
     closure_bad = bilin_bad = alt_bad = jacobi_bad = None
@@ -481,10 +423,10 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
 
     The frozen argument runs over every e_j and e_j + e_k (j < k), the free
     one over every e_p at once: with the frozen argument fixed, each tensor
-    is the matrix whose column p is `BilinearTensor.evaluate` at e_p, and
-    the composition is the commutator of two such matrices. A frozen sum
-    makes the cross terms y^(a+b), a != b, of the bracket count. Every side
-    is compared in integers, as a numerator matrix over its denominator.
+    is the matrix whose column p is its value at e_p, a sum of its column
+    maps, and the composition is the commutator of two such matrices. A
+    frozen sum makes the cross terms y^(a+b), a != b, of the bracket count.
+    Every side is compared as an integer form in lowest terms.
     """
     n = A.dim
     tensors = basis_tensors(right_bider_bilinear_space(A), n)
@@ -494,48 +436,53 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
                       for j in range(n) for k in range(j + 1, n)]
     at_frozen: dict[MultiIndex, list[int]] = {}  # each monomial's values at the frozen points
 
-    def frozen_maps(value):
-        """Per frozen v, the scaled matrix whose column p is value(e_p, v); None when it is 0."""
-        out = []
-        for v in frozen:
-            den, rows = int_scaled(tuple(zip(*(value(e, v) for e in basis))))
-            out.append((den, rows) if any(rows) else None)
-        return out
+    def frozen_maps(t):
+        """Per frozen v, the matrix of x -> t(x, v), whose column p is t(e_p, v): a sum of
+        t's column maps, read off its integer form; None when it is 0."""
+        maps = [t.column_map(j) for j in range(n)]
+        sums = maps + [maps[j] + maps[k] for j in range(n) for k in range(j + 1, n)]
+        return [None if m.is_zero() else m for m in sums]
 
-    # an operand is its poly map and its frozen matrices
+    # an operand is its poly map and its frozen matrices; a left map freezes the
+    # first argument, so its frozen matrices are those of the transposed tensor
     def right_op(t):
-        return from_tensor(t), frozen_maps(t.evaluate)
+        return from_tensor(t), frozen_maps(t)
 
     def left_op(t):
-        return from_tensor_left(t), frozen_maps(lambda e, v: t.evaluate(v, e))
+        return from_tensor_left(t), frozen_maps(t.transpose())
 
     def values(P):
-        """Per frozen v, P's matrix in the free argument, from every term of P's integer form."""
-        den, ints = P._int_form()
-        out = [[0] * (n * n) for _ in frozen]
-        for a, flat in ints.items():
+        """Per frozen v, the lowest-terms integer form of P's matrix in the free argument,
+        from every block of P's tall matrix."""
+        nn, ints = n * n, P.tall.ints
+        out = [[0] * nn for _ in frozen]
+        for b, a in zip(range(0, len(ints), nn), P.monomials):
             ws = at_frozen.get(a)
             if ws is None:
                 ws = at_frozen[a] = [monomial_value(a, v) for v in frozen]
+            flat = ints[b:b + nn]
             for k, w in enumerate(ws):
                 if w:
                     out[k] = [x + w * y for x, y in zip(out[k], flat)]
-        return [(den, flat) for flat in out]
+        return [lowest_terms(P.tall.den, flat) for flat in out]
 
     def is_composition(got, f1, f2) -> bool:
         """got equals f1 f2 - f2 f1; with an operand 0 that is got = 0, and no product."""
         if f1 is None or f2 is None:
             return not any(got[1])
-        (d1, a), (d2, b) = f1, f2
         out = [0] * (n * n)
-        add_commutator(out, a, b, n)
-        return _same(got, (d1 * d2, out))
+        add_product(out, f1.sparse, f2.sparse, n)
+        add_product(out, f2.sparse, f1.sparse, n, -1)
+        return got == lowest_terms(f1.den * f2.den, out)
 
     def holds(r1, r2, l1, l2) -> bool:
-        """rhd(r1, r2)(x, y) = lhd(l1, l2)(y, x), each side equal to its composition."""
-        right, left = values(rhd(r1[0], r2[0])), values(lhd(l1[0], l2[0]))
+        """rhd(r1, r2)(x, y) = lhd(l1, l2)(y, x), each side equal to its composition.
+        Two sides with equal integer forms have equal values."""
+        R, L = rhd(r1[0], r2[0]), lhd(l1[0], l2[0])
+        right = values(R)
+        left = right if (R.monomials, R.tall) == (L.monomials, L.tall) else values(L)
         for k, got in enumerate(right):
-            if not (_same(got, left[k]) and is_composition(got, r1[1][k], r2[1][k])
+            if not (got == left[k] and is_composition(got, r1[1][k], r2[1][k])
                     and is_composition(left[k], l1[1][k], l2[1][k])):
                 return False
         return True

@@ -4,11 +4,11 @@ A derivation is a linear self-map D with D[x,y] = [Dx,y] + [x,Dy]. On
 coordinates D acts as an n x n matrix, so the defining rule on all basis
 pairs is a homogeneous linear system in the matrix entries; its nullspace
 is the derivation algebra. `derives` asks `algebras.leibniz_sides` at
-every basis pair, on integer columns: `is_derivation` scales a matrix's
-columns to integers for it, and the poly-map predicates of `brackets` hand
-it the integer columns their maps hold. `derivation_rows` writes the rule
-out on its own, in integers from the product's `int_form`, so the
-predicates check the solver independently.
+every basis pair, on integer columns: `is_derivation` and the poly-map
+predicates of `brackets` read them as strided slices of a matrix's
+integer entries. `derivation_rows` writes the rule out on its own, in
+integers from the product's `int_form`, so the predicates check the
+solver independently.
 Unknowns are ordered column-major, rows by basis pair (i, j) in ascending
 lexicographic order over all n^2 pairs, whatever the declared kind.
 """
@@ -19,14 +19,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebras import Algebra, bracket, leibniz_sides
-from .linalg import Matrix, SubspaceBasis, int_dense, mat_commutator, solve_homogeneous
+from .linalg import Matrix, SubspaceBasis, mat_commutator, solve_homogeneous
 
 
 def is_derivation(A: Algebra, m: Matrix) -> bool:
     """True iff the derivation rule holds on all basis pairs."""
     if m.rows != A.dim or m.cols != A.dim:
         raise ValueError(f"expected a {A.dim}x{A.dim} matrix, got {m.rows}x{m.cols}")
-    return derives(A, int_dense(m.transpose().data)[1])
+    n = m.cols
+    return derives(A, [m.ints[p::n] for p in range(n)])
 
 
 def derives(A: Algebra, images: Sequence[Sequence[int]]) -> bool:
@@ -84,7 +85,8 @@ def derivation_space(A: Algebra) -> SubspaceBasis:
 
 def derivation_matrices(A: Algebra) -> list[Matrix]:
     """The canonical derivation basis, unpacked into matrices."""
-    return [Matrix.from_col_major(v, A.dim) for v in derivation_space(A).vectors]
+    n = A.dim
+    return [m.transpose() for m in derivation_space(A).basis.split(n, n)]
 
 
 def commutator(d1: Matrix, d2: Matrix) -> Matrix:
@@ -96,4 +98,4 @@ def ad(A: Algebra, x: Sequence[Fraction]) -> Matrix:
     """Adjoint map y -> [x, y]; a derivation whenever A is Lie."""
     x = A.element(x)
     cols = [bracket(A, x, A.basis_element(j)) for j in range(A.dim)]
-    return Matrix(tuple(tuple(cols[j][r] for j in range(A.dim)) for r in range(A.dim)))
+    return Matrix.from_col_major([v for col in cols for v in col], A.dim)

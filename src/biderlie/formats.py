@@ -25,10 +25,11 @@ A `t` line is one tensor entry, as a `c` line is one entry of the product
 tensor of an algebra: both are read by one helper and written from the
 tensor's nonzero entries by `entry_lines`. An `m` line is entry (row, col)
 of the coefficient matrix attached to the monomial exponent vector, written
-without spaces. A poly map is read into its integer form (one denominator,
-the lcm of its entries' denominators, and integer entries per monomial; an
-all-zero monomial is dropped) and written from it, each entry reduced to the
-text `str(Fraction)` gives, so no `Fraction` matrix is built on the way.
+without spaces. A poly map is read into its integer form (its sorted
+monomials and one tall `Matrix` of their coefficient matrices over the lcm of
+the entries' denominators; an all-zero monomial is dropped) and written
+from it, each entry reduced to the text `str(Fraction)` gives, so no
+`Fraction` matrix is built on the way.
 Serialization is canonical: sorted indices, normalized rationals, so
 parse(serialize(x)) == x and serialized forms are diffable.
 """
@@ -40,8 +41,7 @@ from fractions import Fraction
 
 from .algebras import KINDS, MAX_DEGREE, MAX_DIM, Algebra
 from .bilinear import BilinearTensor
-from .brackets import PolyLeftMap, PolyRightMap
-from .linalg import common_denominator
+from .brackets import PolyLeftMap, PolyRightMap, _stacked
 
 MAP_KINDS = ("bilinear", "polyright", "polyleft")
 
@@ -215,30 +215,27 @@ def parse_map(text: str):
         raise FormatError("missing map or dim header")
     if map_kind == "bilinear":
         return BilinearTensor.from_entries(dim, tensor_entries)
-    den = common_denominator([x for x in grid if x is not None] for grid in grids.values())
-    ints = {}
-    for alpha, grid in grids.items():
-        flat = [0 if x is None else x.numerator * (den // x.denominator) for x in grid]
-        if any(flat):
-            ints[alpha] = flat
-    return (PolyRightMap if map_kind == "polyright" else PolyLeftMap)._of(dim, den, ints)
+    den = math.lcm(*{x.denominator for grid in grids.values() for x in grid if x is not None})
+    ints = {alpha: [0 if x is None else x.numerator * (den // x.denominator) for x in grid]
+            for alpha, grid in grids.items()}
+    cls = PolyRightMap if map_kind == "polyright" else PolyLeftMap
+    return cls._of(dim, *_stacked(dim, den, ints))
 
 
 def serialize_map(obj) -> str:
     """Canonical text for a tensor or poly map; inverse of `parse_map`. A poly map is
-    written from its integer form, each entry x / den reduced to `str(Fraction)`'s text."""
+    written from its tall matrix, each entry x / den reduced to `str(Fraction)`'s text."""
     if isinstance(obj, BilinearTensor):
         return "\n".join(["map bilinear", f"dim {obj.dim}"] + entry_lines(obj, "t")) + "\n"
     if isinstance(obj, (PolyRightMap, PolyLeftMap)):
         kind = "polyright" if isinstance(obj, PolyRightMap) else "polyleft"
-        n = obj.dim
-        den, ints = obj._int_form()
+        n, den, ints = obj.dim, obj.tall.den, obj.tall.ints
         at = [f" {r + 1} {c + 1} = " for r in range(n) for c in range(n)]
         text: dict[int, str] = {}  # each distinct entry is reduced once
         lines = [f"map {kind}", f"dim {n}"]
-        for alpha in sorted(ints):
+        for b, alpha in zip(range(0, len(ints), n * n), obj.monomials):
             head = "m (" + ",".join(map(str, alpha)) + ")"
-            for pos, x in zip(at, ints[alpha]):
+            for pos, x in zip(at, ints[b:b + n * n]):
                 if x:
                     v = text.get(x)
                     if v is None:

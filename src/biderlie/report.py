@@ -28,7 +28,7 @@ def all_ok(results: Iterable[CheckResult]) -> bool:
 
 
 def format_element(v: Sequence[Fraction]) -> str:
-    """Coordinate vector as a basis combination, e.g. '-e1 + 1/2*e3'."""
+    """Coordinate vector written in the basis, e.g. '-e1 + 1/2*e3'."""
     parts = []
     for idx, c in enumerate(v, start=1):
         if not c:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 from .algebras import Algebra
 from .brackets import MultiIndex, PolyRightMap, monomial_value, rhd
 from .derivations import commutator, is_derivation
-from .linalg import Matrix, Vector, basis_vector, combination, int_scaled
+from .linalg import Matrix, Vector, basis_vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -191,14 +191,14 @@ def exp_nilpotent_exact(F: Matrix, s: Fraction) -> Matrix:
     """
     n = F.rows
     s = Fraction(s)
-    power = Matrix.identity(n)
-    coeffs, powers = [_ONE], [int_scaled(power.data)]
+    power = total = Matrix.identity(n)
+    coeff = _ONE
     for k in range(1, n + 1):
         power = power * F
         if power.is_zero():
-            return combination(coeffs, powers, n, n)
-        coeffs.append(coeffs[-1] * s / k)
-        powers.append(int_scaled(power.data))
+            return total
+        coeff = coeff * s / k
+        total = total + coeff * power
     raise ValueError("matrix is not nilpotent")
 
 

@@ -21,8 +21,7 @@ from .biderivations import (basis_tensors, bider_space, is_bider, is_left_bider,
 from .brackets import (random_fraction, random_multi_index, verify_lie_algebra,
                        verify_transpose_interplay)
 from .derivations import derivation_matrices, derivation_space, is_derivation
-from .linalg import (Matrix, SubspaceBasis, add_commutator, combination, flat_rows, int_scaled,
-                     solve_over)
+from .linalg import Matrix, SubspaceBasis, mat_commutator, solve_over
 from .report import CheckResult, check, skip, witness_from_triple
 from .scalar_maps import (ScalarPoly, ScalarTimesDerivation, bracket_matches_poly_form,
                           exp_curve_check, iff_derivation_check)
@@ -39,36 +38,19 @@ def kind_suite(A: Algebra) -> list[CheckResult]:
 def derivation_suite(A: Algebra) -> list[CheckResult]:
     """The solved `Der` basis satisfies the rule, and `Der` is a Lie algebra.
 
-    The basis is scaled to integers once. Each commutator [D_i, D_j] is one
-    integer list over d_i d_j, a scalar multiple of the commutator, which
-    leaves membership in the solved space unchanged. The Jacobi sum of a
-    triple is three commutators over the one denominator d_i d_j d_k,
-    added into one integer list.
+    Each commutator [D_i, D_j] is an integer `Matrix`; it lies in the solved
+    space iff the column-major entries of its integer form do. The Jacobi
+    sum of a triple adds three commutators of those.
     """
     suite = "derivations"
-    n = A.dim
     ders = derivation_matrices(A)
     space = derivation_space(A)
     basis_ok = all(is_derivation(A, d) for d in ders)
-    scaled = [int_scaled(d.data)[1] for d in ders]
-    comms = {}
-    for i, a in enumerate(scaled):
-        for j, b in enumerate(scaled):
-            out = [0] * (n * n)
-            add_commutator(out, a, b, n)
-            comms[i, j] = out
-    closure_ok = all(space.contains([c[r * n + q] for q in range(n) for r in range(n)])
-                     for c in comms.values())
-    comm_rows = {ij: flat_rows(c, n) for ij, c in comms.items()}
-    jacobi_ok = True
-    for i, j, k in itertools.product(range(len(scaled)), repeat=3):
-        out = [0] * (n * n)
-        add_commutator(out, scaled[i], comm_rows[j, k], n)
-        add_commutator(out, scaled[j], comm_rows[k, i], n)
-        add_commutator(out, scaled[k], comm_rows[i, j], n)
-        if any(out):
-            jacobi_ok = False
-            break
+    comms = {(i, j): mat_commutator(a, b) for i, a in enumerate(ders) for j, b in enumerate(ders)}
+    closure_ok = all(space.contains(c.transpose().ints) for c in comms.values())
+    jacobi_ok = all((mat_commutator(ders[i], comms[j, k]) + mat_commutator(ders[j], comms[k, i])
+                     + mat_commutator(ders[k], comms[i, j])).is_zero()
+                    for i, j, k in itertools.product(range(len(ders)), repeat=3))
     return [
         check(suite, "basis-satisfies-derivation-rule", basis_ok),
         check(suite, "commutator-closure", closure_ok),
@@ -91,14 +73,15 @@ def space_suite(A: Algebra) -> list[CheckResult]:
         if space.dim != n * der.dim:
             return False
         for tensor in map(flip, basis_tensors(space, n)):
-            if not all(der.contains(tensor.column_map(j).to_col_major()) for j in range(n)):
+            # column-major entries of the integer form of each column map
+            if not all(der.contains(tensor.column_map(j).transpose().ints) for j in range(n)):
                 return False
         zero = Matrix.zeros(n, n)
         for D in ders:
             for j in range(n):
                 # the tensor sending (x, e_j) to D x and (x, e_k) to 0 otherwise
                 maps = [D if k == j else zero for k in range(n)]
-                if not space.contains(flip(BilinearTensor.from_column_maps(maps)).flatten()):
+                if not space.contains(flip(BilinearTensor.from_column_maps(maps)).matrix.ints):
                     return False
         return True
 
@@ -116,18 +99,19 @@ def space_suite(A: Algebra) -> list[CheckResult]:
 
 
 def _random_member(rng: random.Random, space: SubspaceBasis, n: int) -> BilinearTensor:
-    """A random rational combination of a tensor space's basis."""
-    return BilinearTensor._from_flat_trusted(
-        space.member([random_fraction(rng) for _ in space.vectors]), n)
+    """A random member of a tensor space: a rational sum over its basis."""
+    coeffs = [random_fraction(rng) for _ in range(space.dim)]
+    return BilinearTensor.from_flat(space.member(coeffs), n)
 
 
 def _transpose_part(right: SubspaceBasis, n: int, sign: int) -> SubspaceBasis:
     """Canonical basis of the members B of `right` with B^t = sign * B, sign = 1
     or -1: one row B_ijk - sign * B_jik per i >= j and k, solved over right."""
-    flats = [dict(vec) for _, (vec,) in right.int_form()]
+    ints, size = right.basis.ints, n ** 3
     pairs = [((i * n + j) * n + k, (j * n + i) * n + k)
              for i in range(n) for j in range(i + 1) for k in range(n)]
-    return solve_over(right, ([f.get(p, 0) - sign * f.get(q, 0) for f in flats] for p, q in pairs))
+    return solve_over(right, ([x - sign * y for x, y in zip(ints[p::size], ints[q::size])]
+                              for p, q in pairs))
 
 
 def symmetry_suite(A: Algebra, samples: int = 25, seed: int = 0) -> list[CheckResult]:
@@ -201,7 +185,6 @@ def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[Ch
     n = A.dim
     rng = random.Random(seed)
     ders = derivation_matrices(A)
-    der_pool = [int_scaled(d.data) for d in ders]
     equivalence_ok = True
     non_derivation_hits = 0
     for i in range(sweep_samples):
@@ -209,7 +192,7 @@ def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[Ch
         while g.is_zero():
             g = _random_scalar_poly(rng, n)
         if i % 2 == 0 and ders:
-            F = combination([random_fraction(rng) for _ in ders], der_pool, n, n)
+            F = sum((random_fraction(rng) * d for d in ders), Matrix.zeros(n, n))
         else:
             F = _random_matrix(rng, n)
         if not is_derivation(A, F):

@@ -17,8 +17,8 @@ product alone, where the package asks every one of them as "is this map a
 derivation?". The bracket reference takes one matrix commutator per pair
 of terms, the way the package first computed it, and the matrix references
 multiply entry by entry in `Fraction`s. The linear-combination references
-fold one `Fraction` product and sum at a time, matrix by matrix, where the
-package scales every operand to integers once. The poly map serializer
+fold one `Fraction` product and sum at a time, entry by entry, where the
+package combines integer forms over one denominator. The poly map serializer
 writes the `Fraction` matrices of `.terms`, where the package writes the
 integer form.
 """
@@ -28,9 +28,14 @@ from fractions import Fraction
 import sympy
 
 from biderlie.algebras import bracket
+from biderlie.bilinear import BilinearTensor
 from biderlie.brackets import PolyRightMap
-from biderlie.linalg import (Matrix, SubspaceBasis, basis_vector, combination, int_scaled,
-                             mat_commutator, vec_add, vector)
+from biderlie.linalg import Matrix, SubspaceBasis, basis_vector, mat_commutator, vector
+
+
+def vec_add(u, v):
+    """u + v entry by entry."""
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def _sympy_matrix(rows):
@@ -98,7 +103,7 @@ def rref_reference(m):
         pivot_row += 1
         if pivot_row == nrows:
             break
-    return Matrix._wrap(tuple(tuple(r) for r in rows)), pivot_row
+    return Matrix(rows) if rows else Matrix.zeros(0, ncols), pivot_row
 
 
 def canonicalize_reference(vectors, ambient_dim):
@@ -106,7 +111,7 @@ def canonicalize_reference(vectors, ambient_dim):
     vecs = [vector(v) for v in vectors]
     if not vecs:
         return SubspaceBasis(ambient_dim, ())
-    red, rank = rref_reference(Matrix._wrap(tuple(vecs)))
+    red, rank = rref_reference(Matrix(vecs))
     return SubspaceBasis(ambient_dim, red.data[:rank])
 
 
@@ -132,8 +137,7 @@ def intersect_reference(a, b):
         return SubspaceBasis(a.ambient_dim, ())
     rows = [[av[c] for av in a.vectors] + [-bv[c] for bv in b.vectors]
             for c in range(a.ambient_dim)]
-    pool = [int_scaled((av,)) for av in a.vectors]
-    vecs = [combination(x[:a.dim], pool, 1, a.ambient_dim).data[0]
+    vecs = [fraction_combination(x[:a.dim], a.vectors, (Fraction(0),) * a.ambient_dim)
             for x in nullspace_reference(Matrix(rows)).vectors]
     return canonicalize_reference(vecs, a.ambient_dim)
 
@@ -356,9 +360,11 @@ def bracket_terms_per_pair(t1, t2):
 
 
 def matrix_product(a, b):
-    """a b by the textbook triple loop over `Fraction` entries."""
-    return Matrix([[sum((a.data[r][k] * b.data[k][c] for k in range(a.cols)), Fraction(0))
-                    for c in range(b.cols)] for r in range(a.rows)])
+    """a b by the textbook triple loop over `Fraction` entries; a product without rows
+    is the zero matrix of its shape."""
+    rows = [[sum((a.data[r][k] * b.data[k][c] for k in range(a.cols)), Fraction(0))
+             for c in range(b.cols)] for r in range(a.rows)]
+    return Matrix(rows) if rows else Matrix.zeros(0, b.cols)
 
 
 def derivation_sides(A, m, i, j):
@@ -376,23 +382,37 @@ def is_derivation_reference(A, m):
 
 
 def fraction_combination(coeffs, items, zero):
-    """zero + sum_i coeffs[i] * items[i], folded one `Fraction` scalar product and sum
-    at a time (matrices or tensors)."""
-    acc = zero
+    """zero + sum_i coeffs[i] * items[i], folded one `Fraction` product and sum at a time,
+    entry by entry: matrices are read through `.data`, tensors through `flatten()` and
+    vectors as they are, and the result is rebuilt as the type of `zero`."""
+    def entries(x):
+        if isinstance(x, Matrix):
+            return [v for row in x.data for v in row]
+        return list(x.flatten() if isinstance(x, BilinearTensor) else x)
+    acc = entries(zero)
     for f, x in zip(coeffs, items):
-        acc = acc + Fraction(f) * x
-    return acc
+        f = Fraction(f)
+        if f:
+            acc = [a + f * b if b else a for a, b in zip(acc, entries(x))]
+    if isinstance(zero, BilinearTensor):
+        return BilinearTensor.from_flat(acc, zero.dim)
+    if isinstance(zero, Matrix):
+        c = zero.cols
+        return Matrix([acc[r * c:(r + 1) * c] for r in range(zero.rows)]) if zero.rows else zero
+    return tuple(acc)
 
 
 def poly_terms_combination(coeffs, term_dicts):
-    """sum_i coeffs[i] * P_i for poly-map term dicts, matrix by matrix with `Matrix`
-    scalar products and sums; all-zero matrices are dropped."""
+    """sum_i coeffs[i] * P_i for poly-map term dicts, matrix by matrix with
+    `fraction_combination`; all-zero matrices are dropped."""
     acc = {}
     for f, terms in zip(coeffs, term_dicts):
         for a, m in terms.items():
-            t = Fraction(f) * m
-            acc[a] = acc[a] + t if a in acc else t
-    return {a: m for a, m in acc.items() if not m.is_zero()}
+            acc.setdefault(a, []).append((f, m))
+    out = {a: fraction_combination([f for f, _ in fm], [m for _, m in fm],
+                                   Matrix.zeros(fm[0][1].rows, fm[0][1].cols))
+           for a, fm in acc.items()}
+    return {a: m for a, m in out.items() if not m.is_zero()}
 
 
 def evaluate_decomposition(fs, x, y):

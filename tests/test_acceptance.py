@@ -23,6 +23,7 @@ from biderlie import (Algebra, BilinearTensor, ScalarPoly, ScalarTimesDerivation
                       verify_lie_algebra, verify_transpose_interplay)
 from biderlie import cli
 from biderlie.cli import heisenberg_example_maps, main
+from biderlie.formats import parse_algebra
 from biderlie.linalg import Matrix
 from biderlie.report import all_ok
 from biderlie.scalar_maps import bracket_matches_poly_form
@@ -242,6 +243,34 @@ SERIALIZED_BUILTINS_SHA256 = "10b49c3ce3e9c692f434a448b779ef59019dd0d933bdca48a5
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of `verify <file>` and `verify <file> --json` on the two lie-declared
+# failing algebras: the Lie scans run in integers and divide only the witness
+VERIFY_FAILING_SHA256 = {
+    "antisymmetry": ("c44557e0944460d3edb18bf9b14c52c50a9a0f1c8249765c718ad00ba4e9eb90",
+                     "252318aa8563247adaa3790a2f04d3681401cca9025160b9d9fa04af27425599"),
+    "jacobi": ("e98d0c102a218a11a2a4b7f7d5b7ad82e5ed56357de48a711cbbd862772b2b22",
+               "0f26607440c4e95e4f28270acf8c97f209da06cecb3f406b1843322fe2970e6b"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY_FAILING_SHA256))
+def test_lie_kind_witnesses_are_pinned_in_check_and_verify(capsys, tmp_path, kind):
+    path = tmp_path / f"{kind}.alg"
+    path.write_text(FAILING_ALGEBRAS[kind])
+    runs = zip((["check", str(path)], ["check", str(path), "--json"], ["verify", str(path)],
+                ["verify", str(path), "--json"]), CHECK_SHA256[kind] + VERIFY_FAILING_SHA256[kind])
+    for argv, digest in runs:
+        assert main(argv) == 1
+        assert _sha256(capsys.readouterr().out) == digest, argv
+    w = check_kind(parse_algebra(FAILING_ALGEBRAS[kind])).witness
+    # as: [e2,e1] = -1/3 e1 against -[e1,e2] = -1/2 e1; jac: the Jacobi sum at
+    # (e3, e2, e1), over the square of the constants' denominator 6
+    F = Fraction
+    want = {"antisymmetry": ((1, 0), (F(-1, 3), 0), (F(-1, 2), 0), (F(1, 6), 0)),
+            "jacobi": ((2, 1, 0), (0, 0, 0), (0, F(7, 6), 0), (0, F(7, 6), 0))}[kind]
+    assert (w.identity, w.triple, w.lhs, w.rhs, w.residual) == (kind, *want)
 
 
 def test_criterion_8_cli_contract(capsys, monkeypatch, tmp_path):

@@ -17,7 +17,7 @@ from biderlie.biderivations import basis_tensors, right_bider_bilinear_space
 from biderlie.bilinear import random_tensor
 from biderlie.cli import heisenberg_example_maps
 from biderlie.formats import parse_map, serialize_map
-from biderlie.linalg import Matrix, basis_vector, from_int_flat
+from biderlie.linalg import Matrix, basis_vector
 from biderlie.report import all_ok
 
 from helpers import random_rational_vector
@@ -287,17 +287,17 @@ def test_poly_map_arithmetic_matches_matrix_by_matrix_reference(cls):
 
 @pytest.mark.parametrize("cls", [PolyRightMap, PolyLeftMap])
 def test_integer_born_maps_equal_and_hash_as_their_fraction_born_copies(cls):
-    # a bracket's integer form is over d1 d2 and need not be in lowest terms:
-    # (E12 / 2) and (2/3 E21) bracket to 2 (E11 - E22) over 6, which is
-    # (E11 - E22) / 3; the map rebuilt from its `Fraction` terms holds it over 3
+    # the kernel adds a bracket over d1 d2, and its tall matrix puts it in lowest
+    # terms: (E12 / 2) and (2/3 E21) bracket to 2 (E11 - E22) over 6, held as
+    # (E11 - E22) over 3, as the map rebuilt from its `Fraction` terms holds it
     br = rhd if cls is PolyRightMap else lhd
     P = cls.single(2, (1, 0), Matrix([[0, F(1, 2)], [0, 0]]))
     Q = cls.single(2, (0, 1), Matrix([[0, 0], [F(2, 3), 0]]))
     R = br(P, Q)
-    assert R._int_form() == (6, {(1, 1): [2, 0, 0, -2]})
+    assert R.monomials == ((1, 1),) and (R.tall.den, R.tall.ints) == (3, (1, 0, 0, -1))
     born = cls(2, R.terms)
-    assert born._int_form()[0] == 3
-    assert R.scaled() == born.scaled() == (3, [((1, 1), [[(0, 1)], [(1, -1)]])])
+    assert born.tall.den == 3
+    assert R.tall.sparse == born.tall.sparse == [[(0, 1)], [(1, -1)]]
     for a, b in ((R, born), (born, R), (R, parse_map(serialize_map(R)))):
         assert a == b and hash(a) == hash(b)
     assert R != 2 * R and R != -R and R != cls.zero(2)
@@ -312,14 +312,14 @@ def test_integer_born_maps_equal_and_hash_as_their_fraction_born_copies(cls):
         for got in (br(X, Y), f * br(X, Y), br(X, Y) + br(Y, X), -br(f * X, Y), X - f * Y):
             twin = cls(n, got.terms)
             assert got == twin and twin == got and hash(got) == hash(twin)
-            assert got.scaled()[0] == twin._int_form()[0]
+            assert got.tall == twin.tall and got.monomials == twin.monomials
             assert got == parse_map(serialize_map(got))
 
 
 @pytest.mark.parametrize("cls", [PolyRightMap, PolyLeftMap])
 def test_bracket_terms_view_and_file_text_match_the_reference(cls):
-    # `.terms` of a bracket is a view built from its integer form on first read;
-    # it and the file text must be those of the per-pair `Fraction` reference
+    # `.terms` of a bracket is a view of the blocks of its tall matrix; it and
+    # the file text must be those of the per-pair `Fraction` reference
     br = rhd if cls is PolyRightMap else lhd
     rng = random.Random(f"view-{cls.__name__}")
     for n in (1, 2, 3, 5):
@@ -327,9 +327,9 @@ def test_bracket_terms_view_and_file_text_match_the_reference(cls):
             X, Y = (cls(n, _random_terms(rng, n, rng.randint(1, min(n + 2, 6)), (1, 2, 3, 5, 7)))
                     for _ in range(2))
             R = br(X, Y)
-            assert R._terms is None
+            assert R.terms == dict(zip(R.monomials, R.tall.split(n, n)))
             want = bracket_terms_per_pair(X.terms, Y.terms)
-            assert R.terms == want and R.terms is R.terms
+            assert R.terms == want
             assert serialize_map(R) == serialize_map(cls(n, want))
             assert serialize_map(br(R, X)) == serialize_map(
                 cls(n, bracket_terms_per_pair(want, X.terms)))
@@ -421,16 +421,17 @@ def _derivation_terms(rng, ders, n, count):
 
 
 def _assert_kernel_matches_reference(t1, t2, n):
-    # the kernel reads each map's scaled form and returns an integer form (den,
-    # entries per monomial); the reference gets the same maps' terms
+    # the kernel reads each map's tall matrix and returns the monomials and tall
+    # matrix of the bracket; the reference gets the same maps' terms
     P1, P2 = PolyRightMap(n, t1), PolyRightMap(n, t2)
-    den, ints = brackets_module._bracket_terms(P1, P2)
-    assert all(any(flat) and len(flat) == n * n for flat in ints.values())
-    got = {g: from_int_flat(flat, n, den) for g, flat in ints.items()}
+    monomials, tall = brackets_module._bracket_terms(P1, P2)
+    blocks = tall.split(n, n)
+    assert len(blocks) == len(monomials) and not any(m.is_zero() for m in blocks)
+    got = dict(zip(monomials, blocks))
     want = bracket_terms_per_pair(P1.terms, P2.terms)
     assert got == want
     for cls in (PolyRightMap, PolyLeftMap):
-        assert serialize_map(cls._of(n, den, ints)) == serialize_map(cls(n, want))
+        assert serialize_map(cls._of(n, monomials, tall)) == serialize_map(cls(n, want))
     return got
 
 
@@ -486,8 +487,9 @@ def test_term_drawers_refuse_more_terms_than_monomials():
 # --- the transpose suite must be able to fail --------------------------------
 
 def _kernel_form(terms, n):
-    # a term dict as the kernel's return form (den, entries per monomial)
-    return PolyRightMap(n, terms)._int_form()
+    # a term dict as the kernel's return form (monomials, tall matrix)
+    P = PolyRightMap(n, terms)
+    return P.monomials, P.tall
 
 
 def _anticommutator_terms(P1, P2):

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import biderlie.linalg as linalg
 from biderlie import (BilinearTensor, PolyRightMap, builtin, from_tensor, from_tensor_left, lhd,
                       parse_map, rhd, serialize_algebra)
 from biderlie.algebras import MAX_DEGREE, Algebra
@@ -111,9 +110,8 @@ def test_bracket_command_runs_in_integers_from_file_to_file(capsys, tmp_path, mo
     def refuse(*args, **kwargs):
         raise AssertionError("built a Fraction matrix on the file-to-file path")
 
-    for module in [m for name, m in sys.modules.items() if name.startswith("biderlie")]:
-        if getattr(module, "from_int_flat", None) is linalg.from_int_flat:
-            monkeypatch.setattr(module, "from_int_flat", refuse)
+    # `Matrix.data` is the one place a matrix's `Fraction` entries are built
+    monkeypatch.setattr(Matrix, "data", property(refuse))
     for op, br, convert in (("rhd", rhd, from_tensor), ("lhd", lhd, from_tensor_left)):
         for first, second in (("p1", "p2"), ("p2", "p1"), ("b1", "p2"), ("p1", "b2")):
             want = br(*(convert(m) if isinstance(m, BilinearTensor) else m
@@ -125,8 +123,7 @@ def test_bracket_command_runs_in_integers_from_file_to_file(capsys, tmp_path, mo
             code, out, err = run_cli(capsys, *argv, "--json")
             assert code == 0 and err == ""
             assert parse_map(json.loads(out)["result_mapfile"]) == want
-    # with poly map files alone, no `Matrix` is built at all
-    monkeypatch.setattr(Matrix, "_wrap", refuse)
+    # with poly map files alone, no matrix is built from `Fraction` entries either
     monkeypatch.setattr(Matrix, "__init__", refuse)
     code, out, _ = run_cli(capsys, "bracket", str(paths["p1", "lhd"]), str(paths["p2", "lhd"]),
                            "--op", "lhd", "--algebra", str(alg))

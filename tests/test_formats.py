@@ -188,8 +188,9 @@ def test_degree_cap_admits_the_cap():
 @st.composite
 def poly_maps(draw):
     """A poly map of dim 1-4 with denominators up to 7 and negative entries. The
-    integer form is given as it is, scaled by k (so not in lowest terms when
-    k > 1), or the map is built from the `Fraction` matrices it stands for."""
+    integer form is given as it is, scaled by k (not in lowest terms when k > 1,
+    which `Matrix._of` reduces), or the map is built from the `Fraction`
+    matrices it stands for."""
     n = draw(st.integers(1, 4))
     cls = draw(st.sampled_from((PolyRightMap, PolyLeftMap)))
     den, k = draw(st.integers(1, 7)), draw(st.integers(1, 4))
@@ -199,7 +200,9 @@ def poly_maps(draw):
     if draw(st.booleans()):
         return cls(n, {a: Matrix([[F(flat[r * n + c], den) for c in range(n)] for r in range(n)])
                        for a, flat in ints.items()})
-    return cls._of(n, k * den, {a: [k * x for x in flat] for a, flat in ints.items()})
+    alphas = sorted(ints)
+    return cls._of(n, tuple(alphas), Matrix._of(len(alphas) * n, n, k * den,
+                                                [k * x for a in alphas for x in ints[a]]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,7 +223,8 @@ def test_parse_drops_zero_entries_and_all_zero_monomials():
         assert type(P) is cls and P == parse_map(base)
         assert P.support() == {(1, 0), (0, 1)}
         # one denominator, the lcm of the entry denominators
-        assert P._int_form() == (2, {(1, 0): [0, 1, 0, 0], (0, 1): [0, 0, -6, 0]})
+        assert P.monomials == ((0, 1), (1, 0))
+        assert (P.tall.den, P.tall.ints) == (2, (0, 0, -6, 0, 0, 1, 0, 0))
         assert serialize_map(P) == serialize_map(parse_map(base))
 
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from biderlie import Algebra, bracket, linalg
 from biderlie.derivations import derivation_rows
-from biderlie.linalg import (Matrix, SubspaceBasis, _eliminate, canonicalize, combination,
-                             int_scaled, intersect, mat_commutator, nullspace,
-                             rref, solve_homogeneous, vec_is_zero, vector)
+from biderlie.linalg import (Matrix, SubspaceBasis, _eliminate, canonicalize, combine,
+                             intersect, mat_commutator, nullspace, rref, solve_homogeneous,
+                             vector)
 
 from oracles import (forward_elimination_rank, fraction_combination, full_space,
                      intersect_reference, is_subspace_of, matrix_product, nullspace_reference,
@@ -57,7 +57,7 @@ def test_nullspace_vectors_annihilate():
     ns = nullspace(m)
     assert ns.dim == 2
     for v in ns.vectors:
-        assert vec_is_zero(m.apply(v))
+        assert not any(m.apply(v))
 
 
 def test_canonicalize_scaling():
@@ -105,7 +105,7 @@ def test_rank_nullity(m):
 @given(matrices())
 def test_nullspace_members_are_exact_solutions(m):
     for v in nullspace(m).vectors:
-        assert vec_is_zero(m.apply(v))
+        assert not any(m.apply(v))
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,7 +161,7 @@ def _assert_rref_is_reference(m):
     for row in m.data:
         den = math.lcm(*(x.denominator for x in row))
         ints.append(tuple(x.numerator * (den // x.denominator) for x in row))
-    assert rref(Matrix._wrap(tuple(ints))) == (red, rank)
+    assert rref(Matrix(ints)) == (red, rank)
 
 
 @settings(max_examples=300, deadline=None)
@@ -434,6 +434,11 @@ def test_integer_product_kernel_matches_entrywise_fractions():
     assert Matrix.zeros(2, 3) * rand(3, 2) == Matrix.zeros(2, 2)
 
 
+def _combination(coeffs, mats, rows, cols):
+    # `combine` on the matrices' integer forms, as a rows x cols matrix
+    return Matrix._of(rows, cols, *combine(coeffs, [(m.den, m.sparse) for m in mats], rows, cols))
+
+
 def test_integer_combination_kernel_matches_fraction_fold():
     # sum_i f_i M_i over one common denominator, against a fold of Fraction
     # scalar products and sums; a vector is the one-row case
@@ -446,15 +451,17 @@ def test_integer_combination_kernel_matches_fraction_fold():
             mats = [rand(rows, cols) for _ in range(count)]
             coeffs = [rng.choice((0, 1, -3, F(2, 7), F(-5, 6))) for _ in mats]
             want = fraction_combination(coeffs, mats, Matrix.zeros(rows, cols))
-            got = combination(coeffs, [int_scaled(m.data) for m in mats], rows, cols)
+            got = _combination(coeffs, mats, rows, cols)
             assert got == want
             assert all(type(x) is Fraction for row in got.data for x in row)
     m = rand(2, 2)
-    assert combination([0, F(0)], [int_scaled(m.data)] * 2, 2, 2) == Matrix.zeros(2, 2)
-    assert combination([], [], 2, 2) == Matrix.zeros(2, 2)
+    assert _combination([0, F(0)], [m] * 2, 2, 2) == Matrix.zeros(2, 2)
+    assert _combination([], [], 2, 2) == Matrix.zeros(2, 2)
 
 
 def test_matrix_shape_errors():
+    with pytest.raises(ValueError):
+        Matrix([])
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
     with pytest.raises(ValueError):
@@ -467,3 +474,86 @@ def test_col_major_round_trip():
     m = Matrix([[1, 2], [3, 4]])
     assert m.to_col_major() == vector((1, 3, 2, 4))
     assert Matrix.from_col_major(m.to_col_major(), 2) == m
+
+
+def test_matrices_without_rows_or_columns():
+    # the shape is stored, so an empty side is a matrix like any other
+    for m, shape in ((Matrix.identity(0), (0, 0)), (Matrix.zeros(0, 3), (0, 3)),
+                     (Matrix.zeros(3, 0).transpose(), (0, 3)), (Matrix.zeros(2, 0), (2, 0))):
+        assert (m.rows, m.cols) == shape and m.is_zero()
+        assert m.data == ((),) * shape[0] and (m.den, m.ints) == (1, ())
+    assert Matrix.zeros(3, 0).transpose() == Matrix.zeros(0, 3) != Matrix.zeros(3, 0)
+    assert Matrix.zeros(2, 0) * Matrix.zeros(0, 3) == Matrix.zeros(2, 3)
+    assert Matrix.zeros(0, 2) * Matrix([[1, 2], [3, 4]]) == Matrix.zeros(0, 2)
+    assert Matrix.identity(0) * Matrix.identity(0) == Matrix.identity(0)
+    assert Matrix.zeros(2, 0).apply(()) == (F(0), F(0)) and Matrix.zeros(0, 2).apply((1, 2)) == ()
+    assert solve_homogeneous([], 0) == SubspaceBasis(0, ()) == nullspace(Matrix.zeros(0, 0))
+
+
+@st.composite
+def rational_matrices(draw, rows=None, cols=None):
+    """A matrix of 0-4 rows and columns, or the given shape, with zero entries and
+    denominators 1-7, built from its `Fraction` entries."""
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    entries = draw(st.lists(st.builds(F, st.integers(-9, 9) | st.just(0), st.integers(1, 7)),
+                            min_size=rows * cols, max_size=rows * cols))
+    return Matrix._from_flat(rows, cols, entries)
+
+
+def _assert_integer_form(m):
+    # den > 0, ints in lowest terms, and `data` the `Fraction` view of den * M
+    assert m.den > 0 and math.gcd(m.den, *m.ints) == 1 and len(m.ints) == m.rows * m.cols
+    assert m.data == tuple(tuple(F(m.ints[r * m.cols + c], m.den) for c in range(m.cols))
+                           for r in range(m.rows))
+    assert all(type(x) is Fraction for row in m.data for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_matrix_matches_the_fraction_oracles(data):
+    a = data.draw(rational_matrices())
+    rows, cols = a.rows, a.cols
+    b = data.draw(rational_matrices(rows, cols))
+    c = data.draw(rational_matrices(cols, data.draw(st.integers(0, 4))))
+    f = data.draw(st.builds(F, st.integers(-7, 7), st.integers(1, 7)))
+    zero = Matrix.zeros(rows, cols)
+    results = {
+        "sum": (a + b, fraction_combination((1, 1), (a, b), zero)),
+        "difference": (a - b, fraction_combination((1, -1), (a, b), zero)),
+        "negation": (-a, fraction_combination((-1,), (a,), zero)),
+        "scalar": (f * a, fraction_combination((f,), (a,), zero)),
+        "combination": (_combination((f, 3, -1), (a, b, a), rows, cols),
+                        fraction_combination((f, 3, -1), (a, b, a), zero)),
+        "product": (a * c, matrix_product(a, c)),
+    }
+    if rows == cols:
+        results["commutator"] = (mat_commutator(a, b), matrix_product(a, b) - matrix_product(b, a))
+    for name, (got, want) in results.items():
+        _assert_integer_form(got)
+        assert (got.rows, got.cols) == (want.rows, want.cols) and got.data == want.data, name
+    t = a.transpose()
+    _assert_integer_form(t)
+    assert t.data == tuple(tuple(row[j] for row in a.data) for j in range(cols))
+    v = [x for row in c.transpose().data[:1] for x in row] or [F(0)] * cols
+    assert a.apply(v) == tuple(sum((x * y for x, y in zip(row, v)), F(0)) for row in a.data)
+    if rows == cols:
+        assert Matrix.from_col_major(a.to_col_major(), rows) == a
+        assert a.to_col_major() == tuple(a.data[r][k] for k in range(cols) for r in range(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.integers(1, 6))
+def test_integer_forms_of_one_matrix_compare_and_hash_equal(m, k):
+    _assert_integer_form(m)
+    # any positive multiple of the integer form is reduced to the same lowest terms
+    for other in (Matrix._of(m.rows, m.cols, k * m.den, [k * x for x in m.ints]),
+                  Matrix._of(m.rows, m.cols, m.den * 7, [7 * x for x in m.ints]),
+                  Matrix._from_flat(m.rows, m.cols, [x for row in m.data for x in row])):
+        _assert_integer_form(other)
+        assert other == m and hash(other) == hash(m)
+        assert (other.den, other.ints) == (m.den, m.ints)
+    if m.rows:
+        assert Matrix(m.data) == m and hash(Matrix(m.data)) == hash(m)
+    if not m.is_zero():
+        assert 2 * m != m and -m != m and m != Matrix.zeros(m.rows, m.cols)
