@@ -46,7 +46,7 @@ from .bilinear import BilinearTensor, skew_symmetrize, symmetrize
 from .biderivations import (basis_tensors, left_bider_bilinear_space,
                             right_bider_bilinear_space)
 from .derivations import derivation_matrices, derives
-from .linalg import IntRows, Matrix, Vector, add_product, basis_vector, combine, lowest_terms
+from .linalg import IntRows, Matrix, Vector, basis_vector, combine, lowest_terms, mat_commutator
 from .report import CheckResult, check
 
 MultiIndex = tuple[int, ...]
@@ -426,7 +426,9 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
     is the matrix whose column p is its value at e_p, a sum of its column
     maps, and the composition is the commutator of two such matrices. A
     frozen sum makes the cross terms y^(a+b), a != b, of the bracket count.
-    Every side is compared as an integer form in lowest terms.
+    Every side is compared as an integer form in lowest terms. Frozen
+    matrices repeat across pairs, so the commutators last computed are kept
+    by their operands' integer forms, up to 2^15 of them.
     """
     n = A.dim
     tensors = basis_tensors(right_bider_bilinear_space(A), n)
@@ -435,6 +437,7 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
     frozen = basis + [tuple(x + y for x, y in zip(basis[j], basis[k]))
                       for j in range(n) for k in range(j + 1, n)]
     at_frozen: dict[MultiIndex, list[int]] = {}  # each monomial's values at the frozen points
+    comms: dict[tuple, tuple[int, tuple[int, ...]]] = {}  # f1 f2 - f2 f1 by operand forms
 
     def frozen_maps(t):
         """Per frozen v, the matrix of x -> t(x, v), whose column p is t(e_p, v): a sum of
@@ -470,10 +473,13 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
         """got equals f1 f2 - f2 f1; with an operand 0 that is got = 0, and no product."""
         if f1 is None or f2 is None:
             return not any(got[1])
-        out = [0] * (n * n)
-        add_product(out, f1.sparse, f2.sparse, n)
-        add_product(out, f2.sparse, f1.sparse, n, -1)
-        return got == lowest_terms(f1.den * f2.den, out)
+        key = (f1.den, f1.ints, f2.den, f2.ints)
+        if key not in comms:
+            if len(comms) == 1 << 15:       # bounds the memory; abelian(5) keeps 19375
+                comms.clear()
+            c = mat_commutator(f1, f2)
+            comms[key] = (c.den, c.ints)
+        return got == comms[key]
 
     def holds(r1, r2, l1, l2) -> bool:
         """rhd(r1, r2)(x, y) = lhd(l1, l2)(y, x), each side equal to its composition.
@@ -490,11 +496,10 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
     m = len(tensors)
     rights = [right_op(t) for t in tensors]
     lefts_of_transpose = [left_op(t.transpose()) for t in tensors]
-    sym = [symmetrize(t) for t in tensors]
     skew = [skew_symmetrize(t) for t in tensors]
     # a symmetric double is its own transpose: its left operand is its right one
     # read as a left map, with the same frozen matrices
-    sym_r = [right_op(t) for t in sym]
+    sym_r = [right_op(symmetrize(t)) for t in tensors]
     sym_l = [(P.transpose(), maps) for P, maps in sym_r]
     skew_r, skew_l = [right_op(t) for t in skew], [left_op(t) for t in skew]
     skew_lt = [left_op(t.transpose()) for t in skew]
@@ -514,7 +519,7 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
     # (a) holds for any bilinear maps, so it also runs on 2m pairs of doubles,
     # whose brackets mix the terms of different monomials where those of the
     # basis maps may all vanish (on L4 they do). A symmetric double is its own
-    # transpose, so sym_l[i] is the left map of sym[i]^t.
+    # transpose, so sym_l[i] is the left map of S_i^t.
     for i in range(m):
         j = (i + 1) % m
         for doubles, r2, l2 in (("symmetric", sym_r[j], sym_l[j]),

@@ -59,17 +59,11 @@ def derivation_rows(A: Algebra) -> list[list[int]]:
             for l in range(n):
                 row = [0] * (n * n)
                 for k in range(n):
-                    v = c[i][j][k]
-                    if v:
-                        row[k * n + l] += v          # entry m[l][k]
+                    row[k * n + l] += c[i][j][k]         # entry m[l][k]
                 for p in range(n):
-                    v = c[p][j][l]
-                    if v:
-                        row[i * n + p] -= v          # entry m[p][i]
+                    row[i * n + p] -= c[p][j][l]         # entry m[p][i]
                 for q in range(n):
-                    v = c[i][q][l]
-                    if v:
-                        row[j * n + q] -= v          # entry m[q][j]
+                    row[j * n + q] -= c[i][q][l]         # entry m[q][j]
                 key = tuple(row)
                 if any(key) and key not in seen:
                     seen.add(key)

@@ -80,11 +80,9 @@ def _integers(entries: Iterable) -> tuple[int, list[int]]:
 def lowest_terms(den: int, ints: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """The integer form of the rationals ints / den, den > 0, in lowest terms: both
     divided by gcd(den, *ints). Two forms hold the same rationals iff these agree."""
-    g = den
-    for p in range(0, len(ints), 64):               # a long form is mostly coprime early
-        if g == 1:
-            break
-        g = math.gcd(g, *ints[p:p + 64])
+    g = math.gcd(den, *ints[:64])       # mostly 1: the rest of a long form is not read
+    if g != 1:
+        g = math.gcd(g, *ints)
     return (den, tuple(ints)) if g == 1 else (den // g, tuple([x // g for x in ints]))
 
 

@@ -145,15 +145,9 @@ def decompose_by_basis(P: PolyRightMap) -> list[list[ScalarPoly]]:
     B(x, y) = sum_i x_i f_i(y) reconstructs B exactly, and the f_i are the
     unique maps doing so.
     """
-    n = P.dim
-    out = []
-    for i in range(n):
-        comps = []
-        for l in range(n):
-            coeffs = {a: m.data[l][i] for a, m in P.terms.items() if m.data[l][i]}
-            comps.append(ScalarPoly(n, coeffs))
-        out.append(comps)
-    return out
+    n, terms = P.dim, [(a, m.data) for a, m in P.terms.items()]
+    return [[ScalarPoly(n, {a: rows[l][i] for a, rows in terms if rows[l][i]}) for l in range(n)]
+            for i in range(n)]
 
 
 def iff_derivation_check(A: Algebra, s: ScalarTimesDerivation) -> bool:

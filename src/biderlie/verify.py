@@ -21,7 +21,7 @@ from .biderivations import (basis_tensors, bider_space, is_bider, is_left_bider,
 from .brackets import (random_fraction, random_multi_index, verify_lie_algebra,
                        verify_transpose_interplay)
 from .derivations import derivation_matrices, derivation_space, is_derivation
-from .linalg import Matrix, SubspaceBasis, mat_commutator, solve_over
+from .linalg import Matrix, SubspaceBasis, add_product, mat_commutator, solve_over
 from .report import CheckResult, check, skip, witness_from_triple
 from .scalar_maps import (ScalarPoly, ScalarTimesDerivation, bracket_matches_poly_form,
                           exp_curve_check, iff_derivation_check)
@@ -38,19 +38,29 @@ def kind_suite(A: Algebra) -> list[CheckResult]:
 def derivation_suite(A: Algebra) -> list[CheckResult]:
     """The solved `Der` basis satisfies the rule, and `Der` is a Lie algebra.
 
-    Each commutator [D_i, D_j] is an integer `Matrix`; it lies in the solved
-    space iff the column-major entries of its integer form do. The Jacobi
-    sum of a triple adds three commutators of those.
+    Each D_i is scaled once to the integer matrix d_i D_i, which leaves membership
+    and the vanishing of the Jacobi sums unchanged; the Jacobi sum of a triple
+    adds three integer commutators into one list.
     """
     suite = "derivations"
+    n = A.dim
     ders = derivation_matrices(A)
     space = derivation_space(A)
     basis_ok = all(is_derivation(A, d) for d in ders)
-    comms = {(i, j): mat_commutator(a, b) for i, a in enumerate(ders) for j, b in enumerate(ders)}
+    scaled = [Matrix._of(n, n, 1, d.ints) for d in ders]
+    comms = {(i, j): mat_commutator(a, b)
+             for i, a in enumerate(scaled) for j, b in enumerate(scaled)}
     closure_ok = all(space.contains(c.transpose().ints) for c in comms.values())
-    jacobi_ok = all((mat_commutator(ders[i], comms[j, k]) + mat_commutator(ders[j], comms[k, i])
-                     + mat_commutator(ders[k], comms[i, j])).is_zero()
-                    for i, j, k in itertools.product(range(len(ders)), repeat=3))
+    rows, crows = [d.sparse for d in scaled], {ij: c.sparse for ij, c in comms.items()}
+
+    def jacobi_sum(i, j, k) -> list[int]:
+        out = [0] * (n * n)
+        for d, c in ((rows[i], crows[j, k]), (rows[j], crows[k, i]), (rows[k], crows[i, j])):
+            add_product(out, d, c, n)
+            add_product(out, c, d, n, -1)
+        return out
+
+    jacobi_ok = not any(any(jacobi_sum(*t)) for t in itertools.product(range(len(ders)), repeat=3))
     return [
         check(suite, "basis-satisfies-derivation-rule", basis_ok),
         check(suite, "commutator-closure", closure_ok),
