@@ -415,20 +415,22 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
 
     In (b) and (c) the same tensor is reinterpreted as a left biderivation,
     legitimate because symmetric and skew right biderivations are left
-    biderivations. Each side is also compared with the composition it
+    biderivations. The right side is also compared with the composition it
     stands for, from the tensors themselves:
 
-      rhd(B1, B2)(x, y) = B1(B2(x, y), y) - B2(B1(x, y), y)
-      lhd(B1, B2)(x, y) = B1(x, B2(x, y)) - B2(x, B1(x, y)).
+      rhd(B1, B2)(x, y) = B1(B2(x, y), y) - B2(B1(x, y), y).
+
+    The left side then equals its own composition, B1(x, B2(x, y)) -
+    B2(x, B1(x, y)), too: its operands' frozen matrices are those of the
+    right operands or, for a skew map, their negatives, so both sides
+    commutate the same pair of matrices.
 
     The frozen argument runs over every e_j and e_j + e_k (j < k), the free
     one over every e_p at once: with the frozen argument fixed, each tensor
     is the matrix whose column p is its value at e_p, a sum of its column
     maps, and the composition is the commutator of two such matrices. A
     frozen sum makes the cross terms y^(a+b), a != b, of the bracket count.
-    Every side is compared as an integer form in lowest terms. Frozen
-    matrices repeat across pairs, so the commutators last computed are kept
-    by their operands' integer forms, up to 2^15 of them.
+    Every side is compared as an integer form in lowest terms.
     """
     n = A.dim
     tensors = basis_tensors(right_bider_bilinear_space(A), n)
@@ -437,7 +439,6 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
     frozen = basis + [tuple(x + y for x, y in zip(basis[j], basis[k]))
                       for j in range(n) for k in range(j + 1, n)]
     at_frozen: dict[MultiIndex, list[int]] = {}  # each monomial's values at the frozen points
-    comms: dict[tuple, tuple[int, tuple[int, ...]]] = {}  # f1 f2 - f2 f1 by operand forms
 
     def frozen_maps(t):
         """Per frozen v, the matrix of x -> t(x, v), whose column p is t(e_p, v): a sum of
@@ -446,13 +447,9 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
         sums = maps + [maps[j] + maps[k] for j in range(n) for k in range(j + 1, n)]
         return [None if m.is_zero() else m for m in sums]
 
-    # an operand is its poly map and its frozen matrices; a left map freezes the
-    # first argument, so its frozen matrices are those of the transposed tensor
+    # a right operand is its poly map and its frozen matrices; a left one is its poly map
     def right_op(t):
         return from_tensor(t), frozen_maps(t)
-
-    def left_op(t):
-        return from_tensor_left(t), frozen_maps(t.transpose())
 
     def values(P):
         """Per frozen v, the lowest-terms integer form of P's matrix in the free argument,
@@ -469,40 +466,35 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
                     out[k] = [x + w * y for x, y in zip(out[k], flat)]
         return [lowest_terms(P.tall.den, flat) for flat in out]
 
-    def is_composition(got, f1, f2) -> bool:
-        """got equals f1 f2 - f2 f1; with an operand 0 that is got = 0, and no product."""
-        if f1 is None or f2 is None:
-            return not any(got[1])
-        key = (f1.den, f1.ints, f2.den, f2.ints)
-        if key not in comms:
-            if len(comms) == 1 << 15:       # bounds the memory; abelian(5) keeps 19375
-                comms.clear()
-            c = mat_commutator(f1, f2)
-            comms[key] = (c.den, c.ints)
-        return got == comms[key]
-
     def holds(r1, r2, l1, l2) -> bool:
-        """rhd(r1, r2)(x, y) = lhd(l1, l2)(y, x), each side equal to its composition.
-        Two sides with equal integer forms have equal values."""
-        R, L = rhd(r1[0], r2[0]), lhd(l1[0], l2[0])
+        """rhd(r1, r2)(x, y) = lhd(l1, l2)(y, x), and at every frozen point equal to f1 f2 -
+        f2 f1, f1 and f2 the frozen matrices of r1 and r2; with one of them 0 that is a 0
+        value, and no product. Two sides with equal integer forms have equal values."""
+        R, L = rhd(r1[0], r2[0]), lhd(l1, l2)
         right = values(R)
         left = right if (R.monomials, R.tall) == (L.monomials, L.tall) else values(L)
-        for k, got in enumerate(right):
-            if not (got == left[k] and is_composition(got, r1[1][k], r2[1][k])
-                    and is_composition(left[k], l1[1][k], l2[1][k])):
+        for got, other, f1, f2 in zip(right, left, r1[1], r2[1]):
+            if got != other:
                 return False
+            if f1 is None or f2 is None:
+                if any(got[1]):
+                    return False
+            else:
+                c = mat_commutator(f1, f2)
+                if got != (c.den, c.ints):
+                    return False
         return True
 
     m = len(tensors)
     rights = [right_op(t) for t in tensors]
-    lefts_of_transpose = [left_op(t.transpose()) for t in tensors]
+    lefts_of_transpose = [from_tensor_left(t.transpose()) for t in tensors]
     skew = [skew_symmetrize(t) for t in tensors]
-    # a symmetric double is its own transpose: its left operand is its right one
-    # read as a left map, with the same frozen matrices
+    # a symmetric double is its own transpose: its left map is its right one
+    # read as a left map
     sym_r = [right_op(symmetrize(t)) for t in tensors]
-    sym_l = [(P.transpose(), maps) for P, maps in sym_r]
-    skew_r, skew_l = [right_op(t) for t in skew], [left_op(t) for t in skew]
-    skew_lt = [left_op(t.transpose()) for t in skew]
+    sym_l = [P.transpose() for P, _ in sym_r]
+    skew_r, skew_l = [right_op(t) for t in skew], [from_tensor_left(t) for t in skew]
+    skew_lt = [from_tensor_left(t.transpose()) for t in skew]
 
     main_bad = matched_bad = mixed_bad = None
     for i in range(m):

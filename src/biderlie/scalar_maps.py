@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebras import Algebra
-from .brackets import MultiIndex, PolyRightMap, monomial_value, rhd
+from .brackets import MultiIndex, PolyRightMap, is_right_bider_poly, monomial_value, rhd
 from .derivations import commutator, is_derivation
 from .linalg import Matrix, Vector, basis_vector
 
@@ -160,7 +160,6 @@ def iff_derivation_check(A: Algebra, s: ScalarTimesDerivation) -> bool:
         raise ValueError("g must not be identically zero (degenerate case)")
     if A.dim != s.dim:
         raise ValueError("dimension mismatch")
-    from .brackets import is_right_bider_poly
     return is_right_bider_poly(A, to_poly_right(s)) == is_derivation(A, s.F)
 
 

@@ -537,37 +537,98 @@ def _spurious_terms(P1, P2):
 _IDENTITIES = ("bracket-transpose-identity", "matched-symmetry-swap", "mixed-symmetry-swap")
 
 
-def _statuses(name):
-    return {r.identity: r.status for r in verify_transpose_interplay(builtin(name))}
+def _fail(i, j, **extra):
+    return "fail", {"basis_pair": [i, j], **extra}
 
 
-@pytest.mark.parametrize("name", ["heisenberg3", "L4", "L2", "L3"])
+_PASS = ("pass", None)
+_MUTANT_NAMES = ("heisenberg3", "L4", "L2", "L3")
+# the suite's (status, witness) per identity under each broken operation, in
+# _IDENTITIES order: which pair fails first is pinned, not only that one does
+_PINNED = {
+    "anticommutator": {
+        "heisenberg3": [_fail(0, 0), _fail(0, 0), _fail(0, 0)],
+        "L2": [_fail(0, 2), _fail(0, 1), _fail(0, 1)],
+        "L3": [_fail(0, 0), _fail(0, 0), _fail(0, 0)],
+        "L4": [_fail(0, 0), _fail(0, 0), _fail(0, 0)],
+    },
+    "dropped-cross-terms": {
+        "heisenberg3": [_fail(0, 4), _fail(0, 3), _fail(0, 3)],
+        "L2": [_fail(0, 3), _fail(0, 3), _fail(1, 1)],
+        "L3": [_fail(0, 3), _fail(0, 1), _fail(0, 0)],
+        "L4": [_fail(0, 1, doubles="symmetric"), _fail(0, 1), _fail(0, 0)],
+    },
+    "spurious-terms": {
+        "heisenberg3": [_fail(0, 0), _fail(0, 0), _fail(0, 0)],
+        "L2": [_fail(0, 0), _fail(0, 0), _fail(0, 0)],
+        "L3": [_fail(0, 0), _fail(3, 0), _fail(0, 3)],
+        "L4": [_fail(0, 0), _PASS, _PASS],
+    },
+    "lhd-swapped": {
+        "heisenberg3": [_fail(0, 1), _fail(0, 1), _fail(0, 2)],
+        "L2": [_fail(0, 2), _fail(0, 1), _fail(0, 1)],
+        "L3": [_fail(0, 2), _fail(0, 1), _fail(0, 0)],
+        "L4": [_fail(0, 1, doubles="symmetric"), _fail(0, 1), _fail(0, 0)],
+    },
+    "left-untransposed": {
+        "heisenberg3": [_fail(0, 2), _PASS, _fail(0, 2)],
+        "L2": [_fail(0, 1), _PASS, _fail(0, 1)],
+        "L3": [_fail(0, 1), _PASS, _fail(0, 0)],
+        "L4": [_fail(0, 1), _PASS, _fail(0, 0)],
+    },
+}
+
+
+def _assert_pinned(mutant, name):
+    results = verify_transpose_interplay(builtin(name))
+    assert [r.identity for r in results] == list(_IDENTITIES)
+    assert [(r.status, r.witness) for r in results] == _PINNED[mutant][name]
+
+
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
 def test_transpose_suite_catches_anticommutators(monkeypatch, name):
     monkeypatch.setattr(brackets_module, "_bracket_terms", _anticommutator_terms)
-    assert _statuses(name) == dict.fromkeys(_IDENTITIES, "fail")
+    _assert_pinned("anticommutator", name)
 
 
-@pytest.mark.parametrize("name", ["heisenberg3", "L4", "L2", "L3"])
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
 def test_transpose_suite_catches_dropped_cross_terms(monkeypatch, name):
     # bracket only the terms of equal monomials, dropping y^(a+b) for a != b
     monkeypatch.setattr(brackets_module, "_bracket_terms", _diagonal_terms)
-    assert _statuses(name) == dict.fromkeys(_IDENTITIES, "fail")
+    _assert_pinned("dropped-cross-terms", name)
     if name == "L4":
         # L4's basis is y1 M and y2 M with one matrix M, so every bracket of
         # two basis maps is 0 with or without its cross terms: identity (a)
         # fails on the pairs of doubles it also runs on
         tensors = basis_tensors(right_bider_bilinear_space(builtin("L4")), 2)
         assert all(rhd(from_tensor(s), from_tensor(t)).is_zero() for s in tensors for t in tensors)
-        (main,) = [r for r in verify_transpose_interplay(builtin("L4"))
-                   if r.identity == "bracket-transpose-identity"]
-        assert "doubles" in main.witness
 
 
-@pytest.mark.parametrize("name", ["heisenberg3", "L4", "L2", "L3"])
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
 def test_transpose_suite_compares_brackets_where_an_operand_is_zero(monkeypatch, name):
     # the suite skips the product where a frozen operand is 0, but not the
-    # comparison of the bracket's value there with 0
+    # comparison of the bracket's value there with 0: identity (a) fails at
+    # the first pair
     monkeypatch.setattr(brackets_module, "_bracket_terms", _spurious_terms)
-    results = {r.identity: r for r in verify_transpose_interplay(builtin(name))}
-    assert results["bracket-transpose-identity"].status == "fail"
-    assert results["bracket-transpose-identity"].witness == {"basis_pair": [0, 0]}
+    _assert_pinned("spurious-terms", name)
+
+
+_LHD = brackets_module.lhd
+
+
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
+def test_transpose_suite_catches_a_left_bracket_in_swapped_order(monkeypatch, name):
+    # lhd(B2, B1) for lhd(B1, B2): the composition of the right side still
+    # holds, so only the comparison of the two sides can tell
+    monkeypatch.setattr(brackets_module, "lhd", lambda B1, B2: _LHD(B2, B1))
+    _assert_pinned("lhd-swapped", name)
+
+
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
+def test_transpose_suite_catches_an_untransposed_left_map(monkeypatch, name):
+    # from_tensor(B).transpose() is the left map of B's transpose, not of B.
+    # On skew doubles that negates both operands and leaves their bracket,
+    # so the matched swap still passes
+    monkeypatch.setattr(brackets_module, "from_tensor_left",
+                        lambda B: from_tensor(B).transpose())
+    _assert_pinned("left-untransposed", name)

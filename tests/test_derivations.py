@@ -168,6 +168,21 @@ def test_integer_derivation_suite_matches_fraction_reference(monkeypatch, name):
         assert got == [False, False, True]
 
 
+_ADD_PRODUCT = verify.add_product
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "sl2", "abelian(2)"])
+def test_commutator_jacobi_fails_on_anticommutators(monkeypatch, name):
+    # the Jacobi identity holds for any matrix commutator, so only a wrong
+    # product, here d c + c d, can show the check failing; the commutators of
+    # the closure check come from linalg and stay right
+    monkeypatch.setattr(verify, "add_product",
+                        lambda out, a, b, width, sign=1: _ADD_PRODUCT(out, a, b, width))
+    statuses = {r.identity: r.status for r in verify.derivation_suite(builtin(name))}
+    assert statuses == {"basis-satisfies-derivation-rule": "pass",
+                        "commutator-closure": "pass", "commutator-jacobi": "fail"}
+
+
 def _fractional_algebra():
     """A generic 3-dim algebra with constants over 3, 5 and 7 and a 2-dim Der."""
     return Algebra.from_entries("fractional", 3, {
