@@ -39,7 +39,7 @@ from .linalg import Vector, basis_vector, vector
 
 KINDS = ("lie", "leibniz-left", "leibniz-right", "generic")
 
-# Largest dimension an input may declare, twice the intended scale of 8:
+# Largest dimension an input may declare. It bounds allocation, not time:
 # constants are a dense n^3 table and the spaces hold n^3-long vectors, so
 # an unbounded `dim` line or `abelian(n)` is an unbounded allocation.
 MAX_DIM = 16

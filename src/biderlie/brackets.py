@@ -22,21 +22,21 @@ biderivation iff every coefficient matrix is a derivation.
 
 The arithmetic runs in integers. A map is its sorted monomials and one
 tall `linalg.Matrix` that stacks their coefficient matrices over one
-denominator, in lowest terms, so equal maps have equal forms. Map files are
-parsed into that form and written from it (`formats`). The bracket reads
-each operand block as its sparse integer rows and its flat list of nonzero
-entries, and adds both halves of every pair commutator, +M_a N_b and
--N_b M_a, into one integer entry list per output monomial a + b, over the
-product of the operands' denominators; sums and scalar multiples of maps go
-through `linalg.combine`. The `Fraction` matrices (`terms`) are a view of
-the blocks. `lhd` runs the same kernel, since a left map carries the terms
-of its transposed right map. The public constructor takes `Matrix`
-coefficients and stacks them over the lcm of their denominators.
+denominator, in lowest terms, so equal maps have equal forms; map files are
+parsed into that form and written from it (`formats`), and the `Fraction`
+matrices (`terms`) are a view. The bracket kernel takes one operand and a
+whole row of others. It reads each block as its nonzero entries and sparse
+rows, built once per map, and adds both halves of every pair commutator,
++M_a N_b and -N_b M_a, into one raw integer list per output monomial a + b
+over d1 d2. `rhd`, and `lhd` (a left map carries the terms of its
+transposed right map), are its one-pair case put in lowest terms; the
+transpose suite compares whole rows without reducing them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -46,15 +46,30 @@ from .bilinear import BilinearTensor, skew_symmetrize, symmetrize
 from .biderivations import (basis_tensors, left_bider_bilinear_space,
                             right_bider_bilinear_space)
 from .derivations import derivation_matrices, derives
-from .linalg import IntRows, Matrix, Vector, basis_vector, combine, lowest_terms, mat_commutator
+from .linalg import (IntRows, Matrix, Vector, _integers, add_product, basis_vector, combine)
 from .report import CheckResult, check
 
 MultiIndex = tuple[int, ...]
+RawTerms = dict[MultiIndex, list[int]]  # the kernel's integers per monomial, not reduced
 
 
 def monomial_value(alpha: MultiIndex, v: Sequence[Fraction]) -> Fraction:
     """v^alpha = product of v_i ** alpha_i; an int when v holds ints."""
     return math.prod(x ** a for a, x in zip(alpha, v) if a)
+
+
+def _at_points(terms, points: Sequence[Sequence[Fraction]], table: dict) -> dict[int, list]:
+    """sum_a v^a M_a per point v for terms (a, entries of M_a), as {index of v: entries, maybe
+    a term's own}; `table` holds each a's nonzero values [(index, v^a)], filled on first read."""
+    out: dict[int, list] = {}
+    for a, flat in terms:
+        if a not in table:
+            table[a] = [(k, w) for k, v in enumerate(points) if (w := monomial_value(a, v))]
+        for k, w in table[a] if any(flat) else ():
+            cur = out.get(k)
+            out[k] = ([x + w * y for x, y in zip(cur, flat)] if cur
+                      else flat if w == 1 else [w * y for y in flat])
+    return out
 
 
 class _PolyMap:
@@ -68,7 +83,7 @@ class _PolyMap:
     monomials and tall matrices are. `terms` is a view of the blocks.
     """
 
-    __slots__ = ("dim", "monomials", "tall")
+    __slots__ = ("dim", "monomials", "tall", "_ops")
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, Matrix]):
         for a, m in terms.items():
@@ -77,7 +92,7 @@ class _PolyMap:
             if m.rows != dim or m.cols != dim:
                 raise ValueError(f"coefficient matrix must be {dim}x{dim}")
         den = math.lcm(*(m.den for m in terms.values()))
-        self.dim = dim
+        self.dim, self._ops = dim, None
         self.monomials, self.tall = _stacked(dim, den, {
             tuple(a): [x * (den // m.den) for x in m.ints] for a, m in terms.items()})
 
@@ -87,7 +102,7 @@ class _PolyMap:
         P = object.__new__(cls)
         P.dim = dim
         P.monomials = monomials
-        P.tall = tall
+        P.tall, P._ops = tall, None
         return P
 
     @classmethod
@@ -103,10 +118,14 @@ class _PolyMap:
         """The coefficient matrix of each monomial: the blocks of the tall matrix."""
         return dict(zip(self.monomials, self.tall.split(self.dim, self.dim)))
 
-    def _blocks(self) -> list[IntRows]:
-        """The sparse integer rows of each block of the tall matrix, over its denominator."""
-        n, rows = self.dim, self.tall.sparse
-        return [rows[i:i + n] for i in range(0, len(rows), n or 1)]
+    def _operands(self) -> list[tuple[MultiIndex, list[tuple[int, int, int]], IntRows]]:
+        """Per monomial, its block's nonzero entries (r n, k, v) and sparse integer rows over
+        the tall matrix's denominator: a view built on first read and kept."""
+        if self._ops is None:
+            n, rows = self.dim, self.tall.sparse
+            self._ops = [(a, [(r * n, k, v) for r in range(n) for k, v in rows[b + r]],
+                          rows[b:b + n]) for a, b in zip(self.monomials, range(0, len(rows), n))]
+        return self._ops
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
@@ -116,9 +135,14 @@ class _PolyMap:
 
     def fixed_arg(self, v: Sequence[Fraction]) -> Matrix:
         """The linear map in the free argument when the frozen one is v."""
-        n, den = self.dim, self.tall.den
-        return Matrix._of(n, n, *combine([monomial_value(a, v) for a in self.monomials],
-                                         [(den, rows) for rows in self._blocks()], n, n))
+        return self._at([v])[0]
+
+    def _at(self, points: Sequence[Sequence[Fraction]]) -> list[Matrix]:
+        """`fixed_arg` at each of the points, from one evaluation of the blocks."""
+        n, nn = self.dim, self.dim * self.dim
+        vals = _at_points(zip(self.monomials, zip(*[iter(self.tall.ints)] * nn)), points, {})
+        return [Matrix._of(n, n, d * self.tall.den, xs)
+                for d, xs in (_integers(vals.get(k, [0] * nn)) for k in range(len(points)))]
 
     def is_zero(self) -> bool:
         return not self.monomials
@@ -192,7 +216,7 @@ def _linear_combination(coeffs: Sequence[Fraction], maps: Sequence[_PolyMap]):
     tall = []
     for _, P in used:
         rows: IntRows = [[]] * (len(block) * n)
-        for a, r in zip(P.monomials, P._blocks()):
+        for a, _, r in P._operands():
             i = block[a] * n
             rows[i:i + n] = r
         tall.append((P.tall.den, rows))
@@ -250,8 +274,8 @@ def basis_evaluation_tensor(P: PolyRightMap | PolyLeftMap) -> BilinearTensor:
     their bracket results.
     """
     n = P.dim
-    return BilinearTensor(n, [[P.evaluate(basis_vector(i, n), basis_vector(j, n))
-                               for j in range(n)] for i in range(n)])
+    B = BilinearTensor.from_column_maps(P._at([basis_vector(j, n) for j in range(n)]))
+    return B if P._frozen else B.transpose()
 
 
 def is_right_bider_poly(A: Algebra, P: PolyRightMap) -> bool:
@@ -274,28 +298,28 @@ def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
     return is_right_bider_poly(A, P.transpose())
 
 
-def _bracket_terms(P1: _PolyMap, P2: _PolyMap) -> tuple[tuple[MultiIndex, ...], Matrix]:
-    """sum_{a,b} y^(a+b) [M_a, N_b] as the monomials and tall matrix of a map, over
-    d1 d2, from the operands' blocks, each as its sparse rows and its nonzero
-    entries (r n, k, v): a pair of terms adds M_a N_b and subtracts N_b M_a in
-    one flat loop each."""
-    n = P1.dim
-    ops1, ops2 = ([(a, [(r * n, k, v) for r, row in enumerate(rows) for k, v in row], rows)
-                   for a, rows in zip(P.monomials, P._blocks())] for P in (P1, P2))
-    acc: dict[MultiIndex, list[int]] = {}
-    for a, e1, r1 in ops1:
-        for b, e2, r2 in ops2:
-            g = tuple([x + y for x, y in zip(a, b)])
-            out = acc.get(g)
-            if out is None:
-                out = acc[g] = [0] * (n * n)
-            for rn, k, v in e1:
-                for c, w in r2[k]:
-                    out[rn + c] += v * w
-            for rn, k, v in e2:
-                for c, w in r1[k]:
-                    out[rn + c] -= v * w
-    return _stacked(n, P1.tall.den * P2.tall.den, acc)
+def _bracket_terms(P1: _PolyMap, row: Sequence[_PolyMap]) -> list[tuple[int, RawTerms]]:
+    """For each P2 of row, sum_{a,b} y^(a+b) [M_a, N_b] as d1 d2 and the raw integers of each
+    a + b, perhaps all 0: a pair adds M_a N_b and subtracts N_b M_a in one loop each."""
+    nn, ops1, out = P1.dim * P1.dim, P1._operands(), []
+    for P2 in row:
+        acc: RawTerms = {}
+        for a, e1, r1 in ops1:
+            for b, e2, r2 in P2._operands():
+                flat = acc.setdefault(tuple(map(operator.add, a, b)), [0] * nn)
+                for rn, k, v in e1:
+                    for c, w in r2[k]:
+                        flat[rn + c] += v * w
+                for rn, k, v in e2:
+                    for c, w in r1[k]:
+                        flat[rn + c] -= v * w
+        out.append((P1.tall.den * P2.tall.den, acc))
+    return out
+
+
+def _lhd_row(B1: PolyLeftMap, row: Sequence[PolyLeftMap]) -> list[tuple[int, RawTerms]]:
+    """The kernel on left maps, which carry the terms of their transposed right maps."""
+    return _bracket_terms(B1, row)
 
 
 def rhd(B1: PolyRightMap, B2: PolyRightMap) -> PolyRightMap:
@@ -304,7 +328,7 @@ def rhd(B1: PolyRightMap, B2: PolyRightMap) -> PolyRightMap:
         raise TypeError("rhd expects two right maps")
     if B1.dim != B2.dim:
         raise ValueError("dimension mismatch")
-    return PolyRightMap._of(B1.dim, *_bracket_terms(B1, B2))
+    return PolyRightMap._of(B1.dim, *_stacked(B1.dim, *_bracket_terms(B1, [B2])[0]))
 
 
 def lhd(B1: PolyLeftMap, B2: PolyLeftMap) -> PolyLeftMap:
@@ -313,7 +337,7 @@ def lhd(B1: PolyLeftMap, B2: PolyLeftMap) -> PolyLeftMap:
         raise TypeError("lhd expects two left maps")
     if B1.dim != B2.dim:
         raise ValueError("dimension mismatch")
-    return PolyLeftMap._of(B1.dim, *_bracket_terms(B1, B2))
+    return PolyLeftMap._of(B1.dim, *_stacked(B1.dim, *_lhd_row(B1, [B2])[0]))
 
 
 def random_fraction(rng: random.Random, span: int = 2) -> Fraction:
@@ -415,115 +439,113 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
 
     In (b) and (c) the same tensor is reinterpreted as a left biderivation,
     legitimate because symmetric and skew right biderivations are left
-    biderivations. The right side is also compared with the composition it
-    stands for, from the tensors themselves:
+    biderivations. Each side is compared with the composition it stands
+    for, from the tensors themselves:
 
       rhd(B1, B2)(x, y) = B1(B2(x, y), y) - B2(B1(x, y), y).
-
-    The left side then equals its own composition, B1(x, B2(x, y)) -
-    B2(x, B1(x, y)), too: its operands' frozen matrices are those of the
-    right operands or, for a skew map, their negatives, so both sides
-    commutate the same pair of matrices.
 
     The frozen argument runs over every e_j and e_j + e_k (j < k), the free
     one over every e_p at once: with the frozen argument fixed, each tensor
     is the matrix whose column p is its value at e_p, a sum of its column
     maps, and the composition is the commutator of two such matrices. A
     frozen sum makes the cross terms y^(a+b), a != b, of the bracket count.
-    Every side is compared as an integer form in lowest terms.
+
+    It runs by rows: one kernel call brackets B1 with a row of B2 per side, a
+    row's commutators at a frozen point are two stacked products, and values
+    are raw integer lists, cross-multiplied where denominators differ. In (c)
+    the left rows are columns: lhd(K_j, S_i) = -lhd(K_j^t, S_i) is in row j.
     """
-    n = A.dim
+    n, nn = A.dim, A.dim * A.dim
     tensors = basis_tensors(right_bider_bilinear_space(A), n)
-    suite = "transpose"
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     frozen = basis + [tuple(x + y for x, y in zip(basis[j], basis[k]))
                       for j in range(n) for k in range(j + 1, n)]
-    at_frozen: dict[MultiIndex, list[int]] = {}  # each monomial's values at the frozen points
+    table: dict = {}  # each monomial's values at the frozen points
 
-    def frozen_maps(t):
-        """Per frozen v, the matrix of x -> t(x, v), whose column p is t(e_p, v): a sum of
-        t's column maps, read off its integer form; None when it is 0."""
-        maps = [t.column_map(j) for j in range(n)]
-        sums = maps + [maps[j] + maps[k] for j in range(n) for k in range(j + 1, n)]
-        return [None if m.is_zero() else m for m in sums]
+    def family(ts):
+        """The right maps of ts, their denominators d, and per frozen v the matrices of x ->
+        d t(x, v) side by side: per row r its entries (j nn + c, x); all as (j nn + r n, c, x)."""
+        stack: dict = {}
+        for j, t in enumerate(ts):
+            cols = t.int_form()[2]  # cols[k][a] is column a of the matrix at e_k
+            flats = ((basis[k], [c[p] for p in range(n) for c in cols[k]]) for k in range(n))
+            for v, flat in _at_points(flats, frozen, table).items():
+                wide_rows, wide_ents = stack.setdefault(v, ([[] for _ in range(n)], []))
+                for p, x in enumerate(flat):
+                    if x:
+                        wide_rows[p // n].append((j * nn + p % n, x))
+                        wide_ents.append((j * nn + p - p % n, p % n, x))
+        return [from_tensor(t) for t in ts], [t.matrix.den for t in ts], stack
 
-    # a right operand is its poly map and its frozen matrices; a left one is its poly map
-    def right_op(t):
-        return from_tensor(t), frozen_maps(t)
+    def first_mismatch(side, comm, dens, size) -> int | None:
+        """The first j at which the raw side[j] is not slice j of comm over dens[j], if any."""
+        vals: dict = {}
+        for j, (_, terms) in enumerate(side):
+            for v, flat in _at_points(terms.items(), frozen, table).items():
+                if v not in vals:
+                    vals[v] = [0] * size
+                vals[v][j * nn:(j + 1) * nn] = flat
+        keys, zero = vals.keys() | comm.keys(), [0] * size
+        if [den for den, _ in side] == dens and all(
+                vals.get(v, zero) == comm.get(v, zero) for v in keys):
+            return None
+        at = [slice(j * nn, (j + 1) * nn) for j in range(len(dens))]
+        return next((j for j, ((den, _), e) in enumerate(zip(side, dens)) if any(
+            [x * e for x in vals.get(v, zero)[at[j]]] != [y * den for y in comm.get(v, zero)[at[j]]]
+            for v in keys)), None)
 
-    def values(P):
-        """Per frozen v, the lowest-terms integer form of P's matrix in the free argument,
-        from every block of P's tall matrix."""
-        nn, ints = n * n, P.tall.ints
-        out = [[0] * nn for _ in frozen]
-        for b, a in zip(range(0, len(ints), nn), P.monomials):
-            ws = at_frozen.get(a)
-            if ws is None:
-                ws = at_frozen[a] = [monomial_value(a, v) for v in frozen]
-            flat = ints[b:b + nn]
-            for k, w in enumerate(ws):
-                if w:
-                    out[k] = [x + w * y for x, y in zip(out[k], flat)]
-        return [lowest_terms(P.tall.den, flat) for flat in out]
+    def first_bad(one, row, left) -> tuple[int | None, int | None]:
+        """The first j at which rhd(B1, B2_j), and the first at which the raw left[j], is not
+        the composition, for B1 and the B2_j the maps of the families one and row."""
+        ([P1], [d1], own), (maps, dens, stack) = one, row
+        size, dens = len(maps) * nn, [d1 * d for d in dens]
+        right = _bracket_terms(P1, maps)
+        comm = {}  # per frozen v, f1 [f_j ...] - [f_j ...] f1
+        for v, (rows1, _) in own.items():
+            if v in stack:
+                wide_rows, wide_ents = stack[v]
+                c = comm[v] = [0] * size
+                add_product(c, rows1, wide_rows, n)
+                for base, t, w in wide_ents:
+                    for col, x in rows1[t]:
+                        c[base + col] -= w * x
+        j = first_mismatch(right, comm, dens, size)
+        return j, j if left == right else first_mismatch(left, comm, dens, size)
 
-    def holds(r1, r2, l1, l2) -> bool:
-        """rhd(r1, r2)(x, y) = lhd(l1, l2)(y, x), and at every frozen point equal to f1 f2 -
-        f2 f1, f1 and f2 the frozen matrices of r1 and r2; with one of them 0 that is a 0
-        value, and no product. Two sides with equal integer forms have equal values."""
-        R, L = rhd(r1[0], r2[0]), lhd(l1, l2)
-        right = values(R)
-        left = right if (R.monomials, R.tall) == (L.monomials, L.tall) else values(L)
-        for got, other, f1, f2 in zip(right, left, r1[1], r2[1]):
-            if got != other:
-                return False
-            if f1 is None or f2 is None:
-                if any(got[1]):
-                    return False
-            else:
-                c = mat_commutator(f1, f2)
-                if got != (c.den, c.ints):
-                    return False
-        return True
-
+    def failing(i, *js):  # the failing pairs (i, j) of row i
+        return [(i, j) for j in js if j is not None]
     m = len(tensors)
-    rights = [right_op(t) for t in tensors]
-    lefts_of_transpose = [from_tensor_left(t.transpose()) for t in tensors]
-    skew = [skew_symmetrize(t) for t in tensors]
-    # a symmetric double is its own transpose: its left map is its right one
-    # read as a left map
-    sym_r = [right_op(symmetrize(t)) for t in tensors]
-    sym_l = [P.transpose() for P, _ in sym_r]
-    skew_r, skew_l = [right_op(t) for t in skew], [from_tensor_left(t) for t in skew]
-    skew_lt = [from_tensor_left(t.transpose()) for t in skew]
-
-    main_bad = matched_bad = mixed_bad = None
+    sym, skew = [symmetrize(t) for t in tensors], [skew_symmetrize(t) for t in tensors]
+    rights, syms, skews = family(tensors), family(sym), family(skew)
+    lefts_t = [from_tensor_left(t.transpose()) for t in tensors]
+    # a symmetric double is its own transpose, so its right map read as a left one is its own
+    # left map and that of its transpose
+    sym_l = [P.transpose() for P in syms[0]]
+    skew_l, skew_lt = [from_tensor_left(t) for t in skew], [from_tensor_left(-t) for t in skew]
+    main, matched, mixed, doubles = [], [], [], []
     for i in range(m):
-        for j in range(m):
-            if main_bad is None and not holds(rights[i], rights[j],
-                                              lefts_of_transpose[i], lefts_of_transpose[j]):
-                main_bad = {"basis_pair": [i, j]}
-            if matched_bad is None and not (holds(sym_r[i], sym_r[j], sym_l[i], sym_l[j])
-                                            and holds(skew_r[i], skew_r[j], skew_l[i], skew_l[j])):
-                matched_bad = {"basis_pair": [i, j]}
-            if mixed_bad is None and not (holds(sym_r[i], skew_r[j], skew_l[j], sym_l[i])
-                                          and holds(skew_r[i], sym_r[j], sym_l[j], skew_l[i])):
-                mixed_bad = {"basis_pair": [i, j]}
-    # (a) holds for any bilinear maps, so it also runs on 2m pairs of doubles,
-    # whose brackets mix the terms of different monomials where those of the
-    # basis maps may all vanish (on L4 they do). A symmetric double is its own
-    # transpose, so sym_l[i] is the left map of S_i^t.
-    for i in range(m):
+        r, s, k = family([tensors[i]]), family([sym[i]]), family([skew[i]])
+        if not main:
+            main += failing(i, *first_bad(r, rights, _lhd_row(lefts_t[i], lefts_t)))
+        if not matched:
+            matched += failing(i, *first_bad(s, syms, _lhd_row(sym_l[i], sym_l)),
+                               *first_bad(k, skews, _lhd_row(skew_l[i], skew_l)))
+        # (c) with B1 = S_i and with B1 = K_i; each left row is a column of the other
+        r1, l2 = first_bad(s, skews, _lhd_row(sym_l[i], skew_lt))
+        r2, l1 = first_bad(k, syms, _lhd_row(skew_lt[i], sym_l))
+        mixed += failing(i, r1, r2) + [(j, i) for j in (l1, l2) if j is not None]
+        # (a) on 2m pairs of doubles, whose brackets mix the terms of different monomials
+        # where those of the basis maps may all vanish (on L4 they do)
         j = (i + 1) % m
-        for doubles, r2, l2 in (("symmetric", sym_r[j], sym_l[j]),
-                                ("symmetric-skew", skew_r[j], skew_lt[j])):
-            if main_bad is None and not holds(sym_r[i], r2, sym_l[i], l2):
-                main_bad = {"basis_pair": [i, j], "doubles": doubles}
-
-    return [
-        check(suite, "bracket-transpose-identity", main_bad is None, main_bad),
-        check(suite, "matched-symmetry-swap", matched_bad is None, matched_bad),
-        check(suite, "mixed-symmetry-swap", mixed_bad is None, mixed_bad),
-    ]
+        if not doubles:
+            doubles += failing(i, *first_bad(s, family([sym[j], skew[j]]),
+                                             _lhd_row(sym_l[i], [sym_l[j], skew_lt[j]])))
+    found = [{"basis_pair": list(min(p))} if p else None for p in (main, matched, mixed)]
+    if found[0] is None and doubles:
+        i, k = min(doubles)
+        found[0] = {"basis_pair": [i, (i + 1) % m], "doubles": ("symmetric", "symmetric-skew")[k]}
+    return [check("transpose", identity, bad is None, bad) for identity, bad in zip(
+        ("bracket-transpose-identity", "matched-symmetry-swap", "mixed-symmetry-swap"), found)]
 
 
 def counterexample_bracket(A: Algebra, B1: BilinearTensor, B2: BilinearTensor) -> BilinearTensor:

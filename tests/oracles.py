@@ -359,6 +359,21 @@ def bracket_terms_per_pair(t1, t2):
     return {g: m for g, m in acc.items() if not m.is_zero()}
 
 
+def poly_value_reference(terms, v):
+    """sum_a v^a M_a in `Fraction`s, one monomial and one entry at a time; the zero
+    matrix for no terms."""
+    n = len(v)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for a, m in terms.items():
+        w = Fraction(1)
+        for x, e in zip(v, a):
+            w *= Fraction(x) ** e
+        for r in range(n):
+            for c in range(n):
+                out[r][c] += w * m.data[r][c]
+    return Matrix(out)
+
+
 def matrix_product(a, b):
     """a b by the textbook triple loop over `Fraction` entries; a product without rows
     is the zero matrix of its shape."""

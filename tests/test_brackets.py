@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,8 @@ from biderlie.linalg import Matrix, basis_vector
 from biderlie.report import all_ok
 
 from helpers import random_rational_vector
-from oracles import bracket_terms_per_pair, is_derivation_reference, poly_terms_combination
+from oracles import (bracket_terms_per_pair, is_derivation_reference, poly_terms_combination,
+                     poly_value_reference)
 
 F = Fraction
 
@@ -424,7 +426,8 @@ def _assert_kernel_matches_reference(t1, t2, n):
     # the kernel reads each map's tall matrix and returns the monomials and tall
     # matrix of the bracket; the reference gets the same maps' terms
     P1, P2 = PolyRightMap(n, t1), PolyRightMap(n, t2)
-    monomials, tall = brackets_module._bracket_terms(P1, P2)
+    [raw] = brackets_module._bracket_terms(P1, [P2])
+    monomials, tall = brackets_module._stacked(n, *raw)
     blocks = tall.split(n, n)
     assert len(blocks) == len(monomials) and not any(m.is_zero() for m in blocks)
     got = dict(zip(monomials, blocks))
@@ -475,6 +478,95 @@ def test_bracket_kernel_matches_per_pair_reference(case):
         assert len(_assert_kernel_matches_reference(t1, t2, 7)) > 40
 
 
+def _assert_row_matches_reference(P1, row):
+    # one kernel call for the whole row, checked pair by pair: the denominator is
+    # d1 d2 and the nonzero blocks are the reference's; rhd drops the zero ones
+    n = P1.dim
+    results = brackets_module._bracket_terms(P1, row)
+    assert len(results) == len(row)
+    for (den, acc), P2 in zip(results, row):
+        assert den == P1.tall.den * P2.tall.den
+        assert all(len(flat) == n * n for flat in acc.values())
+        got = {g: Matrix._from_flat(n, n, [F(x, den) for x in flat])
+               for g, flat in acc.items() if any(flat)}
+        assert got == bracket_terms_per_pair(P1.terms, P2.terms)
+        assert rhd(P1, P2).terms == got
+    return results
+
+
+@pytest.mark.parametrize("case", ["mixed-denominators", "zero-and-one-term", "cancelling",
+                                  "L3-derivations"])
+def test_row_kernel_matches_per_pair_reference(case):
+    rng = random.Random(case)
+    if case == "mixed-denominators":
+        for n in (2, 3, 4):
+            P1 = PolyRightMap(n, _random_terms(rng, n, rng.randint(1, 6), (1, 2, 3)))
+            row = [PolyRightMap(n, _random_terms(rng, n, rng.randint(1, 6), (1, 5, 7)))
+                   for _ in range(5)]
+            _assert_row_matches_reference(P1, row)
+    elif case == "zero-and-one-term":
+        n = 3
+        one = [PolyRightMap(n, _random_terms(rng, n, 1, (1, 2, 3))) for _ in range(3)]
+        row = [PolyRightMap.zero(n), *one, PolyRightMap(n, _random_terms(rng, n, 4, (1, 2)))]
+        for P1 in (PolyRightMap.zero(n), *one):
+            _assert_row_matches_reference(P1, row)
+        assert _assert_row_matches_reference(one[0], row)[0] == (one[0].tall.den, {})
+    elif case == "cancelling":
+        t1, t2 = _cancelling_terms()
+        P1, P2 = PolyRightMap(2, t1), PolyRightMap(2, t2)
+        (_, acc), _, _ = _assert_row_matches_reference(P1, [P2, P1, PolyRightMap.zero(2)])
+        assert not any(acc[(1, 1)])             # accumulated, all zero, and dropped
+        assert (1, 1) not in rhd(P1, P2).monomials
+    else:
+        ders = derivation_matrices(builtin("L3"))
+        assert any(d.den == 2 for d in ders)
+        maps = [PolyRightMap(2, _derivation_terms(rng, ders, 2, rng.randint(1, 6)))
+                for _ in range(6)]
+        for P1 in maps:
+            _assert_row_matches_reference(P1, maps)
+
+
+# serialize_map of the rhd and lhd results below, recorded with the one-pair kernel
+# that the row kernel replaced
+_HEISENBERG5_BRACKETS_SHA256 = "8a1eba6d824dd6089e72206dd653d5628f565651b65e2a47adc12a86e94cc844"
+
+
+def test_rhd_and_lhd_of_heisenberg5_maps_are_unchanged():
+    rng = random.Random("heisenberg5-10-40")
+    ders = derivation_matrices(_heisenberg(5))
+    texts = []
+    for count in (10, 20, 30, 40):
+        t1, t2 = _derivation_terms(rng, ders, 5, count), _derivation_terms(rng, ders, 5, count)
+        for cls, br in ((PolyRightMap, rhd), (PolyLeftMap, lhd)):
+            P1, P2 = cls(5, t1), cls(5, t2)
+            out = br(P1, P2)
+            assert out.terms == bracket_terms_per_pair(P1.terms, P2.terms)
+            texts.append(serialize_map(out))
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == _HEISENBERG5_BRACKETS_SHA256
+
+
+@pytest.mark.parametrize("cls", [PolyRightMap, PolyLeftMap])
+def test_evaluation_matches_the_fraction_reference(cls):
+    rng = random.Random(cls.__name__)
+    for n in (1, 2, 3, 4):
+        basis = [basis_vector(i, n) for i in range(n)]
+        for count in range(min(6, math.comb(n + 3, 3)) + 1):
+            P = cls(n, _random_terms(rng, n, count, (1, 2, 3)))
+            terms = P.terms
+            for _ in range(3):
+                v = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+                x, y = random_rational_vector(rng, n), tuple(rng.randint(-2, 2) for _ in range(n))
+                assert P.fixed_arg(v) == poly_value_reference(terms, v)
+                frozen, free = (y, x) if cls is PolyRightMap else (x, y)
+                assert P.evaluate(x, y) == poly_value_reference(terms, frozen).apply(free)
+            B = basis_evaluation_tensor(P)
+            for i in range(n):
+                for j in range(n):
+                    frozen, free = (j, i) if cls is PolyRightMap else (i, j)
+                    assert B.evaluate(basis[i], basis[j]) == poly_value_reference(
+                        terms, basis[frozen]).apply(basis[free])
+
+
 def test_term_drawers_refuse_more_terms_than_monomials():
     rng = random.Random(0)
     with pytest.raises(ValueError):
@@ -486,34 +578,40 @@ def test_term_drawers_refuse_more_terms_than_monomials():
 
 # --- the transpose suite must be able to fail --------------------------------
 
-def _kernel_form(terms, n):
-    # a term dict as the kernel's return form (monomials, tall matrix)
+def _raw_form(terms, n):
+    # a term dict as one entry of the row kernel's return list: (den, {monomial: entries})
     P = PolyRightMap(n, terms)
-    return P.monomials, P.tall
+    return P.tall.den, dict(zip(P.monomials, (m.ints for m in P.tall.split(n, n))))
 
 
-def _anticommutator_terms(P1, P2):
-    acc = {}
-    for a, m in P1.terms.items():
-        for b, nmat in P2.terms.items():
-            g = tuple(x + y for x, y in zip(a, b))
-            anti = m * nmat + nmat * m
-            acc[g] = acc[g] + anti if g in acc else anti
-    return _kernel_form(acc, P1.dim)
+def _anticommutator_terms(P1, row):
+    out = []
+    for P2 in row:
+        acc = {}
+        for a, m in P1.terms.items():
+            for b, nmat in P2.terms.items():
+                g = tuple(x + y for x, y in zip(a, b))
+                anti = m * nmat + nmat * m
+                acc[g] = acc[g] + anti if g in acc else anti
+        out.append(_raw_form(acc, P1.dim))
+    return out
 
 
-def _diagonal_terms(P1, P2):
-    out = {}
-    for a, m in P1.terms.items():
-        if a in P2.terms:
-            out.update(bracket_terms_per_pair({a: m}, {a: P2.terms[a]}))
-    return _kernel_form(out, P1.dim)
+def _diagonal_terms(P1, row):
+    out = []
+    for P2 in row:
+        acc = {}
+        for a, m in P1.terms.items():
+            if a in P2.terms:
+                acc.update(bracket_terms_per_pair({a: m}, {a: P2.terms[a]}))
+        out.append(_raw_form(acc, P1.dim))
+    return out
 
 
 _KERNEL = brackets_module._bracket_terms
 
 
-def _spurious_terms(P1, P2):
+def _spurious_terms(P1, row):
     # the right bracket plus E_11 (y_j^2 - sum_{k != j} y_j y_k), j the first index
     # with no y_j term in P1: over the frozen points that is nonzero at e_j alone,
     # where a degree-1 P1 is the zero matrix, so only a bracket value compared
@@ -522,16 +620,19 @@ def _spurious_terms(P1, P2):
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     j = next((j for j in range(n) if units[j] not in P1.support()), None)
     if j is None:
-        return _KERNEL(P1, P2)
-    terms = dict(bracket_terms_per_pair(P1.terms, P2.terms))
+        return _KERNEL(P1, row)
     e11 = Matrix.from_col_major([1] + [0] * (n * n - 1), n)
     spurious = {tuple(2 * x for x in units[j]): e11}
     for k in range(n):
         if k != j:
             spurious[tuple(x + y for x, y in zip(units[j], units[k]))] = -e11
-    for g, m in spurious.items():
-        terms[g] = terms[g] + m if g in terms else m
-    return _kernel_form(terms, n)
+    out = []
+    for P2 in row:
+        terms = dict(bracket_terms_per_pair(P1.terms, P2.terms))
+        for g, m in spurious.items():
+            terms[g] = terms[g] + m if g in terms else m
+        out.append(_raw_form(terms, n))
+    return out
 
 
 _IDENTITIES = ("bracket-transpose-identity", "matched-symmetry-swap", "mixed-symmetry-swap")
@@ -576,6 +677,12 @@ _PINNED = {
         "L3": [_fail(0, 1), _PASS, _fail(0, 0)],
         "L4": [_fail(0, 1), _PASS, _fail(0, 0)],
     },
+    "row-shifted": {
+        "heisenberg3": [_fail(0, 0), _fail(0, 0), _fail(0, 1)],
+        "L2": [_fail(0, 1), _fail(0, 0), _fail(0, 0)],
+        "L3": [_fail(0, 1), _fail(0, 0), _fail(0, 0)],
+        "L4": [_fail(0, 1, doubles="symmetric"), _fail(0, 0), _fail(0, 0)],
+    },
 }
 
 
@@ -613,14 +720,12 @@ def test_transpose_suite_compares_brackets_where_an_operand_is_zero(monkeypatch,
     _assert_pinned("spurious-terms", name)
 
 
-_LHD = brackets_module.lhd
-
-
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
 def test_transpose_suite_catches_a_left_bracket_in_swapped_order(monkeypatch, name):
     # lhd(B2, B1) for lhd(B1, B2): the composition of the right side still
     # holds, so only the comparison of the two sides can tell
-    monkeypatch.setattr(brackets_module, "lhd", lambda B1, B2: _LHD(B2, B1))
+    monkeypatch.setattr(brackets_module, "_lhd_row",
+                        lambda B1, row: [_KERNEL(B2, [B1])[0] for B2 in row])
     _assert_pinned("lhd-swapped", name)
 
 
@@ -632,3 +737,26 @@ def test_transpose_suite_catches_an_untransposed_left_map(monkeypatch, name):
     monkeypatch.setattr(brackets_module, "from_tensor_left",
                         lambda B: from_tensor(B).transpose())
     _assert_pinned("left-untransposed", name)
+
+
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
+def test_transpose_suite_catches_a_row_kernel_out_of_order(monkeypatch, name):
+    # each row's results shifted by one: every result is the bracket of a real
+    # pair, and both sides shift alike, so only the compositions can tell
+    def shifted(P1, row):
+        out = _KERNEL(P1, row)
+        return out[1:] + out[:1]
+    monkeypatch.setattr(brackets_module, "_bracket_terms", shifted)
+    _assert_pinned("row-shifted", name)
+
+
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
+def test_transpose_suite_compares_values_not_integer_forms(monkeypatch, name):
+    # a kernel that returns each right bracket over twice its denominator d1 d2
+    # is still right: the suite cross-multiplies and passes
+    def doubled(P1, row):
+        return [(2 * den, {g: [2 * x for x in flat] for g, flat in terms.items()})
+                for den, terms in _KERNEL(P1, row)]
+    monkeypatch.setattr(brackets_module, "_bracket_terms", doubled)
+    monkeypatch.setattr(brackets_module, "_lhd_row", _KERNEL)
+    assert all(r.status == "pass" for r in verify_transpose_interplay(builtin(name)))

@@ -10,7 +10,7 @@ import pytest
 
 from biderlie import (BilinearTensor, PolyRightMap, builtin, from_tensor, from_tensor_left, lhd,
                       parse_map, rhd, serialize_algebra)
-from biderlie.algebras import MAX_DEGREE, Algebra
+from biderlie.algebras import MAX_DEGREE, MAX_DIM, Algebra
 from biderlie.bilinear import random_tensor
 from biderlie.cli import heisenberg_example_maps, main
 from biderlie.formats import serialize_map
@@ -312,3 +312,14 @@ def test_solvers_ignore_the_declared_kind(capsys, tmp_path):
         as_lie, as_generic = (result([a.format(files[k]) for a in argv])
                               for k in ("lie", "generic"))
         assert as_lie == as_generic, argv
+
+
+def test_help_says_which_commands_are_cheap_and_which_is_expensive(capsys):
+    # MAX_DIM bounds allocation, not time: the solves stay cheap near it, verify does not
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(one exact solve, fast up to dim {MAX_DIM})" in text
+    assert f"(exact solves: under a second at dim 8, seconds at {MAX_DIM})" in text
+    assert "(the expensive command: minutes at dim 8)" in text
