@@ -514,14 +514,13 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
 
     def failing(i, *js):  # the failing pairs (i, j) of row i
         return [(i, j) for j in js if j is not None]
+
     m = len(tensors)
     sym, skew = [symmetrize(t) for t in tensors], [skew_symmetrize(t) for t in tensors]
     rights, syms, skews = family(tensors), family(sym), family(skew)
-    lefts_t = [from_tensor_left(t.transpose()) for t in tensors]
-    # a symmetric double is its own transpose, so its right map read as a left one is its own
-    # left map and that of its transpose
-    sym_l = [P.transpose() for P in syms[0]]
-    skew_l, skew_lt = [from_tensor_left(t) for t in skew], [from_tensor_left(-t) for t in skew]
+    lefts_t, skew_lt = ([from_tensor_left(t.transpose()) for t in ts] for ts in (tensors, skew))
+    # S = S^t: its right map read as a left one is the left map of S and of S^t
+    sym_l, skew_l = [P.transpose() for P in syms[0]], [from_tensor_left(t) for t in skew]
     main, matched, mixed, doubles = [], [], [], []
     for i in range(m):
         r, s, k = family([tensors[i]]), family([sym[i]]), family([skew[i]])
@@ -530,7 +529,8 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
         if not matched:
             matched += failing(i, *first_bad(s, syms, _lhd_row(sym_l[i], sym_l)),
                                *first_bad(k, skews, _lhd_row(skew_l[i], skew_l)))
-        # (c) with B1 = S_i and with B1 = K_i; each left row is a column of the other
+        # (c): lhd(K_i, S_j) = -lhd(K_i^t, S_j), and minus its composition is K_i's with S_j,
+        # so row i checks it for the pair (j, i); lhd(S_i, K_j) likewise
         r1, l2 = first_bad(s, skews, _lhd_row(sym_l[i], skew_lt))
         r2, l1 = first_bad(k, syms, _lhd_row(skew_lt[i], sym_l))
         mixed += failing(i, r1, r2) + [(j, i) for j in (l1, l2) if j is not None]

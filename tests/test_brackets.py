@@ -580,8 +580,8 @@ def test_term_drawers_refuse_more_terms_than_monomials():
 
 def _raw_form(terms, n):
     # a term dict as one entry of the row kernel's return list: (den, {monomial: entries})
-    P = PolyRightMap(n, terms)
-    return P.tall.den, dict(zip(P.monomials, (m.ints for m in P.tall.split(n, n))))
+    P, nn = PolyRightMap(n, terms), n * n
+    return P.tall.den, {a: list(P.tall.ints[b * nn:(b + 1) * nn]) for b, a in enumerate(P.monomials)}
 
 
 def _anticommutator_terms(P1, row):
