@@ -322,4 +322,4 @@ def test_help_says_which_commands_are_cheap_and_which_is_expensive(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert f"(one exact solve, fast up to dim {MAX_DIM})" in text
     assert f"(exact solves: under a second at dim 8, seconds at {MAX_DIM})" in text
-    assert "(the expensive command: minutes at dim 8)" in text
+    assert "(the expensive command: over a minute at dim 8)" in text
