@@ -760,3 +760,58 @@ def test_transpose_suite_compares_values_not_integer_forms(monkeypatch, name):
     monkeypatch.setattr(brackets_module, "_bracket_terms", doubled)
     monkeypatch.setattr(brackets_module, "_lhd_row", _KERNEL)
     assert all(r.status == "pass" for r in verify_transpose_interplay(builtin(name)))
+
+
+# --- the Lie-law suite must be able to fail -----------------------------------
+
+_LAWS = ("closure", "bilinearity", "alternativity", "jacobi")
+
+
+def _sample_fails(*samples):
+    # (status, witness) per law in _LAWS order: None passes, s fails first at sample s
+    return [_PASS if s is None else ("fail", {"sample": s, "seed": 0}) for s in samples]
+
+
+_LIE_MUTANTS = {"anticommutator": _anticommutator_terms, "dropped-cross-terms": _diagonal_terms,
+                "spurious-terms": _spurious_terms}
+# both sides' (status, witness) lists under each broken kernel, at the default 25
+# samples and seed 0: which sample fails first is pinned, not only that one does
+_LIE_PINNED = {
+    "anticommutator": {
+        "heisenberg3": {"right": _sample_fails(0, None, 0, 0),
+                        "left": _sample_fails(0, None, 0, 0)},
+        "L2": {"right": _sample_fails(None, None, 0, 0), "left": _sample_fails(None, None, 0, 0)},
+        "L3": {"right": _sample_fails(0, None, 0, 0), "left": _sample_fails(0, None, 0, 0)},
+        "L4": {"right": _sample_fails(None, None, 0, 0), "left": _sample_fails(None, None, 0, 0)},
+    },
+    "dropped-cross-terms": {
+        "heisenberg3": {"right": _sample_fails(None, None, None, 2),
+                        "left": _sample_fails(None, None, None, 2)},
+        "L2": {"right": _sample_fails(None, None, None, 5),
+               "left": _sample_fails(None, None, None, 10)},
+        "L3": {"right": _sample_fails(None, None, None, 5),
+               "left": _sample_fails(None, None, None, 1)},
+        "L4": {"right": _sample_fails(None, None, None, None),
+               "left": _sample_fails(None, None, None, None)},
+    },
+    "spurious-terms": {
+        "heisenberg3": {"right": _sample_fails(None, 6, None, None),
+                        "left": _sample_fails(None, 6, None, None)},
+        "L2": {"right": _sample_fails(6, 2, 6, 5), "left": _sample_fails(19, 3, 19, 3)},
+        "L3": {"right": _sample_fails(6, 2, 6, 5), "left": _sample_fails(19, 3, 19, 3)},
+        "L4": {"right": _sample_fails(1, 0, 1, 0), "left": _sample_fails(1, 0, 1, 0)},
+    },
+}
+
+
+@pytest.mark.parametrize("mutant", list(_LIE_MUTANTS))
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
+def test_lie_law_suite_catches_broken_kernels(monkeypatch, mutant, name):
+    # the left suite's brackets go through _lhd_row, which calls the patched kernel.
+    # A row-shifted kernel is not here: every bracket of the suite is a one-pair
+    # row, which a shift leaves as it is
+    monkeypatch.setattr(brackets_module, "_bracket_terms", _LIE_MUTANTS[mutant])
+    for side in ("right", "left"):
+        results = verify_lie_algebra(builtin(name), side)
+        assert [r.identity for r in results] == list(_LAWS)
+        assert [(r.status, r.witness) for r in results] == _LIE_PINNED[mutant][name][side]
