@@ -12,13 +12,15 @@ are capped at `MAX_DIM`, and the monomial degrees of poly map files at
 
 `leibniz_sides` is the one place the derivation rule D[e_i,e_j] =
 [De_i,e_j] + [e_i,De_j] is evaluated. It works in integers: the product's
-integer form against images of D the caller scales, both sides over one
+integer form against images the caller scales, both sides over one
 denominator, so a scan compares integer lists and builds `Fraction`s only
-for the sides it reports. A bilinear map B is a right (left) biderivation
-of A when every x -> B(x, e_k) (every y -> B(e_i, y)) is a derivation, and
-`bider_witness` is the one scan for a triple where that fails. A right
-(left) Leibniz algebra is one whose product is a right (left) biderivation
-of itself, so `check_kind` asks that scan of `A.product`.
+for the sides it reports; it scans a stack of maps, which `derives`
+decides with one evaluation per basis pair. A bilinear map B is a right
+(left) biderivation of A when every x -> B(x, e_k) (every y -> B(e_i, y))
+is a derivation: `bider_scan` decides that for one tensor or a whole
+basis, and `bider_witness` scans triples for the first where it fails. A
+right (left) Leibniz algebra is one whose product is a right (left)
+biderivation of itself, so `check_kind` asks that scan of `A.product`.
 
 Identity checks run on basis pairs/triples only; bilinearity extends them to
 all elements. Checkers scan triples in descending lexicographic order and
@@ -144,17 +146,17 @@ class KindReport:
 
 def leibniz_sides(A: Algebra, images: Sequence[Sequence[int]], i: int,
                   j: int) -> tuple[list[int], list[int]]:
-    """D[e_i, e_j] and [De_i, e_j] + [e_i, De_j] for the linear map D e_p = images[p] / e.
+    """D_b[e_i, e_j] and [D_b e_i, e_j] + [e_i, D_b e_j] for a stack of linear maps D_b.
 
-    `images` are integer vectors over a denominator e the caller keeps.
-    Both sides come back as integer lists over the one denominator d * e,
-    d the product matrix's, so they agree iff the lists are equal. D is a
-    derivation iff the two sides agree at every basis pair.
+    `images[p]` holds D_b e_p for every block b, n integers each, over a scale
+    per block the caller keeps. Both sides come back as integer lists over
+    d, the product matrix's denominator, times that scale, so they agree iff
+    the lists are equal. Every D_b derives iff they agree at every basis pair.
     """
     n = A.dim
     rows = A.product.matrix.sparse       # row a*n + b: d [e_a, e_b]
-    lhs = [0] * n
-    rhs = [0] * n
+    lhs = [0] * len(images[i])
+    rhs = [0] * len(lhs)
     # D[e_i,e_j] = sum_p c[i][j][p] De_p
     for p, f in rows[i * n + j]:
         for l, x in enumerate(images[p]):
@@ -162,11 +164,35 @@ def leibniz_sides(A: Algebra, images: Sequence[Sequence[int]], i: int,
                 lhs[l] += f * x
     # [De_i,e_j] = sum_a (De_i)_a [e_a,e_j];  [e_i,De_j] = sum_b (De_j)_b [e_i,e_b]
     for coeffs, at in ((images[i], range(j, n * n, n)), (images[j], range(i * n, i * n + n))):
-        for f, r in zip(coeffs, at):
-            if f:
-                for l, x in rows[r]:
-                    rhs[l] += f * x
+        for base in range(0, len(coeffs), n):
+            for f, r in zip(coeffs[base:base + n], at):
+                if f:
+                    for l, x in rows[r]:
+                        rhs[base + l] += f * x
     return lhs, rhs
+
+
+def derives(A: Algebra, images: Sequence[Sequence[int]]) -> bool:
+    """True iff every map D_b of the stack `images` (see `leibniz_sides`) is a
+    derivation: one scan, each basis pair evaluated once over the whole stack."""
+    n = A.dim
+    for i in range(n):
+        for j in range(n):
+            lhs, rhs = leibniz_sides(A, images, i, j)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def bider_scan(A: Algebra, ints: Sequence[int], side: str) -> bool:
+    """True iff every tensor B whose (i, j, k)-ordered integer entries follow one another in
+    ints satisfies the `side` condition: one `derives` scan of the stack of every
+    x -> B(x, e_k) (right) or y -> B(e_i, y) (left)."""
+    n = A.dim
+    # block k of images[p] is B(e_p, e_k) (right), block i is B(e_i, e_p) (left)
+    width, step = (n * n, n ** 3) if side == "right" else (n, n * n)
+    return derives(A, [[x for s in range(p * width, len(ints), step) for x in ints[s:s + width]]
+                       for p in range(n)])
 
 
 def _fractions(v: Sequence[int], den: int) -> Vector:
@@ -198,9 +224,12 @@ def bider_defect(A: Algebra, B: BilinearTensor, side: str,
 
 def bider_witness(A: Algebra, B: BilinearTensor, side: str,
                   identity: str) -> TripleWitness | None:
-    """First basis triple, in descending order, at which B fails the `side` condition."""
+    """First basis triple, in descending order, at which B fails the `side` condition;
+    triples are scanned only when the stacked scan fails."""
     if A.dim != B.dim:
         raise ValueError(f"dimension mismatch: algebra dim {A.dim}, tensor dim {B.dim}")
+    if bider_scan(A, B.matrix.ints, side):
+        return None
     for triple, lhs, rhs in _bider_sides(A, B, side, triples_descending(A.dim)):
         if lhs != rhs:
             return TripleWitness(identity, triple, *bider_defect(A, B, side, triple))

@@ -25,12 +25,12 @@ tall `linalg.Matrix` that stacks their coefficient matrices over one
 denominator, in lowest terms, so equal maps have equal forms; map files are
 parsed into that form and written from it (`formats`), and the `Fraction`
 matrices (`terms`) are a view. The bracket kernel takes one operand and a
-whole row of others. It reads each block as its nonzero entries and sparse
-rows, built once per map, and adds both halves of every pair commutator,
-+M_a N_b and -N_b M_a, into one raw integer list per output monomial a + b
-over d1 d2. `rhd`, and `lhd` (a left map carries the terms of its
-transposed right map), are its one-pair case put in lowest terms; the
-transpose suite compares whole rows without reducing them.
+whole row of others, maps or raw forms. It reads each block as its nonzero
+entries and sparse rows, kept on a map, and adds both halves of every pair
+commutator, +M_a N_b and -N_b M_a, into one raw integer list per output
+monomial a + b over d1 d2. `rhd`, and `lhd` (a left map carries the terms
+of its transposed right map), are its one-pair case put in lowest terms;
+the transpose and Lie-law suites check raw kernel rows by value.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .biderivations import (basis_tensors, left_bider_bilinear_space,
                             right_bider_bilinear_space)
 from .derivations import derivation_matrices, derives
 from .linalg import (IntRows, Matrix, Vector, _integers, add_product, basis_vector, combine)
-from .report import CheckResult, check
+from .report import CheckResult, check, require_samples
 
 MultiIndex = tuple[int, ...]
 RawTerms = dict[MultiIndex, list[int]]  # the kernel's integers per monomial, not reduced
@@ -118,13 +118,11 @@ class _PolyMap:
         """The coefficient matrix of each monomial: the blocks of the tall matrix."""
         return dict(zip(self.monomials, self.tall.split(self.dim, self.dim)))
 
-    def _operands(self) -> list[tuple[MultiIndex, list[tuple[int, int, int]], IntRows]]:
-        """Per monomial, its block's nonzero entries (r n, k, v) and sparse integer rows over
-        the tall matrix's denominator: a view built on first read and kept."""
+    def _operands(self) -> tuple[int, list[tuple[MultiIndex, list, IntRows]]]:
+        """The kernel's `_read` of the map, built on first read and kept."""
         if self._ops is None:
-            n, rows = self.dim, self.tall.sparse
-            self._ops = [(a, [(r * n, k, v) for r in range(n) for k, v in rows[b + r]],
-                          rows[b:b + n]) for a, b in zip(self.monomials, range(0, len(rows), n))]
+            self._ops = _read((self.tall.den, dict(zip(self.monomials,
+                                                       _blocks(self.tall.ints, self.dim)))))
         return self._ops
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
@@ -140,7 +138,7 @@ class _PolyMap:
     def _at(self, points: Sequence[Sequence[Fraction]]) -> list[Matrix]:
         """`fixed_arg` at each of the points, from one evaluation of the blocks."""
         n, nn = self.dim, self.dim * self.dim
-        vals = _at_points(zip(self.monomials, zip(*[iter(self.tall.ints)] * nn)), points, {})
+        vals = _at_points(zip(self.monomials, _blocks(self.tall.ints, n)), points, {})
         return [Matrix._of(n, n, d * self.tall.den, xs)
                 for d, xs in (_integers(vals.get(k, [0] * nn)) for k in range(len(points)))]
 
@@ -202,28 +200,34 @@ def _stacked(n: int, den: int, ints: Mapping[MultiIndex, Sequence[int]]
     return monomials, Matrix._of(len(monomials) * n, n, den, tall)
 
 
-def _linear_combination(coeffs: Sequence[Fraction], maps: Sequence[_PolyMap]):
-    """sum_i coeffs[i] * maps[i] for maps of one class, in integers.
+def _blocks(ints: Sequence[int], n: int):
+    """The consecutive n x n blocks of row-major integers, as tuples."""
+    return zip(*[iter(ints)] * (n * n))
 
-    Each map enters `combine` as one tall matrix: its blocks restacked in
-    one block per monomial of the union of the supports.
-    """
+
+def _stack(maps: Sequence[_PolyMap], n: int) -> tuple[dict[MultiIndex, int], list]:
+    """The union of the maps' monomials as {monomial: block}, and each map as `combine`
+    reads it: its denominator and its blocks' sparse rows restacked in that block order."""
+    block = {a: i for i, a in enumerate(dict.fromkeys(a for P in maps for a in P.monomials))}
+    scaled = []
+    for P in maps:
+        rows: IntRows = [[]] * (len(block) * n)
+        for a, _, r in P._operands()[1]:
+            rows[block[a] * n:block[a] * n + n] = r
+        scaled.append((P.tall.den, rows))
+    return block, scaled
+
+
+def _linear_combination(coeffs: Sequence[Fraction], maps: Sequence[_PolyMap]):
+    """sum_i coeffs[i] * maps[i] for maps of one class, in integers: one `combine` of the
+    maps as `_stack` lays them out."""
     cls, n = type(maps[0]), maps[0].dim
     if any(P.dim != n for P in maps):
         raise ValueError("dimension mismatch")
     used = [(f, P) for f, P in zip(coeffs, maps) if f]
-    block = {a: i for i, a in enumerate(dict.fromkeys(a for _, P in used for a in P.monomials))}
-    tall = []
-    for _, P in used:
-        rows: IntRows = [[]] * (len(block) * n)
-        for a, _, r in P._operands():
-            i = block[a] * n
-            rows[i:i + n] = r
-        tall.append((P.tall.den, rows))
-    den, flat = combine([f for f, _ in used], tall, len(block) * n, n)
-    size = n * n
-    return cls._of(n, *_stacked(n, den, {a: flat[i * size:(i + 1) * size]
-                                         for a, i in block.items()}))
+    block, scaled = _stack([P for _, P in used], n)
+    den, flat = combine([f for f, _ in used], scaled, len(block) * n, n)
+    return cls._of(n, *_stacked(n, den, dict(zip(block, _blocks(flat, n)))))
 
 
 class PolyRightMap(_PolyMap):
@@ -283,14 +287,17 @@ def is_right_bider_poly(A: Algebra, P: PolyRightMap) -> bool:
 
     Over Q the monomials y^a are linearly independent as functions, so this
     coefficient-wise criterion is equivalent to x -> B(x, y) being a
-    derivation for every y. Each matrix is asked through its integer columns,
-    which are strided slices of the tall matrix's row-major integer entries.
+    derivation for every y. All the matrices are asked in one stacked scan.
     """
     if A.dim != P.dim:
         raise ValueError("dimension mismatch")
-    n, ints = P.dim, P.tall.ints
-    return all(derives(A, [ints[b + p:b + n * n:n] for p in range(n)])
-               for b in range(0, len(ints), n * n))
+    return _derive_blocks(A, [P.tall.ints])
+
+
+def _derive_blocks(A: Algebra, flats) -> bool:
+    """True iff every n x n block of the row-major integer lists flats derives A, in one scan."""
+    n = A.dim
+    return derives(A, [[x for f in flats for x in f[p::n]] for p in range(n)])
 
 
 def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
@@ -298,14 +305,31 @@ def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
     return is_right_bider_poly(A, P.transpose())
 
 
-def _bracket_terms(P1: _PolyMap, row: Sequence[_PolyMap]) -> list[tuple[int, RawTerms]]:
+def _read(X) -> tuple[int, list]:
+    """How the kernel reads a map (kept on it) or a raw form (den, {a: n x n row-major
+    integers}): the denominator and, per block not all zero, a, its nonzero entries
+    (r n, k, v) and its sparse rows."""
+    if isinstance(X, _PolyMap):
+        return X._operands()
+    out = []
+    for a, flat in X[1].items():
+        if any(flat):
+            n = math.isqrt(len(flat))
+            rows = [[(k, v) for k, v in enumerate(flat[r:r + n]) if v] for r in range(0, n * n, n)]
+            out.append((a, [(r * n, k, v) for r, row in enumerate(rows) for k, v in row], rows))
+    return X[0], out
+
+
+def _bracket_terms(P1, row: Sequence) -> list[tuple[int, RawTerms]]:
     """For each P2 of row, sum_{a,b} y^(a+b) [M_a, N_b] as d1 d2 and the raw integers of each
     a + b, perhaps all 0: a pair adds M_a N_b and subtracts N_b M_a in one loop each."""
-    nn, ops1, out = P1.dim * P1.dim, P1._operands(), []
+    (d1, ops1), out = _read(P1), []
+    nn = len(ops1[0][2]) ** 2 if ops1 else 0
     for P2 in row:
+        d2, ops2 = _read(P2)
         acc: RawTerms = {}
         for a, e1, r1 in ops1:
-            for b, e2, r2 in P2._operands():
+            for b, e2, r2 in ops2:
                 flat = acc.setdefault(tuple(map(operator.add, a, b)), [0] * nn)
                 for rn, k, v in e1:
                     for c, w in r2[k]:
@@ -313,11 +337,11 @@ def _bracket_terms(P1: _PolyMap, row: Sequence[_PolyMap]) -> list[tuple[int, Raw
                 for rn, k, v in e2:
                     for c, w in r1[k]:
                         flat[rn + c] -= v * w
-        out.append((P1.tall.den * P2.tall.den, acc))
+        out.append((d1 * d2, acc))
     return out
 
 
-def _lhd_row(B1: PolyLeftMap, row: Sequence[PolyLeftMap]) -> list[tuple[int, RawTerms]]:
+def _lhd_row(B1, row: Sequence) -> list[tuple[int, RawTerms]]:
     """The kernel on left maps, which carry the terms of their transposed right maps."""
     return _bracket_terms(B1, row)
 
@@ -351,23 +375,32 @@ def random_multi_index(rng: random.Random, n: int, max_degree: int = 2) -> Multi
     return tuple(alpha)
 
 
-def _random_map(rng: random.Random, cls, base_maps, derivations: Sequence[Matrix], n: int):
-    """A random rational sum of `base_maps` plus up to two terms y^a D, D a random
-    rational sum of `derivations`."""
-    coeffs = [random_fraction(rng) for _ in base_maps]
-    maps = list(base_maps)
+def _random_map(rng: random.Random, cls, base, derivations: Sequence[Matrix], n: int):
+    """A random rational sum of the base maps, stacked once by `_stack`, plus up to two
+    terms y^a D, D a random rational sum of `derivations`: all in one `combine`."""
+    block, scaled = dict(base[0]), list(base[1])
+    coeffs = [random_fraction(rng) for _ in scaled]
     for _ in range(rng.randint(0, 2)):
         if not derivations:
             break
-        alpha = random_multi_index(rng, n)
-        den, flat = combine([random_fraction(rng) for _ in derivations],
-                            [(d.den, d.sparse) for d in derivations], n, n)
-        if any(flat):
-            coeffs.append(1)
-            maps.append(cls._of(n, *_stacked(n, den, {alpha: flat})))
-    if not maps:
-        return cls.zero(n)
-    return _linear_combination(coeffs, maps)
+        i = block.setdefault(random_multi_index(rng, n), len(block)) * n
+        for d in derivations:
+            coeffs.append(random_fraction(rng))
+            scaled.append((d.den, [[]] * i + d.sparse))
+    den, flat = combine(coeffs, scaled, len(block) * n, n)
+    return cls._of(n, *_stacked(n, den, dict(zip(block, _blocks(flat, n)))))
+
+
+def _raw_combination(coeffs: Sequence[Fraction], forms) -> tuple[int, RawTerms]:
+    """sum_i coeffs[i] * forms[i] for raw forms (den, terms), in integers, not reduced."""
+    scales = [Fraction(f) / d for f, (d, _) in zip(coeffs, forms)]
+    den = math.lcm(*(f.denominator for f in scales))
+    out: RawTerms = {}
+    for f, (_, terms) in zip(scales, forms):
+        k = f.numerator * (den // f.denominator)
+        for g, flat in terms.items():
+            out[g] = [x + k * y for x, y in zip(out.get(g) or [0] * len(flat), flat)]
+    return den, out
 
 
 def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
@@ -380,38 +413,49 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
     bilinearity in both slots, alternativity, and the Jacobi sum, all in
     exact arithmetic. Violations are reported as counterexamples; none are
     expected for any algebra.
+
+    The laws are checked on raw kernel rows: b1 is bracketed with its whole
+    row in one call, each law is a raw combination that must vanish, and no
+    map is built for an intermediate bracket.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
+    require_samples(samples, "samples")
     right = side == "right"
     space = (right_bider_bilinear_space if right else left_bider_bilinear_space)(A)
     convert = from_tensor if right else from_tensor_left
-    is_member = is_right_bider_poly if right else is_left_bider_poly
-    cls, br = (PolyRightMap, rhd) if right else (PolyLeftMap, lhd)
-    base_maps = [convert(t) for t in basis_tensors(space, A.dim)]
+    cls, kernel = (PolyRightMap, _bracket_terms) if right else (PolyLeftMap, _lhd_row)
+    n = A.dim
+    base = _stack([convert(t) for t in basis_tensors(space, n)], n)
     ders = derivation_matrices(A)
     rng = random.Random(seed)
     suite = f"bracket-{side}"
     closure_bad = bilin_bad = alt_bad = jacobi_bad = None
+
+    def vanishes(coeffs, forms) -> bool:
+        return not any(map(any, _raw_combination(coeffs, forms)[1].values()))
+
     for s in range(samples):
-        b1, b2, b3 = (_random_map(rng, cls, base_maps, ders, A.dim) for _ in range(3))
-        if not all(is_member(A, b) for b in (b1, b2, b3)):
+        b1, b2, b3 = (_random_map(rng, cls, base, ders, n) for _ in range(3))
+        if not _derive_blocks(A, [b.tall.ints for b in (b1, b2, b3)]):
             raise RuntimeError("sample generator produced a non-biderivation")
-        b12, b13, b23 = br(b1, b2), br(b1, b3), br(b2, b3)
-        if closure_bad is None and not is_member(A, b12):
-            closure_bad = s
         a, b = random_fraction(rng), random_fraction(rng)
-        ab = (a, b)
-        left_slot = (br(_linear_combination(ab, (b1, b2)), b3)
-                     == _linear_combination(ab, (b13, b23)))
-        right_slot = (br(b1, _linear_combination(ab, (b2, b3)))
-                      == _linear_combination(ab, (b12, b13)))
-        if bilin_bad is None and not (left_slot and right_slot):
+        r1, r2, r3 = ((P.tall.den, dict(zip(P.monomials, _blocks(P.tall.ints, n))))
+                      for P in (b1, b2, b3))
+        [b31] = kernel(b3, [b1])
+        b23, b2_31 = kernel(b2, [b3, b31])
+        b11, b12, b13, b1_23, b1_sum = kernel(b1, [b1, b2, b3, b23,
+                                                    _raw_combination((a, b), (r2, r3))])
+        [b3_12] = kernel(b3, [b12])
+        [sum_3] = kernel(_raw_combination((a, b), (r1, r2)), [b3])
+        if closure_bad is None and not _derive_blocks(A, b12[1].values()):
+            closure_bad = s
+        if bilin_bad is None and not (vanishes((1, -a, -b), (sum_3, b13, b23))
+                                      and vanishes((1, -a, -b), (b1_sum, b12, b13))):
             bilin_bad = s
-        if alt_bad is None and not br(b1, b1).is_zero():
+        if alt_bad is None and not vanishes((1,), (b11,)):
             alt_bad = s
-        jac = _linear_combination((1, 1, 1), (br(b1, b23), br(b2, br(b3, b1)), br(b3, b12)))
-        if jacobi_bad is None and not jac.is_zero():
+        if jacobi_bad is None and not vanishes((1, 1, 1), (b1_23, b2_31, b3_12)):
             jacobi_bad = s
     def w(sample):
         return None if sample is None else {"sample": sample, "seed": seed}

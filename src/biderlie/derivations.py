@@ -3,10 +3,11 @@
 A derivation is a linear self-map D with D[x,y] = [Dx,y] + [x,Dy]. On
 coordinates D acts as an n x n matrix, so the defining rule on all basis
 pairs is a homogeneous linear system in the matrix entries; its nullspace
-is the derivation algebra. `derives` asks `algebras.leibniz_sides` at
-every basis pair, on integer columns: `is_derivation` and the poly-map
-predicates of `brackets` read them as strided slices of a matrix's
-integer entries. `derivation_rows` writes the rule out on its own, in
+is the derivation algebra. `derives` (from `algebras`) scans a stack of
+maps on integer columns, each basis pair once for the whole stack:
+`is_derivation` is the one-block case, and the poly-map predicates of
+`brackets` stack all of a map's coefficient matrices, the columns of its
+tall matrix. `derivation_rows` writes the rule out on its own, in
 integers from the product's `int_form`, so the predicates check the
 solver independently.
 Unknowns are ordered column-major, rows by basis pair (i, j) in ascending
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebras import Algebra, bracket, leibniz_sides
+from .algebras import Algebra, bracket, derives
 from .linalg import Matrix, SubspaceBasis, mat_commutator, solve_homogeneous
 
 
@@ -28,18 +29,6 @@ def is_derivation(A: Algebra, m: Matrix) -> bool:
         raise ValueError(f"expected a {A.dim}x{A.dim} matrix, got {m.rows}x{m.cols}")
     n = m.cols
     return derives(A, [m.ints[p::n] for p in range(n)])
-
-
-def derives(A: Algebra, images: Sequence[Sequence[int]]) -> bool:
-    """True iff D e_p = images[p] / e, for any denominator e, satisfies the rule at
-    every basis pair; `images` are the integer columns of e D."""
-    n = A.dim
-    for i in range(n):
-        for j in range(n):
-            lhs, rhs = leibniz_sides(A, images, i, j)
-            if lhs != rhs:
-                return False
-    return True
 
 
 def derivation_rows(A: Algebra) -> list[list[int]]:

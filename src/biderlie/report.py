@@ -27,6 +27,12 @@ def all_ok(results: Iterable[CheckResult]) -> bool:
     return all(r.ok for r in results)
 
 
+def require_samples(count: int, name: str) -> None:
+    """Refuse a sample count below 1: a sampled check over no samples passes unchecked."""
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def format_element(v: Sequence[Fraction]) -> str:
     """Coordinate vector written in the basis, e.g. '-e1 + 1/2*e3'."""
     parts = []

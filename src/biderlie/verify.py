@@ -13,7 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .algebras import Algebra, check_kind
+from .algebras import Algebra, bider_scan, check_kind
 from .bilinear import BilinearTensor, half_decomposition, random_tensor, skew_symmetrize, symmetrize
 from .biderivations import (basis_tensors, bider_space, is_bider, is_left_bider,
                             is_right_bider, left_bider_bilinear_space,
@@ -22,7 +22,7 @@ from .brackets import (random_fraction, random_multi_index, verify_lie_algebra,
                        verify_transpose_interplay)
 from .derivations import derivation_matrices, derivation_space, is_derivation
 from .linalg import Matrix, SubspaceBasis, add_product, mat_commutator, solve_over
-from .report import CheckResult, check, skip, witness_from_triple
+from .report import CheckResult, check, require_samples, skip, witness_from_triple
 from .scalar_maps import (ScalarPoly, ScalarTimesDerivation, bracket_matches_poly_form,
                           exp_curve_check, iff_derivation_check)
 
@@ -95,15 +95,14 @@ def space_suite(A: Algebra) -> list[CheckResult]:
                     return False
         return True
 
-    right_members_ok = all(is_right_bider(A, t) for t in basis_tensors(right, n))
-    left_members_ok = all(is_left_bider(A, t) for t in basis_tensors(left, n))
-    both_members_ok = all(is_bider(A, t) for t in basis_tensors(both, n))
     return [
         check(suite, "right-space-is-derivation-valued", factor_ok(right, "right")),
         check(suite, "left-space-is-derivation-valued", factor_ok(left, "left")),
-        check(suite, "right-space-members-pass-predicate", right_members_ok),
-        check(suite, "left-space-members-pass-predicate", left_members_ok),
-        check(suite, "biderivation-space-members-pass-both", both_members_ok),
+        check(suite, "right-space-members-pass-predicate",
+              bider_scan(A, right.basis.ints, "right")),
+        check(suite, "left-space-members-pass-predicate", bider_scan(A, left.basis.ints, "left")),
+        check(suite, "biderivation-space-members-pass-both",
+              bider_scan(A, both.basis.ints, "right") and bider_scan(A, both.basis.ints, "left")),
         check(suite, "biderivation-space-is-intersection", both == spaces_intersection(A)),
     ]
 
@@ -133,6 +132,7 @@ def symmetry_suite(A: Algebra, samples: int = 25, seed: int = 0) -> list[CheckRe
     tensor that passes the right predicate also passes the left one.
     """
     suite = "symmetric-parts"
+    require_samples(samples, "samples")
     n = A.dim
     rng = random.Random(seed)
     decomposition_ok = True
@@ -154,8 +154,7 @@ def symmetry_suite(A: Algebra, samples: int = 25, seed: int = 0) -> list[CheckRe
     right = right_bider_bilinear_space(A)
     sym_space = _transpose_part(right, n, 1)
     skew_space = _transpose_part(right, n, -1)
-    onesided_ok = all(is_left_bider(A, t) for t in basis_tensors(sym_space, n)
-                      + basis_tensors(skew_space, n))
+    onesided_ok = bider_scan(A, sym_space.basis.ints + skew_space.basis.ints, "left")
     for _ in range(samples):
         for space in (sym_space, skew_space):
             B = _random_member(rng, space, n)
@@ -192,6 +191,7 @@ def _random_matrix(rng: random.Random, n: int) -> Matrix:
 
 def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[CheckResult]:
     suite = "scalar-class"
+    require_samples(sweep_samples, "sweep_samples")
     n = A.dim
     rng = random.Random(seed)
     ders = derivation_matrices(A)

@@ -396,6 +396,16 @@ def is_derivation_reference(A, m):
                                            for i in range(A.dim) for j in range(A.dim)))
 
 
+def derives_reference(A, images):
+    """The per-block scan of a stack of maps, block b holding D_b e_p = images[p][b n:(b + 1) n]
+    over a scale of its own: each D_b rebuilt as a matrix and checked alone, in `Fraction`s,
+    by `is_derivation_reference`. A stack of no blocks passes."""
+    n = A.dim
+    return all(is_derivation_reference(A, Matrix([[images[p][b + l] for p in range(n)]
+                                                  for l in range(n)]))
+               for b in range(0, len(images[0]), n))
+
+
 def fraction_combination(coeffs, items, zero):
     """zero + sum_i coeffs[i] * items[i], folded one `Fraction` product and sum at a time,
     entry by entry: matrices are read through `.data`, tensors through `flatten()` and

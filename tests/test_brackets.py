@@ -13,6 +13,7 @@ from biderlie import (Algebra, BilinearTensor, PolyLeftMap, PolyRightMap,
                       rhd, to_tensor, to_tensor_left, verify_lie_algebra,
                       verify_transpose_interplay)
 import biderlie.brackets as brackets_module
+import biderlie.verify as verify_module
 from biderlie.brackets import random_multi_index
 from biderlie.biderivations import basis_tensors, right_bider_bilinear_space
 from biderlie.bilinear import random_tensor
@@ -201,6 +202,20 @@ def test_closure_of_poly_right_biders(heisenberg):
         assert is_right_bider_poly(heisenberg, p1)
         assert is_right_bider_poly(heisenberg, p2)
         assert is_right_bider_poly(heisenberg, rhd(p1, p2))
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_sampled_suites_refuse_fewer_than_one_sample(count):
+    # a sampled check over no samples would pass without checking anything
+    A = builtin("heisenberg3")
+    for run in (lambda: verify_lie_algebra(A, "right", samples=count),
+                lambda: verify_lie_algebra(A, "left", samples=count),
+                lambda: verify_module.symmetry_suite(A, samples=count),
+                lambda: verify_module.scalar_suite(A, sweep_samples=count),
+                lambda: verify_module.run_all(A, samples=count)):
+        with pytest.raises(ValueError, match="at least 1"):
+            run()
+    assert all_ok(verify_lie_algebra(A, "right", samples=1))
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "abelian(3)", "sl2"])
@@ -804,14 +819,55 @@ _LIE_PINNED = {
 }
 
 
+def _on_maps(kernel, n):
+    # the suite also hands the kernel raw forms (den, terms); the mutants read their
+    # operands as maps, through `.terms`
+    def as_map(X):
+        if isinstance(X, (PolyRightMap, PolyLeftMap)):
+            return X
+        return PolyRightMap(n, {a: Matrix._of(n, n, X[0], flat) for a, flat in X[1].items()})
+    return lambda P1, row: kernel(as_map(P1), [as_map(P) for P in row])
+
+
 @pytest.mark.parametrize("mutant", list(_LIE_MUTANTS))
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
 def test_lie_law_suite_catches_broken_kernels(monkeypatch, mutant, name):
     # the left suite's brackets go through _lhd_row, which calls the patched kernel.
-    # A row-shifted kernel is not here: every bracket of the suite is a one-pair
-    # row, which a shift leaves as it is
-    monkeypatch.setattr(brackets_module, "_bracket_terms", _LIE_MUTANTS[mutant])
+    # The table was recorded when every bracket of the suite was a one-pair call
+    # to a kernel that took maps only, and must not change
+    A = builtin(name)
+    monkeypatch.setattr(brackets_module, "_bracket_terms", _on_maps(_LIE_MUTANTS[mutant], A.dim))
     for side in ("right", "left"):
-        results = verify_lie_algebra(builtin(name), side)
+        results = verify_lie_algebra(A, side)
         assert [r.identity for r in results] == list(_LAWS)
         assert [(r.status, r.witness) for r in results] == _LIE_PINNED[mutant][name][side]
+
+
+# under a row-shifted kernel each result is the bracket of another pair of its row,
+# always of two members, so closure holds. The one-pair calls of _LIE_PINNED's
+# recording could not show a shift; b1's row of five pairs can. On L4 every bracket
+# of its biderivations vanishes, so no shift can show
+_LIE_ROW_SHIFTED = {name: _sample_fails(None, 0, 0, 0) for name in ("heisenberg3", "L2", "L3")}
+_LIE_ROW_SHIFTED["L4"] = _sample_fails(None, None, None, None)
+
+
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
+def test_lie_law_suite_catches_a_row_kernel_out_of_order(monkeypatch, name):
+    def shifted(P1, row):
+        out = _KERNEL(P1, row)
+        return out[1:] + out[:1]
+    monkeypatch.setattr(brackets_module, "_bracket_terms", shifted)
+    for side in ("right", "left"):
+        results = verify_lie_algebra(builtin(name), side)
+        assert [(r.status, r.witness) for r in results] == _LIE_ROW_SHIFTED[name]
+
+
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
+def test_lie_law_suite_compares_values_not_integer_forms(monkeypatch, name):
+    # a kernel that returns each bracket over twice its denominator d1 d2 is still right
+    def doubled(P1, row):
+        return [(2 * den, {g: [2 * x for x in flat] for g, flat in terms.items()})
+                for den, terms in _KERNEL(P1, row)]
+    monkeypatch.setattr(brackets_module, "_bracket_terms", doubled)
+    for side in ("right", "left"):
+        assert all(r.status == "pass" for r in verify_lie_algebra(builtin(name), side))

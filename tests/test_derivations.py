@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from biderlie import (BUILTIN_NAMES, Algebra, ad, bracket, builtin, commutator,
-                      derivation_matrices, derivation_space, is_derivation,
-                      left_bider_bilinear_space, parse_algebra, right_bider_bilinear_space)
+from biderlie import (BUILTIN_NAMES, Algebra, BilinearTensor, PolyLeftMap, PolyRightMap, ad,
+                      bracket, builtin, commutator, derivation_matrices, derivation_space,
+                      is_derivation, is_left_bider, is_left_bider_poly, is_right_bider,
+                      is_right_bider_poly, left_bider_bilinear_space, parse_algebra,
+                      right_bider_bilinear_space)
 import biderlie.verify as verify
 from biderlie.cli import main
-from biderlie.derivations import derivation_rows
+from biderlie.derivations import derivation_rows, derives
 from biderlie.linalg import Matrix, canonicalize, mat_commutator, solve_homogeneous
 
 from helpers import random_rational_vector
-from oracles import (derivation_rows_reference, forward_elimination_rank,
+from oracles import (derivation_rows_reference, derives_reference, forward_elimination_rank,
                      heisenberg_derivation_constraints, is_derivation_reference,
                      left_bider_rows, nullspace_reference, right_bider_rows,
                      sympy_nullspace_dim)
@@ -207,3 +209,76 @@ def test_integer_derivation_rows_are_positive_multiples_of_the_reference(name):
         assert derivation_space(A) == nullspace_reference(Matrix(ref))
     else:
         assert derivation_space(A).dim == A.dim ** 2
+
+
+# --- the stacked scan against the per-block reference --------------------------
+
+def _stack_algebras():
+    rng = random.Random("stacks")
+    # no abelian algebra: every matrix derives it, so its stacks cannot fail
+    out = [builtin(name) for name in ("L2", "L3", "L4", "heisenberg3", "sl2")]
+    out.append(Algebra.from_entries("unit-1", 1, {(0, 0, 0): F(1, 2)}, "generic"))
+    # mixed denominators in the constants
+    out.append(Algebra.from_entries("den-4", 4, {(0, 1, 3): F(2, 3), (1, 0, 3): F(-2, 3),
+                                                 (2, 3, 3): F(1, 5), (3, 2, 3): F(-1, 5)}, "lie"))
+    out.append(Algebra.from_entries("generic-3", 3, {
+        (i, j, k): F(rng.choice((-2, 1, 3)), rng.choice((1, 2, 7)))
+        for i in range(3) for j in range(3) for k in range(3) if rng.random() < 0.3}, "generic"))
+    return out
+
+
+def _blocks_for(A, rng, count):
+    """count derivations of A with mixed denominators (zero matrices where Der is 0 or by
+    chance), and one matrix that is no derivation of A."""
+    n = A.dim
+    ders = derivation_matrices(A)
+    good = [sum((F(rng.choice((-3, 0, 1, 2)), rng.choice((1, 2, 3, 5))) * d for d in ders),
+                Matrix.zeros(n, n)) for _ in range(count)]
+    good[0] = Matrix.zeros(n, n)
+    bad = next(m for m in (Matrix([[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                                   for _ in range(n)]) for _ in range(100))
+               if not is_derivation_reference(A, m))
+    return good, bad
+
+
+def _images(n, blocks):
+    # the stack of the blocks, each over its own denominator: column p of every block
+    return [[x for m in blocks for x in m.ints[p::n]] for p in range(n)]
+
+
+@pytest.mark.parametrize("A", _stack_algebras(), ids=lambda A: A.name)
+def test_stacked_scan_matches_the_per_block_reference(A):
+    n = A.dim
+    rng = random.Random(A.name)
+    good, bad = _blocks_for(A, rng, 4)
+    assert derives(A, [[] for _ in range(n)]) and derives_reference(A, [[] for _ in range(n)])
+    stacks = [good, good[:1], [good[1]], [bad], [bad] + good, good[:2] + [bad] + good[2:],
+              good + [bad]]
+    for blocks in stacks:
+        want = bad not in blocks
+        images = _images(n, blocks)
+        assert derives_reference(A, images) == want
+        assert derives(A, images) == want
+        # the same blocks as the coefficient matrices of a right and a left poly map
+        terms = {(e,) + (0,) * (n - 1): m for e, m in enumerate(blocks)}
+        assert is_right_bider_poly(A, PolyRightMap(n, terms)) == want
+        assert is_left_bider_poly(A, PolyLeftMap(n, terms)) == want
+    assert is_right_bider_poly(A, PolyRightMap.zero(n))
+    assert is_left_bider_poly(A, PolyLeftMap.zero(n))
+    # tensors: x -> T(x, e_k) is the k-th map, so T is right and T^t left iff all derive;
+    # the non-derivation first, in the middle and last
+    for k in sorted({0, n // 2, n - 1}):
+        maps = [good[(k + i) % len(good)] for i in range(n)]
+        for B in (BilinearTensor.from_column_maps(maps),
+                  BilinearTensor.from_column_maps(maps[:k] + [bad] + maps[k + 1:])):
+            want = derives_reference(A, _images(n, [B.column_map(j) for j in range(n)]))
+            assert want == (B.column_map(k) != bad)
+            assert is_right_bider(A, B) == want and is_left_bider(A, B.transpose()) == want
+    # random tensors with mixed denominators, which pass or fail on either side
+    for _ in range(6):
+        B = BilinearTensor.from_entries(n, {(i, j, k): F(rng.randint(-3, 3), rng.choice((1, 2, 7)))
+                                            for i in range(n) for j in range(n) for k in range(n)
+                                            if rng.random() < 0.2})
+        for side, T in (("right", B), ("left", B.transpose())):
+            want = derives_reference(A, _images(n, [T.column_map(j) for j in range(n)]))
+            assert (is_right_bider if side == "right" else is_left_bider)(A, B) == want
