@@ -14,11 +14,12 @@ are capped at `MAX_DIM`, and the monomial degrees of poly map files at
 [De_i,e_j] + [e_i,De_j] is evaluated. It works in integers: the product's
 integer form against images the caller scales, both sides over one
 denominator, so a scan compares integer lists and builds `Fraction`s only
-for the sides it reports; it scans a stack of maps, which `derives`
-decides with one evaluation per basis pair. A bilinear map B is a right
-(left) biderivation of A when every x -> B(x, e_k) (every y -> B(e_i, y))
-is a derivation: `bider_scan` decides that for one tensor or a whole
-basis, and `bider_witness` scans triples for the first where it fails. A
+for the sides it reports. It evaluates a stack of maps: `failing_stacks`
+names the members of the stack that fail, one evaluation per basis pair,
+so a sampled check stacks all its samples into one scan. A bilinear
+map B is a right (left) biderivation of A when every x -> B(x, e_k)
+(every y -> B(e_i, y)) is a derivation: `bider_scan` names the tensors of
+a stack that fail, and `bider_witness` scans triples for the first. A
 right (left) Leibniz algebra is one whose product is a right (left)
 biderivation of itself, so `check_kind` asks that scan of `A.product`.
 
@@ -172,27 +173,38 @@ def leibniz_sides(A: Algebra, images: Sequence[Sequence[int]], i: int,
     return lhs, rhs
 
 
-def derives(A: Algebra, images: Sequence[Sequence[int]]) -> bool:
-    """True iff every map D_b of the stack `images` (see `leibniz_sides`) is a
-    derivation: one scan, each basis pair evaluated once over the whole stack."""
-    n = A.dim
+def failing_stacks(A: Algebra, talls: Sequence[Sequence[int]]) -> list[int]:
+    """The indices, ascending, of the row-major integer lists in talls, n x n blocks stacked as
+    rows over a scale per list, that hold a block not deriving A. One scan: `leibniz_sides`
+    evaluates each basis pair once for every block, and its two sides are compared whole and
+    sliced per block only where they differ."""
+    n, bad = A.dim, set()
+    owner = [t for t, f in enumerate(talls) for _ in range(0, len(f), n * n)]
+    images = [[x for f in talls for x in f[p::n]] for p in range(n)]
     for i in range(n):
         for j in range(n):
             lhs, rhs = leibniz_sides(A, images, i, j)
             if lhs != rhs:
-                return False
-    return True
+                bad.update(owner[b // n] for b in range(0, len(lhs), n)
+                           if lhs[b:b + n] != rhs[b:b + n])
+    return sorted(bad)
 
 
-def bider_scan(A: Algebra, ints: Sequence[int], side: str) -> bool:
-    """True iff every tensor B whose (i, j, k)-ordered integer entries follow one another in
-    ints satisfies the `side` condition: one `derives` scan of the stack of every
-    x -> B(x, e_k) (right) or y -> B(e_i, y) (left)."""
+def derives(A: Algebra, images: Sequence[Sequence[int]]) -> bool:
+    """True iff every map D_b of the stack `images` (see `leibniz_sides`) is a derivation."""
     n = A.dim
-    # block k of images[p] is B(e_p, e_k) (right), block i is B(e_i, e_p) (left)
-    width, step = (n * n, n ** 3) if side == "right" else (n, n * n)
-    return derives(A, [[x for s in range(p * width, len(ints), step) for x in ints[s:s + width]]
-                       for p in range(n)])
+    return not failing_stacks(A, [[v[b + l] for l in range(n) for v in images]
+                                  for b in range(0, len(images[0]), n)])
+
+
+def bider_scan(A: Algebra, ints: Sequence[int], side: str) -> list[int]:
+    """The tensors, ascending, whose (i, j, k)-ordered integer entries follow one another in ints
+    and that fail the `side` condition: a `failing_stacks` scan of each as the n blocks of every
+    x -> B(x, e_k) (right) or y -> B(e_k, y) (left), whose column p is the image of e_p."""
+    n = A.dim
+    at = [((p * n + k) if side == "right" else (k * n + p)) * n + l
+          for k in range(n) for l in range(n) for p in range(n)]
+    return failing_stacks(A, [[ints[t + q] for q in at] for t in range(0, len(ints), n ** 3)])
 
 
 def _fractions(v: Sequence[int], den: int) -> Vector:
@@ -228,7 +240,7 @@ def bider_witness(A: Algebra, B: BilinearTensor, side: str,
     triples are scanned only when the stacked scan fails."""
     if A.dim != B.dim:
         raise ValueError(f"dimension mismatch: algebra dim {A.dim}, tensor dim {B.dim}")
-    if bider_scan(A, B.matrix.ints, side):
+    if not bider_scan(A, B.matrix.ints, side):
         return None
     for triple, lhs, rhs in _bider_sides(A, B, side, triples_descending(A.dim)):
         if lhs != rhs:

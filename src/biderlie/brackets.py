@@ -30,7 +30,8 @@ entries and sparse rows, kept on a map, and adds both halves of every pair
 commutator, +M_a N_b and -N_b M_a, into one raw integer list per output
 monomial a + b over d1 d2. `rhd`, and `lhd` (a left map carries the terms
 of its transposed right map), are its one-pair case put in lowest terms;
-the transpose and Lie-law suites check raw kernel rows by value.
+the transpose and Lie-law suites check raw kernel rows by value, and the
+Lie-law suite checks all its samples' membership in one Leibniz scan.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebras import Algebra
+from .algebras import Algebra, failing_stacks
 from .bilinear import BilinearTensor, skew_symmetrize, symmetrize
 from .biderivations import (basis_tensors, left_bider_bilinear_space,
                             right_bider_bilinear_space)
-from .derivations import derivation_matrices, derives
-from .linalg import (IntRows, Matrix, Vector, _integers, add_product, basis_vector, combine)
-from .report import CheckResult, check, require_samples
+from .derivations import derivation_matrices
+from .linalg import (IntRows, Matrix, Ratio, Vector, _integers, add_product, basis_vector,
+                     combine)
+from .report import CheckResult, check, sample_chunks
 
 MultiIndex = tuple[int, ...]
 RawTerms = dict[MultiIndex, list[int]]  # the kernel's integers per monomial, not reduced
@@ -291,13 +293,7 @@ def is_right_bider_poly(A: Algebra, P: PolyRightMap) -> bool:
     """
     if A.dim != P.dim:
         raise ValueError("dimension mismatch")
-    return _derive_blocks(A, [P.tall.ints])
-
-
-def _derive_blocks(A: Algebra, flats) -> bool:
-    """True iff every n x n block of the row-major integer lists flats derives A, in one scan."""
-    n = A.dim
-    return derives(A, [[x for f in flats for x in f[p::n]] for p in range(n)])
+    return not failing_stacks(A, [P.tall.ints])
 
 
 def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
@@ -364,8 +360,8 @@ def lhd(B1: PolyLeftMap, B2: PolyLeftMap) -> PolyLeftMap:
     return PolyLeftMap._of(B1.dim, *_stacked(B1.dim, *_lhd_row(B1, [B2])[0]))
 
 
-def random_fraction(rng: random.Random, span: int = 2) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+def random_ratio(rng: random.Random, span: int = 2) -> Ratio:
+    return Ratio(rng.randint(-span, span), rng.randint(1, span))
 
 
 def random_multi_index(rng: random.Random, n: int, max_degree: int = 2) -> MultiIndex:
@@ -379,25 +375,24 @@ def _random_map(rng: random.Random, cls, base, derivations: Sequence[Matrix], n:
     """A random rational sum of the base maps, stacked once by `_stack`, plus up to two
     terms y^a D, D a random rational sum of `derivations`: all in one `combine`."""
     block, scaled = dict(base[0]), list(base[1])
-    coeffs = [random_fraction(rng) for _ in scaled]
+    coeffs = [random_ratio(rng) for _ in scaled]
     for _ in range(rng.randint(0, 2)):
         if not derivations:
             break
         i = block.setdefault(random_multi_index(rng, n), len(block)) * n
         for d in derivations:
-            coeffs.append(random_fraction(rng))
+            coeffs.append(random_ratio(rng))
             scaled.append((d.den, [[]] * i + d.sparse))
     den, flat = combine(coeffs, scaled, len(block) * n, n)
     return cls._of(n, *_stacked(n, den, dict(zip(block, _blocks(flat, n)))))
 
 
-def _raw_combination(coeffs: Sequence[Fraction], forms) -> tuple[int, RawTerms]:
+def _raw_combination(coeffs: Sequence[int | Ratio], forms) -> tuple[int, RawTerms]:
     """sum_i coeffs[i] * forms[i] for raw forms (den, terms), in integers, not reduced."""
-    scales = [Fraction(f) / d for f, (d, _) in zip(coeffs, forms)]
-    den = math.lcm(*(f.denominator for f in scales))
+    den = math.lcm(*(f.denominator * d for f, (d, _) in zip(coeffs, forms)))
     out: RawTerms = {}
-    for f, (_, terms) in zip(scales, forms):
-        k = f.numerator * (den // f.denominator)
+    for f, (d, terms) in zip(coeffs, forms):
+        k = f.numerator * (den // (f.denominator * d))
         for g, flat in terms.items():
             out[g] = [x + k * y for x, y in zip(out.get(g) or [0] * len(flat), flat)]
     return den, out
@@ -416,11 +411,13 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
 
     The laws are checked on raw kernel rows: b1 is bracketed with its whole
     row in one call, each law is a raw combination that must vanish, and no
-    map is built for an intermediate bracket.
+    map is built for an intermediate bracket. The samples are drawn as
+    integer ratios; that they are biderivations, and closure, are one scan
+    over all samples each (see `verify`).
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    require_samples(samples, "samples")
+    chunks = sample_chunks(samples, "samples")
     right = side == "right"
     space = (right_bider_bilinear_space if right else left_bider_bilinear_space)(A)
     convert = from_tensor if right else from_tensor_left
@@ -435,36 +432,34 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
     def vanishes(coeffs, forms) -> bool:
         return not any(map(any, _raw_combination(coeffs, forms)[1].values()))
 
-    for s in range(samples):
-        b1, b2, b3 = (_random_map(rng, cls, base, ders, n) for _ in range(3))
-        if not _derive_blocks(A, [b.tall.ints for b in (b1, b2, b3)]):
+    for chunk in chunks:
+        drawn = [(*(_random_map(rng, cls, base, ders, n) for _ in range(3)), random_ratio(rng),
+                  random_ratio(rng)) for _ in chunk]
+        if failing_stacks(A, [b.tall.ints for sample in drawn for b in sample[:3]]):
             raise RuntimeError("sample generator produced a non-biderivation")
-        a, b = random_fraction(rng), random_fraction(rng)
-        r1, r2, r3 = ((P.tall.den, dict(zip(P.monomials, _blocks(P.tall.ints, n))))
-                      for P in (b1, b2, b3))
-        [b31] = kernel(b3, [b1])
-        b23, b2_31 = kernel(b2, [b3, b31])
-        b11, b12, b13, b1_23, b1_sum = kernel(b1, [b1, b2, b3, b23,
-                                                    _raw_combination((a, b), (r2, r3))])
-        [b3_12] = kernel(b3, [b12])
-        [sum_3] = kernel(_raw_combination((a, b), (r1, r2)), [b3])
-        if closure_bad is None and not _derive_blocks(A, b12[1].values()):
-            closure_bad = s
-        if bilin_bad is None and not (vanishes((1, -a, -b), (sum_3, b13, b23))
-                                      and vanishes((1, -a, -b), (b1_sum, b12, b13))):
-            bilin_bad = s
-        if alt_bad is None and not vanishes((1,), (b11,)):
-            alt_bad = s
-        if jacobi_bad is None and not vanishes((1, 1, 1), (b1_23, b2_31, b3_12)):
-            jacobi_bad = s
-    def w(sample):
-        return None if sample is None else {"sample": sample, "seed": seed}
-    return [
-        check(suite, "closure", closure_bad is None, w(closure_bad)),
-        check(suite, "bilinearity", bilin_bad is None, w(bilin_bad)),
-        check(suite, "alternativity", alt_bad is None, w(alt_bad)),
-        check(suite, "jacobi", jacobi_bad is None, w(jacobi_bad)),
-    ]
+        products = []
+        for s, (b1, b2, b3, a, b) in zip(chunk, drawn):
+            r1, r2, r3 = ((P.tall.den, dict(zip(P.monomials, _blocks(P.tall.ints, n))))
+                          for P in (b1, b2, b3))
+            [b31] = kernel(b3, [b1])
+            b23, b2_31 = kernel(b2, [b3, b31])
+            b11, b12, b13, b1_23, b1_sum = kernel(b1, [b1, b2, b3, b23,
+                                                        _raw_combination((a, b), (r2, r3))])
+            [b3_12] = kernel(b3, [b12])
+            [sum_3] = kernel(_raw_combination((a, b), (r1, r2)), [b3])
+            products.append([x for flat in b12[1].values() for x in flat])
+            if bilin_bad is None and not (vanishes((-1, a, b), (sum_3, b13, b23))
+                                          and vanishes((-1, a, b), (b1_sum, b12, b13))):
+                bilin_bad = s
+            if alt_bad is None and not vanishes((1,), (b11,)):
+                alt_bad = s
+            if jacobi_bad is None and not vanishes((1, 1, 1), (b1_23, b2_31, b3_12)):
+                jacobi_bad = s
+        if closure_bad is None and (bad := failing_stacks(A, products)):
+            closure_bad = chunk[bad[0]]
+    laws = {"closure": closure_bad, "bilinearity": bilin_bad, "alternativity": alt_bad,
+            "jacobi": jacobi_bad}
+    return [check(suite, law, s is None, {"sample": s, "seed": seed}) for law, s in laws.items()]
 
 
 def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:

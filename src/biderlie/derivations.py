@@ -3,13 +3,13 @@
 A derivation is a linear self-map D with D[x,y] = [Dx,y] + [x,Dy]. On
 coordinates D acts as an n x n matrix, so the defining rule on all basis
 pairs is a homogeneous linear system in the matrix entries; its nullspace
-is the derivation algebra. `derives` (from `algebras`) scans a stack of
-maps on integer columns, each basis pair once for the whole stack:
-`is_derivation` is the one-block case, and the poly-map predicates of
-`brackets` stack all of a map's coefficient matrices, the columns of its
-tall matrix. `derivation_rows` writes the rule out on its own, in
-integers from the product's `int_form`, so the predicates check the
-solver independently.
+is the derivation algebra. `algebras.failing_stacks` scans stacks of maps
+on integer columns, each basis pair once for all of them, and names the
+stacks that fail; `derives` asks that none does. `is_derivation` is the
+one-block case, and the poly-map predicates of `brackets` stack all of a
+map's coefficient matrices, the columns of its tall matrix.
+`derivation_rows` writes the rule out on its own, in integers from the
+product's `int_form`, so the predicates check the solver independently.
 Unknowns are ordered column-major, rows by basis pair (i, j) in ascending
 lexicographic order over all n^2 pairs, whatever the declared kind.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebras import Algebra, bracket, derives
+from .algebras import Algebra, bracket, derives, failing_stacks
 from .linalg import Matrix, SubspaceBasis, mat_commutator, solve_homogeneous
 
 
@@ -27,8 +27,7 @@ def is_derivation(A: Algebra, m: Matrix) -> bool:
     """True iff the derivation rule holds on all basis pairs."""
     if m.rows != A.dim or m.cols != A.dim:
         raise ValueError(f"expected a {A.dim}x{A.dim} matrix, got {m.rows}x{m.cols}")
-    n = m.cols
-    return derives(A, [m.ints[p::n] for p in range(n)])
+    return not failing_stacks(A, [m.ints])
 
 
 def derivation_rows(A: Algebra) -> list[list[int]]:

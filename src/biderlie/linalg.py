@@ -50,10 +50,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 IntRows = list[list[tuple[int, int]]]
+# p/q, q > 0, not reduced: a coefficient `combine` reads as it reads a `Fraction`
+Ratio = NamedTuple("Ratio", [("numerator", int), ("denominator", int)])
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -222,7 +224,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def combine(coeffs: Sequence[Fraction], scaled: Sequence[tuple[int, IntRows]],
+def combine(coeffs: Sequence[Fraction | Ratio], scaled: Sequence[tuple[int, IntRows]],
             rows: int, width: int) -> tuple[int, list[int]]:
     """sum_i coeffs[i] * (r_i / d_i) for scaled[i] = (d_i, r_i), in integers.
 
@@ -230,17 +232,17 @@ def combine(coeffs: Sequence[Fraction], scaled: Sequence[tuple[int, IntRows]],
     `Matrix`'s (den, sparse). Returns (den, out): den is the least common
     multiple of the coeffs[i].denominator * d_i, out the row-major entries
     of den times the sum. Zero coefficients are skipped; `coeffs` may hold
-    ints.
+    ints, and `Ratio`s, which are read as they are drawn, unreduced.
     """
     den = 1
     for f, (d, _) in zip(coeffs, scaled):
-        if f:
+        if f.numerator:
             d *= f.denominator
             if den % d:
                 den = den * d // math.gcd(den, d)
     out = [0] * (rows * width)
     for f, (d, r) in zip(coeffs, scaled):
-        if f:
+        if f.numerator:
             k = f.numerator * (den // (f.denominator * d))
             for i, row in enumerate(r):
                 base = i * width

@@ -27,10 +27,15 @@ def all_ok(results: Iterable[CheckResult]) -> bool:
     return all(r.ok for r in results)
 
 
-def require_samples(count: int, name: str) -> None:
-    """Refuse a sample count below 1: a sampled check over no samples passes unchecked."""
+SCAN_CHUNK = 100  # samples per scan: bounds a sampled check's memory; default counts take one
+
+
+def sample_chunks(count: int, name: str) -> list[range]:
+    """The samples 0..count-1 in runs of `SCAN_CHUNK`, each stacked into one scan. A count below
+    1 is refused: a sampled check over no samples passes unchecked."""
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count}")
+    return [range(s, min(s + SCAN_CHUNK, count)) for s in range(0, count, SCAN_CHUNK)]
 
 
 def format_element(v: Sequence[Fraction]) -> str:
