@@ -20,7 +20,8 @@ multiply entry by entry in `Fraction`s. The linear-combination references
 fold one `Fraction` product and sum at a time, entry by entry, where the
 package combines integer forms over one denominator. The poly map serializer
 writes the `Fraction` matrices of `.terms`, where the package writes the
-integer form.
+integer form. The Jacobi reference sums every ordered triple, where the
+package checks one per rotation class.
 """
 
 from fractions import Fraction
@@ -404,6 +405,28 @@ def derives_reference(A, images):
     return all(is_derivation_reference(A, Matrix([[images[p][b + l] for p in range(n)]
                                                   for l in range(n)]))
                for b in range(0, len(images[0]), n))
+
+
+def jacobi_ok_reference(A):
+    """`verify.derivation_suite`'s commutator-jacobi verdict over every ordered triple of the
+    scaled `Der` basis, not one per rotation class: each sum built with `verify.add_product`,
+    looked up at call time, as the suite builds it."""
+    from biderlie import verify
+    from biderlie.derivations import derivation_matrices
+    n = A.dim
+    scaled = [Matrix._of(n, n, 1, d.ints) for d in derivation_matrices(A)]
+    rows = [d.sparse for d in scaled]
+    crows = {(i, j): mat_commutator(a, b).sparse
+             for i, a in enumerate(scaled) for j, b in enumerate(scaled)}
+    m = len(scaled)
+    for i, j, k in ((i, j, k) for i in range(m) for j in range(m) for k in range(m)):
+        out = [0] * (n * n)
+        for d, c in ((rows[i], crows[j, k]), (rows[j], crows[k, i]), (rows[k], crows[i, j])):
+            verify.add_product(out, d, c, n)
+            verify.add_product(out, c, d, n, -1)
+        if any(out):
+            return False
+    return True
 
 
 def fraction_combination(coeffs, items, zero):

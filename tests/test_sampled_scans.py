@@ -1,19 +1,31 @@
-"""The sampled verify suites under broken Leibniz scans.
+"""The per-block Leibniz scan and the sampled verify suites that stack their samples into it.
 
 `symmetry_suite`, `scalar_suite` and both sides of `verify_lie_algebra`
 decide every sample through `algebras.leibniz_sides`. The mutants below
 decide each block of a stack from that block's own integers alone, so a
 scan of one sample at a time and a scan of every sample at once must give
 the same verdicts, and the pinned table must not move however the suites
-stack their samples.
+stack their samples, or however many samples one scan takes.
 """
+
+import math
+import random
+import tracemalloc
+from fractions import Fraction as F
 
 import pytest
 
-from biderlie import algebras
-from biderlie.algebras import builtin
+from biderlie import Algebra, BilinearTensor, algebras, report
+import biderlie.brackets as brackets_module
+import biderlie.verify as verify_module
+from biderlie.algebras import bider_scan, builtin, failing_stacks
 from biderlie.brackets import verify_lie_algebra
-from biderlie.verify import scalar_suite, symmetry_suite
+from biderlie.derivations import derivation_matrices
+from biderlie.linalg import Matrix, Ratio, combine
+from biderlie.verify import derivation_suite, scalar_suite, symmetry_suite
+
+from oracles import derives_reference, jacobi_ok_reference
+from test_brackets import _LIE_MUTANTS, _LIE_PINNED, _on_maps
 
 _SIDES = algebras.leibniz_sides
 _MUTANT_NAMES = ("heisenberg3", "L2", "L3", "L4")
@@ -112,7 +124,147 @@ _LEIBNIZ_PINNED = {
 
 @pytest.mark.parametrize("mutant", list(_LEIBNIZ_MUTANTS))
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
-def test_sampled_suites_under_broken_leibniz_scans(monkeypatch, mutant, name):
+@pytest.mark.parametrize("chunk", [report.SCAN_CHUNK, 7])
+def test_sampled_suites_under_broken_leibniz_scans(monkeypatch, mutant, name, chunk):
+    # a run of 7 samples per scan puts scan boundaries inside every sampled check
+    monkeypatch.setattr(report, "SCAN_CHUNK", chunk)
     monkeypatch.setattr(algebras, "leibniz_sides", _LEIBNIZ_MUTANTS[mutant])
     got = {suite: _outcome(call) for suite, call in _suite_calls(builtin(name)).items()}
     assert got == _LEIBNIZ_PINNED[mutant][name]
+
+
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
+def test_lie_law_witnesses_do_not_move_with_the_scan_length(monkeypatch, name):
+    # closure is decided per scan and its witness offset into the samples: the pinned
+    # first failing samples (up to 19) lie in the third run of 7
+    A = builtin(name)
+    monkeypatch.setattr(report, "SCAN_CHUNK", 7)
+    monkeypatch.setattr(brackets_module, "_bracket_terms",
+                        _on_maps(_LIE_MUTANTS["spurious-terms"], A.dim))
+    for side in ("right", "left"):
+        got = [(r.status, r.witness) for r in verify_lie_algebra(A, side)]
+        assert got == _LIE_PINNED["spurious-terms"][name][side]
+
+
+# --- the per-block verdict against the per-block reference ---------------------
+
+def _scan_algebras():
+    # dims 1-4; no abelian one, whose stacks cannot fail
+    return [builtin(name) for name in ("L2", "L3", "L4", "heisenberg3", "sl2")] + [
+        Algebra.from_entries("unit-1", 1, {(0, 0, 0): F(1, 2)}, "generic"),
+        Algebra.from_entries("den-4", 4, {(0, 1, 3): F(2, 3), (1, 0, 3): F(-2, 3),
+                                          (2, 3, 3): F(1, 5), (3, 2, 3): F(-1, 5)}, "lie")]
+
+
+def _blocks(A, rng, count):
+    """count matrices for a stack, each over its own scale: rational sums of the Der basis
+    (the first is zero) and, about one in three, a random matrix."""
+    n = A.dim
+    ders = derivation_matrices(A)
+    out = [Matrix.zeros(n, n)]
+    while len(out) < count:
+        if rng.random() < 0.35 or not ders:
+            out.append(Matrix([[F(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(n)]
+                               for _ in range(n)]))
+        else:
+            out.append(sum((F(rng.randint(-3, 3), rng.choice((1, 2, 5))) * d for d in ders),
+                           Matrix.zeros(n, n)))
+    return out
+
+
+def _bad(A, m):
+    n = A.dim
+    return not derives_reference(A, [list(m.ints[p::n]) for p in range(n)])
+
+
+def _non_derivation(A, rng):
+    return next(m for m in _blocks(A, rng, 50) if _bad(A, m))
+
+
+@pytest.mark.parametrize("A", _scan_algebras(), ids=lambda A: A.name)
+def test_failing_stacks_match_the_per_block_reference(A):
+    rng = random.Random(A.name)
+    n = A.dim
+    assert failing_stacks(A, []) == [] and failing_stacks(A, [[]]) == []
+    ok = [m for m in _blocks(A, rng, 40) if not _bad(A, m)][:6]
+    bad = [_non_derivation(A, rng) for _ in range(3)]
+    # failing blocks first, in the middle, last, side by side and all at once
+    layouts = [ok, bad[:1] + ok, ok[:3] + bad[:1] + ok[3:], ok + bad[:1], bad[:2] + ok,
+               ok[:2] + bad + ok[2:], bad, bad[:1] + ok[:2] + bad[1:2] + ok[2:] + bad[2:]]
+    layouts += [_blocks(A, rng, 9) for _ in range(4)]
+    for blocks in layouts:
+        want = [b for b, m in enumerate(blocks) if _bad(A, m)]
+        assert failing_stacks(A, [m.ints for m in blocks]) == want
+        # the same blocks in runs of two and three, each run one tall list over one scale
+        for size in (2, 3):
+            runs = [blocks[s:s + size] for s in range(0, len(blocks), size)]
+            talls = []
+            for run in runs:
+                den = math.lcm(*(m.den for m in run)) * rng.choice((1, 2, 3))
+                talls.append([x * den // m.den for m in run for x in m.ints])
+            assert failing_stacks(A, talls) == sorted({b // size for b in want})
+
+
+@pytest.mark.parametrize("A", _scan_algebras(), ids=lambda A: A.name)
+def test_bider_scan_names_each_failing_tensor(A):
+    rng = random.Random(A.name + "tensors")
+    n = A.dim
+    for _ in range(4):
+        maps = [_blocks(A, rng, n + 1)[1:] for _ in range(5)]
+        tensors = [BilinearTensor.from_column_maps(ms) for ms in maps]
+        ints = [x for t in tensors for x in t.matrix.ints]
+        want = [t for t, ms in enumerate(maps) if any(_bad(A, m) for m in ms)]
+        assert bider_scan(A, ints, "right") == want
+        assert bider_scan(A, [x for t in tensors for x in t.transpose().matrix.ints],
+                          "left") == want
+
+
+# --- memory does not grow with the sample count ---------------------------------
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_suites_hold_one_run_of_samples_at_a_time():
+    A = builtin("L2")
+    for suite in (lambda k: symmetry_suite(A, samples=k), lambda k: scalar_suite(A, sweep_samples=k)):
+        suite(1)  # warm the caches of imports and views before measuring
+        assert _peak(lambda: suite(2000)) <= 2 * _peak(lambda: suite(200))
+
+
+# --- Jacobi by rotation class ----------------------------------------------------
+
+_SWEEP = ("abelian(2)", "L2", "heisenberg3", "L3", "L4", "abelian(3)", "sl2")
+
+
+@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("name", _SWEEP)
+def test_jacobi_by_rotation_class_matches_every_ordered_triple(monkeypatch, name, signed):
+    # without its sign, each commutator is an anticommutator and the sums need not vanish
+    if not signed:
+        add = verify_module.add_product
+        monkeypatch.setattr(verify_module, "add_product",
+                            lambda out, a, b, width, sign=1: add(out, a, b, width))
+    A = builtin(name)
+    [status] = [r.status for r in derivation_suite(A) if r.identity == "commutator-jacobi"]
+    assert status == ("pass" if jacobi_ok_reference(A) else "fail")
+    if signed:
+        assert status == "pass"
+
+
+def test_combine_reads_unreduced_ratios_as_their_fractions():
+    # the sampled suites draw coefficients as (p, q) pairs and never reduce them
+    rng = random.Random(3)
+    mats = [Matrix([[F(rng.randint(-3, 3), rng.choice((1, 2, 6))) for _ in range(3)]
+                    for _ in range(2)]) for _ in range(4)]
+    scaled = [(m.den, m.sparse) for m in mats]
+    for ratios in ([Ratio(2, 2), Ratio(0, 3), Ratio(-4, 6), Ratio(3, 1)],
+                   [Ratio(0, 1)] * 4, [Ratio(6, 4), Ratio(-2, 2), Ratio(1, 3), Ratio(0, 2)]):
+        got = Matrix._of(2, 3, *combine(ratios, scaled, 2, 3))
+        want = Matrix._of(2, 3, *combine([F(*r) for r in ratios], scaled, 2, 3))
+        assert got == want == sum((F(*r) * m for r, m in zip(ratios, mats)), Matrix.zeros(2, 3))
