@@ -411,9 +411,9 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
 
     The laws are checked on raw kernel rows: b1 is bracketed with its whole
     row in one call, each law is a raw combination that must vanish, and no
-    map is built for an intermediate bracket. The samples are drawn as
-    integer ratios; that they are biderivations, and closure, are one scan
-    over all samples each (see `verify`).
+    map is built for an intermediate bracket. Samples are drawn as integer
+    ratios; their membership and the closure of their brackets are one
+    Leibniz scan each per run of samples (see `verify`).
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
