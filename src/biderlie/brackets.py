@@ -433,12 +433,11 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
         return not any(map(any, _raw_combination(coeffs, forms)[1].values()))
 
     for chunk in chunks:
-        drawn = [(*(_random_map(rng, cls, base, ders, n) for _ in range(3)), random_ratio(rng),
-                  random_ratio(rng)) for _ in chunk]
-        if failing_stacks(A, [b.tall.ints for sample in drawn for b in sample[:3]]):
-            raise RuntimeError("sample generator produced a non-biderivation")
-        products = []
-        for s, (b1, b2, b3, a, b) in zip(chunk, drawn):
+        members, products = [], []
+        for s in chunk:
+            b1, b2, b3 = (_random_map(rng, cls, base, ders, n) for _ in range(3))
+            a, b = random_ratio(rng), random_ratio(rng)
+            members += [P.tall.ints for P in (b1, b2, b3)]
             r1, r2, r3 = ((P.tall.den, dict(zip(P.monomials, _blocks(P.tall.ints, n))))
                           for P in (b1, b2, b3))
             [b31] = kernel(b3, [b1])
@@ -455,6 +454,8 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
                 alt_bad = s
             if jacobi_bad is None and not vanishes((1, 1, 1), (b1_23, b2_31, b3_12)):
                 jacobi_bad = s
+        if failing_stacks(A, members):
+            raise RuntimeError("sample generator produced a non-biderivation")
         if closure_bad is None and (bad := failing_stacks(A, products)):
             closure_bad = chunk[bad[0]]
     laws = {"closure": closure_bad, "bilinearity": bilin_bad, "alternativity": alt_bad,
