@@ -35,6 +35,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .bilinear import BilinearTensor
@@ -153,6 +155,7 @@ def leibniz_sides(A: Algebra, images: Sequence[Sequence[int]], i: int,
     per block the caller keeps. Both sides come back as integer lists over
     d, the product matrix's denominator, times that scale, so they agree iff
     the lists are equal. Every D_b derives iff they agree at every basis pair.
+    Each nonzero structure constant costs one pass over the stack, by strides.
     """
     n = A.dim
     rows = A.product.matrix.sparse       # row a*n + b: d [e_a, e_b]
@@ -160,27 +163,23 @@ def leibniz_sides(A: Algebra, images: Sequence[Sequence[int]], i: int,
     rhs = [0] * len(lhs)
     # D[e_i,e_j] = sum_p c[i][j][p] De_p
     for p, f in rows[i * n + j]:
-        for l, x in enumerate(images[p]):
-            if x:
-                lhs[l] += f * x
+        lhs = [y + f * x for y, x in zip(lhs, images[p])]
     # [De_i,e_j] = sum_a (De_i)_a [e_a,e_j];  [e_i,De_j] = sum_b (De_j)_b [e_i,e_b]
     for coeffs, at in ((images[i], range(j, n * n, n)), (images[j], range(i * n, i * n + n))):
-        for base in range(0, len(coeffs), n):
-            for f, r in zip(coeffs[base:base + n], at):
-                if f:
-                    for l, x in rows[r]:
-                        rhs[base + l] += f * x
+        for a, r in enumerate(at):
+            for l, x in rows[r]:
+                rhs[l::n] = [y + x * f for y, f in zip(rhs[l::n], coeffs[a::n])]
     return lhs, rhs
 
 
 def failing_stacks(A: Algebra, talls: Sequence[Sequence[int]]) -> list[int]:
     """The indices, ascending, of the row-major integer lists in talls, n x n blocks stacked as
     rows over a scale per list, that hold a block not deriving A. One scan: `leibniz_sides`
-    evaluates each basis pair once for every block, and its two sides are compared whole and
-    sliced per block only where they differ."""
+    evaluates each basis pair once for every block, one pass per nonzero structure constant, and
+    its two sides are compared whole and sliced per block only where they differ."""
     n, bad = A.dim, set()
     owner = [t for t, f in enumerate(talls) for _ in range(0, len(f), n * n)]
-    images = [[x for f in talls for x in f[p::n]] for p in range(n)]
+    images = [list(chain.from_iterable(f[p::n] for f in talls)) for p in range(n)]
     for i in range(n):
         for j in range(n):
             lhs, rhs = leibniz_sides(A, images, i, j)
@@ -204,7 +203,8 @@ def bider_scan(A: Algebra, ints: Sequence[int], side: str) -> list[int]:
     n = A.dim
     at = [((p * n + k) if side == "right" else (k * n + p)) * n + l
           for k in range(n) for l in range(n) for p in range(n)]
-    return failing_stacks(A, [[ints[t + q] for q in at] for t in range(0, len(ints), n ** 3)])
+    gather = itemgetter(*at) if n > 1 else tuple    # one index (n = 1) gets a bare int
+    return failing_stacks(A, [gather(ints[t:t + n ** 3]) for t in range(0, len(ints), n ** 3)])
 
 
 def _fractions(v: Sequence[int], den: int) -> Vector:

@@ -21,7 +21,9 @@ fold one `Fraction` product and sum at a time, entry by entry, where the
 package combines integer forms over one denominator. The poly map serializer
 writes the `Fraction` matrices of `.terms`, where the package writes the
 integer form. The Jacobi reference sums every ordered triple, where the
-package checks one per rotation class.
+package checks one per rotation class. The Leibniz sides reference walks the
+stack block by block and entry by entry, where the package makes one strided
+pass over the stack per nonzero structure constant.
 """
 
 from fractions import Fraction
@@ -405,6 +407,27 @@ def derives_reference(A, images):
     return all(is_derivation_reference(A, Matrix([[images[p][b + l] for p in range(n)]
                                                   for l in range(n)]))
                for b in range(0, len(images[0]), n))
+
+
+def leibniz_sides_reference(A, images, i, j):
+    """`algebras.leibniz_sides` as the package first computed it: the same integer sides of
+    D_b[e_i, e_j] = [D_b e_i, e_j] + [e_i, D_b e_j], added up one block and one nonzero entry
+    at a time."""
+    n = A.dim
+    rows = A.product.matrix.sparse       # row a*n + b: d [e_a, e_b]
+    lhs = [0] * len(images[i])
+    rhs = [0] * len(lhs)
+    for p, f in rows[i * n + j]:
+        for l, x in enumerate(images[p]):
+            if x:
+                lhs[l] += f * x
+    for coeffs, at in ((images[i], range(j, n * n, n)), (images[j], range(i * n, i * n + n))):
+        for base in range(0, len(coeffs), n):
+            for f, r in zip(coeffs[base:base + n], at):
+                if f:
+                    for l, x in rows[r]:
+                        rhs[base + l] += f * x
+    return lhs, rhs
 
 
 def jacobi_ok_reference(A):

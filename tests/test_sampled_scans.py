@@ -24,7 +24,7 @@ from biderlie.derivations import derivation_matrices
 from biderlie.linalg import Matrix, Ratio, combine
 from biderlie.verify import derivation_suite, scalar_suite, symmetry_suite
 
-from oracles import derives_reference, jacobi_ok_reference
+from oracles import derives_reference, jacobi_ok_reference, leibniz_sides_reference
 from test_brackets import _LIE_MUTANTS, _LIE_PINNED, _on_maps
 
 _SIDES = algebras.leibniz_sides
@@ -217,6 +217,22 @@ def test_bider_scan_names_each_failing_tensor(A):
         assert bider_scan(A, ints, "right") == want
         assert bider_scan(A, [x for t in tensors for x in t.transpose().matrix.ints],
                           "left") == want
+
+
+@pytest.mark.parametrize("A", _scan_algebras() + [builtin("abelian(3)")], ids=lambda A: A.name)
+def test_leibniz_sides_match_the_per_block_reference(A):
+    # the very lists, not just their verdicts: the Leibniz mutants above and every scan read them
+    rng = random.Random(A.name + "sides")
+    n = A.dim
+    for count in (0, 1, 301):
+        blocks = _blocks(A, rng, count)[:count]
+        images = [[x for m in blocks for x in m.ints[p::n]] for p in range(n)]
+        for given in (images, tuple(tuple(v) for v in images)):
+            for i in range(n):
+                for j in range(n):
+                    got = algebras.leibniz_sides(A, given, i, j)
+                    assert type(got[0]) is list and type(got[1]) is list
+                    assert got == leibniz_sides_reference(A, given, i, j)
 
 
 # --- memory does not grow with the sample count ---------------------------------
