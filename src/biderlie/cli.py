@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     br.set_defaults(func=cmd_bracket)
 
     v = sub.add_parser("verify", help="run every identity suite and print a pass/fail table "
-                       "(the expensive command: over a minute at dim 8)")
+                       "(the expensive command: about a minute at dim 8)")
     v.add_argument("algebra", help="algebra file or builtin name")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--samples", type=positive_int, default=25)
