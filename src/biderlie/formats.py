@@ -27,9 +27,10 @@ tensor's nonzero entries by `entry_lines`. An `m` line is entry (row, col)
 of the coefficient matrix attached to the monomial exponent vector, written
 without spaces. A poly map is read into its integer form (its sorted
 monomials and one tall `Matrix` of their coefficient matrices over the lcm of
-the entries' denominators; an all-zero monomial is dropped) and written
-from it, each entry reduced to the text `str(Fraction)` gives, so no
-`Fraction` matrix is built on the way.
+the entries' denominators; an all-zero monomial is dropped) and written from
+it. An entry reads as `Fraction(tok)` would, but a plain `p` or `p/q` by `int`
+with no `Fraction` built; only nonzero entries are written, each as
+`str(Fraction)` writes it.
 Serialization is canonical: sorted indices, normalized rationals, so
 parse(serialize(x)) == x and serialized forms are diffable.
 """
@@ -37,13 +38,17 @@ parse(serialize(x)) == x and serialized forms are diffable.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+from itertools import compress
 
 from .algebras import KINDS, MAX_DEGREE, MAX_DIM, Algebra
 from .bilinear import BilinearTensor
-from .brackets import PolyLeftMap, PolyRightMap, _stacked
+from .brackets import PolyLeftMap, PolyRightMap, _blocks, _stacked
 
 MAP_KINDS = ("bilinear", "polyright", "polyleft")
+# p or p/q in ASCII digits, at most 640 each: `int` reads them under any digit limit it takes
+_PLAIN = re.compile(r"([-+]?[0-9]{1,640})(?:/([0-9]{1,640}))?")
 
 
 class FormatError(ValueError):
@@ -66,6 +71,16 @@ def _fraction(tok: str, line_no: int) -> Fraction:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"not a rational literal: {tok!r}", line_no) from None
+
+
+def _ratio(tok: str, line_no: int) -> tuple[int, int]:
+    """`Fraction(tok)` as (numerator, denominator): a plain literal by `int` and one `gcd`."""
+    m = _PLAIN.fullmatch(tok)
+    if m and (q := int(m[2] or 1)):
+        g = math.gcd(p := int(m[1]), q)
+        return p // g, q // g
+    x = _fraction(tok, line_no)
+    return x.numerator, x.denominator
 
 
 def _index(tok: str, line_no: int, dim: int, what: str = "index") -> int:
@@ -174,7 +189,7 @@ def parse_map(text: str):
     map_kind: str | None = None
     dim: int | None = None
     tensor_entries: dict[tuple[int, int, int], Fraction] = {}
-    grids: dict[tuple[int, ...], list[Fraction | None]] = {}  # row-major, None where unread
+    poly_entries: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}  # (a, r*n+c): p, q
     exponents: dict[str, tuple[int, ...]] = {}  # each exponent token is parsed once
     for line_no, toks in _lines(text):
         head = toks[0]
@@ -203,21 +218,19 @@ def parse_map(text: str):
             if alpha is None:
                 alpha = exponents[toks[1]] = _parse_exponents(toks[1], line_no, dim)
             i = _index(toks[2], line_no, dim, "row") * dim + _index(toks[3], line_no, dim, "col")
-            grid = grids.get(alpha)
-            if grid is None:
-                grid = grids[alpha] = [None] * (dim * dim)
-            elif grid[i] is not None:
+            if (alpha, i) in poly_entries:
                 raise FormatError("duplicate poly map entry", line_no)
-            grid[i] = _fraction(toks[5], line_no)
+            poly_entries[alpha, i] = _ratio(toks[5], line_no)
         else:
             raise FormatError(f"unrecognized directive {head!r}", line_no)
     if map_kind is None or dim is None:
         raise FormatError("missing map or dim header")
     if map_kind == "bilinear":
         return BilinearTensor.from_entries(dim, tensor_entries)
-    den = math.lcm(*{x.denominator for grid in grids.values() for x in grid if x is not None})
-    ints = {alpha: [0 if x is None else x.numerator * (den // x.denominator) for x in grid]
-            for alpha, grid in grids.items()}
+    den = math.lcm(*{q for _, q in poly_entries.values()})
+    ints = {alpha: [0] * (dim * dim) for alpha, _ in poly_entries}
+    for (alpha, i), (p, q) in poly_entries.items():
+        ints[alpha][i] = p * (den // q)
     cls = PolyRightMap if map_kind == "polyright" else PolyLeftMap
     return cls._of(dim, *_stacked(dim, den, ints))
 
@@ -229,18 +242,17 @@ def serialize_map(obj) -> str:
         return "\n".join(["map bilinear", f"dim {obj.dim}"] + entry_lines(obj, "t")) + "\n"
     if isinstance(obj, (PolyRightMap, PolyLeftMap)):
         kind = "polyright" if isinstance(obj, PolyRightMap) else "polyleft"
-        n, den, ints = obj.dim, obj.tall.den, obj.tall.ints
+        n, den = obj.dim, obj.tall.den
         at = [f" {r + 1} {c + 1} = " for r in range(n) for c in range(n)]
         text: dict[int, str] = {}  # each distinct entry is reduced once
         lines = [f"map {kind}", f"dim {n}"]
-        for b, alpha in zip(range(0, len(ints), n * n), obj.monomials):
+        for alpha, block in zip(obj.monomials, _blocks(obj.tall.ints, n)):
             head = "m (" + ",".join(map(str, alpha)) + ")"
-            for pos, x in zip(at, ints[b:b + n * n]):
-                if x:
-                    v = text.get(x)
-                    if v is None:
-                        g = math.gcd(x, den)
-                        v = text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
-                    lines.append(f"{head}{pos}{v}")
+            for pos, x in compress(zip(at, block), block):
+                v = text.get(x)
+                if v is None:
+                    g = math.gcd(x, den)
+                    v = text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+                lines.append(f"{head}{pos}{v}")
         return "\n".join(lines) + "\n"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

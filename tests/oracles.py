@@ -18,14 +18,16 @@ derivation?". The bracket reference takes one matrix commutator per pair
 of terms, the way the package first computed it, and the matrix references
 multiply entry by entry in `Fraction`s. The linear-combination references
 fold one `Fraction` product and sum at a time, entry by entry, where the
-package combines integer forms over one denominator. The poly map serializer
-writes the `Fraction` matrices of `.terms`, where the package writes the
-integer form. The Jacobi reference sums every ordered triple, where the
-package checks one per rotation class. The Leibniz sides reference walks the
-stack block by block and entry by entry, where the package makes one strided
-pass over the stack per nonzero structure constant.
+package combines integer forms over one denominator. The poly map serializers
+write the `Fraction` matrices of `.terms`, or every entry of the integer form
+in turn, where the package walks only the nonzero entries of each block. The
+Jacobi reference sums every ordered triple, where the package checks one per
+rotation class. The Leibniz sides reference walks the stack block by block and
+entry by entry, where the package makes one strided pass over the stack per
+nonzero structure constant.
 """
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -513,4 +515,25 @@ def serialize_map_reference(P):
                 v = P.terms[alpha].data[r][c]
                 if v:
                     lines.append(f"m {exp} {r + 1} {c + 1} = {v}")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_map_per_entry(P):
+    """A poly map's file text written from its integer form entry by entry, skipping the
+    zeros one at a time, each entry x / den reduced to `str(Fraction)`'s text, as the
+    package once wrote it."""
+    kind = "polyright" if isinstance(P, PolyRightMap) else "polyleft"
+    n, den, ints = P.dim, P.tall.den, P.tall.ints
+    at = [f" {r + 1} {c + 1} = " for r in range(n) for c in range(n)]
+    text: dict[int, str] = {}  # each distinct entry is reduced once
+    lines = [f"map {kind}", f"dim {n}"]
+    for b, alpha in zip(range(0, len(ints), n * n), P.monomials):
+        head = "m (" + ",".join(map(str, alpha)) + ")"
+        for pos, x in zip(at, ints[b:b + n * n]):
+            if x:
+                v = text.get(x)
+                if v is None:
+                    g = math.gcd(x, den)
+                    v = text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+                lines.append(f"{head}{pos}{v}")
     return "\n".join(lines) + "\n"

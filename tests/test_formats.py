@@ -8,9 +8,10 @@ from biderlie import (BilinearTensor, FormatError, PolyLeftMap, PolyRightMap, bu
                       parse_algebra, parse_map, serialize_algebra, serialize_map)
 from biderlie.algebras import MAX_DEGREE, MAX_DIM, Algebra
 from biderlie.cli import heisenberg_example_maps
+from biderlie.formats import _ratio
 from biderlie.linalg import Matrix
 
-from oracles import serialize_map_reference
+from oracles import serialize_map_per_entry, serialize_map_reference
 
 F = Fraction
 
@@ -245,6 +246,76 @@ def test_parse_reads_entries_as_fraction_does(tok):
     if F(tok):
         assert P.terms[(1, 0)].data[0][1] == F(tok)
         assert serialize_map(P) == f"map polyright\ndim 2\nm (1,0) 1 2 = {F(tok)}\n"
+
+
+# plain ASCII p and p/q, read by `int`, and tokens only `Fraction` reads or refuses
+LITERALS = ["3", "+3", "-0", "00012/0004", "-6/8", "3/-4", "1/0", "0.5", "1e3", "1_0", "\u0663",
+            "3/", "/4", "pi", "+-3", "1/+2", "-0/7", "\u00b2", "-" + "7" * 700, "1/" + "7" * 700,
+            "1" * 5000, "1/" + "7" * 5000]
+
+
+@pytest.mark.parametrize("tok", LITERALS, ids=lambda tok: ascii(tok)[:16])
+def test_literals_read_as_fraction_reads_them(tok):
+    # the integer path gives Fraction's numerator and denominator, or its refusal
+    try:
+        want = F(tok)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    text = f"map polyleft\ndim 2\nm (0,1) 2 2 = 1/3\nm (1,0) 1 2 = {tok}\n"
+    if want is None:
+        for read in (lambda: _ratio(tok, 4), lambda: parse_map(text)):
+            with pytest.raises(FormatError) as exc:
+                read()
+            assert str(exc.value) == f"line 4: not a rational literal: {tok!r}"
+            assert exc.value.line_no == 4
+        return
+    assert _ratio(tok, 4) == (want.numerator, want.denominator)
+    P = parse_map(text)
+    assert P.terms[(1, 0)].data[0][1] == want if want else P.monomials == ((0, 1),)
+    assert P == PolyLeftMap(2, {(0, 1): Matrix([[0, 0], [0, F(1, 3)]]),
+                                (1, 0): Matrix([[0, want], [0, 0]])})
+
+
+def test_plain_literals_are_read_without_a_fraction():
+    # the text serialize_map writes holds only plain p and p/q, which parse by `int`
+    P = PolyLeftMap(3, {(1, 0, 2): Matrix([[1, 0, F(-5, 6)], [0, F(1, 2), 0], [0, 0, -7]]),
+                        (0, 0, 1): Matrix([[0, F(4, 3), 0], [0, 0, 0], [2, 0, 0]])})
+    text = serialize_map(P)
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("built a Fraction while reading plain literals")
+
+    new = vars(F)["__new__"]
+    F.__new__ = staticmethod(refuse)
+    try:
+        again = parse_map(text)
+    finally:
+        F.__new__ = new
+    assert again == P and serialize_map(again) == text
+
+
+def test_serialize_map_matches_the_per_entry_writer():
+    # right and left maps of dims 1-7 with mixed denominators; all-zero coefficient
+    # matrices are dropped by the constructor, and an all-zero block of a raw tall
+    # matrix is skipped as the per-entry writer skips it
+    rng = random.Random("serialize-per-entry")
+    for trial in range(70):
+        n, cls = trial % 7 + 1, (PolyRightMap, PolyLeftMap)[trial % 2]
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            alpha = tuple(rng.randint(0, 2) for _ in range(n))
+            density = rng.choice((0, 0.2, 0.6, 1))
+            terms[alpha] = Matrix([[F(rng.randint(-20, 20), rng.randint(1, 9))
+                                    if rng.random() < density else F(0) for _ in range(n)]
+                                   for _ in range(n)])
+        P = cls(n, terms)
+        text = serialize_map(P)
+        assert text == serialize_map_per_entry(P) == serialize_map_reference(P)
+        assert parse_map(text) == P and type(parse_map(text)) is cls
+        raw = cls._of(n, P.monomials + ((9,) * n,),
+                      Matrix._of((len(P.monomials) + 1) * n, n, P.tall.den,
+                                 P.tall.ints + (0,) * (n * n)))
+        assert serialize_map(raw) == serialize_map_per_entry(raw) == text
 
 
 @pytest.mark.parametrize("body,fragment", [
