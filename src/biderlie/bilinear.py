@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, random_below
 
 _HALF = Fraction(1, 2)
 
@@ -190,5 +190,5 @@ def half_decomposition(B: BilinearTensor) -> tuple[BilinearTensor, BilinearTenso
 
 def random_tensor(rng, dim: int, span: int = 3) -> BilinearTensor:
     """Small-coefficient random tensor, for seeded property runs."""
-    return BilinearTensor._of(dim, Matrix._of(dim * dim, dim, 1, [rng.randint(-span, span)
-                                                                 for _ in range(dim ** 3)]))
+    draws = random_below(rng, [2 * span + 1] * dim ** 3)
+    return BilinearTensor._of(dim, Matrix._of(dim * dim, dim, 1, [x - span for x in draws]))

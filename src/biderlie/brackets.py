@@ -48,7 +48,7 @@ from .biderivations import (basis_tensors, left_bider_bilinear_space,
                             right_bider_bilinear_space)
 from .derivations import derivation_matrices
 from .linalg import (IntRows, Matrix, Ratio, Vector, _integers, add_product, basis_vector,
-                     combine)
+                     combine, random_below)
 from .report import CheckResult, check, sample_chunks
 
 MultiIndex = tuple[int, ...]
@@ -360,14 +360,21 @@ def lhd(B1: PolyLeftMap, B2: PolyLeftMap) -> PolyLeftMap:
     return PolyLeftMap._of(B1.dim, *_stacked(B1.dim, *_lhd_row(B1, [B2])[0]))
 
 
+def random_ratios(rng: random.Random, count: int, span: int = 2) -> list[Ratio]:
+    """`count` ratios p/q, p in -span..span and q in 1..span, drawn as randint would."""
+    draws = random_below(rng, (2 * span + 1, span) * count)
+    return [Ratio(p - span, q + 1) for p, q in zip(draws[::2], draws[1::2])]
+
+
 def random_ratio(rng: random.Random, span: int = 2) -> Ratio:
-    return Ratio(rng.randint(-span, span), rng.randint(1, span))
+    return random_ratios(rng, 1, span)[0]
 
 
 def random_multi_index(rng: random.Random, n: int, max_degree: int = 2) -> MultiIndex:
     alpha = [0] * n
-    for _ in range(rng.randint(0, max_degree)):
-        alpha[rng.randrange(n)] += 1
+    [degree] = random_below(rng, (max_degree + 1,))
+    for i in random_below(rng, (n,) * degree):
+        alpha[i] += 1
     return tuple(alpha)
 
 
@@ -375,14 +382,14 @@ def _random_map(rng: random.Random, cls, base, derivations: Sequence[Matrix], n:
     """A random rational sum of the base maps, stacked once by `_stack`, plus up to two
     terms y^a D, D a random rational sum of `derivations`: all in one `combine`."""
     block, scaled = dict(base[0]), list(base[1])
-    coeffs = [random_ratio(rng) for _ in scaled]
-    for _ in range(rng.randint(0, 2)):
+    coeffs = random_ratios(rng, len(scaled))
+    [extra] = random_below(rng, (3,))
+    for _ in range(extra):
         if not derivations:
             break
         i = block.setdefault(random_multi_index(rng, n), len(block)) * n
-        for d in derivations:
-            coeffs.append(random_ratio(rng))
-            scaled.append((d.den, [[]] * i + d.sparse))
+        coeffs += random_ratios(rng, len(derivations))
+        scaled += [(d.den, [[]] * i + d.sparse) for d in derivations]
     den, flat = combine(coeffs, scaled, len(block) * n, n)
     return cls._of(n, *_stacked(n, den, dict(zip(block, _blocks(flat, n)))))
 
@@ -436,7 +443,7 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
         members, products = [], []
         for s in chunk:
             b1, b2, b3 = (_random_map(rng, cls, base, ders, n) for _ in range(3))
-            a, b = random_ratio(rng), random_ratio(rng)
+            a, b = random_ratios(rng, 2)
             members += [P.tall.ints for P in (b1, b2, b3)]
             r1, r2, r3 = ((P.tall.den, dict(zip(P.monomials, _blocks(P.tall.ints, n))))
                           for P in (b1, b2, b3))

@@ -61,6 +61,18 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def random_below(rng, widths: Iterable[int]) -> list[int]:
+    """rng.randrange(w) for each width w in turn, drawn as CPython's `randrange` draws it
+    (getrandbits(w.bit_length()) until below w): the same values and final state."""
+    bits, out = rng.getrandbits, []
+    for w in widths:
+        r = bits(k := w.bit_length())
+        while r >= w:
+            r = bits(k)
+        out.append(r)
+    return out
+
+
 def vector(coords: Iterable) -> Vector:
     """Coerce an iterable of ints / 'p/q' strings / Fractions into an exact vector."""
     return tuple(Fraction(c) for c in coords)

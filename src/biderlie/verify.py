@@ -19,10 +19,11 @@ from .algebras import Algebra, bider_scan, check_kind, failing_stacks
 from .bilinear import BilinearTensor, half_decomposition, random_tensor, skew_symmetrize, symmetrize
 from .biderivations import (basis_tensors, bider_space, left_bider_bilinear_space,
                             right_bider_bilinear_space, spaces_intersection)
-from .brackets import (random_multi_index, random_ratio, verify_lie_algebra,
+from .brackets import (random_multi_index, random_ratio, random_ratios, verify_lie_algebra,
                        verify_transpose_interplay)
 from .derivations import derivation_matrices, derivation_space, is_derivation
-from .linalg import Matrix, SubspaceBasis, add_product, combine, mat_commutator, solve_over
+from .linalg import (Matrix, SubspaceBasis, add_product, combine, mat_commutator, random_below,
+                     solve_over)
 from .report import CheckResult, check, sample_chunks, skip, witness_from_triple
 from .scalar_maps import (ScalarPoly, ScalarTimesDerivation, bracket_matches_poly_form,
                           exp_curve_check, to_poly_right)
@@ -113,7 +114,7 @@ def space_suite(A: Algebra) -> list[CheckResult]:
 def _random_member(rng: random.Random, space: SubspaceBasis, n: int) -> BilinearTensor:
     """A random member of a tensor space: a rational sum over its basis, in integers."""
     rows = [(space.basis.den, [row]) for row in space.basis.sparse]
-    den, flat = combine([random_ratio(rng) for _ in rows], rows, 1, n ** 3)
+    den, flat = combine(random_ratios(rng, len(rows)), rows, 1, n ** 3)
     return BilinearTensor._of(n, Matrix._of(n * n, n, den, flat))
 
 
@@ -187,14 +188,15 @@ def symmetry_suite(A: Algebra, samples: int = 25, seed: int = 0) -> list[CheckRe
 
 def _random_scalar_poly(rng: random.Random, n: int, max_degree: int = 2) -> ScalarPoly:
     coeffs = {}
-    for _ in range(rng.randint(1, 4)):
+    [terms] = random_below(rng, (4,))
+    for _ in range(terms + 1):
         alpha = random_multi_index(rng, n, max_degree)
         coeffs[alpha] = coeffs.get(alpha, _ZERO) + Fraction(*random_ratio(rng))
     return ScalarPoly(n, coeffs)
 
 
 def _random_matrix(rng: random.Random, n: int) -> Matrix:
-    return Matrix._of(n, n, 1, [rng.randint(-2, 2) for _ in range(n * n)])
+    return Matrix._of(n, n, 1, [x - 2 for x in random_below(rng, (5,) * (n * n))])
 
 
 def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[CheckResult]:
@@ -212,7 +214,7 @@ def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[Ch
             g = _random_scalar_poly(rng, n)
             while g.is_zero():
                 g = _random_scalar_poly(rng, n)
-            F = (Matrix._of(n, n, *combine([random_ratio(rng) for _ in ders], scaled, n, n))
+            F = (Matrix._of(n, n, *combine(random_ratios(rng, len(ders)), scaled, n, n))
                  if i % 2 == 0 and ders else _random_matrix(rng, n))
             Fs.append(F.ints)
             talls.append(to_poly_right(ScalarTimesDerivation(g, F)).tall.ints)

@@ -14,7 +14,7 @@ from biderlie import (Algebra, BilinearTensor, PolyLeftMap, PolyRightMap,
                       verify_transpose_interplay)
 import biderlie.brackets as brackets_module
 import biderlie.verify as verify_module
-from biderlie.brackets import random_multi_index
+from biderlie.brackets import random_multi_index, random_ratio, random_ratios
 from biderlie.biderivations import basis_tensors, right_bider_bilinear_space
 from biderlie.bilinear import random_tensor
 from biderlie.cli import heisenberg_example_maps
@@ -407,6 +407,37 @@ def _heisenberg(n):
         entries[(i, k + i, n - 1)] = F(1)
         entries[(k + i, i, n - 1)] = F(-1)
     return Algebra.from_entries(f"heisenberg{n}", n, entries, "lie")
+
+
+def test_sample_drawers_draw_as_randint_does():
+    # each drawer gives what its randint form gave and leaves the generator where it left it,
+    # so every seed keeps its samples and witnesses
+    def multi_index(rng, n, max_degree):
+        alpha = [0] * n
+        for _ in range(rng.randint(0, max_degree)):
+            alpha[rng.randrange(n)] += 1
+        return tuple(alpha)
+
+    def scalar_poly(rng, n):
+        coeffs = {}
+        for _ in range(rng.randint(1, 4)):
+            alpha = multi_index(rng, n, 2)
+            coeffs[alpha] = coeffs.get(alpha, F(0)) + F(rng.randint(-2, 2), rng.randint(1, 2))
+        return {a: v for a, v in coeffs.items() if v}
+
+    for seed in range(51):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3, 5):
+            for span in (1, 2, 3):
+                assert random_ratios(ours, n, span) + [random_ratio(ours, span)] == [
+                    (theirs.randint(-span, span), theirs.randint(1, span)) for _ in range(n + 1)]
+                assert random_tensor(ours, n, span).matrix.ints == tuple(
+                    theirs.randint(-span, span) for _ in range(n ** 3))
+            assert random_multi_index(ours, n, 3) == multi_index(theirs, n, 3)
+            assert verify_module._random_matrix(ours, n).ints == tuple(
+                theirs.randint(-2, 2) for _ in range(n * n))
+            assert verify_module._random_scalar_poly(ours, n).coeffs == scalar_poly(theirs, n)
+        assert ours.getstate() == theirs.getstate()
 
 
 def _refuse_more_than_the_monomials(n, count):

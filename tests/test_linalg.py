@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from biderlie import Algebra, bracket, linalg
 from biderlie.derivations import derivation_rows
 from biderlie.linalg import (Matrix, SubspaceBasis, _eliminate, canonicalize, combine,
-                             intersect, mat_commutator, nullspace, rref, solve_homogeneous,
-                             vector)
+                             intersect, mat_commutator, nullspace, random_below, rref,
+                             solve_homogeneous, vector)
 
 from oracles import (forward_elimination_rank, fraction_combination, full_space,
                      intersect_reference, is_subspace_of, matrix_product, nullspace_reference,
@@ -557,3 +557,13 @@ def test_integer_forms_of_one_matrix_compare_and_hash_equal(m, k):
         assert Matrix(m.data) == m and hash(Matrix(m.data)) == hash(m)
     if not m.is_zero():
         assert 2 * m != m and -m != m and m != Matrix.zeros(m.rows, m.cols)
+
+
+def test_random_below_draws_as_randrange_does():
+    # the same values, and the same generator state after them, at every width in any order
+    for seed in range(51):
+        widths = [w for w in range(1, 71) for _ in range(3)]
+        random.Random(-seed).shuffle(widths)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert random_below(ours, widths) == [theirs.randrange(w) for w in widths]
+        assert ours.getstate() == theirs.getstate()
