@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -11,7 +12,9 @@ import pytest
 from biderlie import (BilinearTensor, PolyRightMap, builtin, from_tensor, from_tensor_left, lhd,
                       parse_map, rhd, serialize_algebra)
 from biderlie.algebras import MAX_DEGREE, MAX_DIM, Algebra
+from biderlie import cli
 from biderlie.bilinear import random_tensor
+from biderlie.brackets import _PolyMap
 from biderlie.cli import heisenberg_example_maps, main
 from biderlie.formats import serialize_map
 from biderlie.linalg import Matrix
@@ -128,6 +131,35 @@ def test_bracket_command_runs_in_integers_from_file_to_file(capsys, tmp_path, mo
     code, out, _ = run_cli(capsys, "bracket", str(paths["p1", "lhd"]), str(paths["p2", "lhd"]),
                            "--op", "lhd", "--algebra", str(alg))
     assert code == 0 and out.startswith("map polyleft\ndim 3\n")
+
+
+def test_bracket_drops_its_operands_before_writing(capsys, tmp_path, monkeypatch):
+    # the parsed maps, and the kernel views the bracket built on them, are gone by the
+    # time the result is serialized: no map with a view is alive then that was not before
+    A, b1, b2 = heisenberg_example_maps()
+    alg = tmp_path / "h3.alg"
+    alg.write_text(serialize_algebra(A))
+    paths = []
+    for name, b in (("b1", b1), ("b2", b2)):
+        paths.append(tmp_path / f"{name}.map")
+        paths[-1].write_text(serialize_map(from_tensor(b)))
+
+    def viewed() -> int:
+        gc.collect()
+        return sum(isinstance(o, _PolyMap) and o._ops is not None for o in gc.get_objects())
+
+    seen = []
+
+    def serialize(P):
+        seen.append(viewed())
+        return serialize_map(P)
+
+    monkeypatch.setattr(cli, "serialize_map", serialize)
+    before = viewed()
+    code, out, _ = run_cli(capsys, "bracket", *map(str, paths), "--op", "rhd",
+                           "--algebra", str(alg))
+    assert code == 0 and parse_map(out) == rhd(from_tensor(b1), from_tensor(b2))
+    assert seen == [before]
 
 
 def test_bracket_rejects_wrong_side_map(capsys, tmp_path):
