@@ -66,10 +66,11 @@ class Algebra:
     of the product tensor, given as a nested table or as the tensor itself.
     Constants are stored in full, without antisymmetric compression, so
     Leibniz and generic products fit the same type. Structural equality
-    ignores the name, which is only a label.
+    ignores the name, which is only a label, and `_der`, the `Der` basis
+    `derivations.derivation_space` keeps on the algebra once solved.
     """
 
-    __slots__ = ("name", "dim", "product", "kind")
+    __slots__ = ("name", "dim", "product", "kind", "_der")
 
     def __init__(self, name: str, dim: int, c, kind: str):
         if kind not in KINDS:
@@ -83,6 +84,7 @@ class Algebra:
         self.dim = dim
         self.product = product
         self.kind = kind
+        self._der = None
 
     @classmethod
     def from_entries(cls, name: str, dim: int, entries: Mapping[tuple[int, int, int], Fraction],

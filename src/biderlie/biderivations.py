@@ -5,13 +5,14 @@ A bilinear map is a right biderivation when B([x,y],z) = [x,B(y,z)] +
 [y,B(x,z)] holds, and a biderivation when both do. B is right iff every
 x -> B(x, e_j) is a derivation, and left iff every y -> B(e_i, y) is one,
 i.e. iff B^t is right. So the right and left spaces are copies of the
-`Der` basis, and the two-sided space solves the left condition in
-coordinates over the right basis. The predicates, residuals and witnesses
-are `algebras.bider_witness` and `algebras.bider_defect`, the scan that
-also decides the Leibniz kinds (an algebra's product is a biderivation of
-it); they read the tensor's integer form and divide only a reported
-witness back into `Fraction`s. Witness scans run in descending triple
-order (see `algebras`).
+`Der` basis, which `derivation_space` solves once per algebra object: the
+right space is Der (x) Q^n, written row by row in canonical order, and the
+two-sided space solves the left condition in coordinates over the right
+basis. The predicates, residuals and witnesses are `algebras.bider_witness`
+and `algebras.bider_defect`, the scan that also decides the Leibniz kinds
+(an algebra's product is a biderivation of it); they read the tensor's
+integer form and divide only a reported witness back into `Fraction`s.
+Witness scans run in descending triple order (see `algebras`).
 """
 
 from __future__ import annotations
@@ -72,17 +73,19 @@ def left_bider_bilinear_space(A: Algebra) -> SubspaceBasis:
 def right_bider_bilinear_space(A: Algebra) -> SubspaceBasis:
     """Canonical basis of the bilinear tensors satisfying the right condition.
 
-    The transposes of the left basis; their supports are disjoint, so
-    sorted by pivot they are canonical.
+    Der (x) Q^n: the row y_j D is the tensor whose column map x -> B(x, e_j)
+    is D and whose other column maps vanish, so entry (i, j, k) holds D's
+    column i. Its pivot is (i0, j, k0) for D's pivot at column i0, row k0,
+    so the rows are written in canonical order: by i0, then j, then D's order.
     """
-    n, size = A.dim, A.dim ** 3
-    left = left_bider_bilinear_space(A).basis
-    # entry (i, j, k) of B^t is entry (j, i, k) of B
-    swap = [(j * n + i) * n + k for i in range(n) for j in range(n) for k in range(n)]
-    rows = sorted(([left.ints[r + c] for c in swap] for r in range(0, len(left.ints), size)),
-                  key=lambda row: next(c for c, x in enumerate(row) if x))
-    return SubspaceBasis._of(Matrix._of(left.rows, size, left.den,
-                                        [x for row in rows for x in row]))
+    n, nn = A.dim, A.dim ** 2
+    der = derivation_space(A).basis
+    # list slices: freed tuples under 20 entries stay on the interpreter's free lists
+    src, pad = list(der.ints), [0] * n
+    order = sorted((row[0][0] // n, j, d) for d, row in enumerate(der.sparse) for j in range(n))
+    ints = [x for _, j, d in order for i in range(d * nn, (d + 1) * nn, n)
+            for x in pad * j + src[i:i + n] + pad * (n - 1 - j)]
+    return SubspaceBasis._of(Matrix._of(n * der.rows, n * nn, der.den, ints))
 
 
 def bider_space(A: Algebra) -> SubspaceBasis:

@@ -61,8 +61,11 @@ def derivation_rows(A: Algebra) -> list[list[int]]:
 
 
 def derivation_space(A: Algebra) -> SubspaceBasis:
-    """Canonical basis of the derivation algebra, as column-major matrix vectors."""
-    return solve_homogeneous(derivation_rows(A), A.dim * A.dim)
+    """Canonical basis of the derivation algebra, as column-major matrix vectors:
+    solved once per `Algebra` object and kept on it (`A._der`) for every later call."""
+    if A._der is None:
+        A._der = solve_homogeneous(derivation_rows(A), A.dim * A.dim)
+    return A._der
 
 
 def derivation_matrices(A: Algebra) -> list[Matrix]:

@@ -24,7 +24,9 @@ in turn, where the package walks only the nonzero entries of each block. The
 Jacobi reference sums every ordered triple, where the package checks one per
 rotation class. The Leibniz sides reference walks the stack block by block and
 entry by entry, where the package makes one strided pass over the stack per
-nonzero structure constant.
+nonzero structure constant. The right space reference transposes the left basis
+row by row and sorts the rows by pivot, where the package writes each row y_j D
+from the `Der` basis in canonical order.
 """
 
 import math
@@ -33,6 +35,7 @@ from fractions import Fraction
 import sympy
 
 from biderlie.algebras import bracket
+from biderlie.biderivations import left_bider_bilinear_space
 from biderlie.bilinear import BilinearTensor
 from biderlie.brackets import PolyRightMap
 from biderlie.linalg import Matrix, SubspaceBasis, basis_vector, mat_commutator, vector
@@ -537,3 +540,17 @@ def serialize_map_per_entry(P):
                     v = text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
                 lines.append(f"{head}{pos}{v}")
     return "\n".join(lines) + "\n"
+
+
+def right_space_by_transpose(A):
+    """The right space as the package once built it: the left basis with every row
+    transposed, entry (i, j, k) read from entry (j, i, k), and the rows sorted by
+    the first nonzero entry of each, found by a search along the row."""
+    n, size = A.dim, A.dim ** 3
+    left = left_bider_bilinear_space(A).basis
+    swap = [(j * n + i) * n + k for i in range(n) for j in range(n) for k in range(n)]
+    rows = sorted(([left.ints[r + c] for c in swap] for r in range(0, len(left.ints), size)),
+                  key=lambda row: next(c for c, x in enumerate(row) if x))
+    return SubspaceBasis._of(Matrix._of(left.rows, size, left.den,
+                                        [x for row in rows for x in row]))
+

@@ -7,7 +7,7 @@ from biderlie import (Algebra, BilinearTensor, bider_space, builtin, derivation_
                       is_left_bider, is_right_bider, left_bider_bilinear_space,
                       left_bider_witness, right_bider_bilinear_space, right_bider_witness,
                       opposite, skew_symmetrize, symmetrize)
-from biderlie import linalg
+from biderlie import derivations, linalg
 from biderlie.biderivations import (basis_tensors, left_residual, right_residual,
                                     spaces_intersection)
 from biderlie.cli import heisenberg_example_maps
@@ -16,7 +16,7 @@ from biderlie.linalg import (Matrix, basis_vector, canonicalize, intersect, null
 from biderlie.verify import _transpose_part
 
 from oracles import (intersect_reference, left_bider_rows, nullspace_reference, probe_rows,
-                     right_bider_rows, sympy_nullspace_dim)
+                     right_bider_rows, right_space_by_transpose, sympy_nullspace_dim)
 
 F = Fraction
 
@@ -146,13 +146,14 @@ def test_right_space_against_probe_oracle(name):
     assert right_bider_bilinear_space(A).dim == sympy_nullspace_dim(rows)
 
 
-def _heisenberg5():
-    # [e_i, e_{2+i}] = e5 for i = 1, 2
+def _heisenberg(n):
+    # [e_i, e_{k+i}] = e_n for i = 1..k, n = 2k + 1
+    k = n // 2
     entries = {}
-    for i in range(2):
-        entries[(i, 2 + i, 4)] = F(1)
-        entries[(2 + i, i, 4)] = F(-1)
-    return Algebra.from_entries("heisenberg5", 5, entries, "lie")
+    for i in range(k):
+        entries[(i, k + i, n - 1)] = F(1)
+        entries[(k + i, i, n - 1)] = F(-1)
+    return Algebra.from_entries(f"heisenberg{n}", n, entries, "lie")
 
 
 ORACLE_INPUTS = {name: (lambda name=name: builtin(name)) for name in ALL_BUILTINS}
@@ -160,8 +161,52 @@ ORACLE_INPUTS.update({
     "opposite(L3)": lambda: opposite(builtin("L3")),
     "opposite(L4)": lambda: opposite(builtin("L4")),
     "lie122": lambda: Algebra.from_entries("lie122", 2, {(0, 1, 1): F(1)}, "lie"),
-    "heisenberg5": _heisenberg5,
+    "heisenberg5": lambda: _heisenberg(5),
 })
+
+
+RIGHT_SPACE_INPUTS = dict(ORACLE_INPUTS)
+RIGHT_SPACE_INPUTS.update({
+    "abelian(1)": lambda: builtin("abelian(1)"),
+    "heisenberg7": lambda: _heisenberg(7),
+    # [e1, e1] = e1: D e1 = d e1 needs d = 2d, so Der and both one-sided spaces are 0
+    "trivial-der": lambda: Algebra.from_entries("unit", 1, {(0, 0, 0): F(1)}, "generic"),
+})
+
+
+@pytest.mark.parametrize("name", RIGHT_SPACE_INPUTS)
+def test_right_space_is_written_from_der_in_canonical_order(name):
+    # y_j D for each canonical Der row D, basis for basis the transposed and
+    # pivot-sorted left basis
+    A = RIGHT_SPACE_INPUTS[name]()
+    right = right_bider_bilinear_space(A)
+    assert right == right_space_by_transpose(A)
+    assert right.dim == A.dim * derivation_space(A).dim
+    pivots = [row[0][0] for row in right.basis.sparse]
+    assert pivots == sorted(set(pivots))
+
+
+@pytest.mark.parametrize("name", ["L3", "heisenberg3", "sl2", "abelian(3)"])
+def test_der_is_solved_once_per_algebra_object(name, monkeypatch):
+    original, solves = derivations.solve_homogeneous, []
+    def counted(rows, unknowns):
+        solves.append(unknowns)
+        return original(rows, unknowns)
+    monkeypatch.setattr(derivations, "solve_homogeneous", counted)
+    A = builtin(name)
+    n = A.dim
+    der = derivation_space(A)
+    assert derivation_space(A) is der
+    assert der == original(derivations.derivation_rows(A), n * n)
+    right_bider_bilinear_space(A), left_bider_bilinear_space(A), bider_space(A)
+    spaces_intersection(A)
+    assert solves == [n * n]
+    # the kept basis is not part of equality: a structurally equal object is
+    # equal, hashes alike, and runs its own solve
+    twin = Algebra(A.name, A.dim, A.product, A.kind)
+    assert twin == A and hash(twin) == hash(A)
+    assert derivation_space(twin) == der and derivation_space(twin) is not der
+    assert solves == [n * n, n * n]
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)
@@ -235,7 +280,7 @@ def _idempotents():
 
 
 TRANSPOSE_PART_INPUTS = {name: (lambda name=name: builtin(name)) for name in ALL_BUILTINS}
-TRANSPOSE_PART_INPUTS.update({"heisenberg5": _heisenberg5, "idempotents": _idempotents})
+TRANSPOSE_PART_INPUTS.update({"heisenberg5": lambda: _heisenberg(5), "idempotents": _idempotents})
 
 
 @pytest.mark.parametrize("name", TRANSPOSE_PART_INPUTS)
