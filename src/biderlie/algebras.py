@@ -178,7 +178,8 @@ def failing_stacks(A: Algebra, talls: Sequence[Sequence[int]]) -> list[int]:
     """The indices, ascending, of the row-major integer lists in talls, n x n blocks stacked as
     rows over a scale per list, that hold a block not deriving A. One scan: `leibniz_sides`
     evaluates each basis pair once for every block, one pass per nonzero structure constant, and
-    its two sides are compared whole and sliced per block only where they differ."""
+    its two sides are compared whole and sliced per block only where they differ, skipping the
+    blocks of lists already known to fail."""
     n, bad = A.dim, set()
     owner = [t for t, f in enumerate(talls) for _ in range(0, len(f), n * n)]
     images = [list(chain.from_iterable(f[p::n] for f in talls)) for p in range(n)]
@@ -186,8 +187,9 @@ def failing_stacks(A: Algebra, talls: Sequence[Sequence[int]]) -> list[int]:
         for j in range(n):
             lhs, rhs = leibniz_sides(A, images, i, j)
             if lhs != rhs:
-                bad.update(owner[b // n] for b in range(0, len(lhs), n)
-                           if lhs[b:b + n] != rhs[b:b + n])
+                for b in range(0, len(lhs), n):
+                    if owner[b // n] not in bad and lhs[b:b + n] != rhs[b:b + n]:
+                        bad.add(owner[b // n])
     return sorted(bad)
 
 
