@@ -11,7 +11,13 @@ the right bracket, with
 and it integrates: for a derivation F, s -> exp(sF) is a one-parameter
 curve of automorphisms whose derivative at 0, scaled by g(y), recovers
 B(x, y). `exp_curve_check` verifies that numerically with central
-differences; it is the only floating-point code in the package.
+differences; it is the only floating-point code in the package. The
+central difference tends to F for any matrix F, so only its derivation
+guard tells a derivation apart. `power_leibniz_witness` checks the
+automorphism itself, exactly: the coefficient of s^k/k! in exp(sF)[x, y] -
+[exp(sF)x, exp(sF)y] is F^k[x, y] - sum_m C(k, m) [F^m x, F^(k-m) y], which
+must vanish on basis pairs for k = 2..n. It checks those coefficients
+only; for a derivation, k = 1, every one vanishes by induction on k.
 """
 
 from __future__ import annotations
@@ -193,6 +199,44 @@ def exp_nilpotent_exact(F: Matrix, s: Fraction) -> Matrix:
         coeff = coeff * s / k
         total = total + coeff * power
     raise ValueError("matrix is not nilpotent")
+
+
+def power_leibniz_witness(A: Algebra, F: Matrix) -> tuple[int, int, int] | None:
+    """The first (k, i, j), for k = 2..n and then basis pairs (e_i, e_j) in ascending
+    order, at which F^k[e_i, e_j] = sum_m C(k, m) [F^m e_i, F^(k-m) e_j] fails, or None.
+
+    In integers: both sides through the powers of P = d F, d = F.den, both scaled
+    by d^k, and the product's nonzero structure constants.
+    """
+    n = A.dim
+    if F.rows != n or F.cols != n:
+        raise ValueError(f"expected a {n}x{n} matrix, got {F.rows}x{F.cols}")
+    consts = [(r // n, r % n, l, x) for r, row in enumerate(A.product.matrix.sparse)
+              for l, x in row]
+    P, powers = Matrix._of(n, n, 1, F.ints), [Matrix.identity(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * P)
+    cols = [[m.ints[p::n] for p in range(n)] for m in powers]    # cols[m][p] = P^m e_p
+
+    def product(u, v) -> list[int]:
+        out = [0] * n
+        for a, b, l, x in consts:
+            out[l] += x * u[a] * v[b]
+        return out
+
+    for k in range(2, n + 1):
+        for i in range(n):
+            for j in range(n):
+                c = product(cols[0][i], cols[0][j])
+                lhs = [sum(x * y for x, y in zip(powers[k].ints[r * n:(r + 1) * n], c))
+                       for r in range(n)]
+                rhs = [0] * n
+                for m in range(k + 1):
+                    rhs = [y + math.comb(k, m) * x
+                           for y, x in zip(rhs, product(cols[m][i], cols[k - m][j]))]
+                if lhs != rhs:
+                    return k, i, j
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .linalg import (Matrix, SubspaceBasis, add_product, combine, mat_commutator
                      solve_over)
 from .report import CheckResult, check, sample_chunks, skip, witness_from_triple
 from .scalar_maps import (ScalarPoly, ScalarTimesDerivation, bracket_matches_poly_form,
-                          exp_curve_check, to_poly_right)
+                          exp_curve_check, power_leibniz_witness, to_poly_right)
 
 _ZERO = Fraction(0)
 
@@ -242,11 +242,14 @@ def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[Ch
     F = next((d for d in ders if not (d * d * d).is_zero()), ders[0])
     g = ScalarPoly.coordinate(n, 1 if n > 1 else 0)
     rep = exp_curve_check(A, ScalarTimesDerivation(g, F))
-    witness = None if rep.ok else {
+    bad = power_leibniz_witness(A, F)
+    witness = {} if rep.ok else {
         "errors": [[f"{h:.0e}", f"{e:.3e}"] for h, e in rep.errors],
         "orders": [f"{p:.2f}" for p in rep.orders],
     }
-    results.append(check(suite, "one-parameter-curve", rep.ok, witness))
+    if bad:
+        witness.update(k=bad[0], pair=[bad[1] + 1, bad[2] + 1])
+    results.append(check(suite, "one-parameter-curve", rep.ok and bad is None, witness))
     return results
 
 

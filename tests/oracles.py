@@ -26,7 +26,9 @@ rotation class. The Leibniz sides reference walks the stack block by block and
 entry by entry, where the package makes one strided pass over the stack per
 nonzero structure constant. The right space reference transposes the left basis
 row by row and sorts the rows by pivot, where the package writes each row y_j D
-from the `Der` basis in canonical order.
+from the `Der` basis in canonical order. The power Leibniz reference evaluates
+both sides of F^k[x, y] = sum_m C(k, m) [F^m x, F^(k-m) y] in `Fraction`s, where
+the package runs through integer powers and the nonzero structure constants.
 """
 
 import math
@@ -554,3 +556,24 @@ def right_space_by_transpose(A):
     return SubspaceBasis._of(Matrix._of(left.rows, size, left.den,
                                         [x for row in rows for x in row]))
 
+
+def power_leibniz_reference(A, F):
+    """The first (k, i, j), k = 2..n then basis pairs ascending, at which
+    F^k[e_i, e_j] = sum_m C(k, m) [F^m e_i, F^(k-m) e_j] fails, or None: in `Fraction`s,
+    each side from `Matrix.apply` and the product evaluated as written."""
+    n = A.dim
+    powers = [Matrix.identity(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * F)
+    for k in range(2, n + 1):
+        for i in range(n):
+            for j in range(n):
+                x, y = basis_vector(i, n), basis_vector(j, n)
+                lhs = powers[k].apply(bracket(A, x, y))
+                rhs = (Fraction(0),) * n
+                for m in range(k + 1):
+                    term = bracket(A, powers[m].apply(x), powers[k - m].apply(y))
+                    rhs = vec_add(rhs, tuple(math.comb(k, m) * v for v in term))
+                if lhs != rhs:
+                    return k, i, j
+    return None

@@ -10,10 +10,11 @@ from biderlie import (ScalarPoly, ScalarTimesDerivation, ad, bracket, builtin,
                       to_poly_right)
 from biderlie.brackets import PolyRightMap, rhd
 from biderlie.linalg import Matrix
-from biderlie.scalar_maps import bracket_matches_poly_form
+from biderlie import scalar_maps, verify
+from biderlie.scalar_maps import bracket_matches_poly_form, power_leibniz_witness
 
 from helpers import random_rational_vector
-from oracles import evaluate_decomposition
+from oracles import evaluate_decomposition, power_leibniz_reference
 
 F = Fraction
 
@@ -261,3 +262,46 @@ def test_exp_curve_preconditions(heisenberg):
     with pytest.raises(ValueError):
         exp_curve_check(L4, ScalarTimesDerivation(
             ScalarPoly.constant(2, 1), Matrix.zeros(2, 2)))
+
+
+def test_power_leibniz_check_fails_where_the_float_check_passes(heisenberg, monkeypatch):
+    # F = diag(1, 0, 0) is no derivation: F[e1, e2] = 0 but [F e1, e2] = e3. Past the
+    # guard the central differences still tend to F, so only the exact check fails it,
+    # first at k = 2 on (e1, e2): F^2 e3 = 0 against [F^2 e1, e2] = e3
+    bad = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert not is_derivation(heisenberg, bad)
+    monkeypatch.setattr(scalar_maps, "is_derivation", lambda A, m: True)
+    rep = exp_curve_check(heisenberg, ScalarTimesDerivation(coord(1), bad))
+    assert rep.ok and not rep.exact
+    assert power_leibniz_witness(heisenberg, bad) == (2, 0, 1)
+    # verify's scalar suite, handed that F as its only derivation, fails the curve check
+    monkeypatch.setattr(verify, "derivation_matrices", lambda A: [bad])
+    [curve] = [r for r in verify.scalar_suite(heisenberg) if r.identity == "one-parameter-curve"]
+    assert curve.status == "fail" and curve.witness == {"k": 2, "pair": [1, 2]}
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "sl2", "L2", "L3", "L4", "abelian(3)"])
+def test_power_leibniz_check_matches_the_fraction_reference(name):
+    # derivations pass at every k; drawn matrices, some of them scaled to derivations
+    # plus a small error, fail at the first k and pair the reference names
+    A = builtin(name)
+    n = A.dim
+    ders = derivation_matrices(A)
+    for d in ders:
+        assert power_leibniz_witness(A, d) is None
+        assert power_leibniz_reference(A, d) is None
+    rng = random.Random(3)
+    for _ in range(12):
+        M = Matrix([[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(n)])
+        for G in (M, ders[0] + M * F(1, 7) if ders else M):
+            assert power_leibniz_witness(A, G) == power_leibniz_reference(A, G)
+
+
+def test_power_leibniz_check_reads_k_past_2():
+    # a non-derivation of heisenberg3 whose k = 2 coefficients all vanish: the first
+    # failing coefficient is k = 3 at (e1, e2)
+    A = builtin("heisenberg3")
+    M = Matrix([[-1, -1, -1], [0, 0, 0], [-1, 0, 1]])
+    assert not is_derivation(A, M)
+    assert power_leibniz_witness(A, M) == power_leibniz_reference(A, M) == (3, 0, 1)
