@@ -94,11 +94,14 @@ def bider_space(A: Algebra) -> SubspaceBasis:
     The left condition, every block i (y -> B(e_i, y)) a derivation, is
     solved for coordinates x over the canonical right basis R: each row of
     `derivation_rows` applied to block i of every R_u, lifted by
-    `linalg.solve_over`.
+    `linalg.solve_over`. Without a row (a zero product) every right tensor is
+    a left one, and R is the answer.
     """
     n, nn = A.dim, A.dim ** 2
     right = right_bider_bilinear_space(A)
     rows = derivation_rows(A)
+    if not rows:
+        return right
     # row u * n + i of blocks: block i of R_u, column-major y -> R_u(e_i, y)
     blocks = Matrix._of(right.dim * n, nn, right.basis.den, right.basis.ints)
     values = Matrix._from_flat(len(rows), nn, (x for r in rows for x in r)) * blocks.transpose()

@@ -9,7 +9,8 @@ structure constant, and names the stacks that fail; `derives` asks that none
 does. `is_derivation` is the one-block case, and the poly-map predicates of
 `brackets` stack all of a map's coefficient matrices, the columns of its tall
 matrix. `derivation_rows` writes the rule out on its own, in integers from the
-product's `int_form`, so the predicates check the solver independently.
+nonzero structure constants of the product's integer form, so the predicates
+check the solver independently.
 Unknowns are ordered column-major, rows by basis pair (i, j) in ascending
 lexicographic order over all n^2 pairs, whatever the declared kind.
 """
@@ -17,6 +18,7 @@ lexicographic order over all n^2 pairs, whatever the declared kind.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from .algebras import Algebra, bracket, derives, failing_stacks
@@ -35,23 +37,37 @@ def derivation_rows(A: Algebra) -> list[list[int]]:
     in integers: d times the rule, with d > 0 the denominator of the product's
     `int_form`, so the rows have the rule's solutions.
 
-    Zero rows and rows equal up to sign to an earlier one are dropped: for
-    an antisymmetric product, the rows of the pairs (i, i) and (j > i, i).
+    Row (i, j, l) is written from the nonzero structure constants alone,
+    indexed once by (i, j), (j, l) and (i, l); a triple that touches none is
+    a zero row and is not visited. Zero rows and rows equal up to sign to an
+    earlier one are dropped: for an antisymmetric product, the rows of the
+    pairs (i, i) and (j > i, i).
     """
     n = A.dim
-    _, c, _ = A.product.int_form()
+    ints = A.product.matrix.ints               # d c_ijk at (i*n + j)*n + k
+    by_ij: list[list] = [[] for _ in range(n * n)]  # i*n + j: [(k, d c_ijk)]
+    by_jl: dict[tuple[int, int], list] = {}    # (j, l): [(p, d c_pjl)]
+    by_il: dict[tuple[int, int], list] = {}    # (i, l): [(q, d c_iql)]
+    for r in compress(range(n ** 3), ints):
+        (a, b), k, x = divmod(r // n, n), r % n, ints[r]
+        by_ij[a * n + b].append((k, x))
+        by_jl.setdefault((b, k), []).append((a, x))
+        by_il.setdefault((a, k), []).append((b, x))
+    ls_of_j = [{l for j, l in by_jl if j == b} for b in range(n)]
+    ls_of_i = [{l for i, l in by_il if i == a} for a in range(n)]
     rows = []
     seen = set()
     for i in range(n):
         for j in range(n):
-            for l in range(n):
+            ij = by_ij[i * n + j]
+            for l in range(n) if ij else sorted(ls_of_j[j] | ls_of_i[i]):
                 row = [0] * (n * n)
-                for k in range(n):
-                    row[k * n + l] += c[i][j][k]         # entry m[l][k]
-                for p in range(n):
-                    row[i * n + p] -= c[p][j][l]         # entry m[p][i]
-                for q in range(n):
-                    row[j * n + q] -= c[i][q][l]         # entry m[q][j]
+                for k, x in ij:
+                    row[k * n + l] += x                  # entry m[l][k]
+                for p, x in by_jl.get((j, l), ()):
+                    row[i * n + p] -= x                  # entry m[p][i]
+                for q, x in by_il.get((i, l), ()):
+                    row[j * n + q] -= x                  # entry m[q][j]
                 key = tuple(row)
                 if any(key) and key not in seen:
                     seen.add(key)

@@ -21,7 +21,8 @@ row of the integer form is scaled once to a primitive integer row
 division by the row's content (cf. Bareiss, Math. Comp. 22, 1968), and only
 the echelon form it returns divides by the pivots. Integer systems
 (`derivations.derivation_rows`, the coordinate rows of `solve_over`) reach
-it through `solve_homogeneous` without becoming `Fraction`s.
+it through `solve_homogeneous` without becoming `Fraction`s: all-int
+entries are their own integer form over 1, with no pass per entry.
 
 A subspace is always carried around in canonical form: the nonzero rows of
 the reduced row echelon form of any spanning set, coordinates in
@@ -38,7 +39,8 @@ one `rref`, by two facts:
   coordinates over R, the vectors sum_u x_u R_u are canonical: each has
   entry x_u at R_u's pivot and is zero before the pivot of its first
   nonzero coordinate. `solve_over` solves a system in coordinates over R
-  and lifts its solutions, the matrix product X R, for its three callers:
+  and lifts its solutions, the matrix product X R (with no nonzero row, X
+  is the identity and R the answer, taking no `rref`), for its three callers:
   `intersect`, `biderivations.bider_space` and the symmetric and skew
   parts in `verify.symmetry_suite`. Read backwards, v lies in the span iff
   it is the lift of its own pivot entries, so `intersect(a, b)` solves over
@@ -50,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -84,9 +87,13 @@ def basis_vector(i: int, n: int) -> Vector:
 
 def _integers(entries: Iterable) -> tuple[int, list[int]]:
     """Rationals (anything `Fraction` reads) as their least common denominator d and
-    the integers d * x, in lowest terms."""
+    the integers d * x, in lowest terms. All-int input (not bool) is its own integer
+    form over d = 1, taken without a pass per entry."""
+    xs = list(entries)
+    if set(map(type, xs)) <= {int}:
+        return 1, xs
     ratios = [x.as_integer_ratio() if type(x) is Fraction or type(x) is int
-              else Fraction(x).as_integer_ratio() for x in entries]
+              else Fraction(x).as_integer_ratio() for x in xs]
     den = math.lcm(*{d for _, d in ratios})
     return den, [p * (den // d) for p, d in ratios]
 
@@ -450,14 +457,18 @@ def solve_homogeneous(rows: Sequence[Sequence[int | Fraction]], unknowns: int) -
         raise ValueError(f"every row of the system needs {unknowns} entries, one per unknown")
     if not rows:
         return SubspaceBasis._of(Matrix.identity(unknowns))
-    return nullspace(Matrix._from_flat(len(rows), unknowns, (x for row in rows for x in row)))
+    return nullspace(Matrix._from_flat(len(rows), unknowns, chain.from_iterable(rows)))
 
 
 def solve_over(space: SubspaceBasis, rows: Iterable[Sequence[int]]) -> SubspaceBasis:
     """The members sum_u x_u space_u whose coordinates x solve `rows`, canonical by
     Lifting. Entry u of a row is its form's value at den * space_u, row u of
-    `space.basis.ints`; zero rows are dropped."""
-    coords = solve_homogeneous([row for row in rows if any(row)], space.dim)
+    `space.basis.ints`; zero rows are dropped, and with no row left the space is its
+    own answer."""
+    rows = [row for row in rows if any(row)]
+    if not rows:
+        return space
+    coords = solve_homogeneous(rows, space.dim)
     return SubspaceBasis._of(coords.basis * space.basis)
 
 

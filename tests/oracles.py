@@ -6,8 +6,12 @@ RREF/nullspace, and the biderivation systems are either reconstructed by
 probing unit tensors through residual evaluation or assembled directly from
 the right and left conditions over all n^3 tensor entries, the way the
 package once solved them. `rref_reference` is the package's earlier dense
-`Fraction` Gauss-Jordan elimination, and `derivation_rows_reference` its
-earlier `Fraction` row builder. The two-pass `nullspace_reference` and the
+`Fraction` Gauss-Jordan elimination, `derivation_rows_reference` its
+earlier `Fraction` row builder, and `derivation_rows_dense` its earlier integer
+row builder, which visits every (i, j, l) and reads every structure constant
+where the package reads the nonzero ones only. `integers_per_entry` is the
+earlier integer form of a flat matrix, one `as_integer_ratio` per entry, where
+the package takes all-int input as it is. The two-pass `nullspace_reference` and the
 canonicalizing `intersect_reference` are the package's earlier solvers,
 which canonicalize every result with a second elimination; both eliminate
 with `rref_reference`, so they stay independent of the sparse kernel.
@@ -228,6 +232,41 @@ def derivation_rows_reference(A):
                     seen.add(tuple(-x for x in key))
                     rows.append(row)
     return rows
+
+
+def derivation_rows_dense(A):
+    """`derivations.derivation_rows` as a dense loop: every (i, j, l), one integer row
+    per triple from the product's `int_form`, with zero rows and rows equal up to
+    sign to an earlier one dropped."""
+    n = A.dim
+    _, c, _ = A.product.int_form()
+    rows = []
+    seen = set()
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    row[k * n + l] += c[i][j][k]         # entry m[l][k]
+                for p in range(n):
+                    row[i * n + p] -= c[p][j][l]         # entry m[p][i]
+                for q in range(n):
+                    row[j * n + q] -= c[i][q][l]         # entry m[q][j]
+                key = tuple(row)
+                if any(key) and key not in seen:
+                    seen.add(key)
+                    seen.add(tuple(-x for x in key))
+                    rows.append(row)
+    return rows
+
+
+def integers_per_entry(entries):
+    """The least common denominator d of rationals and the integers d * x, one
+    `as_integer_ratio` per entry, coerced as `Fraction` reads them."""
+    ratios = [x.as_integer_ratio() if type(x) is Fraction or type(x) is int
+              else Fraction(x).as_integer_ratio() for x in entries]
+    den = math.lcm(*{d for _, d in ratios})
+    return den, [p * (den // d) for p, d in ratios]
 
 
 def heisenberg_derivation_constraints(m):

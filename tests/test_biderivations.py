@@ -258,6 +258,17 @@ def test_each_canonical_basis_takes_one_rref(monkeypatch):
     assert {name: rrefs(bider_space, builtin(name)) for name in ALL_BUILTINS} == want
 
 
+@pytest.mark.parametrize("name", ["abelian(1)", "abelian(2)", "abelian(3)", "abelian(4)", "L1"])
+def test_two_sided_space_of_a_zero_product_is_the_right_space(name):
+    # no Der rows, so nothing constrains the coordinates over the right basis:
+    # every tensor is a biderivation
+    A = builtin(name)
+    assert derivations.derivation_rows(A) == []
+    both = bider_space(A)
+    assert both == right_bider_bilinear_space(A) == left_bider_bilinear_space(A)
+    assert both.dim == A.dim ** 3
+
+
 def test_intersect_solves_over_its_first_argument(monkeypatch):
     # one unknown per basis vector of a, none for b: membership in b is a
     # condition on a's coordinates, not a second set of unknowns

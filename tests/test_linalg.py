@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from biderlie import Algebra, bracket, linalg
 from biderlie.derivations import derivation_rows
 from biderlie.linalg import (Matrix, SubspaceBasis, _eliminate, canonicalize, combine,
-                             intersect, mat_commutator, nullspace, random_below, rref,
-                             solve_homogeneous, vector)
+                             intersect, lowest_terms, mat_commutator, nullspace, random_below,
+                             rref, solve_homogeneous, solve_over, vector)
 
 from oracles import (forward_elimination_rank, fraction_combination, full_space,
-                     intersect_reference, is_subspace_of, matrix_product, nullspace_reference,
-                     rref_reference,
+                     integers_per_entry, intersect_reference, is_subspace_of, matrix_product,
+                     nullspace_reference, rref_reference,
                      sympy_canonical_nullspace, sympy_intersection, sympy_nullspace_dim,
                      sympy_rref)
 
@@ -376,6 +376,23 @@ def test_intersect_with_a_zero_side_and_a_subspace():
     assert intersect(a, wider) == sympy_intersection(a, wider)
 
 
+def test_intersect_returns_its_first_argument_when_it_lies_in_the_second():
+    # every residual is zero, so no row is left to solve
+    a = canonicalize([(1, 2, 0, 1), (0, 1, F(1, 2), 0)])
+    wider = canonicalize(list(a.vectors) + [(0, 0, 1, 3)])
+    zero = SubspaceBasis(4, ())
+    for x, y in ((a, wider), (a, a), (wider, full_space(4)), (zero, a)):
+        assert intersect(x, y) is x
+    assert intersect(wider, a) == a and intersect(wider, a) is not a
+
+
+def test_solve_over_without_a_nonzero_row_returns_the_space():
+    space = canonicalize([(1, 0, 2), (0, 1, F(-1, 3))])
+    assert solve_over(space, []) is space
+    assert solve_over(space, [[0, 0], (0, 0)]) is space
+    assert solve_over(space, [[0, 0], [1, 0]]) == canonicalize([(0, 1, F(-1, 3))])
+
+
 def test_solve_homogeneous_refuses_rows_of_the_wrong_length():
     # a row of 3 entries in 2 unknowns used to be solved in Q^3
     with pytest.raises(ValueError):
@@ -474,6 +491,26 @@ def test_col_major_round_trip():
     m = Matrix([[1, 2], [3, 4]])
     assert m.to_col_major() == vector((1, 3, 2, 4))
     assert Matrix.from_col_major(m.to_col_major(), 2) == m
+
+
+@pytest.mark.parametrize("entries", [
+    [0, 3, -6, 9, 2 ** 70],
+    [0, 0, 0, 0],
+    [1, F(1, 2), 0, F(-2, 3), F(4)],
+    [F(2), F(4), F(-6), F(0)],
+    ["1/2", "3", "-0", "4/6", " 5 "],
+    [True, False, 2, True],
+    [True, F(1, 3), "2/5", -7],
+])
+def test_from_flat_keeps_the_integer_form_of_every_entry_type(entries):
+    # all-int input is taken as it is; anything else, bools included, is read
+    # entry by entry as before, and the entries always come out as ints
+    want = integers_per_entry(entries)
+    assert linalg._integers(entries) == linalg._integers(iter(entries)) == want
+    m = Matrix._from_flat(1, len(entries), entries)
+    assert (m.den, m.ints) == lowest_terms(*want)
+    assert all(type(x) is int for x in m.ints)
+    assert m == Matrix([entries])
 
 
 def test_matrices_without_rows_or_columns():
