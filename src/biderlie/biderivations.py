@@ -20,7 +20,7 @@ from __future__ import annotations
 from .algebras import Algebra, TripleWitness, bider_defect, bider_witness
 from .bilinear import BilinearTensor
 from .derivations import derivation_rows, derivation_space
-from .linalg import Matrix, SubspaceBasis, Vector, intersect, solve_over
+from .linalg import Matrix, SubspaceBasis, Vector, add_product, intersect, solve_over
 
 
 def right_residual(A: Algebra, B: BilinearTensor, i: int, j: int, k: int) -> Vector:
@@ -102,12 +102,14 @@ def bider_space(A: Algebra) -> SubspaceBasis:
     rows = derivation_rows(A)
     if not rows:
         return right
-    # row u * n + i of blocks: block i of R_u, column-major y -> R_u(e_i, y)
-    blocks = Matrix._of(right.dim * n, nn, right.basis.den, right.basis.ints)
-    values = Matrix._from_flat(len(rows), nn, (x for r in rows for x in r)) * blocks.transpose()
-    w = values.cols
-    return solve_over(right, (values.ints[q * w + i:(q + 1) * w:n]
-                              for q in range(len(rows)) for i in range(n)))
+    # entry i * nn + c of R_u is entry c of block i, the column-major y -> R_u(e_i, y):
+    # row q meets it at column q * n + i of R_u's values, read from R_u's sparse row
+    by_col = [[(q * n, r[c]) for q, r in enumerate(rows) if r[c]] for c in range(nn)]
+    by_entry = [[(qn + i, x) for qn, x in by_col[c]] for i in range(n) for c in range(nn)]
+    w = len(rows) * n
+    values = [0] * (right.dim * w)
+    add_product(values, right.basis.sparse, by_entry, w)
+    return solve_over(right, (values[c::w] for c in range(w)))
 
 
 def spaces_intersection(A: Algebra) -> SubspaceBasis:

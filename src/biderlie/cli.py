@@ -4,12 +4,15 @@ Algebra arguments accept either a builtin name (abelian(n), L1..L4,
 heisenberg3, sl2), which wins over a file of that name, or a path to an
 algebra file (`./sl2`). Output is deterministic: identical inputs and seed
 produce byte-identical reports. Exit code 0 iff every requested check
-passed.
+passed. `main` may be called any number of times in one process: it builds
+its parser on the first call, keeps it, and runs the `cmd_*` function of
+the parsed command as the module holds it when called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -241,6 +244,7 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="biderlie",
@@ -250,20 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="verify the declared product identity")
     c.add_argument("algebra", help="algebra file or builtin name")
     c.add_argument("--json", action="store_true")
-    c.set_defaults(func=cmd_check)
 
     d = sub.add_parser("der", help="dimension and canonical basis of the derivation algebra "
                        f"(one exact solve, fast up to dim {MAX_DIM})")
     d.add_argument("algebra", help="algebra file or builtin name")
     d.add_argument("--json", action="store_true")
-    d.set_defaults(func=cmd_der)
 
     b = sub.add_parser("bider", help="dimension and canonical basis of a biderivation space "
                        f"(exact solves: under a second at dim 8, seconds at {MAX_DIM})")
     b.add_argument("algebra", help="algebra file or builtin name")
     b.add_argument("--side", choices=["right", "left", "both"], default="both")
     b.add_argument("--json", action="store_true")
-    b.set_defaults(func=cmd_bider)
 
     br = sub.add_parser("bracket", help="bracket of two maps, printed in map-file format")
     br.add_argument("map1", help="map file")
@@ -271,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     br.add_argument("--op", choices=["rhd", "lhd"], required=True)
     br.add_argument("--algebra", required=True, help="algebra file or builtin name")
     br.add_argument("--json", action="store_true")
-    br.set_defaults(func=cmd_bracket)
 
     v = sub.add_parser("verify", help="run every identity suite and print a pass/fail table "
                        "(the expensive command: about a minute at dim 8)")
@@ -279,20 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--samples", type=positive_int, default=25)
     v.add_argument("--json", action="store_true")
-    v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("example", help="reproduce the worked counterexample end to end")
     e.add_argument("name", help="example name (heisenberg)")
     e.add_argument("--json", action="store_true")
-    e.set_defaults(func=cmd_example)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = globals()["cmd_" + args.command](args)
         sys.stdout.flush()
         return code
     except (CliError, FormatError) as exc:

@@ -19,7 +19,7 @@ from .algebras import Algebra, bider_scan, check_kind, failing_stacks
 from .bilinear import BilinearTensor, half_decomposition, random_tensor, skew_symmetrize, symmetrize
 from .biderivations import (basis_tensors, bider_space, left_bider_bilinear_space,
                             right_bider_bilinear_space, spaces_intersection)
-from .brackets import (random_multi_index, random_ratio, random_ratios, verify_lie_algebra,
+from .brackets import (random_multi_index, random_ratios, verify_lie_algebra,
                        verify_transpose_interplay)
 from .derivations import derivation_matrices, derivation_space, is_derivation
 from .linalg import (Matrix, SubspaceBasis, add_product, combine, mat_commutator, random_below,
@@ -27,8 +27,6 @@ from .linalg import (Matrix, SubspaceBasis, add_product, combine, mat_commutator
 from .report import CheckResult, check, sample_chunks, skip, witness_from_triple
 from .scalar_maps import (ScalarPoly, ScalarTimesDerivation, bracket_matches_poly_form,
                           exp_curve_check, power_leibniz_witness, to_poly_right)
-
-_ZERO = Fraction(0)
 
 
 def kind_suite(A: Algebra) -> list[CheckResult]:
@@ -187,12 +185,15 @@ def symmetry_suite(A: Algebra, samples: int = 25, seed: int = 0) -> list[CheckRe
 
 
 def _random_scalar_poly(rng: random.Random, n: int, max_degree: int = 2) -> ScalarPoly:
-    coeffs = {}
+    """1 to 4 terms c y^a, each c drawn as `random_ratio` draws it, p/q with p in -2..2
+    and q in 1..2, and summed per monomial in halves: 2c = p * (2 // q)."""
+    halves = {}
     [terms] = random_below(rng, (4,))
     for _ in range(terms + 1):
         alpha = random_multi_index(rng, n, max_degree)
-        coeffs[alpha] = coeffs.get(alpha, _ZERO) + Fraction(*random_ratio(rng))
-    return ScalarPoly(n, coeffs)
+        p, q = random_below(rng, (5, 2))
+        halves[alpha] = halves.get(alpha, 0) + (p - 2) * (2 - q)
+    return ScalarPoly(n, {a: Fraction(h, 2) for a, h in halves.items() if h})
 
 
 def _random_matrix(rng: random.Random, n: int) -> Matrix:

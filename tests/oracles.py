@@ -33,6 +33,10 @@ row by row and sorts the rows by pivot, where the package writes each row y_j D
 from the `Der` basis in canonical order. The power Leibniz reference evaluates
 both sides of F^k[x, y] = sum_m C(k, m) [F^m x, F^(k-m) y] in `Fraction`s, where
 the package runs through integer powers and the nonzero structure constants.
+The two-sided space reference applies the `Der` rows to the transposed block matrix
+of the right basis, where the package reads the right basis's sparse rows.
+The scalar polynomial drawer sums each monomial's coefficients as `Fraction`s,
+where the package sums them in integer halves.
 """
 
 import math
@@ -41,10 +45,13 @@ from fractions import Fraction
 import sympy
 
 from biderlie.algebras import bracket
-from biderlie.biderivations import left_bider_bilinear_space
+from biderlie.biderivations import left_bider_bilinear_space, right_bider_bilinear_space
+from biderlie.derivations import derivation_rows
 from biderlie.bilinear import BilinearTensor
-from biderlie.brackets import PolyRightMap
-from biderlie.linalg import Matrix, SubspaceBasis, basis_vector, mat_commutator, vector
+from biderlie.brackets import PolyRightMap, random_multi_index, random_ratio
+from biderlie.linalg import (Matrix, SubspaceBasis, basis_vector, mat_commutator, random_below,
+                             solve_over, vector)
+from biderlie.scalar_maps import ScalarPoly
 
 
 def vec_add(u, v):
@@ -596,6 +603,22 @@ def right_space_by_transpose(A):
                                         [x for row in rows for x in row]))
 
 
+def bider_space_by_transpose(A):
+    """The two-sided space as the package once solved it: the `Der` rows times the
+    transpose of the right basis's blocks, row u * n + i holding block i of R_u, and
+    system row (q, i) read off row q of that product by strides."""
+    n, nn = A.dim, A.dim ** 2
+    right = right_bider_bilinear_space(A)
+    rows = derivation_rows(A)
+    if not rows:
+        return right
+    blocks = Matrix._of(right.dim * n, nn, right.basis.den, right.basis.ints)
+    values = Matrix._from_flat(len(rows), nn, (x for r in rows for x in r)) * blocks.transpose()
+    w = values.cols
+    return solve_over(right, (values.ints[q * w + i:(q + 1) * w:n]
+                              for q in range(len(rows)) for i in range(n)))
+
+
 def power_leibniz_reference(A, F):
     """The first (k, i, j), k = 2..n then basis pairs ascending, at which
     F^k[e_i, e_j] = sum_m C(k, m) [F^m e_i, F^(k-m) e_j] fails, or None: in `Fraction`s,
@@ -616,3 +639,14 @@ def power_leibniz_reference(A, F):
                 if lhs != rhs:
                     return k, i, j
     return None
+
+
+def random_scalar_poly_fractions(rng, n, max_degree=2):
+    """`verify._random_scalar_poly` as the package once built it: each coefficient a
+    `Fraction` of `random_ratio`'s draw, summed per monomial in `Fraction`s."""
+    coeffs = {}
+    [terms] = random_below(rng, (4,))
+    for _ in range(terms + 1):
+        alpha = random_multi_index(rng, n, max_degree)
+        coeffs[alpha] = coeffs.get(alpha, Fraction(0)) + Fraction(*random_ratio(rng))
+    return ScalarPoly(n, coeffs)

@@ -8,15 +8,18 @@ from biderlie import (Algebra, BilinearTensor, bider_space, builtin, derivation_
                       left_bider_witness, right_bider_bilinear_space, right_bider_witness,
                       opposite, skew_symmetrize, symmetrize)
 from biderlie import derivations, linalg
+import biderlie.verify as verify_module
 from biderlie.biderivations import (basis_tensors, left_residual, right_residual,
                                     spaces_intersection)
 from biderlie.cli import heisenberg_example_maps
-from biderlie.linalg import (Matrix, basis_vector, canonicalize, intersect, nullspace,
-                             solve_homogeneous)
+from biderlie.linalg import (Matrix, SubspaceBasis, basis_vector, canonicalize, intersect,
+                             nullspace, solve_homogeneous)
 from biderlie.verify import _transpose_part
 
-from oracles import (intersect_reference, left_bider_rows, nullspace_reference, probe_rows,
-                     right_bider_rows, right_space_by_transpose, sympy_nullspace_dim)
+from helpers import spaces_scale_dense
+from oracles import (bider_space_by_transpose, intersect_reference, left_bider_rows,
+                     nullspace_reference, probe_rows, right_bider_rows, right_space_by_transpose,
+                     sympy_nullspace_dim)
 
 F = Fraction
 
@@ -269,6 +272,23 @@ def test_two_sided_space_of_a_zero_product_is_the_right_space(name):
     assert both.dim == A.dim ** 3
 
 
+TWO_SIDED_INPUTS = dict(RIGHT_SPACE_INPUTS)
+TWO_SIDED_INPUTS.update({
+    "dense-heisenberg5-seed0": lambda: spaces_scale_dense(0)[0],
+    "dense-heisenberg5-seed3": lambda: spaces_scale_dense(3)[0],
+    "generic4-seed0": lambda: spaces_scale_dense(0)[1],
+    "generic4-seed3": lambda: spaces_scale_dense(3)[1],
+})
+
+
+@pytest.mark.parametrize("name", TWO_SIDED_INPUTS)
+def test_two_sided_space_matches_the_transposed_block_product(name):
+    # the Der rows meet the right basis's sparse rows entry by entry: the same
+    # system, so the same canonical basis, as the product with the transposed blocks
+    A = TWO_SIDED_INPUTS[name]()
+    assert bider_space(A) == bider_space_by_transpose(A)
+
+
 def test_intersect_solves_over_its_first_argument(monkeypatch):
     # one unknown per basis vector of a, none for b: membership in b is a
     # condition on a's coordinates, not a second set of unknowns
@@ -397,3 +417,38 @@ def test_dimension_mismatch_raises(example):
     A, _, _ = example
     with pytest.raises(ValueError):
         is_right_bider(A, BilinearTensor.zero(2))
+
+
+def _one_row_short(A):
+    b = right_bider_bilinear_space(A).basis
+    return SubspaceBasis._of(Matrix._of(b.rows - 1, b.cols, b.den, b.ints[:-b.cols]))
+
+
+_SPACE_CHECKS = ("right-space-is-derivation-valued", "left-space-is-derivation-valued",
+                 "right-space-members-pass-predicate", "left-space-members-pass-predicate",
+                 "biderivation-space-members-pass-both", "biderivation-space-is-intersection")
+_SPACE_FAULTS = {  # the name in `verify` replaced, and what replaces it
+    "both-is-right": ("bider_space", right_bider_bilinear_space),
+    "right-one-row-short": ("right_bider_bilinear_space", _one_row_short),
+    "left-is-right": ("left_bider_bilinear_space", right_bider_bilinear_space),
+}
+# the spaces suite's (status, witness) per check on heisenberg3, in _SPACE_CHECKS order,
+# under each fault: which checks catch it is pinned, and which let it through.
+# `spaces_intersection` solves its own right and left spaces, so the meet check
+# sees only a fault in `bider_space`
+_SPACE_PINNED = {
+    None: [("pass", None)] * 6,
+    "both-is-right": [("pass", None)] * 4 + [("fail", None)] * 2,
+    "right-one-row-short": [("fail", None)] + [("pass", None)] * 5,
+    "left-is-right": [("pass", None), ("fail", None), ("pass", None), ("fail", None),
+                      ("pass", None), ("pass", None)],
+}
+
+
+@pytest.mark.parametrize("fault", _SPACE_PINNED)
+def test_spaces_suite_under_each_fault(monkeypatch, fault):
+    if fault is not None:
+        monkeypatch.setattr(verify_module, *_SPACE_FAULTS[fault])
+    results = verify_module.space_suite(builtin("heisenberg3"))
+    assert [(r.suite, r.identity) for r in results] == [("spaces", c) for c in _SPACE_CHECKS]
+    assert [(r.status, r.witness) for r in results] == _SPACE_PINNED[fault]

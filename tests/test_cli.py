@@ -355,3 +355,66 @@ def test_help_says_which_commands_are_cheap_and_which_is_expensive(capsys):
     assert f"(one exact solve, fast up to dim {MAX_DIM})" in text
     assert f"(exact solves: under a second at dim 8, seconds at {MAX_DIM})" in text
     assert "(the expensive command: about a minute at dim 8)" in text
+
+
+def _alone(argv, columns="80"):
+    """(exit code, stdout, stderr) of `python -m biderlie.cli *argv` in a fresh process,
+    importing the package these tests import."""
+    env = {**os.environ, "COLUMNS": columns,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "biderlie.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once():
+    cli.build_parser.cache_clear()
+    for argv in (["der", "L2"], ["check", "sl2", "--json"], ["example", "heisenberg"]) * 3:
+        assert main(argv) == 0
+    with pytest.raises(SystemExit):
+        main(["bracket", "--op", "rhd"])
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
+
+
+def test_calls_in_one_process_print_what_each_prints_alone(capsys, tmp_path, monkeypatch):
+    # the kept parser carries nothing from one call to the next: a usage error and
+    # --help between two brackets change neither, nor what a later command prints
+    monkeypatch.setenv("COLUMNS", "80")
+    A, b1, b2 = heisenberg_example_maps()
+    alg, m1, m2 = tmp_path / "h3.alg", tmp_path / "b1.map", tmp_path / "b2.map"
+    alg.write_text(serialize_algebra(A))
+    m1.write_text(serialize_map(b1))
+    m2.write_text(serialize_map(b2))
+    bracket = ["bracket", str(m1), str(m2), "--algebra", str(alg), "--op"]
+    calls = [bracket + ["rhd"], bracket + ["xyz"], ["--help"], ["verify", "heisenberg3", "--json"],
+             bracket + ["rhd"]]
+    got = [_in_process(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in got] == [0, 2, 0, 0, 0]
+    assert got == [_alone(argv) for argv in calls]
+    assert got[0] == got[-1] and got[0][1].startswith("map polyright\ndim 3\n")
+
+
+def test_help_takes_its_width_when_printed(capsys, monkeypatch):
+    for columns in ("60", "120", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["--help"], ["verify", "--help"]):
+            assert _in_process(capsys, argv) == _alone(argv, columns)
+
+
+def test_a_command_patched_after_the_first_call_is_the_one_that_runs(capsys, monkeypatch):
+    assert main(["check", "L2"]) == 0
+    ops = []
+    monkeypatch.setattr(cli, "cmd_bracket", lambda args: ops.append(args.op) or 7)
+    assert main(["bracket", "a.map", "b.map", "--op", "lhd", "--algebra", "L2"]) == 7
+    assert ops == ["lhd"]
+    capsys.readouterr()

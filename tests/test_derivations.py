@@ -1,7 +1,5 @@
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -15,7 +13,7 @@ from biderlie.cli import main
 from biderlie.derivations import derivation_rows, derives
 from biderlie.linalg import Matrix, canonicalize, mat_commutator, solve_homogeneous
 
-from helpers import random_rational_vector
+from helpers import bench_inputs, random_rational_vector, spaces_scale_dense
 from oracles import (derivation_rows_dense, derivation_rows_reference, derives_reference,
                      forward_elimination_rank,
                      heisenberg_derivation_constraints, is_derivation_reference,
@@ -214,22 +212,6 @@ def test_integer_derivation_rows_are_positive_multiples_of_the_reference(name):
         assert derivation_space(A).dim == A.dim ** 2
 
 
-def _bench_inputs():
-    spec = importlib.util.spec_from_file_location(
-        "bench_inputs", Path(__file__).resolve().parent.parent / "bench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs
-
-
-def _spaces_scale_dense(seed):
-    # the dense heisenberg5 and generic4 of the spaces-scale benchmark at this seed,
-    # drawn from one rng in that order
-    inputs = _bench_inputs()
-    rng = random.Random(seed)
-    return inputs.dense_heisenberg5(rng), inputs.generic_algebra(rng, 4)
-
-
 ROW_INPUTS = {name: (lambda name=name: builtin(name)) for name in BUILTIN_NAMES}
 ROW_INPUTS.update({
     "abelian(1)": lambda: builtin("abelian(1)"),
@@ -238,12 +220,12 @@ ROW_INPUTS.update({
     # [e1, e2] = e2 stored one way only: rows of pairs (i, j) with [e_i, e_j] = 0
     # that the constants of [e_i, e_q] reach
     "one-sided": lambda: Algebra.from_entries("one-sided", 2, {(0, 1, 1): F(1)}, "generic"),
-    "heisenberg5": lambda: _bench_inputs().heisenberg(5),
-    "heisenberg7": lambda: _bench_inputs().heisenberg(7),
-    "dense-heisenberg5-seed0": lambda: _spaces_scale_dense(0)[0],
-    "dense-heisenberg5-seed3": lambda: _spaces_scale_dense(3)[0],
-    "generic4-seed0": lambda: _spaces_scale_dense(0)[1],
-    "generic4-seed3": lambda: _spaces_scale_dense(3)[1],
+    "heisenberg5": lambda: bench_inputs().heisenberg(5),
+    "heisenberg7": lambda: bench_inputs().heisenberg(7),
+    "dense-heisenberg5-seed0": lambda: spaces_scale_dense(0)[0],
+    "dense-heisenberg5-seed3": lambda: spaces_scale_dense(3)[0],
+    "generic4-seed0": lambda: spaces_scale_dense(0)[1],
+    "generic4-seed3": lambda: spaces_scale_dense(3)[1],
     "fractional": _fractional_algebra,
 })
 

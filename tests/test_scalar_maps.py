@@ -14,7 +14,7 @@ from biderlie import scalar_maps, verify
 from biderlie.scalar_maps import bracket_matches_poly_form, power_leibniz_witness
 
 from helpers import random_rational_vector
-from oracles import evaluate_decomposition, power_leibniz_reference
+from oracles import evaluate_decomposition, power_leibniz_reference, random_scalar_poly_fractions
 
 F = Fraction
 
@@ -305,3 +305,17 @@ def test_power_leibniz_check_reads_k_past_2():
     M = Matrix([[-1, -1, -1], [0, 0, 0], [-1, 0, 1]])
     assert not is_derivation(A, M)
     assert power_leibniz_witness(A, M) == power_leibniz_reference(A, M) == (3, 0, 1)
+
+
+def test_scalar_poly_drawer_matches_the_fraction_reference():
+    # the same draws in the same order: equal coefficients under the same keys in the
+    # same order, every one a `Fraction`, and the generator left in the same state
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3, 4):
+            for max_degree in (1, 2, 3):
+                got = verify._random_scalar_poly(ours, n, max_degree)
+                want = random_scalar_poly_fractions(theirs, n, max_degree)
+                assert list(got.coeffs.items()) == list(want.coeffs.items())
+                assert all(type(v) is Fraction for v in got.coeffs.values())
+        assert ours.getstate() == theirs.getstate()
