@@ -411,10 +411,9 @@ def test_help_takes_its_width_when_printed(capsys, monkeypatch):
             assert _in_process(capsys, argv) == _alone(argv, columns)
 
 
-def test_a_command_patched_after_the_first_call_is_the_one_that_runs(capsys, monkeypatch):
+def test_a_command_patched_after_the_first_call_is_the_one_that_runs(monkeypatch):
     assert main(["check", "L2"]) == 0
     ops = []
     monkeypatch.setattr(cli, "cmd_bracket", lambda args: ops.append(args.op) or 7)
     assert main(["bracket", "a.map", "b.map", "--op", "lhd", "--algebra", "L2"]) == 7
     assert ops == ["lhd"]
-    capsys.readouterr()
