@@ -497,10 +497,13 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
     maps, and the composition is the commutator of two such matrices. A
     frozen sum makes the cross terms y^(a+b), a != b, of the bracket count.
 
-    It runs by rows: one kernel call brackets B1 with a row of B2 per side, a
-    row's commutators at a frozen point are two stacked products, and values
-    are raw integer lists, cross-multiplied where denominators differ. In (c)
-    the left rows are columns: lhd(K_j, S_i) = -lhd(K_j^t, S_i) is in row j.
+    Each tensor and double is evaluated at the frozen points once. Row i makes
+    five comparisons (main, matched S and K, mixed S and K), each one kernel
+    call per side that brackets B1 with a whole family. A row's commutators at
+    a frozen point are two stacked products; values are raw integer lists,
+    cross-multiplied where denominators differ, and a witness is the least
+    failing pair. As S^t = S, (a) on the doubles compares the two sides that
+    the matched and mixed S rows compare at i + 1, and is read from them.
     """
     n, nn = A.dim, A.dim * A.dim
     tensors = basis_tensors(right_bider_bilinear_space(A), n)
@@ -510,22 +513,27 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
     table: dict = {}  # each monomial's values at the frozen points
 
     def family(ts):
-        """The right maps of ts, their denominators d, and per frozen v the matrices of x ->
-        d t(x, v) side by side: per row r its entries (j nn + c, x); all as (j nn + r n, c, x)."""
-        stack: dict = {}
+        """Each tensor t of ts evaluated once: its right map, its denominator d and per frozen v
+        the sparse rows of x -> d t(x, v); and the family: the maps, the ds and per v the
+        matrices side by side, per row r its entries (j nn + c, x), all as (j nn + r n, c, x)."""
+        each, stack = [], {}
         for j, t in enumerate(ts):
             cols = t.int_form()[2]  # cols[k][a] is column a of the matrix at e_k
             flats = ((basis[k], [c[p] for p in range(n) for c in cols[k]]) for k in range(n))
+            at = {}
             for v, flat in _at_points(flats, frozen, table).items():
+                rows = at[v] = [[] for _ in range(n)]
                 wide_rows, wide_ents = stack.setdefault(v, ([[] for _ in range(n)], []))
                 for p, x in enumerate(flat):
                     if x:
+                        rows[p // n].append((p % n, x))
                         wide_rows[p // n].append((j * nn + p % n, x))
                         wide_ents.append((j * nn + p - p % n, p % n, x))
-        return [from_tensor(t) for t in ts], [t.matrix.den for t in ts], stack
+            each.append((from_tensor(t), t.matrix.den, at))
+        return each, ([P for P, _, _ in each], [d for _, d, _ in each], stack)
 
-    def first_mismatch(side, comm, dens, size) -> int | None:
-        """The first j at which the raw side[j] is not slice j of comm over dens[j], if any."""
+    def mismatches(side, comm, dens, size) -> list[int]:
+        """Every j at which the raw side[j] is not slice j of comm over dens[j]."""
         vals: dict = {}
         for j, (_, terms) in enumerate(side):
             for v, flat in _at_points(terms.items(), frozen, table).items():
@@ -535,20 +543,19 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
         keys, zero = vals.keys() | comm.keys(), [0] * size
         if [den for den, _ in side] == dens and all(
                 vals.get(v, zero) == comm.get(v, zero) for v in keys):
-            return None
-        at = [slice(j * nn, (j + 1) * nn) for j in range(len(dens))]
-        return next((j for j, ((den, _), e) in enumerate(zip(side, dens)) if any(
-            [x * e for x in vals.get(v, zero)[at[j]]] != [y * den for y in comm.get(v, zero)[at[j]]]
-            for v in keys)), None)
+            return []
+        return [j for j, ((den, _), e) in enumerate(zip(side, dens)) if any(
+            [x * e for x in vals.get(v, zero)[j * nn:(j + 1) * nn]]
+            != [y * den for y in comm.get(v, zero)[j * nn:(j + 1) * nn]] for v in keys)]
 
-    def first_bad(one, row, left) -> tuple[int | None, int | None]:
-        """The first j at which rhd(B1, B2_j), and the first at which the raw left[j], is not
-        the composition, for B1 and the B2_j the maps of the families one and row."""
-        ([P1], [d1], own), (maps, dens, stack) = one, row
+    def bad(one, row, left) -> tuple[list[int], list[int]]:
+        """The js at which rhd(B1, B2_j), and those at which the raw left[j], is not the
+        composition, for B1 the evaluated tensor one and the B2_j those of the family row."""
+        (P1, d1, own), (maps, dens, stack) = one, row
         size, dens = len(maps) * nn, [d1 * d for d in dens]
         right = _bracket_terms(P1, maps)
         comm = {}  # per frozen v, f1 [f_j ...] - [f_j ...] f1
-        for v, (rows1, _) in own.items():
+        for v, rows1 in own.items():
             if v in stack:
                 wide_rows, wide_ents = stack[v]
                 c = comm[v] = [0] * size
@@ -556,42 +563,34 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
                 for base, t, w in wide_ents:
                     for col, x in rows1[t]:
                         c[base + col] -= w * x
-        j = first_mismatch(right, comm, dens, size)
-        return j, j if left == right else first_mismatch(left, comm, dens, size)
-
-    def failing(i, *js):  # the failing pairs (i, j) of row i
-        return [(i, j) for j in js if j is not None]
+        js = mismatches(right, comm, dens, size)
+        return js, js if left == right else mismatches(left, comm, dens, size)
 
     m = len(tensors)
     sym, skew = [symmetrize(t) for t in tensors], [skew_symmetrize(t) for t in tensors]
-    rights, syms, skews = family(tensors), family(sym), family(skew)
+    (R, rights), (S, syms), (K, skews) = (family(ts) for ts in (tensors, sym, skew))
     lefts_t, skew_lt = ([from_tensor_left(t.transpose()) for t in ts] for ts in (tensors, skew))
     # S = S^t: its right map read as a left one is the left map of S and of S^t
     sym_l, skew_l = [P.transpose() for P in syms[0]], [from_tensor_left(t) for t in skew]
+    # row i: B1 = B[i] against a whole family, and the left row lhd(L[i], Ls). In (c) the
+    # left rows are columns: lhd(K_i, S_j) = -lhd(K_i^t, S_j), and minus its composition is
+    # K_i's with S_j, so row i checks it for the pair (j, i); lhd(S_i, K_j) likewise
+    rows = ((R, rights, lefts_t, lefts_t), (S, syms, sym_l, sym_l), (K, skews, skew_l, skew_l),
+            (S, skews, sym_l, skew_lt), (K, syms, skew_lt, sym_l))
     main, matched, mixed, doubles = [], [], [], []
     for i in range(m):
-        r, s, k = family([tensors[i]]), family([sym[i]]), family([skew[i]])
-        if not main:
-            main += failing(i, *first_bad(r, rights, _lhd_row(lefts_t[i], lefts_t)))
-        if not matched:
-            matched += failing(i, *first_bad(s, syms, _lhd_row(sym_l[i], sym_l)),
-                               *first_bad(k, skews, _lhd_row(skew_l[i], skew_l)))
-        # (c): lhd(K_i, S_j) = -lhd(K_i^t, S_j), and minus its composition is K_i's with S_j,
-        # so row i checks it for the pair (j, i); lhd(S_i, K_j) likewise
-        r1, l2 = first_bad(s, skews, _lhd_row(sym_l[i], skew_lt))
-        r2, l1 = first_bad(k, syms, _lhd_row(skew_lt[i], sym_l))
-        mixed += failing(i, r1, r2) + [(j, i) for j in (l1, l2) if j is not None]
-        # (a) on 2m pairs of doubles, whose brackets mix the terms of different monomials
-        # where those of the basis maps may all vanish (on L4 they do)
-        j = (i + 1) % m
-        if not doubles:
-            doubles += failing(i, *first_bad(s, family([sym[j], skew[j]]),
-                                             _lhd_row(sym_l[i], [sym_l[j], skew_lt[j]])))
+        tt, ss, kk, sk, ks = (bad(B[i], row, _lhd_row(L[i], Ls)) for B, row, L, Ls in rows)
+        main += [(i, j) for js in tt for j in js]
+        matched += [(i, j) for js in ss + kk for j in js]
+        mixed += [(i, j) for j in sk[0] + ks[0]] + [(j, i) for j in ks[1] + sk[1]]
+        # (a) on (S_i, S_i+1) and (S_i, K_i+1), whose brackets mix the terms of monomials
+        # where those of the basis maps may all vanish (on L4): the S-rows at i + 1
+        doubles += [(i, k) for k, js in enumerate((ss, sk)) if (i + 1) % m in js[0] + js[1]]
     found = [{"basis_pair": list(min(p))} if p else None for p in (main, matched, mixed)]
     if found[0] is None and doubles:
         i, k = min(doubles)
         found[0] = {"basis_pair": [i, (i + 1) % m], "doubles": ("symmetric", "symmetric-skew")[k]}
-    return [check("transpose", identity, bad is None, bad) for identity, bad in zip(
+    return [check("transpose", identity, w is None, w) for identity, w in zip(
         ("bracket-transpose-identity", "matched-symmetry-swap", "mixed-symmetry-swap"), found)]
 
 

@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .algebras import MAX_DIM, Algebra, builtin, check_kind
+from .algebras import _ABELIAN_RE, MAX_DIM, Algebra, builtin, check_kind
 from .bilinear import BilinearTensor
 from .biderivations import (basis_tensors, bider_space, is_bider, is_right_bider,
                             left_bider_bilinear_space, left_bider_witness,
@@ -55,11 +55,13 @@ def _parse_file(arg: str, parse, missing: str):
 
 
 def _load_algebra(arg: str) -> Algebra:
-    # a builtin name wins over a file of the same name, which `./name` reaches
+    # a builtin name wins over a file of the same name, which `./name` reaches; with
+    # no such file, an abelian(n) out of range reports the builtin's own range error
     try:
         return builtin(arg)
-    except ValueError:
-        return _parse_file(arg, parse_algebra, "no such file or builtin algebra")
+    except ValueError as exc:
+        missing = str(exc) if _ABELIAN_RE.match(arg) else "no such file or builtin algebra"
+        return _parse_file(arg, parse_algebra, missing)
 
 
 def _algebra_line(A: Algebra) -> str:

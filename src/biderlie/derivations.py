@@ -5,12 +5,11 @@ coordinates D acts as an n x n matrix, so the defining rule on all basis pairs
 is a homogeneous linear system in the matrix entries; its nullspace is the
 derivation algebra. `algebras.failing_stacks` scans stacks of maps on integer
 columns, each basis pair once for all of them and one pass per nonzero
-structure constant, and names the stacks that fail; `derives` asks that none
-does. `is_derivation` is the one-block case, and the poly-map predicates of
-`brackets` stack all of a map's coefficient matrices, the columns of its tall
-matrix. `derivation_rows` writes the rule out on its own, in integers from the
-nonzero structure constants of the product's integer form, so the predicates
-check the solver independently.
+structure constant, and names the stacks that fail. `is_derivation` is the
+one-block case, and the poly-map predicates of `brackets` stack all of a map's
+coefficient matrices, the columns of its tall matrix. `derivation_rows` writes
+the rule out on its own, in integers from the nonzero structure constants of
+the product's integer form, so the predicates check the solver independently.
 Unknowns are ordered column-major, rows by basis pair (i, j) in ascending
 lexicographic order over all n^2 pairs, whatever the declared kind.
 """
@@ -21,7 +20,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Sequence
 
-from .algebras import Algebra, bracket, derives, failing_stacks
+from .algebras import Algebra, bracket, failing_stacks
 from .linalg import Matrix, SubspaceBasis, mat_commutator, solve_homogeneous
 
 

@@ -43,8 +43,9 @@ one `rref`, by two facts:
   is the identity and R the answer, taking no `rref`), for its three callers:
   `intersect`, `biderivations.bider_space` and the symmetric and skew
   parts in `verify.symmetry_suite`. Read backwards, v lies in the span iff
-  it is the lift of its own pivot entries, so `intersect(a, b)` solves over
-  a for the vectors whose residual against b is zero.
+  its `SubspaceBasis.residual`, v minus the lift of its own pivot entries, is
+  zero, and `intersect(a, b)` solves over a for the vectors whose residual
+  against b is zero.
 """
 
 from __future__ import annotations
@@ -403,14 +404,18 @@ class SubspaceBasis:
             raise ValueError(f"expected {self.dim} coordinates, got {len(coeffs)}")
         return (Matrix._from_flat(1, self.dim, coeffs) * self.basis).data[0]
 
+    def residual(self, m: Matrix) -> Matrix:
+        """m minus the lift of its own pivot entries, row by row: row r is zero iff row r
+        of m lies in the span, so one product tests a whole stack of vectors."""
+        pivots = [row[0][0] for row in self.basis.sparse]
+        at_pivots = [m.ints[r * m.cols + p] for r in range(m.rows) for p in pivots]
+        return m - Matrix._of(m.rows, self.dim, m.den, at_pivots) * self.basis
+
     def contains(self, v: Sequence[Fraction]) -> bool:
-        """Exact span membership: v is the lift of its own pivot entries. Entries are
-        read as `Fraction` reads them."""
+        """Exact span membership: a zero residual. Entries are read as `Fraction` reads them."""
         if len(v) != self.ambient_dim:
             raise ValueError(f"ambient dimension mismatch: {self.ambient_dim} vs {len(v)}")
-        w = Matrix._from_flat(1, len(v), v)
-        at_pivots = [w.ints[row[0][0]] for row in self.basis.sparse]
-        return w == Matrix._of(1, self.dim, w.den, at_pivots) * self.basis
+        return self.residual(Matrix._from_flat(1, len(v), v)).is_zero()
 
 
 def canonicalize(vectors: Iterable[Sequence[Fraction]], ambient_dim: int | None = None) -> SubspaceBasis:
@@ -474,13 +479,11 @@ def solve_over(space: SubspaceBasis, rows: Iterable[Sequence[int]]) -> SubspaceB
 
 def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     """Intersection of two canonical subspaces of one ambient space, solved over a:
-    v lies in b iff its residual v - b.member(v at b's pivots) is zero, and each
-    coordinate of the residuals of a's basis rows is one row. Both arguments
-    must be canonical, as every `SubspaceBasis` is; b's pivots are read off."""
+    v lies in b iff its residual against b is zero, and each coordinate of the
+    residuals of a's basis rows is one row. Both arguments must be canonical, as
+    every `SubspaceBasis` is; b's pivots are read off."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    n, m = a.ambient_dim, a.dim
-    at_pivots = Matrix._of(m, b.dim, a.basis.den, [a.basis.ints[u * n + row[0][0]]
-                                                   for u in range(m) for row in b.basis.sparse])
-    res = (a.basis - at_pivots * b.basis).transpose()      # column u: a_u's residual
-    return solve_over(a, [res.ints[c * m:(c + 1) * m] for c in range(n)])
+    m = a.dim
+    res = b.residual(a.basis).transpose()      # column u: a_u's residual
+    return solve_over(a, [res.ints[c * m:(c + 1) * m] for c in range(a.ambient_dim)])

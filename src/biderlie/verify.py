@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .algebras import Algebra, bider_scan, check_kind, failing_stacks
 from .bilinear import BilinearTensor, half_decomposition, random_tensor, skew_symmetrize, symmetrize
-from .biderivations import (basis_tensors, bider_space, left_bider_bilinear_space,
-                            right_bider_bilinear_space, spaces_intersection)
+from .biderivations import (bider_space, left_bider_bilinear_space, right_bider_bilinear_space,
+                            spaces_intersection)
 from .brackets import (random_multi_index, random_ratios, verify_lie_algebra,
                        verify_transpose_interplay)
 from .derivations import derivation_matrices, derivation_space, is_derivation
@@ -50,7 +50,9 @@ def derivation_suite(A: Algebra) -> list[CheckResult]:
     scaled = [Matrix._of(n, n, 1, d.ints) for d in ders]
     comms = {(i, j): mat_commutator(a, b)
              for i, a in enumerate(scaled) for j, b in enumerate(scaled)}
-    closure_ok = all(space.contains(c.transpose().ints) for c in comms.values())
+    # each commutator's column-major integers, a row of one residual against Der
+    closure_ok = space.residual(Matrix._of(len(comms), n * n, 1, [
+        x for c in comms.values() for x in c.transpose().ints])).is_zero()
     rows, crows = [d.sparse for d in scaled], {ij: c.sparse for ij, c in comms.items()}
 
     def jacobi_sum(i, j, k) -> list[int]:
@@ -73,28 +75,21 @@ def space_suite(A: Algebra) -> list[CheckResult]:
     suite = "spaces"
     n = A.dim
     der = derivation_space(A)
-    ders = derivation_matrices(A)
     right = right_bider_bilinear_space(A)
     left = left_bider_bilinear_space(A)
     both = bider_space(A)
 
     def factor_ok(space, side: str) -> bool:
-        # a left space is checked as the right factorization of the transposes
-        flip = BilinearTensor.transpose if side == "left" else (lambda t: t)
+        """space = Der (x) Q^n: it has that dimension, and the column maps x -> B(x, e_j) of
+        its basis tensors (of their transposes on the left side) all lie in Der, one
+        residual. Column map j is column-major B(e_i, e_j)_k at i n + k."""
         if space.dim != n * der.dim:
             return False
-        for tensor in map(flip, basis_tensors(space, n)):
-            # column-major entries of the integer form of each column map
-            if not all(der.contains(tensor.column_map(j).transpose().ints) for j in range(n)):
-                return False
-        zero = Matrix.zeros(n, n)
-        for D in ders:
-            for j in range(n):
-                # the tensor sending (x, e_j) to D x and (x, e_k) to 0 otherwise
-                maps = [D if k == j else zero for k in range(n)]
-                if not space.contains(flip(BilinearTensor.from_column_maps(maps)).matrix.ints):
-                    return False
-        return True
+        at = [((i * n + j) if side == "right" else (j * n + i)) * n + k
+              for j in range(n) for i in range(n) for k in range(n)]
+        ints = space.basis.ints
+        maps = [ints[t + p] for t in range(0, len(ints), n ** 3) for p in at]
+        return der.residual(Matrix._of(space.dim * n, n * n, space.basis.den, maps)).is_zero()
 
     return [
         check(suite, "right-space-is-derivation-valued", factor_ok(right, "right")),

@@ -452,3 +452,33 @@ def test_spaces_suite_under_each_fault(monkeypatch, fault):
     results = verify_module.space_suite(builtin("heisenberg3"))
     assert [(r.suite, r.identity) for r in results] == [("spaces", c) for c in _SPACE_CHECKS]
     assert [(r.status, r.witness) for r in results] == _SPACE_PINNED[fault]
+
+
+def _one_row_outside(A):
+    # the right space with its last row replaced by B(e_1, e_1) = e_1, whose column map
+    # E_11 is no derivation of heisenberg3: the dimension is still n dim Der
+    b = right_bider_bilinear_space(A).basis
+    outside = [int(p == 0) for p in range(b.cols)]
+    return canonicalize(list(b.data[:-1]) + [outside])
+
+
+def test_spaces_suite_under_a_right_space_not_inside_der_tensor_qn(monkeypatch):
+    # dim = n dim Der holds, so only the inclusion of the column maps in Der, one
+    # residual, tells this space from Der (x) Q^n; the members scan fails it too
+    A = builtin("heisenberg3")
+    assert _one_row_outside(A).dim == A.dim * derivation_space(A).dim
+    monkeypatch.setattr(verify_module, "right_bider_bilinear_space", _one_row_outside)
+    results = verify_module.space_suite(A)
+    assert [(r.identity, r.status, r.witness) for r in results] == [
+        (c, "fail" if c.startswith("right-") else "pass", None) for c in _SPACE_CHECKS]
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "sl2", "L3", "abelian(2)"])
+def test_space_and_derivation_suites_test_membership_by_residuals(monkeypatch, name):
+    # every membership question of the two suites is one `SubspaceBasis.residual`
+    def no_contains(self, v):
+        raise AssertionError("contains called")
+    monkeypatch.setattr(SubspaceBasis, "contains", no_contains)
+    A = builtin(name)
+    assert all(r.status == "pass" for r in verify_module.derivation_suite(A)
+               + verify_module.space_suite(A))

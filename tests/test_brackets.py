@@ -248,6 +248,27 @@ def test_transpose_interplay_suite(name):
     assert all_ok(verify_transpose_interplay(builtin(name)))
 
 
+@pytest.mark.parametrize("name", ["heisenberg3", "L3", "sl2"])
+def test_transpose_suite_evaluates_and_brackets_each_tensor_once(monkeypatch, name):
+    # m basis tensors and their two doubles are each evaluated once (one int_form), and
+    # each row makes five right and five left kernel calls: identity (a) on the doubles
+    # is read from the matched and mixed rows, not bracketed again
+    A = builtin(name)
+    m = right_bider_bilinear_space(A).dim
+    calls = {"kernel": 0, "int_form": 0}
+    kernel, int_form = brackets_module._bracket_terms, BilinearTensor.int_form
+
+    def counted(key, f):
+        def wrapper(*args):
+            calls[key] += 1
+            return f(*args)
+        return wrapper
+    monkeypatch.setattr(brackets_module, "_bracket_terms", counted("kernel", kernel))
+    monkeypatch.setattr(BilinearTensor, "int_form", counted("int_form", int_form))
+    assert all_ok(verify_transpose_interplay(A))
+    assert calls == {"kernel": 10 * m, "int_form": 3 * m}
+
+
 def test_main_transpose_identity_on_example(example):
     A, b1, b2 = example
     lhs = rhd(from_tensor(b1), from_tensor(b2))
@@ -794,6 +815,30 @@ def test_transpose_suite_catches_a_row_kernel_out_of_order(monkeypatch, name):
         return out[1:] + out[:1]
     monkeypatch.setattr(brackets_module, "_bracket_terms", shifted)
     _assert_pinned("row-shifted", name)
+
+
+# (a) fails first on a pair of doubles (S_i, K_i+1): only the rhd(S, K) of right maps
+# are wrong, so identity (a) holds on basis pairs and on (S_i, S_i+1)
+_SYM_SKEW_DOUBLED = {
+    "heisenberg3": [_fail(2, 3, doubles="symmetric-skew"), _PASS, _fail(0, 3)],
+    "L2": [_fail(0, 1, doubles="symmetric-skew"), _PASS, _fail(0, 1)],
+    "L3": [_fail(0, 1, doubles="symmetric-skew"), _PASS, _fail(0, 0)],
+    "L4": [_fail(0, 1, doubles="symmetric-skew"), _PASS, _fail(0, 0)],
+}
+
+
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
+def test_transpose_suite_catches_a_wrong_symmetric_skew_bracket(monkeypatch, name):
+    # the right bracket of a symmetric map with a skew one, pair by pair, doubled
+    def doubled(P1, row):
+        out = _KERNEL(P1, row)
+        if type(P1) is not PolyRightMap or not to_tensor(P1).is_symmetric():
+            return out
+        return [(den, {g: [2 * x for x in flat] for g, flat in terms.items()})
+                if to_tensor(P2).is_skew() else (den, terms) for P2, (den, terms) in zip(row, out)]
+    monkeypatch.setattr(brackets_module, "_bracket_terms", doubled)
+    results = verify_transpose_interplay(builtin(name))
+    assert [(r.status, r.witness) for r in results] == _SYM_SKEW_DOUBLED[name]
 
 
 @pytest.mark.parametrize("name", _MUTANT_NAMES)

@@ -312,6 +312,25 @@ def test_builtin_name_wins_over_a_file_of_that_name(capsys, tmp_path, monkeypatc
     assert code == 0 and out.startswith("algebra shadow (dim 2, kind lie)\n")
 
 
+@pytest.mark.parametrize("name", ["abelian(0)", f"abelian({MAX_DIM + 1})"])
+def test_abelian_out_of_range_names_the_range(capsys, tmp_path, monkeypatch, name):
+    # with no file of that name, the builtin's range error is the message, not
+    # "no such file"; a file of that name is still read
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "der", name)
+    assert (code, out, err) == (2, "", f"error: {name}: abelian(n) needs 1 <= n <= {MAX_DIM}\n")
+    (tmp_path / name).write_text("algebra wide\ndim 2\nkind lie\n")
+    code, out, _ = run_cli(capsys, "der", name)
+    assert code == 0 and out.startswith("algebra wide (dim 2, kind lie)\n")
+
+
+def test_other_unknown_names_stay_missing_files(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("abelian(x)", "abelian(2", "heisenberg(5)"):
+        code, _, err = run_cli(capsys, "der", name)
+        assert (code, err) == (2, f"error: {name}: no such file or builtin algebra\n")
+
+
 def test_solvers_ignore_the_declared_kind(capsys, tmp_path):
     # der, bider and bracket never read `kind`: constants that fail the lie
     # check give the same bases and brackets declared lie or generic

@@ -10,7 +10,8 @@ from biderlie import (BUILTIN_NAMES, Algebra, BilinearTensor, PolyLeftMap, PolyR
                       right_bider_bilinear_space)
 import biderlie.verify as verify
 from biderlie.cli import main
-from biderlie.derivations import derivation_rows, derives
+from biderlie.algebras import derives
+from biderlie.derivations import derivation_rows
 from biderlie.linalg import Matrix, canonicalize, mat_commutator, solve_homogeneous
 
 from helpers import bench_inputs, random_rational_vector, spaces_scale_dense
@@ -275,6 +276,15 @@ def _blocks_for(A, rng, count):
 def _images(n, blocks):
     # the stack of the blocks, each over its own denominator: column p of every block
     return [[x for m in blocks for x in m.ints[p::n]] for p in range(n)]
+
+
+def test_derives_reads_every_basis_pair():
+    # [e1, e2] = e1 alone: diag(0, 1) breaks the rule at (e1, e2) and at no other pair,
+    # and diag(1, 0) keeps it everywhere
+    A = Algebra.from_entries("one-pair", 2, {(0, 1, 0): F(1)}, "generic")
+    for diagonal, want in (([0, 1], False), ([1, 0], True)):
+        images = _images(2, [Matrix([[diagonal[0], 0], [0, diagonal[1]]])])
+        assert derives(A, images) is want and derives_reference(A, images) is want
 
 
 @pytest.mark.parametrize("A", _stack_algebras(), ids=lambda A: A.name)
