@@ -132,7 +132,8 @@ class TripleWitness:
 
     `lhs` and `rhs` are the two sides of the identity as displayed in its
     definition; `residual` is rhs - lhs (for one-sided identities such as
-    Jacobi the whole defect lands in `residual` and lhs is zero).
+    Jacobi the whole defect lands in `residual` and lhs is zero), except for
+    antisymmetry, c_ij = -c_ji, whose `residual` is lhs - rhs = c_ij + c_ji.
     """
 
     identity: str
@@ -191,13 +192,6 @@ def failing_stacks(A: Algebra, talls: Sequence[Sequence[int]]) -> list[int]:
                     if owner[b // n] not in bad and lhs[b:b + n] != rhs[b:b + n]:
                         bad.add(owner[b // n])
     return sorted(bad)
-
-
-def derives(A: Algebra, images: Sequence[Sequence[int]]) -> bool:
-    """True iff every map D_b of the stack `images` derives A: `leibniz_sides` agree at all pairs."""
-    n = A.dim
-    return all(lhs == rhs for lhs, rhs in (leibniz_sides(A, images, i, j)
-                                           for i in range(n) for j in range(n)))
 
 
 def bider_scan(A: Algebra, ints: Sequence[int], side: str) -> list[int]:

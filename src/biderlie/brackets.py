@@ -25,12 +25,13 @@ tall `linalg.Matrix` that stacks their coefficient matrices over one
 denominator, in lowest terms, so equal maps have equal forms; map files are
 parsed into that form and written from it (`formats`), and the `Fraction`
 matrices (`terms`) are a view. The bracket kernel takes one operand and a
-whole row of others, maps or raw forms. It reads each block as its nonzero
-entries and sparse rows, kept on a map, and adds both halves of every pair
-commutator, +M_a N_b and -N_b M_a, into one raw integer list per output
-monomial a + b over d1 d2. `rhd`, and `lhd` (a left map carries the terms
-of its transposed right map), are its one-pair case put in lowest terms;
-the transpose and Lie-law suites check raw kernel rows by value, and the
+whole row of others, each as `_read` gives it: its blocks as their nonzero
+entries and sparse rows. A caller reads each operand once, and nothing is
+kept on a map. The kernel adds both halves of every pair commutator,
++M_a N_b and -N_b M_a, into one raw integer list per output monomial a + b
+over d1 d2. `rhd`, and `lhd` (a left map carries the terms of its
+transposed right map), are its one-pair case put in lowest terms; the
+transpose and Lie-law suites check raw kernel rows by value, and the
 Lie-law suite checks all its samples' membership in one Leibniz scan.
 """
 
@@ -40,6 +41,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .algebras import Algebra, failing_stacks
@@ -85,7 +87,7 @@ class _PolyMap:
     monomials and tall matrices are. `terms` is a view of the blocks.
     """
 
-    __slots__ = ("dim", "monomials", "tall", "_ops")
+    __slots__ = ("dim", "monomials", "tall")
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, Matrix]):
         for a, m in terms.items():
@@ -94,7 +96,7 @@ class _PolyMap:
             if m.rows != dim or m.cols != dim:
                 raise ValueError(f"coefficient matrix must be {dim}x{dim}")
         den = math.lcm(*(m.den for m in terms.values()))
-        self.dim, self._ops = dim, None
+        self.dim = dim
         self.monomials, self.tall = _stacked(dim, den, {
             tuple(a): [x * (den // m.den) for x in m.ints] for a, m in terms.items()})
 
@@ -104,7 +106,7 @@ class _PolyMap:
         P = object.__new__(cls)
         P.dim = dim
         P.monomials = monomials
-        P.tall, P._ops = tall, None
+        P.tall = tall
         return P
 
     @classmethod
@@ -119,13 +121,6 @@ class _PolyMap:
     def terms(self) -> dict[MultiIndex, Matrix]:
         """The coefficient matrix of each monomial: the blocks of the tall matrix."""
         return dict(zip(self.monomials, self.tall.split(self.dim, self.dim)))
-
-    def _operands(self) -> tuple[int, list[tuple[MultiIndex, list, IntRows]]]:
-        """The kernel's `_read` of the map, built on first read and kept."""
-        if self._ops is None:
-            self._ops = _read((self.tall.den, dict(zip(self.monomials,
-                                                       _blocks(self.tall.ints, self.dim)))))
-        return self._ops
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
@@ -196,9 +191,7 @@ def _stacked(n: int, den: int, ints: Mapping[MultiIndex, Sequence[int]]
     """The monomials and tall matrix of the map whose monomial a has the coefficient
     matrix ints[a] / den, n * n row-major integers; all-zero ones are dropped."""
     monomials = tuple(sorted(a for a, flat in ints.items() if any(flat)))
-    tall: list[int] = []
-    for a in monomials:
-        tall += ints[a]
+    tall = tuple(chain.from_iterable(map(ints.__getitem__, monomials)))
     return monomials, Matrix._of(len(monomials) * n, n, den, tall)
 
 
@@ -214,7 +207,7 @@ def _stack(maps: Sequence[_PolyMap], n: int) -> tuple[dict[MultiIndex, int], lis
     scaled = []
     for P in maps:
         rows: IntRows = [[]] * (len(block) * n)
-        for a, _, r in P._operands()[1]:
+        for a, _, r in _read(P)[1]:
             rows[block[a] * n:block[a] * n + n] = r
         scaled.append((P.tall.den, rows))
     return block, scaled
@@ -302,11 +295,11 @@ def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
 
 
 def _read(X) -> tuple[int, list]:
-    """How the kernel reads a map (kept on it) or a raw form (den, {a: n x n row-major
-    integers}): the denominator and, per block not all zero, a, its nonzero entries
-    (r n, k, v) and its sparse rows."""
+    """How the kernel reads a map (from its tall matrix) or a raw form (den, {a: n x n
+    row-major integers}): the denominator and, per block not all zero, a, its nonzero
+    entries (r n, k, v) and its sparse rows. Nothing is kept: read each operand once."""
     if isinstance(X, _PolyMap):
-        return X._operands()
+        X = X.tall.den, dict(zip(X.monomials, _blocks(X.tall.ints, X.dim)))
     out = []
     for a, flat in X[1].items():
         if any(flat):
@@ -318,11 +311,11 @@ def _read(X) -> tuple[int, list]:
 
 def _bracket_terms(P1, row: Sequence) -> list[tuple[int, RawTerms]]:
     """For each P2 of row, sum_{a,b} y^(a+b) [M_a, N_b] as d1 d2 and the raw integers of each
-    a + b, perhaps all 0: a pair adds M_a N_b and subtracts N_b M_a in one loop each."""
-    (d1, ops1), out = _read(P1), []
+    a + b, perhaps all 0: a pair adds M_a N_b and subtracts N_b M_a in one loop each. P1 and
+    each P2 are operands as `_read` gives them; the caller reads each once."""
+    (d1, ops1), out = P1, []
     nn = len(ops1[0][2]) ** 2 if ops1 else 0
-    for P2 in row:
-        d2, ops2 = _read(P2)
+    for d2, ops2 in row:
         acc: RawTerms = {}
         for a, e1, r1 in ops1:
             for b, e2, r2 in ops2:
@@ -338,7 +331,7 @@ def _bracket_terms(P1, row: Sequence) -> list[tuple[int, RawTerms]]:
 
 
 def _lhd_row(B1, row: Sequence) -> list[tuple[int, RawTerms]]:
-    """The kernel on left maps, which carry the terms of their transposed right maps."""
+    """The kernel on read left maps, which carry the terms of their transposed right maps."""
     return _bracket_terms(B1, row)
 
 
@@ -348,7 +341,8 @@ def rhd(B1: PolyRightMap, B2: PolyRightMap) -> PolyRightMap:
         raise TypeError("rhd expects two right maps")
     if B1.dim != B2.dim:
         raise ValueError("dimension mismatch")
-    return PolyRightMap._of(B1.dim, *_stacked(B1.dim, *_bracket_terms(B1, [B2])[0]))
+    [raw] = _bracket_terms(_read(B1), [_read(B2)])
+    return PolyRightMap._of(B1.dim, *_stacked(B1.dim, *raw))
 
 
 def lhd(B1: PolyLeftMap, B2: PolyLeftMap) -> PolyLeftMap:
@@ -357,7 +351,8 @@ def lhd(B1: PolyLeftMap, B2: PolyLeftMap) -> PolyLeftMap:
         raise TypeError("lhd expects two left maps")
     if B1.dim != B2.dim:
         raise ValueError("dimension mismatch")
-    return PolyLeftMap._of(B1.dim, *_stacked(B1.dim, *_lhd_row(B1, [B2])[0]))
+    [raw] = _lhd_row(_read(B1), [_read(B2)])
+    return PolyLeftMap._of(B1.dim, *_stacked(B1.dim, *raw))
 
 
 def random_ratios(rng: random.Random, count: int, span: int = 2) -> list[Ratio]:
@@ -378,9 +373,10 @@ def random_multi_index(rng: random.Random, n: int, max_degree: int = 2) -> Multi
     return tuple(alpha)
 
 
-def _random_map(rng: random.Random, cls, base, derivations: Sequence[Matrix], n: int):
+def _random_map(rng: random.Random, base, derivations: Sequence[Matrix], n: int):
     """A random rational sum of the base maps, stacked once by `_stack`, plus up to two
-    terms y^a D, D a random rational sum of `derivations`: all in one `combine`."""
+    terms y^a D, D a random rational sum of `derivations`: all in one `combine`. Returns
+    the raw form (den, terms), not reduced, and its row-major integers."""
     block, scaled = dict(base[0]), list(base[1])
     coeffs = random_ratios(rng, len(scaled))
     [extra] = random_below(rng, (3,))
@@ -391,7 +387,7 @@ def _random_map(rng: random.Random, cls, base, derivations: Sequence[Matrix], n:
         coeffs += random_ratios(rng, len(derivations))
         scaled += [(d.den, [[]] * i + d.sparse) for d in derivations]
     den, flat = combine(coeffs, scaled, len(block) * n, n)
-    return cls._of(n, *_stacked(n, den, dict(zip(block, _blocks(flat, n)))))
+    return (den, dict(zip(block, _blocks(flat, n)))), flat
 
 
 def _raw_combination(coeffs: Sequence[int | Ratio], forms) -> tuple[int, RawTerms]:
@@ -418,17 +414,16 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
 
     The laws are checked on raw kernel rows: b1 is bracketed with its whole
     row in one call, each law is a raw combination that must vanish, and no
-    map is built for an intermediate bracket. Samples are drawn as integer
-    ratios; their membership and the closure of their brackets are one
-    Leibniz scan each per run of samples (see `verify`).
+    map is built for a sample or a bracket. Each is read once, where it first
+    becomes an operand. Their membership and the closure of the brackets are
+    one Leibniz scan each per run of samples (see `verify`).
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     chunks = sample_chunks(samples, "samples")
     right = side == "right"
     space = (right_bider_bilinear_space if right else left_bider_bilinear_space)(A)
-    convert = from_tensor if right else from_tensor_left
-    cls, kernel = (PolyRightMap, _bracket_terms) if right else (PolyLeftMap, _lhd_row)
+    convert, kernel = (from_tensor, _bracket_terms) if right else (from_tensor_left, _lhd_row)
     n = A.dim
     base = _stack([convert(t) for t in basis_tensors(space, n)], n)
     ders = derivation_matrices(A)
@@ -442,17 +437,16 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
     for chunk in chunks:
         members, products = [], []
         for s in chunk:
-            b1, b2, b3 = (_random_map(rng, cls, base, ders, n) for _ in range(3))
+            (r1, f1), (r2, f2), (r3, f3) = (_random_map(rng, base, ders, n) for _ in range(3))
             a, b = random_ratios(rng, 2)
-            members += [P.tall.ints for P in (b1, b2, b3)]
-            r1, r2, r3 = ((P.tall.den, dict(zip(P.monomials, _blocks(P.tall.ints, n))))
-                          for P in (b1, b2, b3))
+            members += [f1, f2, f3]
+            b1, b2, b3 = map(_read, (r1, r2, r3))
+            sum_12, sum_23 = (_read(_raw_combination((a, b), p)) for p in ((r1, r2), (r2, r3)))
             [b31] = kernel(b3, [b1])
-            b23, b2_31 = kernel(b2, [b3, b31])
-            b11, b12, b13, b1_23, b1_sum = kernel(b1, [b1, b2, b3, b23,
-                                                        _raw_combination((a, b), (r2, r3))])
-            [b3_12] = kernel(b3, [b12])
-            [sum_3] = kernel(_raw_combination((a, b), (r1, r2)), [b3])
+            b23, b2_31 = kernel(b2, [b3, _read(b31)])
+            b11, b12, b13, b1_23, b1_sum = kernel(b1, [b1, b2, b3, _read(b23), sum_23])
+            [b3_12] = kernel(b3, [_read(b12)])
+            [sum_3] = kernel(sum_12, [b3])
             products.append([x for flat in b12[1].values() for x in flat])
             if bilin_bad is None and not (vanishes((-1, a, b), (sum_3, b13, b23))
                                           and vanishes((-1, a, b), (b1_sum, b12, b13))):
@@ -513,8 +507,8 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
     table: dict = {}  # each monomial's values at the frozen points
 
     def family(ts):
-        """Each tensor t of ts evaluated once: its right map, its denominator d and per frozen v
-        the sparse rows of x -> d t(x, v); and the family: the maps, the ds and per v the
+        """Each tensor t of ts evaluated once: its read right map, its denominator d and per
+        frozen v the sparse rows of x -> d t(x, v); and the family: those, the ds and per v the
         matrices side by side, per row r its entries (j nn + c, x), all as (j nn + r n, c, x)."""
         each, stack = [], {}
         for j, t in enumerate(ts):
@@ -529,7 +523,7 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
                         rows[p // n].append((p % n, x))
                         wide_rows[p // n].append((j * nn + p % n, x))
                         wide_ents.append((j * nn + p - p % n, p % n, x))
-            each.append((from_tensor(t), t.matrix.den, at))
+            each.append((_read(from_tensor(t)), t.matrix.den, at))
         return each, ([P for P, _, _ in each], [d for _, d, _ in each], stack)
 
     def mismatches(side, comm, dens, size) -> list[int]:
@@ -569,9 +563,10 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
     m = len(tensors)
     sym, skew = [symmetrize(t) for t in tensors], [skew_symmetrize(t) for t in tensors]
     (R, rights), (S, syms), (K, skews) = (family(ts) for ts in (tensors, sym, skew))
-    lefts_t, skew_lt = ([from_tensor_left(t.transpose()) for t in ts] for ts in (tensors, skew))
-    # S = S^t: its right map read as a left one is the left map of S and of S^t
-    sym_l, skew_l = [P.transpose() for P in syms[0]], [from_tensor_left(t) for t in skew]
+    lefts_t, skew_lt = ([_read(from_tensor_left(t.transpose())) for t in ts]
+                        for ts in (tensors, skew))
+    # S = S^t: the left map of S carries the terms of its right map, and reads as it does
+    sym_l, skew_l = syms[0], [_read(from_tensor_left(t)) for t in skew]
     # row i: B1 = B[i] against a whole family, and the left row lhd(L[i], Ls). In (c) the
     # left rows are columns: lhd(K_i, S_j) = -lhd(K_i^t, S_j), and minus its composition is
     # K_i's with S_j, so row i checks it for the pair (j, i); lhd(S_i, K_j) likewise

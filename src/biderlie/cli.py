@@ -153,7 +153,7 @@ def cmd_bracket(args) -> int:
             raise CliError(f"{name}: {args.op} needs a {kind} or bilinear map")
         maps.append(m)
     result = bracket(*maps)
-    del m1, m2, m, maps  # the operands and their kernel views go before the text is built
+    del m1, m2, m, maps  # the operands go before the text is built
     text = serialize_map(result)
     if args.json:
         _emit_json({"command": "bracket", "op": args.op, "algebra": A.name,

@@ -15,7 +15,8 @@ from biderlie import (Algebra, BilinearTensor, PolyLeftMap, PolyRightMap,
 import biderlie.brackets as brackets_module
 import biderlie.verify as verify_module
 from biderlie.brackets import random_multi_index, random_ratio, random_ratios
-from biderlie.biderivations import basis_tensors, right_bider_bilinear_space
+from biderlie.biderivations import (basis_tensors, left_bider_bilinear_space,
+                                    right_bider_bilinear_space)
 from biderlie.bilinear import random_tensor
 from biderlie.cli import heisenberg_example_maps
 from biderlie.formats import parse_map, serialize_map
@@ -27,6 +28,8 @@ from oracles import (bracket_terms_per_pair, is_derivation_reference, poly_terms
                      poly_value_reference)
 
 F = Fraction
+# the real kernel and operand reader, taken before any test patches the module's names
+_KERNEL, _read = brackets_module._bracket_terms, brackets_module._read
 
 
 @pytest.fixture
@@ -269,6 +272,40 @@ def test_transpose_suite_evaluates_and_brackets_each_tensor_once(monkeypatch, na
     assert calls == {"kernel": 10 * m, "int_form": 3 * m}
 
 
+def _count_reads(monkeypatch) -> list[int]:
+    # every `_read` the module makes from here on, counted in the list's one entry
+    calls = [0]
+
+    def counted(X):
+        calls[0] += 1
+        return _read(X)
+    monkeypatch.setattr(brackets_module, "_read", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "L3", "sl2"])
+def test_transpose_suite_reads_each_operand_once(monkeypatch, name):
+    # each family's right maps and the three lists of left maps are read once when they
+    # are built, 6m reads; the symmetric left maps are the S family's read right maps
+    A = builtin(name)
+    m = right_bider_bilinear_space(A).dim
+    reads = _count_reads(monkeypatch)
+    assert all_ok(verify_transpose_interplay(A))
+    assert reads == [6 * m]
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "L3", "sl2"])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_lie_law_suite_reads_each_sample_and_product_once(monkeypatch, name, side):
+    # the m basis maps are read once for the draws; per sample its three maps, the two
+    # combinations and the three products bracketed again are each read once
+    A = builtin(name)
+    space = (right_bider_bilinear_space if side == "right" else left_bider_bilinear_space)(A)
+    reads = _count_reads(monkeypatch)
+    assert all_ok(verify_lie_algebra(A, side, samples=25))
+    assert reads == [space.dim + 8 * 25]
+
+
 def test_main_transpose_identity_on_example(example):
     A, b1, b2 = example
     lhs = rhd(from_tensor(b1), from_tensor(b2))
@@ -490,10 +527,10 @@ def _derivation_terms(rng, ders, n, count):
 
 
 def _assert_kernel_matches_reference(t1, t2, n):
-    # the kernel reads each map's tall matrix and returns the monomials and tall
-    # matrix of the bracket; the reference gets the same maps' terms
+    # the kernel takes each map as read from its tall matrix and returns the monomials
+    # and tall matrix of the bracket; the reference gets the same maps' terms
     P1, P2 = PolyRightMap(n, t1), PolyRightMap(n, t2)
-    [raw] = brackets_module._bracket_terms(P1, [P2])
+    [raw] = _KERNEL(_read(P1), [_read(P2)])
     monomials, tall = brackets_module._stacked(n, *raw)
     blocks = tall.split(n, n)
     assert len(blocks) == len(monomials) and not any(m.is_zero() for m in blocks)
@@ -549,7 +586,7 @@ def _assert_row_matches_reference(P1, row):
     # one kernel call for the whole row, checked pair by pair: the denominator is
     # d1 d2 and the nonzero blocks are the reference's; rhd drops the zero ones
     n = P1.dim
-    results = brackets_module._bracket_terms(P1, row)
+    results = _KERNEL(_read(P1), [_read(P2) for P2 in row])
     assert len(results) == len(row)
     for (den, acc), P2 in zip(results, row):
         assert den == P1.tall.den * P2.tall.den
@@ -645,6 +682,21 @@ def test_term_drawers_refuse_more_terms_than_monomials():
 
 # --- the transpose suite must be able to fail --------------------------------
 
+def _as_map(X, n):
+    # a read operand (den, [(a, entries, rows)]) as the right map with those blocks
+    flats = {a: [0] * (n * n) for a, _, _ in X[1]}
+    for a, entries, _ in X[1]:
+        for rn, k, v in entries:
+            flats[a][rn + k] = v
+    return PolyRightMap(n, {a: Matrix._of(n, n, X[0], flat) for a, flat in flats.items()})
+
+
+def _on_maps(kernel, n):
+    # the suites hand the kernel read operands; the mutants read theirs as maps, through
+    # `.terms`, rebuilt from the operands
+    return lambda P1, row: kernel(_as_map(P1, n), [_as_map(P, n) for P in row])
+
+
 def _raw_form(terms, n):
     # a term dict as one entry of the row kernel's return list: (den, {monomial: entries})
     P, nn = PolyRightMap(n, terms), n * n
@@ -675,9 +727,6 @@ def _diagonal_terms(P1, row):
     return out
 
 
-_KERNEL = brackets_module._bracket_terms
-
-
 def _spurious_terms(P1, row):
     # the right bracket plus E_11 (y_j^2 - sum_{k != j} y_j y_k), j the first index
     # with no y_j term in P1: over the frozen points that is nonzero at e_j alone,
@@ -687,7 +736,7 @@ def _spurious_terms(P1, row):
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     j = next((j for j in range(n) if units[j] not in P1.support()), None)
     if j is None:
-        return _KERNEL(P1, row)
+        return _KERNEL(_read(P1), [_read(P2) for P2 in row])
     e11 = Matrix.from_col_major([1] + [0] * (n * n - 1), n)
     spurious = {tuple(2 * x for x in units[j]): e11}
     for k in range(n):
@@ -761,14 +810,16 @@ def _assert_pinned(mutant, name):
 
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
 def test_transpose_suite_catches_anticommutators(monkeypatch, name):
-    monkeypatch.setattr(brackets_module, "_bracket_terms", _anticommutator_terms)
+    monkeypatch.setattr(brackets_module, "_bracket_terms",
+                        _on_maps(_anticommutator_terms, builtin(name).dim))
     _assert_pinned("anticommutator", name)
 
 
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
 def test_transpose_suite_catches_dropped_cross_terms(monkeypatch, name):
     # bracket only the terms of equal monomials, dropping y^(a+b) for a != b
-    monkeypatch.setattr(brackets_module, "_bracket_terms", _diagonal_terms)
+    monkeypatch.setattr(brackets_module, "_bracket_terms",
+                        _on_maps(_diagonal_terms, builtin(name).dim))
     _assert_pinned("dropped-cross-terms", name)
     if name == "L4":
         # L4's basis is y1 M and y2 M with one matrix M, so every bracket of
@@ -783,7 +834,8 @@ def test_transpose_suite_compares_brackets_where_an_operand_is_zero(monkeypatch,
     # the suite skips the product where a frozen operand is 0, but not the
     # comparison of the bracket's value there with 0: identity (a) fails at
     # the first pair
-    monkeypatch.setattr(brackets_module, "_bracket_terms", _spurious_terms)
+    monkeypatch.setattr(brackets_module, "_bracket_terms",
+                        _on_maps(_spurious_terms, builtin(name).dim))
     _assert_pinned("spurious-terms", name)
 
 
@@ -829,14 +881,19 @@ _SYM_SKEW_DOUBLED = {
 
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
 def test_transpose_suite_catches_a_wrong_symmetric_skew_bracket(monkeypatch, name):
-    # the right bracket of a symmetric map with a skew one, pair by pair, doubled
+    # the right bracket of a symmetric map with a skew one, pair by pair, doubled; the
+    # left calls go to the real kernel
+    n = builtin(name).dim
+
     def doubled(P1, row):
         out = _KERNEL(P1, row)
-        if type(P1) is not PolyRightMap or not to_tensor(P1).is_symmetric():
+        if not to_tensor(_as_map(P1, n)).is_symmetric():
             return out
         return [(den, {g: [2 * x for x in flat] for g, flat in terms.items()})
-                if to_tensor(P2).is_skew() else (den, terms) for P2, (den, terms) in zip(row, out)]
+                if to_tensor(_as_map(P2, n)).is_skew() else (den, terms)
+                for P2, (den, terms) in zip(row, out)]
     monkeypatch.setattr(brackets_module, "_bracket_terms", doubled)
+    monkeypatch.setattr(brackets_module, "_lhd_row", _KERNEL)
     results = verify_transpose_interplay(builtin(name))
     assert [(r.status, r.witness) for r in results] == _SYM_SKEW_DOUBLED[name]
 
@@ -893,16 +950,6 @@ _LIE_PINNED = {
         "L4": {"right": _sample_fails(1, 0, 1, 0), "left": _sample_fails(1, 0, 1, 0)},
     },
 }
-
-
-def _on_maps(kernel, n):
-    # the suite also hands the kernel raw forms (den, terms); the mutants read their
-    # operands as maps, through `.terms`
-    def as_map(X):
-        if isinstance(X, (PolyRightMap, PolyLeftMap)):
-            return X
-        return PolyRightMap(n, {a: Matrix._of(n, n, X[0], flat) for a, flat in X[1].items()})
-    return lambda P1, row: kernel(as_map(P1), [as_map(P) for P in row])
 
 
 @pytest.mark.parametrize("mutant", list(_LIE_MUTANTS))
