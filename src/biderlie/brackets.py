@@ -41,7 +41,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import Mapping, Sequence
 
 from .algebras import Algebra, failing_stacks
@@ -202,13 +202,15 @@ def _blocks(ints: Sequence[int], n: int):
 
 def _stack(maps: Sequence[_PolyMap], n: int) -> tuple[dict[MultiIndex, int], list]:
     """The union of the maps' monomials as {monomial: block}, and each map as `combine`
-    reads it: its denominator and its blocks' sparse rows restacked in that block order."""
+    reads it: its denominator and the sparse rows of its tall matrix (`Matrix.sparse`,
+    built once per matrix and kept), restacked n at a time in that block order."""
     block = {a: i for i, a in enumerate(dict.fromkeys(a for P in maps for a in P.monomials))}
     scaled = []
     for P in maps:
         rows: IntRows = [[]] * (len(block) * n)
-        for a, _, r in _read(P)[1]:
-            rows[block[a] * n:block[a] * n + n] = r
+        sparse = P.tall.sparse
+        for i, a in enumerate(P.monomials):
+            rows[block[a] * n:block[a] * n + n] = sparse[i * n:i * n + n]
         scaled.append((P.tall.den, rows))
     return block, scaled
 
@@ -297,15 +299,20 @@ def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
 def _read(X) -> tuple[int, list]:
     """How the kernel reads a map (from its tall matrix) or a raw form (den, {a: n x n
     row-major integers}): the denominator and, per block not all zero, a, its nonzero
-    entries (r n, k, v) and its sparse rows. Nothing is kept: read each operand once."""
+    entries (r n, k, v) and its sparse rows, both built from the block's nonzero positions
+    alone, in row-major order. Nothing is kept: read each operand once."""
     if isinstance(X, _PolyMap):
         X = X.tall.den, dict(zip(X.monomials, _blocks(X.tall.ints, X.dim)))
     out = []
     for a, flat in X[1].items():
-        if any(flat):
+        if nonzero := list(compress(range(len(flat)), flat)):
             n = math.isqrt(len(flat))
-            rows = [[(k, v) for k, v in enumerate(flat[r:r + n]) if v] for r in range(0, n * n, n)]
-            out.append((a, [(r * n, k, v) for r, row in enumerate(rows) for k, v in row], rows))
+            entries, rows = [], [[] for _ in range(n)]
+            for p in nonzero:
+                r, k = divmod(p, n)
+                entries.append((p - k, k, flat[p]))
+                rows[r].append((k, flat[p]))
+            out.append((a, entries, rows))
     return X[0], out
 
 

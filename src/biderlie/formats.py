@@ -25,12 +25,16 @@ A `t` line is one tensor entry, as a `c` line is one entry of the product
 tensor of an algebra: both are read by one helper and written from the
 tensor's nonzero entries by `entry_lines`. An `m` line is entry (row, col)
 of the coefficient matrix attached to the monomial exponent vector, written
-without spaces. A poly map is read into its integer form (its sorted
-monomials and one tall `Matrix` of their coefficient matrices over the lcm of
-the entries' denominators; an all-zero monomial is dropped) and written from
-it. An entry reads as `Fraction(tok)` would, but a plain `p` or `p/q` by `int`
-with no `Fraction` built; only nonzero entries are written, each as
-`str(Fraction)` writes it.
+without spaces. Every file is read into integer form over the lcm of its
+entries' denominators: an algebra's product tensor and a bilinear tensor
+into one n^2 x n `Matrix`, a poly map into its sorted monomials and one tall
+`Matrix` of their coefficient matrices (an all-zero monomial is dropped),
+and each is written from that form. An entry reads as `Fraction(tok)` would,
+but a plain `p` or `p/q` by `int` with no `Fraction` built. Each distinct
+value token, and in a map file each distinct exponent vector, is parsed
+once per file; an `m` line's (row, col) pair spelled `1`..`n` is looked up
+in a table built at the `dim` header, and any other spelling (`01`, `+2`) is
+parsed. Only nonzero entries are written, each as `str(Fraction)` writes it.
 Serialization is canonical: sorted indices, normalized rationals, so
 parse(serialize(x)) == x and serialized forms are diffable.
 """
@@ -45,6 +49,7 @@ from itertools import compress
 from .algebras import KINDS, MAX_DEGREE, MAX_DIM, Algebra
 from .bilinear import BilinearTensor
 from .brackets import PolyLeftMap, PolyRightMap, _blocks, _stacked
+from .linalg import Matrix
 
 MAP_KINDS = ("bilinear", "polyright", "polyleft")
 # p or p/q in ASCII digits, at most 640 each: `int` reads them under any digit limit it takes
@@ -108,16 +113,41 @@ def _dim(toks: list[str], line_no: int, dim: int | None) -> int:
     return n
 
 
-def _entry(toks: list[str], line_no: int, dim: int,
-           entries: dict[tuple[int, int, int], Fraction]) -> None:
-    """Add the tensor entry of a `c` or `t` line, `<head> i j k = p/q`, to `entries`."""
+def _value(tok: str, line_no: int, values: dict[str, tuple[int, int]]) -> tuple[int, int]:
+    """`_ratio(tok)`, read once per distinct token: `values` holds those read before."""
+    v = values.get(tok)
+    if v is None:
+        v = values[tok] = _ratio(tok, line_no)
+    return v
+
+
+def _integer_form(size: int, entries: dict[int, tuple[int, int]]) -> tuple[int, list[int]]:
+    """Entries {position: (p, q)} as the lcm d of their qs and `size` integers, d p / q at
+    each position and 0 elsewhere."""
+    den = math.lcm(*{q for _, q in entries.values()})
+    ints = [0] * size
+    for at, (p, q) in entries.items():
+        ints[at] = p * (den // q)
+    return den, ints
+
+
+def _entry(toks: list[str], line_no: int, dim: int, entries: dict[int, tuple[int, int]],
+           values: dict[str, tuple[int, int]]) -> None:
+    """Add the tensor entry of a `c` or `t` line, `<head> i j k = p/q`, to `entries` as
+    (p, q) at its position (i n + j) n + k."""
     head = toks[0]
     if len(toks) != 6 or toks[4] != "=":
         raise FormatError(f"expected: {head} i j k = p/q", line_no)
     i, j, k = (_index(tok, line_no, dim) for tok in toks[1:4])
-    if (i, j, k) in entries:
+    at = (i * dim + j) * dim + k
+    if at in entries:
         raise FormatError(f"duplicate entry {head} {i + 1} {j + 1} {k + 1}", line_no)
-    entries[(i, j, k)] = _fraction(toks[5], line_no)
+    entries[at] = _value(toks[5], line_no, values)
+
+
+def _tensor(dim: int, entries: dict[int, tuple[int, int]]) -> BilinearTensor:
+    """The tensor of the entries `_entry` read, in integers: one `Matrix._of`."""
+    return BilinearTensor._of(dim, Matrix._of(dim * dim, dim, *_integer_form(dim ** 3, entries)))
 
 
 def entry_lines(B: BilinearTensor, head: str) -> list[str]:
@@ -130,7 +160,8 @@ def parse_algebra(text: str) -> Algebra:
     name: str | None = None
     dim: int | None = None
     kind: str | None = None
-    entries: dict[tuple[int, int, int], Fraction] = {}
+    entries: dict[int, tuple[int, int]] = {}
+    values: dict[str, tuple[int, int]] = {}
     for line_no, toks in _lines(text):
         head = toks[0]
         if head == "algebra":
@@ -151,12 +182,12 @@ def parse_algebra(text: str) -> Algebra:
             if name is None or dim is None or kind is None:
                 raise FormatError("structure constants before the algebra/dim/kind headers",
                                   line_no)
-            _entry(toks, line_no, dim, entries)
+            _entry(toks, line_no, dim, entries, values)
         else:
             raise FormatError(f"unrecognized directive {head!r}", line_no)
     if name is None or dim is None or kind is None:
         raise FormatError("missing algebra, dim, or kind header")
-    return Algebra.from_entries(name, dim, entries, kind)
+    return Algebra(name, dim, _tensor(dim, entries), kind)
 
 
 def serialize_algebra(A: Algebra) -> str:
@@ -188,9 +219,11 @@ def parse_map(text: str):
     """Parse a map file into a BilinearTensor, PolyRightMap, or PolyLeftMap."""
     map_kind: str | None = None
     dim: int | None = None
-    tensor_entries: dict[tuple[int, int, int], Fraction] = {}
-    poly_entries: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}  # (a, r*n+c): p, q
-    exponents: dict[str, tuple[int, ...]] = {}  # each exponent token is parsed once
+    entries: dict[int, tuple[int, int]] = {}  # position: p, q
+    values: dict[str, tuple[int, int]] = {}  # each value token is read once
+    blocks: dict[tuple[int, ...], int] = {}  # each monomial's block, in order of first use
+    exponents: dict[str, int] = {}  # each exponent token is parsed once, to its block
+    cells: dict[tuple[str, str], int] = {}  # (row, col) tokens "1".."n": r n + c
     for line_no, toks in _lines(text):
         head = toks[0]
         if head == "map":
@@ -201,12 +234,13 @@ def parse_map(text: str):
             map_kind = toks[1]
         elif head == "dim":
             dim = _dim(toks, line_no, dim)
+            cells = {(str(r + 1), str(c + 1)): r * dim + c for r in range(dim) for c in range(dim)}
         elif head == "t":
             if map_kind is None or dim is None:
                 raise FormatError("entries before the map/dim headers", line_no)
             if map_kind != "bilinear":
                 raise FormatError(f"t lines belong to bilinear maps, not {map_kind}", line_no)
-            _entry(toks, line_no, dim, tensor_entries)
+            _entry(toks, line_no, dim, entries, values)
         elif head == "m":
             if map_kind is None or dim is None:
                 raise FormatError("entries before the map/dim headers", line_no)
@@ -214,25 +248,26 @@ def parse_map(text: str):
                 raise FormatError("m lines belong to poly maps, not bilinear", line_no)
             if len(toks) != 6 or toks[4] != "=":
                 raise FormatError("expected: m (a1,...,an) r c = p/q", line_no)
-            alpha = exponents.get(toks[1])
-            if alpha is None:
-                alpha = exponents[toks[1]] = _parse_exponents(toks[1], line_no, dim)
-            i = _index(toks[2], line_no, dim, "row") * dim + _index(toks[3], line_no, dim, "col")
-            if (alpha, i) in poly_entries:
+            b = exponents.get(toks[1])
+            if b is None:
+                alpha = _parse_exponents(toks[1], line_no, dim)
+                b = exponents[toks[1]] = blocks.setdefault(alpha, len(blocks))
+            i = cells.get((toks[2], toks[3]))
+            if i is None:
+                i = _index(toks[2], line_no, dim, "row") * dim + _index(toks[3], line_no, dim, "col")
+            at = b * dim * dim + i
+            if at in entries:
                 raise FormatError("duplicate poly map entry", line_no)
-            poly_entries[alpha, i] = _ratio(toks[5], line_no)
+            entries[at] = _value(toks[5], line_no, values)
         else:
             raise FormatError(f"unrecognized directive {head!r}", line_no)
     if map_kind is None or dim is None:
         raise FormatError("missing map or dim header")
     if map_kind == "bilinear":
-        return BilinearTensor.from_entries(dim, tensor_entries)
-    den = math.lcm(*{q for _, q in poly_entries.values()})
-    ints = {alpha: [0] * (dim * dim) for alpha, _ in poly_entries}
-    for (alpha, i), (p, q) in poly_entries.items():
-        ints[alpha][i] = p * (den // q)
+        return _tensor(dim, entries)
+    den, ints = _integer_form(len(blocks) * dim * dim, entries)
     cls = PolyRightMap if map_kind == "polyright" else PolyLeftMap
-    return cls._of(dim, *_stacked(dim, den, ints))
+    return cls._of(dim, *_stacked(dim, den, dict(zip(blocks, _blocks(ints, dim)))))
 
 
 def serialize_map(obj) -> str:

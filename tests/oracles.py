@@ -36,7 +36,9 @@ the package runs through integer powers and the nonzero structure constants.
 The two-sided space reference applies the `Der` rows to the transposed block matrix
 of the right basis, where the package reads the right basis's sparse rows.
 The scalar polynomial drawer sums each monomial's coefficients as `Fraction`s,
-where the package sums them in integer halves.
+where the package sums them in integer halves. The per-entry operand reader
+slices every row of every block and tests each entry, where the package
+visits only the nonzero positions of a block.
 """
 
 import math
@@ -48,7 +50,8 @@ from biderlie.algebras import bracket
 from biderlie.biderivations import left_bider_bilinear_space, right_bider_bilinear_space
 from biderlie.derivations import derivation_rows
 from biderlie.bilinear import BilinearTensor
-from biderlie.brackets import PolyRightMap, random_multi_index, random_ratio
+from biderlie.brackets import (PolyRightMap, _blocks, _PolyMap, random_multi_index,
+                               random_ratio)
 from biderlie.linalg import (Matrix, SubspaceBasis, basis_vector, mat_commutator, random_below,
                              solve_over, vector)
 from biderlie.scalar_maps import ScalarPoly
@@ -413,6 +416,21 @@ def bracket_terms_per_pair(t1, t2):
             cur = acc.get(g)
             acc[g] = comm if cur is None else cur + comm
     return {g: m for g, m in acc.items() if not m.is_zero()}
+
+
+def read_per_entry(X):
+    """A bracket operand as `brackets._read` gives it, read as the package once read it:
+    every n x n block sliced row by row and every entry tested, the entries (r n, k, v)
+    collected from the sparse rows."""
+    if isinstance(X, _PolyMap):
+        X = X.tall.den, dict(zip(X.monomials, _blocks(X.tall.ints, X.dim)))
+    out = []
+    for a, flat in X[1].items():
+        if any(flat):
+            n = math.isqrt(len(flat))
+            rows = [[(k, v) for k, v in enumerate(flat[r:r + n]) if v] for r in range(0, n * n, n)]
+            out.append((a, [(r * n, k, v) for r, row in enumerate(rows) for k, v in row], rows))
+    return X[0], out
 
 
 def poly_value_reference(terms, v):

@@ -9,6 +9,7 @@ from biderlie import (Algebra, BilinearTensor, bider_space, builtin, derivation_
                       opposite, skew_symmetrize, symmetrize)
 from biderlie import derivations, linalg
 import biderlie.verify as verify_module
+from biderlie.algebras import bider_scan
 from biderlie.biderivations import (basis_tensors, left_residual, right_residual,
                                     spaces_intersection)
 from biderlie.cli import heisenberg_example_maps
@@ -427,10 +428,15 @@ def _one_row_short(A):
 _SPACE_CHECKS = ("right-space-is-derivation-valued", "left-space-is-derivation-valued",
                  "right-space-members-pass-predicate", "left-space-members-pass-predicate",
                  "biderivation-space-members-pass-both", "biderivation-space-is-intersection")
+def _sides_swapped(A, ints, side):
+    return bider_scan(A, ints, "left" if side == "right" else "right")
+
+
 _SPACE_FAULTS = {  # the name in `verify` replaced, and what replaces it
     "both-is-right": ("bider_space", right_bider_bilinear_space),
     "right-one-row-short": ("right_bider_bilinear_space", _one_row_short),
     "left-is-right": ("left_bider_bilinear_space", right_bider_bilinear_space),
+    "scan-sides-swapped": ("bider_scan", _sides_swapped),
 }
 # the spaces suite's (status, witness) per check on heisenberg3, in _SPACE_CHECKS order,
 # under each fault: which checks catch it is pinned, and which let it through.
@@ -442,6 +448,8 @@ _SPACE_PINNED = {
     "right-one-row-short": [("fail", None)] + [("pass", None)] * 5,
     "left-is-right": [("pass", None), ("fail", None), ("pass", None), ("fail", None),
                       ("pass", None), ("pass", None)],
+    # only the members scans see it; the two-sided space is scanned on both sides anyway
+    "scan-sides-swapped": [("pass", None)] * 2 + [("fail", None)] * 2 + [("pass", None)] * 2,
 }
 
 
@@ -452,6 +460,15 @@ def test_spaces_suite_under_each_fault(monkeypatch, fault):
     results = verify_module.space_suite(builtin("heisenberg3"))
     assert [(r.suite, r.identity) for r in results] == [("spaces", c) for c in _SPACE_CHECKS]
     assert [(r.status, r.witness) for r in results] == _SPACE_PINNED[fault]
+
+
+@pytest.mark.parametrize("name", ["L3", "sl2", "L4"])
+def test_swapped_scan_sides_fail_the_members_scans_only(monkeypatch, name):
+    # the right and left spaces differ on these as on heisenberg3, so each one-sided
+    # members scan, asked on the other side, fails
+    monkeypatch.setattr(verify_module, *_SPACE_FAULTS["scan-sides-swapped"])
+    results = verify_module.space_suite(builtin(name))
+    assert [(r.status, r.witness) for r in results] == _SPACE_PINNED["scan-sides-swapped"]
 
 
 def _one_row_outside(A):

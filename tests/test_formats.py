@@ -52,6 +52,8 @@ def test_duplicate_entry_reports_line():
     ("algebra x\ndim 3\nkind lie\nc 1 1 = 1\n", "expected"),
     ("algebra x\ndim 0\nkind lie\n", "positive"),
     ("algebra x\nalgebra y\ndim 2\nkind lie\n", "duplicate"),
+    (HEISENBERG_FILE + "c 01 2 3 = 1\n", "line 7: duplicate entry c 1 2 3"),  # two spellings
+    (HEISENBERG_FILE + "c 1 +2 3 = 1\n", "line 7: duplicate entry c 1 2 3"),
     ("algebra x\ndim 2\n", "missing"),
     ("frobnicate 3\n", "unrecognized"),
 ])
@@ -276,6 +278,46 @@ def test_literals_read_as_fraction_reads_them(tok):
                                 (1, 0): Matrix([[0, want], [0, 0]])})
 
 
+@pytest.mark.parametrize("tok", LITERALS, ids=lambda tok: ascii(tok)[:16])
+def test_tensor_literals_read_as_fraction_reads_them(tok):
+    # algebra `c` lines and bilinear `t` lines read a value as `m` lines do
+    try:
+        want = F(tok)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    texts = {"c": f"algebra x\ndim 2\nkind generic\nc 2 2 1 = 1/3\nc 1 2 1 = {tok}\n",
+             "t": f"map bilinear\ndim 2\nt 2 2 1 = 1/3\n# a comment\nt 1 2 1 = {tok}\n"}
+    for head, text in texts.items():
+        parse = parse_algebra if head == "c" else parse_map
+        if want is None:
+            with pytest.raises(FormatError) as exc:
+                parse(text)
+            assert str(exc.value) == f"line 5: not a rational literal: {tok!r}"
+            assert exc.value.line_no == 5
+            continue
+        got = parse(text)
+        B = got.product if head == "c" else got
+        assert B == BilinearTensor.from_entries(2, {(1, 1, 0): F(1, 3), (0, 1, 0): want})
+        assert B.t[0][1][0] == want
+
+
+def test_plain_literal_tensor_files_are_read_without_a_fraction(monkeypatch):
+    # an algebra file and a bilinear map file as their serializers write them
+    A = Algebra.from_entries("mixed", 3, {(0, 1, 2): F(-5, 6), (1, 0, 2): F(5, 6),
+                                          (2, 2, 0): 7, (1, 2, 1): F(1, 2)}, "generic")
+    B = BilinearTensor.from_entries(3, {(0, 0, 0): -1, (2, 1, 0): F(4, 3)})
+    alg_text, map_text = serialize_algebra(A), serialize_map(B)
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("built a Fraction while reading plain literals")
+
+    monkeypatch.setattr(F, "__new__", staticmethod(refuse))
+    again, tensor = parse_algebra(alg_text), parse_map(map_text)
+    monkeypatch.undo()
+    assert again == A and serialize_algebra(again) == alg_text
+    assert tensor == B and serialize_map(tensor) == map_text
+
+
 def test_plain_literals_are_read_without_a_fraction():
     # the text serialize_map writes holds only plain p and p/q, which parse by `int`
     P = PolyLeftMap(3, {(1, 0, 2): Matrix([[1, 0, F(-5, 6)], [0, F(1, 2), 0], [0, 0, -7]]),
@@ -321,6 +363,8 @@ def test_serialize_map_matches_the_per_entry_writer():
 @pytest.mark.parametrize("body,fragment", [
     ("m (1,0) 1 1 = 0\nm (1,0) 1 1 = 1\n", "duplicate"),   # a zero entry still counts
     ("m (1,0) 1 1 = 1\nm (01,0) 1 1 = 2\n", "duplicate"),  # one monomial, two spellings
+    ("m (1,0) 1 1 = 1\nm (1,0) 01 1 = 2\n", "duplicate"),  # one cell, two spellings
+    ("m (1,0) 2 +1 = 1\nm (1,0) 2 1 = 2\n", "duplicate"),
     ("m (1,0) 1 1 = 1/0\n", "rational"),
     ("m (1,0) 1 1 = 1\nm (1,0) 1 3 = 1\n", "out of range"),
 ])
