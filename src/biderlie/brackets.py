@@ -362,9 +362,15 @@ def lhd(B1: PolyLeftMap, B2: PolyLeftMap) -> PolyLeftMap:
     return PolyLeftMap._of(B1.dim, *_stacked(B1.dim, *raw))
 
 
+_SPAN_2 = [[Ratio(p - 2, q + 1) for q in range(2)] for p in range(5)]  # every draw at span 2
+
+
 def random_ratios(rng: random.Random, count: int, span: int = 2) -> list[Ratio]:
-    """`count` ratios p/q, p in -span..span and q in 1..span, drawn as randint would."""
+    """`count` ratios p/q, p in -span..span and q in 1..span, drawn as randint would. At
+    the sampled suites' span, 2, each is one of ten shared (immutable) ratios."""
     draws = random_below(rng, (2 * span + 1, span) * count)
+    if span == 2:
+        return [_SPAN_2[p][q] for p, q in zip(draws[::2], draws[1::2])]
     return [Ratio(p - span, q + 1) for p, q in zip(draws[::2], draws[1::2])]
 
 
@@ -398,13 +404,16 @@ def _random_map(rng: random.Random, base, derivations: Sequence[Matrix], n: int)
 
 
 def _raw_combination(coeffs: Sequence[int | Ratio], forms) -> tuple[int, RawTerms]:
-    """sum_i coeffs[i] * forms[i] for raw forms (den, terms), in integers, not reduced."""
-    den = math.lcm(*(f.denominator * d for f, (d, _) in zip(coeffs, forms)))
+    """sum_i coeffs[i] * forms[i] for raw forms (den, terms), in integers, not reduced:
+    per monomial, each form is added by `map`, and a factor of 1 multiplies nothing."""
+    den = math.lcm(*[f.denominator * d for f, (d, _) in zip(coeffs, forms)])
     out: RawTerms = {}
     for f, (d, terms) in zip(coeffs, forms):
         k = f.numerator * (den // (f.denominator * d))
         for g, flat in terms.items():
-            out[g] = [x + k * y for x, y in zip(out.get(g) or [0] * len(flat), flat)]
+            scaled = flat if k == 1 else map(k.__mul__, flat)
+            acc = out.get(g)
+            out[g] = list(scaled) if acc is None else list(map(operator.add, acc, scaled))
     return den, out
 
 

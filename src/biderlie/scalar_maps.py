@@ -10,7 +10,11 @@ the right bracket, with
 
 and it integrates: for a derivation F, s -> exp(sF) is a one-parameter
 curve of automorphisms whose derivative at 0, scaled by g(y), recovers
-B(x, y). `exp_curve_check` verifies that numerically with central
+B(x, y). The family's maps are built in integers: `to_poly_right` writes
+the tall matrix of g(y) F(x) straight from g's coefficients and F's
+integer form, with no `Fraction` matrix c F per monomial, and `ScalarPoly`
+sums and products keep their terms through a trusted constructor.
+`exp_curve_check` verifies the curve numerically with central
 differences; it is the only floating-point code in the package. The
 central difference tends to F for any matrix F, so only its derivation
 guard tells a derivation apart. `power_leibniz_witness` checks the
@@ -57,6 +61,13 @@ class ScalarPoly:
         self.coeffs = clean
 
     @classmethod
+    def _of(cls, dim: int, coeffs: dict[MultiIndex, Fraction]) -> "ScalarPoly":
+        # trusted constructor: valid multi-indices and nonzero Fractions, kept as given
+        g = object.__new__(cls)
+        g.dim, g.coeffs = dim, coeffs
+        return g
+
+    @classmethod
     def zero(cls, dim: int) -> "ScalarPoly":
         return cls(dim, {})
 
@@ -85,7 +96,7 @@ class ScalarPoly:
         acc = dict(self.coeffs)
         for a, v in other.coeffs.items():
             acc[a] = acc.get(a, _ZERO) + v
-        return ScalarPoly(self.dim, acc)
+        return ScalarPoly._of(self.dim, {a: v for a, v in acc.items() if v})
 
     def __mul__(self, other):
         if isinstance(other, ScalarPoly):
@@ -96,10 +107,10 @@ class ScalarPoly:
                 for b, vb in other.coeffs.items():
                     g = tuple(x + y for x, y in zip(a, b))
                     acc[g] = acc.get(g, _ZERO) + va * vb
-            return ScalarPoly(self.dim, acc)
+            return ScalarPoly._of(self.dim, {a: v for a, v in acc.items() if v})
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return ScalarPoly(self.dim, {a: f * v for a, v in self.coeffs.items()})
+            return ScalarPoly._of(self.dim, {a: f * v for a, v in self.coeffs.items() if f})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -139,8 +150,15 @@ class ScalarTimesDerivation:
 
 
 def to_poly_right(s: ScalarTimesDerivation) -> PolyRightMap:
-    """Expand g(y) F(x) into monomial terms: one coefficient c_a F per monomial."""
-    return PolyRightMap(s.dim, {a: c * s.F for a, c in s.g.coeffs.items()})
+    """Expand g(y) F(x) into monomial terms c_a F, in integers: over L * F.den, L the lcm
+    of the denominators of the c_a, block a of the tall matrix is (L c_a) * F.ints. The c_a
+    are nonzero, so a block is all zero only when F is, and then the map is zero."""
+    n, F, coeffs = s.dim, s.F, s.g.coeffs
+    den = math.lcm(*[c.denominator for c in coeffs.values()])
+    monomials = tuple(sorted(coeffs)) if any(F.ints) else ()
+    scales = [coeffs[a].numerator * (den // coeffs[a].denominator) for a in monomials]
+    return PolyRightMap._of(n, monomials, Matrix._of(
+        len(monomials) * n, n, den * F.den, [k * x for k in scales for x in F.ints]))
 
 
 def decompose_by_basis(P: PolyRightMap) -> list[list[ScalarPoly]]:
@@ -324,21 +342,22 @@ def exp_curve_check(A: Algebra, s: ScalarTimesDerivation,
         raise ValueError("h_list must not be empty")
     f_mat = _to_float_matrix(s.F)
     samples = [basis_vector(i, n) for i in range(n)] + [(Fraction(1),) * n]
-    points = [(x, y) for x in samples for y in samples]
+    # g(y) and F x once for all steps; the points (x, y) run over samples x samples
+    g_vals = [float(s.g.evaluate(y)) for y in samples]
+    xs = [([float(v) for v in x], [float(v) for v in s.F.apply(x)]) for x in samples]
     errors = []
     for h in hs:
         eplus = expm_float([[x * h for x in row] for row in f_mat])
         eminus = expm_float([[-x * h for x in row] for row in f_mat])
         worst = 0.0
-        for x, y in points:
-            g_val = float(s.g.evaluate(y))
-            xf = [float(v) for v in x]
-            diff = [(p - q) * g_val / (2.0 * h)
-                    for p, q in zip(_mat_vec_f(eplus, xf), _mat_vec_f(eminus, xf))]
-            ref = [g_val * float(v) for v in s.F.apply(x)]
-            err = math.sqrt(sum((d - r) ** 2 for d, r in zip(diff, ref)))
-            ref_norm = math.sqrt(sum(r * r for r in ref))
-            worst = max(worst, err / ref_norm if ref_norm > 0 else err)
+        for xf, fx in xs:
+            steps = [p - q for p, q in zip(_mat_vec_f(eplus, xf), _mat_vec_f(eminus, xf))]
+            for g_val in g_vals:
+                diff = [d * g_val / (2.0 * h) for d in steps]
+                ref = [g_val * v for v in fx]
+                err = math.sqrt(sum((d - r) ** 2 for d, r in zip(diff, ref)))
+                ref_norm = math.sqrt(sum(r * r for r in ref))
+                worst = max(worst, err / ref_norm if ref_norm > 0 else err)
         errors.append((h, worst))
     orders = []
     for (h1, e1), (h2, e2) in zip(errors, errors[1:]):

@@ -188,7 +188,7 @@ def _random_scalar_poly(rng: random.Random, n: int, max_degree: int = 2) -> Scal
         alpha = random_multi_index(rng, n, max_degree)
         p, q = random_below(rng, (5, 2))
         halves[alpha] = halves.get(alpha, 0) + (p - 2) * (2 - q)
-    return ScalarPoly(n, {a: Fraction(h, 2) for a, h in halves.items() if h})
+    return ScalarPoly._of(n, {a: Fraction(h, 2) for a, h in halves.items() if h})
 
 
 def _random_matrix(rng: random.Random, n: int) -> Matrix:

@@ -36,9 +36,11 @@ the package runs through integer powers and the nonzero structure constants.
 The two-sided space reference applies the `Der` rows to the transposed block matrix
 of the right basis, where the package reads the right basis's sparse rows.
 The scalar polynomial drawer sums each monomial's coefficients as `Fraction`s,
-where the package sums them in integer halves. The per-entry operand reader
-slices every row of every block and tests each entry, where the package
-visits only the nonzero positions of a block.
+where the package sums them in integer halves. The scalar-family expansion
+builds one `Fraction` matrix c_a F per monomial and a map from them, where the
+package writes the tall integer matrix from g's coefficients and F's integer
+form. The per-entry operand reader slices every row of every block and tests
+each entry, where the package visits only the nonzero positions of a block.
 """
 
 import math
@@ -668,3 +670,9 @@ def random_scalar_poly_fractions(rng, n, max_degree=2):
         alpha = random_multi_index(rng, n, max_degree)
         coeffs[alpha] = coeffs.get(alpha, Fraction(0)) + Fraction(*random_ratio(rng))
     return ScalarPoly(n, coeffs)
+
+
+def to_poly_right_fractions(s):
+    """`scalar_maps.to_poly_right` as the package once built it: the `Fraction` matrix
+    c * F for each coefficient c of g, through the validating `PolyRightMap` constructor."""
+    return PolyRightMap(s.dim, {a: c * s.F for a, c in s.g.coeffs.items()})

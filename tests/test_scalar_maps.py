@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from biderlie import scalar_maps, verify
 from biderlie.scalar_maps import bracket_matches_poly_form, power_leibniz_witness
 
 from helpers import random_rational_vector
-from oracles import evaluate_decomposition, power_leibniz_reference, random_scalar_poly_fractions
+from oracles import (evaluate_decomposition, power_leibniz_reference,
+                     random_scalar_poly_fractions, to_poly_right_fractions)
 
 F = Fraction
 
@@ -64,6 +66,40 @@ def test_to_poly_right_evaluation_agreement(heisenberg):
         expected = tuple(g.evaluate(y) * v for v in F_mat.apply(x))
         assert p.evaluate(x, y) == expected
         assert s.evaluate(x, y) == expected
+
+
+def test_to_poly_right_matches_the_fraction_reference():
+    # the integer expansion against one `Fraction` matrix c * F per monomial through the
+    # validating constructor: equal maps with the very same tall integers, for signed
+    # coefficients over 1..6, one- and four-term g, and rational, integer and zero F
+    rng = random.Random(8)
+    for n in (1, 2, 3, 4):
+        pool = list(itertools.product(range(4), repeat=n))
+        mats = [Matrix.zeros(n, n), Matrix.identity(n)] + [
+            Matrix([[F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)]
+                    for _ in range(n)]) for _ in range(6)]
+        for terms in (1, 4):
+            for F_mat in mats:
+                coeffs = {a: F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+                          for a in rng.sample(pool, terms)}
+                s = ScalarTimesDerivation(ScalarPoly(n, coeffs), F_mat)
+                got, want = to_poly_right(s), to_poly_right_fractions(s)
+                assert got == want
+                assert (got.monomials, got.tall.den, got.tall.ints) == (
+                    want.monomials, want.tall.den, want.tall.ints)
+                assert got.is_zero() == F_mat.is_zero()
+
+
+def test_scalar_poly_sums_and_products_drop_cancelled_terms():
+    # the trusted results keep no zero coefficient, as the validating constructor would not
+    y0, y1 = coord(0), coord(1)
+    one = ScalarPoly.constant(3, 1)
+    assert (y0 + -1 * y0).coeffs == {} and (y0 + -1 * y0).is_zero()
+    assert ((one + y1) * (one + -1 * y1)).coeffs == {(0, 0, 0): F(1), (0, 2, 0): F(-1)}
+    assert (0 * (y0 + y1)).is_zero() and (y0 * F(1, 2)).coeffs == {(1, 0, 0): F(1, 2)}
+    for g in ((one + y1) * y0, y0 + y1 * F(2, 3), 3 * y1):
+        assert g == ScalarPoly(3, g.coeffs)
+        assert all(type(v) is Fraction and v for v in g.coeffs.values())
 
 
 def test_decompose_scalar_class_map(diag_derivation):
@@ -319,3 +355,76 @@ def test_scalar_poly_drawer_matches_the_fraction_reference():
                 assert list(got.coeffs.items()) == list(want.coeffs.items())
                 assert all(type(v) is Fraction for v in got.coeffs.values())
         assert ours.getstate() == theirs.getstate()
+
+
+# --- the scalar-class suite under injected faults -------------------------------
+
+def _drops_last_monomial(s):
+    P = to_poly_right(s)
+    n, keep = P.dim, len(P.monomials) - 1
+    if keep < 0:
+        return P
+    return PolyRightMap._of(n, P.monomials[:-1],
+                            Matrix._of(keep * n, n, P.tall.den, P.tall.ints[:keep * n * n]))
+
+
+def _swapped_class_bracket(s1, s2):
+    return ScalarTimesDerivation(s1.g * s2.g, commutator(s2.F, s1.F))
+
+
+def _half_step_expm(m, expm=scalar_maps.expm_float):
+    return expm([[x / 2 for x in row] for row in m])
+
+
+_NOT_DERIVATION = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])  # of heisenberg3, see above
+_SCALAR_FAULTS = {  # the names replaced, in `verify` or `scalar_maps`, and their replacements
+    "to-poly-right-drops-last-monomial": [(verify, "to_poly_right", _drops_last_monomial),
+                                          (scalar_maps, "to_poly_right", _drops_last_monomial)],
+    "class-bracket-swapped": [(scalar_maps, "class_bracket", _swapped_class_bracket)],
+    "expm-half-step": [(scalar_maps, "expm_float", _half_step_expm)],
+    # a non-derivation as the only Der basis matrix, past the curve check's guard
+    "curve-guard-bypassed": [(scalar_maps, "is_derivation", lambda A, m: True),
+                             (verify, "derivation_matrices", lambda A: [_NOT_DERIVATION])],
+}
+_SCALAR_CHECKS = ("derivation-equivalence-sweep", "bracket-stays-in-family", "one-parameter-curve")
+_PASS3 = [("pass", None)] * 3
+_L3_CURVE = ("skip", {"reason": "needs a Lie algebra"})
+# the scalar-class suite's (status, witness) per check, in _SCALAR_CHECKS order, on
+# heisenberg3 and L3 at seed 0 under each fault. Every check fails under some fault:
+# the sweep when a dropped monomial empties the map of a one-term g, the bracket check
+# under either wrong expansion or bracket, and the curve check, whose float part reads
+# only exp(sF), under a wrong exponential or, through its exact part alone, a
+# non-derivation. L3 is no Lie algebra, so its curve check is skipped
+_SCALAR_PINNED = {
+    None: {"heisenberg3": _PASS3, "L3": _PASS3[:2] + [_L3_CURVE]},
+    "to-poly-right-drops-last-monomial": {
+        "heisenberg3": [("fail", {"non_derivation_samples": 49}), ("fail", None), ("pass", None)],
+        "L3": [("fail", {"non_derivation_samples": 49}), ("fail", None), _L3_CURVE]},
+    "class-bracket-swapped": {
+        "heisenberg3": [("pass", None), ("fail", None), ("pass", None)],
+        "L3": [("pass", None), ("fail", None), _L3_CURVE]},
+    "expm-half-step": {
+        "heisenberg3": _PASS3[:2] + [("fail", {
+            "errors": [["1e-02", "5.000e-01"], ["1e-03", "5.000e-01"], ["1e-04", "5.000e-01"]],
+            "orders": ["-0.00", "-0.00"]})],
+        "L3": _PASS3[:2] + [_L3_CURVE]},
+    "curve-guard-bypassed": {
+        "heisenberg3": _PASS3[:2] + [("fail", {"k": 2, "pair": [1, 2]})]},
+}
+
+
+@pytest.mark.parametrize("fault,name", [(f, name) for f, per in _SCALAR_PINNED.items()
+                                        for name in per])
+def test_scalar_suite_under_each_fault(monkeypatch, fault, name):
+    for module, attr, value in _SCALAR_FAULTS.get(fault, ()):
+        monkeypatch.setattr(module, attr, value)
+    results = verify.scalar_suite(builtin(name))
+    assert [(r.suite, r.identity) for r in results] == [("scalar-class", c)
+                                                         for c in _SCALAR_CHECKS]
+    assert [(r.status, r.witness) for r in results] == _SCALAR_PINNED[fault][name]
+
+
+def test_every_scalar_check_fails_under_some_pinned_fault():
+    failed = {c for per in _SCALAR_PINNED.values() for results in per.values()
+              for c, (status, _) in zip(_SCALAR_CHECKS, results) if status == "fail"}
+    assert failed == set(_SCALAR_CHECKS)
