@@ -37,11 +37,12 @@ Lie-law suite checks all its samples' membership in one Leibniz scan.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .algebras import Algebra, failing_stacks
@@ -186,12 +187,19 @@ class _PolyMap:
                 f"degree={self.degree()})")
 
 
-def _stacked(n: int, den: int, ints: Mapping[MultiIndex, Sequence[int]]
+def _stacked(n: int, den: int, ints: dict[MultiIndex, Sequence[int]]
              ) -> tuple[tuple[MultiIndex, ...], Matrix]:
     """The monomials and tall matrix of the map whose monomial a has the coefficient
-    matrix ints[a] / den, n * n row-major integers; all-zero ones are dropped."""
+    matrix ints[a] / den, n * n row-major integers; all-zero ones are dropped.
+
+    The tall is a list, copied once into its tuple by `lowest_terms`: a tuple built
+    from an iterator is resized, which leaves short tuples on CPython's free lists.
+    Each block is taken out of `ints` (every caller builds it for this call) as it is
+    copied, so the blocks and the list are not alive at once beside the tuple."""
     monomials = tuple(sorted(a for a, flat in ints.items() if any(flat)))
-    tall = tuple(chain.from_iterable(map(ints.__getitem__, monomials)))
+    tall: list[int] = []
+    for a in monomials:
+        tall += ints.pop(a)
     return monomials, Matrix._of(len(monomials) * n, n, den, tall)
 
 
@@ -362,16 +370,18 @@ def lhd(B1: PolyLeftMap, B2: PolyLeftMap) -> PolyLeftMap:
     return PolyLeftMap._of(B1.dim, *_stacked(B1.dim, *raw))
 
 
-_SPAN_2 = [[Ratio(p - 2, q + 1) for q in range(2)] for p in range(5)]  # every draw at span 2
+@functools.cache
+def _ratio_table(span: int) -> list[list[Ratio]]:
+    """Every ratio p/q of a span, indexed [p + span][q - 1]; spans are small constants."""
+    return [[Ratio(p - span, q + 1) for q in range(span)] for p in range(2 * span + 1)]
 
 
 def random_ratios(rng: random.Random, count: int, span: int = 2) -> list[Ratio]:
-    """`count` ratios p/q, p in -span..span and q in 1..span, drawn as randint would. At
-    the sampled suites' span, 2, each is one of ten shared (immutable) ratios."""
+    """`count` ratios p/q, p in -span..span and q in 1..span, drawn as randint would, each
+    one of the span's shared (immutable) ratios."""
     draws = random_below(rng, (2 * span + 1, span) * count)
-    if span == 2:
-        return [_SPAN_2[p][q] for p, q in zip(draws[::2], draws[1::2])]
-    return [Ratio(p - span, q + 1) for p, q in zip(draws[::2], draws[1::2])]
+    table = _ratio_table(span)
+    return [table[p][q] for p, q in zip(draws[::2], draws[1::2])]
 
 
 def random_ratio(rng: random.Random, span: int = 2) -> Ratio:

@@ -32,7 +32,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebras import Algebra
-from .brackets import MultiIndex, PolyRightMap, is_right_bider_poly, monomial_value, rhd
+from .brackets import (MultiIndex, PolyRightMap, _stacked, is_right_bider_poly, monomial_value,
+                       rhd)
 from .derivations import commutator, is_derivation
 from .linalg import Matrix, Vector, basis_vector
 
@@ -151,14 +152,12 @@ class ScalarTimesDerivation:
 
 def to_poly_right(s: ScalarTimesDerivation) -> PolyRightMap:
     """Expand g(y) F(x) into monomial terms c_a F, in integers: over L * F.den, L the lcm
-    of the denominators of the c_a, block a of the tall matrix is (L c_a) * F.ints. The c_a
-    are nonzero, so a block is all zero only when F is, and then the map is zero."""
+    of the denominators of the c_a, block a of the tall matrix is (L c_a) * F.ints."""
     n, F, coeffs = s.dim, s.F, s.g.coeffs
     den = math.lcm(*[c.denominator for c in coeffs.values()])
-    monomials = tuple(sorted(coeffs)) if any(F.ints) else ()
-    scales = [coeffs[a].numerator * (den // coeffs[a].denominator) for a in monomials]
-    return PolyRightMap._of(n, monomials, Matrix._of(
-        len(monomials) * n, n, den * F.den, [k * x for k in scales for x in F.ints]))
+    scales = {a: c.numerator * (den // c.denominator) for a, c in coeffs.items()}
+    return PolyRightMap._of(n, *_stacked(n, den * F.den, {
+        a: [k * x for x in F.ints] for a, k in scales.items()}))
 
 
 def decompose_by_basis(P: PolyRightMap) -> list[list[ScalarPoly]]:

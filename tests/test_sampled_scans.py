@@ -249,9 +249,7 @@ def _peak(call):
 def test_sampled_suites_hold_one_run_of_samples_at_a_time():
     A = builtin("L2")
     for suite in (lambda k: symmetry_suite(A, samples=k), lambda k: scalar_suite(A, sweep_samples=k)):
-        # warm the caches and the interpreter's free lists to one run of samples first: the
-        # first traced call would otherwise count as its own the free-list blocks it fills
-        suite(200)
+        suite(1)  # warm the caches of imports and views before measuring
         assert _peak(lambda: suite(2000)) <= 2 * _peak(lambda: suite(200))
 
 
