@@ -99,14 +99,6 @@ class BilinearTensor:
         c = tuple(tuple(rows[i * n:(i + 1) * n]) for i in range(n))
         return m.den, c, tuple(tuple(rows[k::n]) for k in range(n))
 
-    def entries(self):
-        """The nonzero entries ((i, j, k), value), in ascending index order."""
-        n = self.dim
-        for p, row in enumerate(self.matrix.data):
-            for k, v in enumerate(row):
-                if v:
-                    yield (p // n, p % n, k), v
-
     def flatten(self) -> Vector:
         return tuple(x for row in self.matrix.data for x in row)
 

@@ -92,7 +92,7 @@ class _PolyMap:
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, Matrix]):
         for a, m in terms.items():
-            if len(a) != dim or any(e < 0 for e in a):
+            if len(a) != dim or any(type(e) is not int or e < 0 for e in a):
                 raise ValueError(f"bad multi-index {a} for dim {dim}")
             if m.rows != dim or m.cols != dim:
                 raise ValueError(f"coefficient matrix must be {dim}x{dim}")
@@ -346,7 +346,7 @@ def _bracket_terms(P1, row: Sequence) -> list[tuple[int, RawTerms]]:
 
 
 def _lhd_row(B1, row: Sequence) -> list[tuple[int, RawTerms]]:
-    """The kernel on read left maps, which carry the terms of their transposed right maps."""
+    """The transpose suite's left rows: the kernel, named apart as the `lhd-swapped` seam."""
     return _bracket_terms(B1, row)
 
 
@@ -366,7 +366,7 @@ def lhd(B1: PolyLeftMap, B2: PolyLeftMap) -> PolyLeftMap:
         raise TypeError("lhd expects two left maps")
     if B1.dim != B2.dim:
         raise ValueError("dimension mismatch")
-    [raw] = _lhd_row(_read(B1), [_read(B2)])
+    [raw] = _bracket_terms(_read(B1), [_read(B2)])
     return PolyLeftMap._of(B1.dim, *_stacked(B1.dim, *raw))
 
 
@@ -449,7 +449,7 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
     chunks = sample_chunks(samples, "samples")
     right = side == "right"
     space = (right_bider_bilinear_space if right else left_bider_bilinear_space)(A)
-    convert, kernel = (from_tensor, _bracket_terms) if right else (from_tensor_left, _lhd_row)
+    convert = from_tensor if right else from_tensor_left
     n = A.dim
     base = _stack([convert(t) for t in basis_tensors(space, n)], n)
     ders = derivation_matrices(A)
@@ -468,11 +468,11 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
             members += [f1, f2, f3]
             b1, b2, b3 = map(_read, (r1, r2, r3))
             sum_12, sum_23 = (_read(_raw_combination((a, b), p)) for p in ((r1, r2), (r2, r3)))
-            [b31] = kernel(b3, [b1])
-            b23, b2_31 = kernel(b2, [b3, _read(b31)])
-            b11, b12, b13, b1_23, b1_sum = kernel(b1, [b1, b2, b3, _read(b23), sum_23])
-            [b3_12] = kernel(b3, [_read(b12)])
-            [sum_3] = kernel(sum_12, [b3])
+            [b31] = _bracket_terms(b3, [b1])
+            b23, b2_31 = _bracket_terms(b2, [b3, _read(b31)])
+            b11, b12, b13, b1_23, b1_sum = _bracket_terms(b1, [b1, b2, b3, _read(b23), sum_23])
+            [b3_12] = _bracket_terms(b3, [_read(b12)])
+            [sum_3] = _bracket_terms(sum_12, [b3])
             products.append([x for flat in b12[1].values() for x in flat])
             if bilin_bad is None and not (vanishes((-1, a, b), (sum_3, b13, b23))
                                           and vanishes((-1, a, b), (b1_sum, b12, b13))):

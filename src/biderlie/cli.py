@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .algebras import _ABELIAN_RE, MAX_DIM, Algebra, builtin, check_kind
@@ -25,9 +26,9 @@ from .biderivations import (basis_tensors, bider_space, is_bider, is_right_bider
                             right_bider_bilinear_space)
 from .brackets import (PolyLeftMap, PolyRightMap, counterexample_bracket, from_tensor,
                        from_tensor_left, lhd, rhd)
-from .derivations import derivation_space
-from .formats import FormatError, entry_lines, parse_algebra, parse_map, serialize_map
-from .linalg import Matrix
+from .derivations import derivation_matrices, derivation_space
+from .formats import (FormatError, entry_lines, parse_algebra, parse_map, serialize_map,
+                      text_rows)
 from .report import (all_ok, format_element, render_table, to_json_checks, triple_str,
                      witness_from_triple)
 from .verify import run_all
@@ -68,6 +69,11 @@ def _algebra_line(A: Algebra) -> str:
     return f"algebra {A.name} (dim {A.dim}, kind {A.kind})"
 
 
+def _witness_text(w) -> str:
+    return ", ".join(f"{side} = {format_element(getattr(w, side))}"
+                     for side in ("lhs", "rhs", "residual"))
+
+
 def cmd_check(args) -> int:
     A = _load_algebra(args.algebra)
     rep = check_kind(A)
@@ -79,40 +85,27 @@ def cmd_check(args) -> int:
         _emit_json(payload)
     else:
         print(_algebra_line(A))
-        if rep.ok:
-            print(f"kind check ({rep.kind}): pass")
-        else:
+        print(f"kind check ({rep.kind}): {'pass' if rep.ok else 'FAIL'}")
+        if not rep.ok:
             w = rep.witness
-            print(f"kind check ({rep.kind}): FAIL")
-            print(f"  {w.identity} fails at {triple_str(w.triple)}: "
-                  f"lhs = {format_element(w.lhs)}, rhs = {format_element(w.rhs)}, "
-                  f"residual = {format_element(w.residual)}")
+            print(f"  {w.identity} fails at {triple_str(w.triple)}: {_witness_text(w)}")
     return 0 if rep.ok else 1
-
-
-def _matrix_lines(m: Matrix) -> list[str]:
-    return ["  " + " ".join(str(x) for x in row) for row in m.data]
 
 
 def cmd_der(args) -> int:
     A = _load_algebra(args.algebra)
     space = derivation_space(A)
     if args.json:
-        basis = [[str(x) for x in v] for v in space.vectors]
         _emit_json({"command": "der", "algebra": A.name, "dim": A.dim, "kind": A.kind,
-                    "derivation_dim": space.dim, "basis_col_major": basis})
+                    "derivation_dim": space.dim, "basis_col_major": text_rows(space.basis)})
         return 0
     print(_algebra_line(A))
     print(f"dim Der = {space.dim}")
-    for idx, v in enumerate(space.vectors, start=1):
+    for idx, m in enumerate(derivation_matrices(A), start=1):
         print(f"basis matrix {idx}:")
-        for line in _matrix_lines(Matrix.from_col_major(v, A.dim)):
-            print(line)
+        for row in text_rows(m):
+            print("  " + " ".join(row))
     return 0
-
-
-def _tensor_lines(t: BilinearTensor) -> list[str]:
-    return ["  " + line for line in entry_lines(t, "t")] or ["  (zero)"]
 
 
 def cmd_bider(args) -> int:
@@ -122,16 +115,15 @@ def cmd_bider(args) -> int:
                     "both": ("biderivation space", bider_space)}[args.side]
     space = solve(A)
     if args.json:
-        basis = [[str(x) for x in v] for v in space.vectors]
         _emit_json({"command": "bider", "algebra": A.name, "dim": A.dim, "side": args.side,
-                    "space_dim": space.dim, "basis_flat": basis})
+                    "space_dim": space.dim, "basis_flat": text_rows(space.basis)})
         return 0
     print(_algebra_line(A))
     print(f"{label}: dim {space.dim}")
     for idx, t in enumerate(basis_tensors(space, A.dim), start=1):
         print(f"basis tensor {idx}:")
-        for line in _tensor_lines(t):
-            print(line)
+        for line in entry_lines(t, "t") or ["(zero)"]:
+            print("  " + line)
     return 0
 
 
@@ -192,6 +184,13 @@ def heisenberg_example_maps() -> tuple[Algebra, BilinearTensor, BilinearTensor]:
     return A, b1, b2
 
 
+def _nonzero_values(B: BilinearTensor) -> list[tuple[str, str, str]]:
+    """("e<i>", "e<j>", B(e_i, e_j) in the basis) for each basis pair whose value is not 0."""
+    d, c, _ = B.int_form()
+    return [(f"e{i + 1}", f"e{j + 1}", format_element([Fraction(x, d) for x in v]))
+            for i, plane in enumerate(c) for j, v in enumerate(plane) if any(v)]
+
+
 def cmd_example(args) -> int:
     if args.name not in ("heisenberg", "heisenberg3"):
         raise CliError(f"unknown example {args.name!r}; try: heisenberg")
@@ -201,9 +200,9 @@ def cmd_example(args) -> int:
     right_ok = is_right_bider(A, bracket)
     left_witness = left_bider_witness(A, bracket)
     expected = b1_ok and b2_ok and right_ok and left_witness is not None
+    values = _nonzero_values(bracket)
     if args.json:
-        nonzero = [{"x": f"e{i + 1}", "y": f"e{j + 1}", "value": format_element(bracket.t[i][j])}
-                   for i in range(3) for j in range(3) if any(bracket.t[i][j])]
+        nonzero = [{"x": x, "y": y, "value": v} for x, y, v in values]
         payload = {"command": "example", "algebra": A.name,
                    "b1_is_biderivation": b1_ok, "b2_is_biderivation": b2_ok,
                    "bracket_nonzero": nonzero, "bracket_is_right": right_ok,
@@ -216,26 +215,20 @@ def cmd_example(args) -> int:
     print("nonzero products: [e1,e2] = e3, [e2,e1] = -e3")
     for label, tensor in (("B1", b1), ("B2", b2)):
         print(f"{label} nonzero values:")
-        for i in range(3):
-            for j in range(3):
-                if any(tensor.t[i][j]):
-                    print(f"  {label}(e{i + 1},e{j + 1}) = {format_element(tensor.t[i][j])}")
+        for x, y, v in _nonzero_values(tensor):
+            print(f"  {label}({x},{y}) = {v}")
     print(f"B1 is a biderivation: {'yes' if b1_ok else 'NO'}")
     print(f"B2 is a biderivation: {'yes' if b2_ok else 'NO'}")
     print("B = rhd(B1,B2) on basis pairs (nonzero values only):")
-    for i in range(3):
-        for j in range(3):
-            if any(bracket.t[i][j]):
-                print(f"B(e{i + 1},e{j + 1}) = {format_element(bracket.t[i][j])}")
+    for x, y, v in values:
+        print(f"B({x},{y}) = {v}")
     print(f"B is a right biderivation: {'yes' if right_ok else 'NO'}")
     if left_witness is None:
         print("B is a left biderivation: yes (unexpected)")
     else:
         print("B is a left biderivation: no")
-        w = left_witness
-        print(f"left-condition witness at {triple_str(w.triple)}: "
-              f"lhs = {format_element(w.lhs)}, rhs = {format_element(w.rhs)}, "
-              f"residual = {format_element(w.residual)}")
+        print(f"left-condition witness at {triple_str(left_witness.triple)}: "
+              f"{_witness_text(left_witness)}")
     return 0 if expected else 1
 
 

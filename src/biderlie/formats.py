@@ -34,7 +34,9 @@ but a plain `p` or `p/q` by `int` with no `Fraction` built. Each distinct
 value token, and in a map file each distinct exponent vector, is parsed
 once per file; an `m` line's (row, col) pair spelled `1`..`n` is looked up
 in a table built at the `dim` header, and any other spelling (`01`, `+2`) is
-parsed. Only nonzero entries are written, each as `str(Fraction)` writes it.
+parsed. Only nonzero entries are written. Every writer, of these files and of
+the CLI's `der` and `bider` output, prints an integer entry x of a form over den
+through `Rationals`, as `str(Fraction(x, den))` would, with no `Fraction` built.
 Serialization is canonical: sorted indices, normalized rationals, so
 parse(serialize(x)) == x and serialized forms are diffable.
 """
@@ -71,21 +73,16 @@ def _lines(text: str):
             yield line_no, body.split()
 
 
-def _fraction(tok: str, line_no: int) -> Fraction:
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"not a rational literal: {tok!r}", line_no) from None
-
-
 def _ratio(tok: str, line_no: int) -> tuple[int, int]:
     """`Fraction(tok)` as (numerator, denominator): a plain literal by `int` and one `gcd`."""
     m = _PLAIN.fullmatch(tok)
     if m and (q := int(m[2] or 1)):
         g = math.gcd(p := int(m[1]), q)
         return p // g, q // g
-    x = _fraction(tok, line_no)
-    return x.numerator, x.denominator
+    try:
+        return Fraction(tok).as_integer_ratio()
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"not a rational literal: {tok!r}", line_no) from None
 
 
 def _index(tok: str, line_no: int, dim: int, what: str = "index") -> int:
@@ -150,9 +147,30 @@ def _tensor(dim: int, entries: dict[int, tuple[int, int]]) -> BilinearTensor:
     return BilinearTensor._of(dim, Matrix._of(dim * dim, dim, *_integer_form(dim ** 3, entries)))
 
 
+class Rationals(dict):
+    """x -> the text of `str(Fraction(x, den))` for one denominator den > 0, the one
+    place a writer turns an integer entry into text: each distinct x is reduced once."""
+
+    def __init__(self, den: int):
+        self.den = den
+
+    def __missing__(self, x: int) -> str:
+        g = math.gcd(x, den := self.den)
+        text = self[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+        return text
+
+
+def text_rows(m: Matrix) -> list[list[str]]:
+    """The rows of m, each entry as `str(Fraction)` writes it, read from the integer form."""
+    text, c = Rationals(m.den).__getitem__, m.cols
+    return [list(map(text, m.ints[p:p + c])) for p in range(0, m.rows * c, c)]
+
+
 def entry_lines(B: BilinearTensor, head: str) -> list[str]:
     """One `<head> i j k = p/q` line per nonzero entry of B, 1-based, in index order."""
-    return [f"{head} {i + 1} {j + 1} {k + 1} = {v}" for (i, j, k), v in B.entries()]
+    n, ints, text = B.dim, B.matrix.ints, Rationals(B.matrix.den)
+    return [f"{head} {p // n // n + 1} {p // n % n + 1} {p % n + 1} = {text[x]}"
+            for p, x in compress(enumerate(ints), ints)]
 
 
 def parse_algebra(text: str) -> Algebra:
@@ -272,22 +290,17 @@ def parse_map(text: str):
 
 def serialize_map(obj) -> str:
     """Canonical text for a tensor or poly map; inverse of `parse_map`. A poly map is
-    written from its tall matrix, each entry x / den reduced to `str(Fraction)`'s text."""
+    written from the nonzero entries of its tall matrix."""
     if isinstance(obj, BilinearTensor):
         return "\n".join(["map bilinear", f"dim {obj.dim}"] + entry_lines(obj, "t")) + "\n"
     if isinstance(obj, (PolyRightMap, PolyLeftMap)):
         kind = "polyright" if isinstance(obj, PolyRightMap) else "polyleft"
-        n, den = obj.dim, obj.tall.den
+        n, text = obj.dim, Rationals(obj.tall.den)
         at = [f" {r + 1} {c + 1} = " for r in range(n) for c in range(n)]
-        text: dict[int, str] = {}  # each distinct entry is reduced once
         lines = [f"map {kind}", f"dim {n}"]
         for alpha, block in zip(obj.monomials, _blocks(obj.tall.ints, n)):
             head = "m (" + ",".join(map(str, alpha)) + ")"
             for pos, x in compress(zip(at, block), block):
-                v = text.get(x)
-                if v is None:
-                    g = math.gcd(x, den)
-                    v = text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
-                lines.append(f"{head}{pos}{v}")
+                lines.append(f"{head}{pos}{text[x]}")
         return "\n".join(lines) + "\n"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -53,7 +53,7 @@ class ScalarPoly:
     def __init__(self, dim: int, coeffs: Mapping[MultiIndex, Fraction]):
         clean: dict[MultiIndex, Fraction] = {}
         for a, v in coeffs.items():
-            if len(a) != dim or any(e < 0 for e in a):
+            if len(a) != dim or any(type(e) is not int or e < 0 for e in a):
                 raise ValueError(f"bad multi-index {a} for dim {dim}")
             v = Fraction(v)
             if v:

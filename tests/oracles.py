@@ -41,16 +41,21 @@ builds one `Fraction` matrix c_a F per monomial and a map from them, where the
 package writes the tall integer matrix from g's coefficients and F's integer
 form. The per-entry operand reader slices every row of every block and tests
 each entry, where the package visits only the nonzero positions of a block.
+The tensor, algebra and `der`/`bider` writers below print the `str` of each
+entry of the `Fraction` views (`Matrix.data`, `SubspaceBasis.vectors`), where
+the package prints the integer form through `formats.Rationals`.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import sympy
 
 from biderlie.algebras import bracket
-from biderlie.biderivations import left_bider_bilinear_space, right_bider_bilinear_space
-from biderlie.derivations import derivation_rows
+from biderlie.biderivations import (basis_tensors, bider_space, left_bider_bilinear_space,
+                                    right_bider_bilinear_space)
+from biderlie.derivations import derivation_rows, derivation_space
 from biderlie.bilinear import BilinearTensor
 from biderlie.brackets import (PolyRightMap, _blocks, _PolyMap, random_multi_index,
                                random_ratio)
@@ -676,3 +681,58 @@ def to_poly_right_fractions(s):
     """`scalar_maps.to_poly_right` as the package once built it: the `Fraction` matrix
     c * F for each coefficient c of g, through the validating `PolyRightMap` constructor."""
     return PolyRightMap(s.dim, {a: c * s.F for a, c in s.g.coeffs.items()})
+
+
+def entry_lines_reference(B, head):
+    """`formats.entry_lines` as the package once wrote it: every entry of the `Fraction`
+    rows of the tensor's matrix tested in index order, each nonzero one written by `str`."""
+    n = B.dim
+    return [f"{head} {p // n + 1} {p % n + 1} {k + 1} = {v}"
+            for p, row in enumerate(B.matrix.data) for k, v in enumerate(row) if v]
+
+
+def serialize_algebra_reference(A):
+    lines = [f"algebra {A.name}", f"dim {A.dim}", f"kind {A.kind}"]
+    return "\n".join(lines + entry_lines_reference(A.product, "c")) + "\n"
+
+
+def serialize_bilinear_reference(B):
+    return "\n".join(["map bilinear", f"dim {B.dim}"] + entry_lines_reference(B, "t")) + "\n"
+
+
+def _json_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def der_output_reference(A, as_json):
+    """`biderlie der` stdout as the CLI once wrote it, from the `Fraction` vectors of the
+    `Der` basis: each text matrix rebuilt from its vector by `Matrix.from_col_major`."""
+    space = derivation_space(A)
+    if as_json:
+        return _json_text({"command": "der", "algebra": A.name, "dim": A.dim, "kind": A.kind,
+                           "derivation_dim": space.dim,
+                           "basis_col_major": [[str(x) for x in v] for v in space.vectors]})
+    lines = [f"algebra {A.name} (dim {A.dim}, kind {A.kind})", f"dim Der = {space.dim}"]
+    for idx, v in enumerate(space.vectors, start=1):
+        lines.append(f"basis matrix {idx}:")
+        lines += ["  " + " ".join(str(x) for x in row)
+                  for row in Matrix.from_col_major(v, A.dim).data]
+    return "\n".join(lines) + "\n"
+
+
+def bider_output_reference(A, side, as_json):
+    """`biderlie bider --side <side>` stdout as the CLI once wrote it, from the `Fraction`
+    vectors of the space and the `Fraction` rows of each basis tensor."""
+    label, solve = {"right": ("right biderivation space (bilinear)", right_bider_bilinear_space),
+                    "left": ("left biderivation space (bilinear)", left_bider_bilinear_space),
+                    "both": ("biderivation space", bider_space)}[side]
+    space = solve(A)
+    if as_json:
+        return _json_text({"command": "bider", "algebra": A.name, "dim": A.dim, "side": side,
+                           "space_dim": space.dim,
+                           "basis_flat": [[str(x) for x in v] for v in space.vectors]})
+    lines = [f"algebra {A.name} (dim {A.dim}, kind {A.kind})", f"{label}: dim {space.dim}"]
+    for idx, t in enumerate(basis_tensors(space, A.dim), start=1):
+        lines.append(f"basis tensor {idx}:")
+        lines += ["  " + line for line in entry_lines_reference(t, "t")] or ["  (zero)"]
+    return "\n".join(lines) + "\n"

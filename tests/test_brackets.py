@@ -81,6 +81,15 @@ def test_to_tensor_rejects_higher_degree():
         to_tensor_left(PolyLeftMap.single(3, (1, 1, 0), m))
 
 
+@pytest.mark.parametrize("cls", [PolyRightMap, PolyLeftMap])
+@pytest.mark.parametrize("alpha", [(0.5, 0), (1.0, 0), (True, 0), (0, F(1)), (-1, 0)])
+def test_poly_maps_refuse_exponents_that_are_not_ints(cls, alpha):
+    # a float exponent would evaluate to a float, and (1.0, 0) or (True, 0) would write
+    # a file that parse_map refuses
+    with pytest.raises(ValueError, match="bad multi-index"):
+        cls(2, {alpha: Matrix.identity(2)})
+
+
 def test_constant_derivation_term_is_right_bider(heisenberg):
     d = derivation_matrices(heisenberg)[0]
     p = PolyRightMap.single(3, (0, 0, 0), d)
@@ -975,7 +984,7 @@ _LIE_PINNED = {
 @pytest.mark.parametrize("mutant", list(_LIE_MUTANTS))
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
 def test_lie_law_suite_catches_broken_kernels(monkeypatch, mutant, name):
-    # the left suite's brackets go through _lhd_row, which calls the patched kernel.
+    # both sides of the suite call the patched kernel, _bracket_terms, directly.
     # The table was recorded when every bracket of the suite was a one-pair call
     # to a kernel that took maps only, and must not change
     A = builtin(name)

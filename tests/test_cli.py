@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from biderlie import (BilinearTensor, PolyRightMap, builtin, from_tensor, from_tensor_left, lhd,
-                      parse_map, rhd, serialize_algebra)
+from biderlie import (BUILTIN_NAMES, BilinearTensor, PolyRightMap, builtin, derivation_space,
+                      from_tensor, from_tensor_left, lhd, parse_algebra, parse_map, rhd,
+                      serialize_algebra)
 from biderlie.algebras import MAX_DEGREE, MAX_DIM, Algebra
 from biderlie import cli
 from biderlie.bilinear import random_tensor
@@ -18,6 +19,8 @@ from biderlie.brackets import _PolyMap
 from biderlie.cli import heisenberg_example_maps, main
 from biderlie.formats import serialize_map
 from biderlie.linalg import Matrix
+
+from oracles import bider_output_reference, der_output_reference
 
 
 def run_cli(capsys, *argv):
@@ -436,3 +439,59 @@ def test_a_command_patched_after_the_first_call_is_the_one_that_runs(monkeypatch
     monkeypatch.setattr(cli, "cmd_bracket", lambda args: ops.append(args.op) or 7)
     assert main(["bracket", "a.map", "b.map", "--op", "lhd", "--algebra", "L2"]) == 7
     assert ops == ["lhd"]
+
+
+# [e1,e1] = -3/4 e2, [e1,e2] = 5/6 e3, [e2,e1] = 1/2 e3: Der and every biderivation
+# space of this algebra are over the denominator 9 (Der holds -16/9)
+_MIXED = Algebra.from_entries("mixed", 3, {(0, 0, 1): F(-3, 4), (0, 1, 2): F(5, 6),
+                                           (1, 0, 2): F(1, 2)}, "generic")
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("abelian(1)", "abelian(5)", "mixed.alg"))
+def test_der_and_bider_print_what_the_fraction_view_prints(capsys, tmp_path, monkeypatch, name):
+    # text and --json, byte for byte, against the writers that read `.vectors` and `.data`
+    monkeypatch.chdir(tmp_path)
+    Path("mixed.alg").write_text(serialize_algebra(_MIXED))
+    A = parse_algebra(Path(name).read_text()) if name.endswith(".alg") else builtin(name)
+    for flags in ([], ["--json"]):
+        assert run_cli(capsys, "der", name, *flags) == (0, der_output_reference(A, bool(flags)), "")
+        for side in ("right", "left", "both"):
+            assert run_cli(capsys, "bider", name, "--side", side, *flags) == (
+                0, bider_output_reference(A, side, bool(flags)), "")
+
+
+def test_l3_and_the_mixed_algebra_have_der_denominators_other_than_one():
+    # so the writers above print fractions, not only integers
+    assert derivation_space(builtin("L3")).basis.den == 2
+    assert derivation_space(_MIXED).basis.den == 9
+
+
+def test_writers_read_the_integer_form_alone(capsys, tmp_path, monkeypatch):
+    # der, bider, bracket and both serializers print with `Matrix.data` (and so
+    # `SubspaceBasis.vectors` and `BilinearTensor.t`) unreadable, and print the same
+    monkeypatch.chdir(tmp_path)
+    B = BilinearTensor.from_entries(3, {(0, 0, 2): F(-3, 4), (1, 2, 0): F(2, 5), (2, 1, 1): 3})
+    P = PolyRightMap(3, {(1, 0, 0): Matrix([[1, 0, 0], [0, F(1, 2), 0], [0, 0, F(-3, 4)]]),
+                         (0, 2, 1): Matrix([[0, 0, 0], [0, 0, 0], [-2, F(1, 3), 0]])})
+    runs = [["der", alg, *flags] for alg in ("L3", "mixed.alg") for flags in ([], ["--json"])]
+    runs += [["bider", alg, "--side", side, *flags] for alg in ("L3", "mixed.alg")
+             for side in ("right", "left", "both") for flags in ([], ["--json"])]
+    runs += [["bracket", m1, m2, "--op", op, "--algebra", "mixed.alg", *flags]
+             for op in ("rhd", "lhd") for m1, m2 in ((f"p-{op}.map", "t.map"), ("t.map", "t.map"))
+             for flags in ([], ["--json"])]
+
+    def outputs():
+        texts = [serialize_algebra(_MIXED), serialize_map(B), serialize_map(P),
+                 serialize_map(P.transpose())]
+        for name, text in zip(("mixed.alg", "t.map", "p-rhd.map", "p-lhd.map"), texts):
+            Path(name).write_text(text)
+        return texts, [run_cli(capsys, *argv) for argv in runs]
+
+    def refuse(self):
+        raise AssertionError("a writer read the Fraction view")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Matrix, "data", property(refuse))
+        blind = outputs()
+    assert blind == outputs()
+    assert all(code == 0 for code, _, _ in blind[1])

@@ -8,11 +8,13 @@ from biderlie import (BUILTIN_NAMES, Algebra, BilinearTensor, PolyLeftMap, PolyR
                       is_derivation, is_left_bider, is_left_bider_poly, is_right_bider,
                       is_right_bider_poly, left_bider_bilinear_space, parse_algebra,
                       right_bider_bilinear_space)
+import biderlie.algebras as algebras_module
 import biderlie.verify as verify
 from biderlie.cli import main
 from biderlie.algebras import failing_stacks
 from biderlie.derivations import derivation_rows
-from biderlie.linalg import Matrix, canonicalize, mat_commutator, solve_homogeneous
+from biderlie.linalg import (Matrix, add_product, canonicalize, mat_commutator,
+                             solve_homogeneous)
 
 from helpers import bench_inputs, random_rational_vector, spaces_scale_dense
 from oracles import (derivation_rows_dense, derivation_rows_reference, derives_reference,
@@ -329,3 +331,78 @@ def test_stacked_scan_matches_the_per_block_reference(A):
         for side, T in (("right", B), ("left", B.transpose())):
             want = derives_reference(A, _images(n, [T.column_map(j) for j in range(n)]))
             assert (is_right_bider if side == "right" else is_left_bider)(A, B) == want
+
+
+# --- every check of the kind and derivations suites can fail -------------------
+
+_KIND_DER_NAMES = ("heisenberg3", "sl2", "L3")
+
+
+def _unsigned_add_product(out, a, b, width, sign=1):
+    return add_product(out, a, b, width)
+
+
+def _anticommutator(a, b):
+    out = [0] * (a.rows * a.rows)
+    add_product(out, a.sparse, b.sparse, a.rows)
+    add_product(out, b.sparse, a.sparse, a.rows)
+    return Matrix._of(a.rows, a.rows, a.den * b.den, out)
+
+
+def _with_identity(A):
+    return derivation_matrices(A) + [Matrix.identity(A.dim)]
+
+
+def _jacobi_defect_plus_e1(c, i, j, k):
+    out = _JACOBI_DEFECT(c, i, j, k)
+    out[0] += 1
+    return out
+
+
+_JACOBI_DEFECT = algebras_module._jacobi_defect
+_KIND_DER_FAULTS = {  # the module and name replaced, and what replaces it
+    # only derivation_suite's Jacobi sums add a product with sign -1
+    "add-product-sign-ignored": (verify, "add_product", _unsigned_add_product),
+    "anticommutator": (verify, "mat_commutator", _anticommutator),
+    # the identity map is a derivation of no algebra with a nonzero product
+    "non-derivation-in-der": (verify, "derivation_matrices", _with_identity),
+    "jacobi-defect-offset": (algebras_module, "_jacobi_defect", _jacobi_defect_plus_e1),
+}
+_PASS = ("pass", None)
+_FAIL = ("fail", None)
+# kind_suite + derivation_suite, (status, witness) per check, on heisenberg3, sl2 and L3.
+# The Jacobi sum of anticommutators, [A,{B,C}] + [B,{C,A}] + [C,{A,B}], vanishes for
+# any matrices, so that fault fails closure alone. L3 is declared leibniz-left, so its
+# kind check is a Leibniz scan and no Jacobi sum; its Der is 2-dimensional, so every
+# triple repeats an index, and unsigned, the terms of [D_i, [D_i, D_k]] and
+# [D_i, [D_k, D_i]] still cancel
+_KIND_DER_PINNED = {
+    None: {name: [_PASS] * 4 for name in _KIND_DER_NAMES},
+    "add-product-sign-ignored": {"heisenberg3": [_PASS] * 3 + [_FAIL],
+                                 "sl2": [_PASS] * 3 + [_FAIL], "L3": [_PASS] * 4},
+    "anticommutator": {name: [_PASS, _PASS, _FAIL, _PASS] for name in _KIND_DER_NAMES},
+    "non-derivation-in-der": {name: [_PASS, _FAIL, _PASS, _PASS] for name in _KIND_DER_NAMES},
+    "jacobi-defect-offset": {
+        name: [("fail", {"identity": "jacobi", "triple": [3, 3, 3], "lhs": "0", "rhs": "e1",
+                         "residual": "e1"})] + [_PASS] * 3 for name in ("heisenberg3", "sl2")}
+    | {"L3": [_PASS] * 4},
+}
+
+
+@pytest.mark.parametrize("name", _KIND_DER_NAMES)
+@pytest.mark.parametrize("fault", _KIND_DER_PINNED)
+def test_kind_and_derivation_suites_under_each_fault(monkeypatch, fault, name):
+    if fault is not None:
+        monkeypatch.setattr(*_KIND_DER_FAULTS[fault])
+    A = builtin(name)
+    results = verify.kind_suite(A) + verify.derivation_suite(A)
+    assert [r.identity for r in results] == [
+        f"declared-kind-{A.kind}", "basis-satisfies-derivation-rule", "commutator-closure",
+        "commutator-jacobi"]
+    assert [(r.status, r.witness) for r in results] == _KIND_DER_PINNED[fault][name]
+
+
+def test_every_kind_and_derivation_check_fails_under_some_pinned_fault():
+    failing = {i for table in _KIND_DER_PINNED.values() for rows in table.values()
+               for i, (status, _) in enumerate(rows) if status == "fail"}
+    assert failing == {0, 1, 2, 3}

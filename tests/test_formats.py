@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biderlie import (BilinearTensor, FormatError, PolyLeftMap, PolyRightMap, builtin,
-                      parse_algebra, parse_map, serialize_algebra, serialize_map)
+from biderlie import (BUILTIN_NAMES, BilinearTensor, FormatError, PolyLeftMap, PolyRightMap,
+                      builtin, parse_algebra, parse_map, serialize_algebra, serialize_map)
 from biderlie.algebras import MAX_DEGREE, MAX_DIM, Algebra
 from biderlie.cli import heisenberg_example_maps
-from biderlie.formats import _ratio
+from biderlie.formats import Rationals, _ratio, entry_lines, text_rows
 from biderlie.linalg import Matrix
 
-from oracles import serialize_map_per_entry, serialize_map_reference
+from oracles import (entry_lines_reference, serialize_algebra_reference,
+                     serialize_bilinear_reference, serialize_map_per_entry,
+                     serialize_map_reference)
 
 F = Fraction
 
@@ -372,3 +374,45 @@ def test_poly_map_parse_errors_after_a_first_entry(body, fragment):
     with pytest.raises(FormatError) as exc:
         parse_map("map polyleft\ndim 2\n" + body)
     assert fragment in str(exc.value) and exc.value.line_no == 2 + body.count("\n")
+
+
+
+@given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
+def test_rationals_write_what_str_of_fraction_writes(x, den):
+    text = Rationals(den)
+    assert text[x] == str(F(x, den)) and text[-x] == str(F(-x, den))
+    assert text[x] is text[x]  # each distinct x is reduced once
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 4), st.integers(1, 4), st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=16, max_size=16))
+def test_text_rows_write_each_entry_of_the_fraction_rows(rows, cols, entries):
+    m = Matrix._from_flat(rows, cols, entries[:rows * cols])
+    assert text_rows(m) == [[str(x) for x in row] for row in m.data]
+
+
+def _mixed_tensor():
+    return BilinearTensor.from_entries(3, {(0, 0, 2): F(-3, 4), (1, 2, 0): F(2, 5),
+                                           (2, 1, 1): 3, (2, 2, 2): F(-7, 6)})
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("abelian(1)", "abelian(5)"))
+def test_tensor_writers_print_what_the_fraction_view_prints(name):
+    A = builtin(name)
+    assert serialize_algebra(A) == serialize_algebra_reference(A)
+    assert serialize_map(A.product) == serialize_bilinear_reference(A.product)
+
+
+def test_tensor_writers_print_rational_entries_as_the_fraction_view_does():
+    # -3/4 and -7/6 over one denominator of 60, and random tensors with mixed denominators
+    rng = random.Random("tensor-writers")
+    tensors = [_mixed_tensor()] + [BilinearTensor.from_flat(
+        [F(rng.randint(-9, 9), rng.randint(1, 8)) if rng.random() < 0.4 else 0
+         for _ in range(n ** 3)], n) for n in (1, 2, 3, 4) for _ in range(3)]
+    for B in tensors:
+        assert entry_lines(B, "t") == entry_lines_reference(B, "t")
+        assert serialize_map(B) == serialize_bilinear_reference(B)
+        A = Algebra("mixed", B.dim, B, "generic")
+        assert serialize_algebra(A) == serialize_algebra_reference(A)
+        assert parse_algebra(serialize_algebra(A)) == A

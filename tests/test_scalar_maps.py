@@ -290,6 +290,12 @@ def test_exp_curve_halving_ratio(heisenberg, diag_derivation):
         assert 3.5 <= a / b <= 4.5
 
 
+@pytest.mark.parametrize("alpha", [(0.5, 0), (1.0, 0), (True, 0), (0, Fraction(1)), (-1, 0)])
+def test_scalar_polys_refuse_exponents_that_are_not_ints(alpha):
+    with pytest.raises(ValueError, match="bad multi-index"):
+        ScalarPoly(2, {alpha: 1})
+
+
 def test_exp_curve_preconditions(heisenberg):
     bad = Matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(ValueError):
