@@ -12,7 +12,11 @@ drawn, in integers, and decides them all in one Leibniz scan per run of
 from __future__ import annotations
 
 import itertools
+import marshal
+import os
 import random
+import signal
+import threading
 from fractions import Fraction
 
 from .algebras import Algebra, bider_scan, check_kind, failing_stacks
@@ -249,22 +253,137 @@ def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[Ch
     return results
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _drain(queue: int, suites, done: dict, catch=Exception) -> None:
+    """Run the suites whose indices `queue` yields, one byte each, until it is empty.
+
+    A suite's exception is kept as its result. One that is not an `Exception`
+    (a `KeyboardInterrupt`) is kept too when `catch` allows it, and stops the drain.
+    """
+    while index := os.read(queue, 1):
+        i = index[0]
+        try:
+            done[i] = suites[i]()
+        except catch as exc:
+            done[i] = exc
+            if not isinstance(exc, Exception):
+                return
+
+
+def _worker(queue: int, out: int, suites) -> None:
+    """A forked worker: drain the queue, send `{index: results or exception}`, exit.
+
+    Results go as marshalled tuples, so that no pickle import weighs on every
+    run; an exception, which marshal cannot write, goes pickled.
+    """
+    code = 1
+    try:
+        done: dict = {}
+        _drain(queue, suites, done, BaseException)
+        for i, r in done.items():
+            if isinstance(r, BaseException):
+                import pickle
+                done[i] = pickle.dumps(r)
+            else:
+                done[i] = [(c.suite, c.identity, c.status, c.witness) for c in r]
+        with open(out, "wb") as f:
+            marshal.dump(done, f)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_suites(suites, order: bytes) -> dict:
+    """`{index: results or exception}` for every suite, run by this process and by
+    min(usable CPUs, suites) - 1 forked workers, which take the indices of `order`
+    from one pipe as each gets free. With one CPU, no `os.fork`, other threads in
+    this process or a failed fork, this process runs them all in turn."""
+    queue, feed = os.pipe()
+    os.write(feed, order)
+    os.close(feed)
+    workers: dict[int, int] = {}  # pid -> read end of its result pipe, until reaped
+    fds = [queue]
+    done: dict = {}
+    try:
+        if hasattr(os, "fork") and threading.active_count() == 1:
+            for _ in range(min(usable_cpus(), len(order)) - 1):
+                r, w = os.pipe()
+                fds.append(r)
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(w)
+                    break
+                if pid == 0:
+                    _worker(queue, w, suites)
+                os.close(w)
+                workers[pid] = r
+        _drain(queue, suites, done)
+        for pid, r in list(workers.items()):
+            with open(r, "rb", closefd=False) as f:
+                data = f.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[pid]
+            try:
+                sent = marshal.loads(data)
+            except Exception:
+                how = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
+                raise RuntimeError(f"verify worker {pid} ended without sending its suite "
+                                   f"results ({how})") from None
+            for i, got in sent.items():
+                if isinstance(got, bytes):
+                    import pickle
+                    done[i] = pickle.loads(got)
+                else:
+                    done[i] = [CheckResult(*c) for c in got]
+    except BaseException:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in workers:
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+    return done
+
+
 def run_all(A: Algebra, seed: int = 0, samples: int = 25) -> list[CheckResult]:
     """Every verification suite for one algebra, in a fixed order.
 
     A failed kind check short-circuits the rest: the solvers are only
-    specified for algebras whose declared identity actually holds.
+    specified for algebras whose declared identity actually holds. The other
+    suites share no state, so they run in parallel (`_run_suites`), costliest
+    first. If suites raised, the exception of the first in the fixed order
+    is raised here.
     """
     results = list(kind_suite(A))
     if any(r.status == "fail" for r in results):
         results.append(skip("verify", "remaining-suites",
                             "declared kind does not hold; downstream suites need it"))
         return results
-    results += derivation_suite(A)
-    results += space_suite(A)
-    results += symmetry_suite(A, samples=samples, seed=seed)
-    results += verify_lie_algebra(A, "right", samples=samples, seed=seed)
-    results += verify_lie_algebra(A, "left", samples=samples, seed=seed)
-    results += verify_transpose_interplay(A)
-    results += scalar_suite(A, seed=seed)
+    # looked up when each runs, so patched suites and functions reach forked workers too
+    suites = (
+        lambda: derivation_suite(A),
+        lambda: space_suite(A),
+        lambda: symmetry_suite(A, samples=samples, seed=seed),
+        lambda: verify_lie_algebra(A, "right", samples=samples, seed=seed),
+        lambda: verify_lie_algebra(A, "left", samples=samples, seed=seed),
+        lambda: verify_transpose_interplay(A),
+        lambda: scalar_suite(A, seed=seed),
+    )
+    # transpose, the Lie laws, symmetric parts, scalar class, spaces, Der
+    done = _run_suites(suites, bytes((5, 3, 4, 2, 6, 1, 0)))
+    for i in sorted(done):  # a worker stopped by an interrupt leaves suites unrun
+        if isinstance(done[i], BaseException):
+            raise done[i]
+    for i in range(len(suites)):
+        results += done[i]
     return results

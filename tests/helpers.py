@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import biderlie.verify as verify
+
 
 def random_rational_vector(rng, n, span=3):
     return tuple(Fraction(rng.randint(-span, span)) for _ in range(n))
@@ -28,3 +30,12 @@ def spaces_scale_dense(seed):
     drawn from one rng in that order."""
     inputs, rng = bench_inputs(), random.Random(seed)
     return inputs.dense_heisenberg5(rng), inputs.generic_algebra(rng, 4)
+
+
+def workers_only(monkeypatch, cpus=2):
+    """Make `verify.run_all` fork cpus - 1 workers and leave every suite to them: the
+    parent drains none of its queue."""
+    real = verify._drain
+    monkeypatch.setattr(verify, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(verify, "_drain", lambda queue, suites, done, catch=Exception:
+                        None if catch is Exception else real(queue, suites, done, catch))

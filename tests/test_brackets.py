@@ -22,7 +22,7 @@ from biderlie.formats import parse_map, serialize_map
 from biderlie.linalg import Matrix, basis_vector
 from biderlie.report import all_ok
 
-from helpers import random_rational_vector
+from helpers import random_rational_vector, workers_only
 from oracles import (bracket_terms_per_pair, is_derivation_reference, poly_terms_combination,
                      poly_value_reference, read_per_entry)
 
@@ -866,6 +866,19 @@ def test_transpose_suite_compares_brackets_where_an_operand_is_zero(monkeypatch,
     monkeypatch.setattr(brackets_module, "_bracket_terms",
                         _on_maps(_spurious_terms, builtin(name).dim))
     _assert_pinned("spurious-terms", name)
+
+
+def test_kernel_faults_reach_forked_workers(monkeypatch):
+    # every suite runs in a worker, under the kernel the test patched before the fork
+    A = builtin("heisenberg3")
+    monkeypatch.setattr(brackets_module, "_bracket_terms", _on_maps(_spurious_terms, A.dim))
+    monkeypatch.setattr(verify_module, "usable_cpus", lambda: 1)
+    one = verify_module.run_all(A)
+    workers_only(monkeypatch, cpus=3)
+    results = verify_module.run_all(builtin("heisenberg3"))
+    assert results == one
+    assert [(r.status, r.witness) for r in results if r.suite == "transpose"] == \
+        _PINNED["spurious-terms"]["heisenberg3"]
 
 
 @pytest.mark.parametrize("name", _MUTANT_NAMES)

@@ -376,7 +376,13 @@ def test_help_says_which_commands_are_cheap_and_which_is_expensive(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert f"(one exact solve, fast up to dim {MAX_DIM})" in text
     assert f"(exact solves: under a second at dim 8, seconds at {MAX_DIM})" in text
-    assert "(the expensive command: about a minute at dim 8)" in text
+    assert ("(the expensive command: up to min(CPUs, 7) processes; on 2 CPUs "
+            "about 50 s wall and 60 s CPU at dim 8)") in text
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("That cuts wall time, not the total CPU time. With one CPU, or without os.fork "
+            "(Windows), they run in turn in one process.") in text
 
 
 def _alone(argv, columns="80"):
