@@ -29,10 +29,10 @@ whole row of others, each as `_read` gives it: its blocks as their nonzero
 entries and sparse rows. A caller reads each operand once, and nothing is
 kept on a map. The kernel adds both halves of every pair commutator,
 +M_a N_b and -N_b M_a, into one raw integer list per output monomial a + b
-over d1 d2. `rhd`, and `lhd` (a left map carries the terms of its
-transposed right map), are its one-pair case put in lowest terms; the
-transpose and Lie-law suites check raw kernel rows by value, and the
-Lie-law suite checks all its samples' membership in one Leibniz scan.
+over d1 d2. `rhd` and `lhd` share its one-pair case, put in lowest terms (a
+left map carries the terms of its transposed right map). The transpose suite
+(one call per pair) and the Lie-law suites check raw kernel rows by value,
+and the Lie-law suite checks all its samples' membership in one Leibniz scan.
 """
 
 from __future__ import annotations
@@ -345,29 +345,24 @@ def _bracket_terms(P1, row: Sequence) -> list[tuple[int, RawTerms]]:
     return out
 
 
-def _lhd_row(B1, row: Sequence) -> list[tuple[int, RawTerms]]:
-    """The transpose suite's left rows: the kernel, named apart as the `lhd-swapped` seam."""
-    return _bracket_terms(B1, row)
+def _bracket(cls, op: str, B1, B2):
+    """The bracket of two maps of class cls: one kernel call, put in lowest terms."""
+    if not isinstance(B1, cls) or not isinstance(B2, cls):
+        raise TypeError(f"{op} expects two {('left', 'right')[cls._frozen]} maps")
+    if B1.dim != B2.dim:
+        raise ValueError("dimension mismatch")
+    [raw] = _bracket_terms(_read(B1), [_read(B2)])
+    return cls._of(B1.dim, *_stacked(B1.dim, *raw))
 
 
 def rhd(B1: PolyRightMap, B2: PolyRightMap) -> PolyRightMap:
     """Bracket on right maps: compose in the first argument, second frozen."""
-    if not isinstance(B1, PolyRightMap) or not isinstance(B2, PolyRightMap):
-        raise TypeError("rhd expects two right maps")
-    if B1.dim != B2.dim:
-        raise ValueError("dimension mismatch")
-    [raw] = _bracket_terms(_read(B1), [_read(B2)])
-    return PolyRightMap._of(B1.dim, *_stacked(B1.dim, *raw))
+    return _bracket(PolyRightMap, "rhd", B1, B2)
 
 
 def lhd(B1: PolyLeftMap, B2: PolyLeftMap) -> PolyLeftMap:
     """Bracket on left maps: compose in the second argument, first frozen."""
-    if not isinstance(B1, PolyLeftMap) or not isinstance(B2, PolyLeftMap):
-        raise TypeError("lhd expects two left maps")
-    if B1.dim != B2.dim:
-        raise ValueError("dimension mismatch")
-    [raw] = _bracket_terms(_read(B1), [_read(B2)])
-    return PolyLeftMap._of(B1.dim, *_stacked(B1.dim, *raw))
+    return _bracket(PolyLeftMap, "lhd", B1, B2)
 
 
 @functools.cache
@@ -519,11 +514,13 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
 
     Each tensor and double is evaluated at the frozen points once. Row i makes
     five comparisons (main, matched S and K, mixed S and K), each one kernel
-    call per side that brackets B1 with a whole family. A row's commutators at
-    a frozen point are two stacked products; values are raw integer lists,
-    cross-multiplied where denominators differ, and a witness is the least
-    failing pair. As S^t = S, (a) on the doubles compares the two sides that
-    the matched and mixed S rows compare at i + 1, and is read from them.
+    call that brackets B1 with a whole family: the left maps of B^t read as
+    B's right map, so a left row is bracketed apart only where a left family
+    reads otherwise. A row's commutators at a frozen point are two stacked
+    products; values are raw integer lists, cross-multiplied where
+    denominators differ, and a witness is the least failing pair. As S^t = S,
+    (a) on the doubles compares the two sides that the matched and mixed S
+    rows compare at i + 1, and is read from them.
     """
     n, nn = A.dim, A.dim * A.dim
     tensors = basis_tensors(right_bider_bilinear_space(A), n)
@@ -569,11 +566,10 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
             != [y * den for y in comm.get(v, zero)[j * nn:(j + 1) * nn]] for v in keys)]
 
     def bad(one, row, left) -> tuple[list[int], list[int]]:
-        """The js at which rhd(B1, B2_j), and those at which the raw left[j], is not the
+        """The js at which rhd(B1, B2_j), and at which lhd(left[0], left[1][j]), is not the
         composition, for B1 the evaluated tensor one and the B2_j those of the family row."""
         (P1, d1, own), (maps, dens, stack) = one, row
         size, dens = len(maps) * nn, [d1 * d for d in dens]
-        right = _bracket_terms(P1, maps)
         comm = {}  # per frozen v, f1 [f_j ...] - [f_j ...] f1
         for v, rows1 in own.items():
             if v in stack:
@@ -583,24 +579,25 @@ def verify_transpose_interplay(A: Algebra) -> list[CheckResult]:
                 for base, t, w in wide_ents:
                     for col, x in rows1[t]:
                         c[base + col] -= w * x
-        js = mismatches(right, comm, dens, size)
-        return js, js if left == right else mismatches(left, comm, dens, size)
+        js = mismatches(_bracket_terms(P1, maps), comm, dens, size)
+        return js, (js if left == (P1, maps)
+                    else mismatches(_bracket_terms(*left), comm, dens, size))
 
     m = len(tensors)
     sym, skew = [symmetrize(t) for t in tensors], [skew_symmetrize(t) for t in tensors]
     (R, rights), (S, syms), (K, skews) = (family(ts) for ts in (tensors, sym, skew))
-    lefts_t, skew_lt = ([_read(from_tensor_left(t.transpose())) for t in ts]
-                        for ts in (tensors, skew))
-    # S = S^t: the left map of S carries the terms of its right map, and reads as it does
-    sym_l, skew_l = syms[0], [_read(from_tensor_left(t)) for t in skew]
-    # row i: B1 = B[i] against a whole family, and the left row lhd(L[i], Ls). In (c) the
-    # left rows are columns: lhd(K_i, S_j) = -lhd(K_i^t, S_j), and minus its composition is
-    # K_i's with S_j, so row i checks it for the pair (j, i); lhd(S_i, K_j) likewise
-    rows = ((R, rights, lefts_t, lefts_t), (S, syms, sym_l, sym_l), (K, skews, skew_l, skew_l),
+    # a left family that reads as the right family it stands for is that family (S = S^t)
+    reads = ([_read(from_tensor_left(t.transpose())) for t in ts] for ts in (tensors, skew))
+    lefts_t, skew_lt = (F[0] if L == F[0] else L for L, F in zip(reads, (rights, skews)))
+    sym_l = syms[0]
+    # row i: B1 = B[i] against a whole family, and the left row lhd(L[i], Ls), the K rows'
+    # with K^t = -K. In (c) the left rows are columns: lhd(K_i, S_j) = -lhd(K_i^t, S_j), and
+    # minus its composition is K_i's with S_j, so row i checks it for (j, i); likewise (S, K)
+    rows = ((R, rights, lefts_t, lefts_t), (S, syms, sym_l, sym_l), (K, skews, skew_lt, skew_lt),
             (S, skews, sym_l, skew_lt), (K, syms, skew_lt, sym_l))
     main, matched, mixed, doubles = [], [], [], []
     for i in range(m):
-        tt, ss, kk, sk, ks = (bad(B[i], row, _lhd_row(L[i], Ls)) for B, row, L, Ls in rows)
+        tt, ss, kk, sk, ks = (bad(B[i], row, (L[i], Ls)) for B, row, L, Ls in rows)
         main += [(i, j) for js in tt for j in js]
         matched += [(i, j) for js in ss + kk for j in js]
         mixed += [(i, j) for j in sk[0] + ks[0]] + [(j, i) for j in ks[1] + sk[1]]

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebras import _ABELIAN_RE, MAX_DIM, Algebra, builtin, check_kind
+from .algebras import _ABELIAN_RE, MAX_DEGREE, MAX_DIM, Algebra, builtin, check_kind
 from .bilinear import BilinearTensor
 from .biderivations import (basis_tensors, bider_space, is_bider, is_right_bider,
                             left_bider_bilinear_space, left_bider_witness,
@@ -145,6 +145,8 @@ def cmd_bracket(args) -> int:
             raise CliError(f"{name}: {args.op} needs a {kind} or bilinear map")
         maps.append(m)
     result = bracket(*maps)
+    if (degree := result.degree()) > MAX_DEGREE:
+        raise CliError(f"{args.op} result of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}")
     del m1, m2, m, maps  # the operands go before the text is built
     text = serialize_map(result)
     if args.json:

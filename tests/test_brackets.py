@@ -262,8 +262,9 @@ def test_transpose_interplay_suite(name):
 @pytest.mark.parametrize("name", ["heisenberg3", "L3", "sl2"])
 def test_transpose_suite_evaluates_and_brackets_each_tensor_once(monkeypatch, name):
     # m basis tensors and their two doubles are each evaluated once (one int_form), and
-    # each row makes five right and five left kernel calls: identity (a) on the doubles
-    # is read from the matched and mixed rows, not bracketed again
+    # each row makes five kernel calls, the right ones: the left maps read as the right
+    # maps, so no left row is bracketed, and identity (a) on the doubles is read from the
+    # matched and mixed rows, not bracketed again
     A = builtin(name)
     m = right_bider_bilinear_space(A).dim
     calls = {"kernel": 0, "int_form": 0}
@@ -277,7 +278,7 @@ def test_transpose_suite_evaluates_and_brackets_each_tensor_once(monkeypatch, na
     monkeypatch.setattr(brackets_module, "_bracket_terms", counted("kernel", kernel))
     monkeypatch.setattr(BilinearTensor, "int_form", counted("int_form", int_form))
     assert all_ok(verify_transpose_interplay(A))
-    assert calls == {"kernel": 10 * m, "int_form": 3 * m}
+    assert calls == {"kernel": 5 * m, "int_form": 3 * m}
 
 
 def _count_reads(monkeypatch) -> list[int]:
@@ -314,13 +315,14 @@ def test_read_matches_the_per_entry_reader():
 
 @pytest.mark.parametrize("name", ["heisenberg3", "L3", "sl2"])
 def test_transpose_suite_reads_each_operand_once(monkeypatch, name):
-    # each family's right maps and the three lists of left maps are read once when they
-    # are built, 6m reads; the symmetric left maps are the S family's read right maps
+    # each family's right maps and the two lists of left maps of transposes are read once
+    # when they are built, 5m reads; the symmetric left maps are the S family's read right
+    # maps
     A = builtin(name)
     m = right_bider_bilinear_space(A).dim
     reads = _count_reads(monkeypatch)
     assert all_ok(verify_transpose_interplay(A))
-    assert reads == [6 * m]
+    assert reads == [5 * m]
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "L3", "sl2"])
@@ -810,17 +812,23 @@ _PINNED = {
         "L3": [_fail(0, 0), _fail(3, 0), _fail(0, 3)],
         "L4": [_fail(0, 0), _PASS, _PASS],
     },
-    "lhd-swapped": {
-        "heisenberg3": [_fail(0, 1), _fail(0, 1), _fail(0, 2)],
-        "L2": [_fail(0, 2), _fail(0, 1), _fail(0, 1)],
-        "L3": [_fail(0, 2), _fail(0, 1), _fail(0, 0)],
-        "L4": [_fail(0, 1, doubles="symmetric"), _fail(0, 1), _fail(0, 0)],
-    },
     "left-untransposed": {
         "heisenberg3": [_fail(0, 2), _PASS, _fail(0, 2)],
         "L2": [_fail(0, 1), _PASS, _fail(0, 1)],
         "L3": [_fail(0, 1), _PASS, _fail(0, 0)],
         "L4": [_fail(0, 1), _PASS, _fail(0, 0)],
+    },
+    "left-negated": {
+        "heisenberg3": [_fail(2, 3, doubles="symmetric-skew"), _PASS, _fail(0, 2)],
+        "L2": [_fail(0, 1, doubles="symmetric-skew"), _PASS, _fail(0, 1)],
+        "L3": [_fail(0, 1, doubles="symmetric-skew"), _PASS, _fail(0, 0)],
+        "L4": [_fail(0, 1, doubles="symmetric-skew"), _PASS, _fail(0, 0)],
+    },
+    "left-doubled": {
+        "heisenberg3": [_fail(0, 1), _fail(0, 5), _fail(0, 2)],
+        "L2": [_fail(0, 2), _PASS, _fail(0, 1)],
+        "L3": [_fail(0, 2), _fail(0, 1), _fail(0, 0)],
+        "L4": [_fail(0, 1, doubles="symmetric-skew"), _PASS, _fail(0, 0)],
     },
     "row-shifted": {
         "heisenberg3": [_fail(0, 0), _fail(0, 0), _fail(0, 1)],
@@ -882,15 +890,6 @@ def test_kernel_faults_reach_forked_workers(monkeypatch):
 
 
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
-def test_transpose_suite_catches_a_left_bracket_in_swapped_order(monkeypatch, name):
-    # lhd(B2, B1) for lhd(B1, B2): the composition of the right side still
-    # holds, so only the comparison of the two sides can tell
-    monkeypatch.setattr(brackets_module, "_lhd_row",
-                        lambda B1, row: [_KERNEL(B2, [B1])[0] for B2 in row])
-    _assert_pinned("lhd-swapped", name)
-
-
-@pytest.mark.parametrize("name", _MUTANT_NAMES)
 def test_transpose_suite_catches_an_untransposed_left_map(monkeypatch, name):
     # from_tensor(B).transpose() is the left map of B's transpose, not of B.
     # On skew doubles that negates both operands and leaves their bracket,
@@ -898,6 +897,20 @@ def test_transpose_suite_catches_an_untransposed_left_map(monkeypatch, name):
     monkeypatch.setattr(brackets_module, "from_tensor_left",
                         lambda B: from_tensor(B).transpose())
     _assert_pinned("left-untransposed", name)
+
+
+@pytest.mark.parametrize("name", _MUTANT_NAMES)
+@pytest.mark.parametrize("mutant, factor", [("left-negated", -1), ("left-doubled", 2)])
+def test_transpose_suite_brackets_left_maps_that_read_otherwise(monkeypatch, mutant, factor,
+                                                                name):
+    # a left map scaled by -1 or 2 no longer reads as the right map it stands for, so its
+    # rows are bracketed apart. Negated, the main and matched rows negate both operands
+    # and keep their brackets; only the mixed rows, with one operand negated, can tell,
+    # and (a) on the doubles (S_i, K_i+1) is read from them. Doubled, the matched swap
+    # fails on heisenberg3 through the K row alone
+    left = brackets_module.from_tensor_left
+    monkeypatch.setattr(brackets_module, "from_tensor_left", lambda B: factor * left(B))
+    _assert_pinned(mutant, name)
 
 
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
@@ -911,10 +924,10 @@ def test_transpose_suite_catches_a_row_kernel_out_of_order(monkeypatch, name):
     _assert_pinned("row-shifted", name)
 
 
-# (a) fails first on a pair of doubles (S_i, K_i+1): only the rhd(S, K) of right maps
-# are wrong, so identity (a) holds on basis pairs and on (S_i, S_i+1)
+# (a) fails first on a pair of doubles (S_i, K_i+1): only the brackets of a symmetric
+# map with a skew one are wrong, so identity (a) holds on basis pairs and on (S_i, S_i+1)
 _SYM_SKEW_DOUBLED = {
-    "heisenberg3": [_fail(2, 3, doubles="symmetric-skew"), _PASS, _fail(0, 3)],
+    "heisenberg3": [_fail(2, 3, doubles="symmetric-skew"), _PASS, _fail(0, 2)],
     "L2": [_fail(0, 1, doubles="symmetric-skew"), _PASS, _fail(0, 1)],
     "L3": [_fail(0, 1, doubles="symmetric-skew"), _PASS, _fail(0, 0)],
     "L4": [_fail(0, 1, doubles="symmetric-skew"), _PASS, _fail(0, 0)],
@@ -923,8 +936,8 @@ _SYM_SKEW_DOUBLED = {
 
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
 def test_transpose_suite_catches_a_wrong_symmetric_skew_bracket(monkeypatch, name):
-    # the right bracket of a symmetric map with a skew one, pair by pair, doubled; the
-    # left calls go to the real kernel
+    # the bracket of a symmetric map with a skew one, pair by pair, doubled; the left
+    # rows are the right ones, as the left maps read as the right maps
     n = builtin(name).dim
 
     def doubled(P1, row):
@@ -935,20 +948,18 @@ def test_transpose_suite_catches_a_wrong_symmetric_skew_bracket(monkeypatch, nam
                 if to_tensor(_as_map(P2, n)).is_skew() else (den, terms)
                 for P2, (den, terms) in zip(row, out)]
     monkeypatch.setattr(brackets_module, "_bracket_terms", doubled)
-    monkeypatch.setattr(brackets_module, "_lhd_row", _KERNEL)
     results = verify_transpose_interplay(builtin(name))
     assert [(r.status, r.witness) for r in results] == _SYM_SKEW_DOUBLED[name]
 
 
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
 def test_transpose_suite_compares_values_not_integer_forms(monkeypatch, name):
-    # a kernel that returns each right bracket over twice its denominator d1 d2
-    # is still right: the suite cross-multiplies and passes
+    # a kernel that returns each bracket over twice its denominator d1 d2 is
+    # still right: the suite cross-multiplies and passes
     def doubled(P1, row):
         return [(2 * den, {g: [2 * x for x in flat] for g, flat in terms.items()})
                 for den, terms in _KERNEL(P1, row)]
     monkeypatch.setattr(brackets_module, "_bracket_terms", doubled)
-    monkeypatch.setattr(brackets_module, "_lhd_row", _KERNEL)
     assert all(r.status == "pass" for r in verify_transpose_interplay(builtin(name)))
 
 

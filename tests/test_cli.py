@@ -306,6 +306,29 @@ def test_map_degree_over_the_cap_is_a_one_line_error(capsys, tmp_path):
     assert (code, out) == (0, "map polyright\ndim 2\n")
 
 
+@pytest.mark.parametrize("op, kind", [("rhd", "polyright"), ("lhd", "polyleft")])
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_bracket_past_the_degree_cap_is_refused(capsys, tmp_path, op, kind, flags):
+    # degrees add under the bracket: [E11 y1^d, E12 y2^d] = E12 (y1 y2)^d, whose file is
+    # refused past MAX_DEGREE, so the command refuses to write it; at the cap it round-trips
+    half = MAX_DEGREE // 2
+    for d in (half, half + 100):
+        p1, p2 = tmp_path / "p1.map", tmp_path / "p2.map"
+        p1.write_text(f"map {kind}\ndim 2\nm ({d},0) 1 1 = 1\n")
+        p2.write_text(f"map {kind}\ndim 2\nm (0,{d}) 1 2 = 1\n")
+        code, out, err = run_cli(capsys, "bracket", str(p1), str(p2), "--op", op,
+                                 "--algebra", "abelian(2)", *flags)
+        if 2 * d <= MAX_DEGREE:
+            assert (code, err) == (0, "")
+            text = json.loads(out)["result_mapfile"] if flags else out
+            assert text == f"map {kind}\ndim 2\nm ({d},{d}) 1 2 = 1\n"
+            assert serialize_map(parse_map(text)) == text
+        else:
+            assert (code, out) == (2, "")
+            assert err == (f"error: {op} result of degree {2 * d} exceeds "
+                           f"MAX_DEGREE = {MAX_DEGREE}\n")
+
+
 def test_builtin_name_wins_over_a_file_of_that_name(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sl2").write_text("algebra shadow\ndim 2\nkind lie\n")
