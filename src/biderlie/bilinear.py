@@ -76,7 +76,7 @@ class BilinearTensor:
         """Inverse of `column_map`: maps[j] is the matrix of x -> B(x, e_j)."""
         n = len(maps)
         cols = [m.transpose() for m in maps]          # row i of cols[j] is B(e_i, e_j)
-        den = math.lcm(*(m.den for m in cols))
+        den = math.lcm(*[m.den for m in cols])
         ints = [x * (den // m.den) for i in range(n) for m in cols
                 for x in m.ints[i * n:(i + 1) * n]]
         return cls._of(n, Matrix._of(n * n, n, den, ints))

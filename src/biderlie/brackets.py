@@ -96,7 +96,7 @@ class _PolyMap:
                 raise ValueError(f"bad multi-index {a} for dim {dim}")
             if m.rows != dim or m.cols != dim:
                 raise ValueError(f"coefficient matrix must be {dim}x{dim}")
-        den = math.lcm(*(m.den for m in terms.values()))
+        den = math.lcm(*[m.den for m in terms.values()])
         self.dim = dim
         self.monomials, self.tall = _stacked(dim, den, {
             tuple(a): [x * (den // m.den) for x in m.ints] for a, m in terms.items()})

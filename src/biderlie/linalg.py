@@ -19,7 +19,8 @@ lowest terms. A vector is the one-row case.
 row of the integer form is scaled once to a primitive integer row
 {column: entry}, every row operation is an integer one followed by
 division by the row's content (cf. Bareiss, Math. Comp. 22, 1968), and only
-the echelon form it returns divides by the pivots. Integer systems
+the echelon form it returns divides by the pivots. It inserts the rows one
+at a time and reads none once every column has a pivot. Integer systems
 (`derivations.derivation_rows`, the coordinate rows of `solve_over`) reach
 it through `solve_homogeneous` without becoming `Fraction`s: all-int
 entries are their own integer form over 1, with no pass per entry.
@@ -318,46 +319,45 @@ def _eliminate(row: SparseRow, piv: SparseRow, col: int) -> SparseRow:
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank, by sparse fraction-free elimination.
+    """Reduced row echelon form and rank, by sparse fraction-free row insertion.
 
-    Each row of m's integer form is scaled once to a primitive integer row
-    {column: entry}. Pivot columns run left to right; among the rows whose
-    first nonzero is in the column, the pivot row has the fewest nonzeros,
-    then the smallest leading entry, and every other one is eliminated
-    against it (`_eliminate`, which divides by the content).
-    Back-substitution clears each pivot column above its row, from the last
-    pivot upward. Only the output divides by the pivots, over their lcm.
+    Each row of m's integer form in turn is scaled to a primitive integer row
+    {column: entry} and eliminated against the pivot of its leading column
+    (`_eliminate`, which divides by the content) until it vanishes or opens a
+    new pivot column. A row with fewer nonzeros than that pivot, or as many and
+    a smaller leading entry, swaps in as the pivot, so pivots stay sparse. Once
+    every column has a pivot, no further row is read. Back-substitution clears
+    each pivot column above its row, from the last pivot upward. Only the
+    output divides by the pivots, over their lcm.
     """
     ncols, ints = m.cols, m.ints
-    starting: dict[int, list[SparseRow]] = {}       # rows by their first nonzero column
+    pivots: dict[int, SparseRow] = {}               # pivot column -> its row
     for r in range(m.rows):
-        row = {c: x for c, x in enumerate(ints[r * ncols:(r + 1) * ncols]) if x}
-        if row:
-            starting.setdefault(min(row), []).append(_primitive(row))
-    pivots: dict[int, SparseRow] = {}               # pivot column -> its row, left to right
-    while starting:
-        col = min(starting)
-        rows = starting.pop(col)
-        piv = min(rows, key=lambda r: (len(r), abs(r[col])))
-        for row in rows:
-            if row is not piv:
-                row = _eliminate(row, piv, col)
-                if row:
-                    starting.setdefault(min(row), []).append(row)
-        pivots[col] = piv
-    cols = list(pivots)
+        if len(pivots) == ncols:
+            break
+        row = _primitive({c: x for c, x in enumerate(ints[r * ncols:(r + 1) * ncols]) if x})
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row
+                break
+            if (len(row), abs(row[col])) < (len(piv), abs(piv[col])):
+                pivots[col], row, piv = row, piv, row
+            row = _eliminate(row, piv, col)
+    cols = sorted(pivots)
     for i in range(len(cols) - 1, 0, -1):
         col = cols[i]
         for above in cols[:i]:
             if col in pivots[above]:
                 pivots[above] = _eliminate(pivots[above], pivots[col], col)
-    den = math.lcm(*(row[col] for col, row in pivots.items()))
+    den = math.lcm(*[pivots[col][col] for col in cols])
     out = [0] * (m.rows * ncols)
-    for r, (col, row) in enumerate(pivots.items()):
-        k = den // row[col]
-        for c, x in row.items():
+    for r, col in enumerate(cols):
+        k = den // pivots[col][col]
+        for c, x in pivots[col].items():
             out[r * ncols + c] = k * x
-    return Matrix._of(m.rows, ncols, den, out), len(pivots)
+    return Matrix._of(m.rows, ncols, den, out), len(cols)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from biderlie import Algebra, bracket, linalg
+from biderlie import (Algebra, bider_space, bracket, derivation_space, left_bider_bilinear_space,
+                      linalg, right_bider_bilinear_space)
 from biderlie.derivations import derivation_rows
 from biderlie.linalg import (Matrix, SubspaceBasis, _eliminate, canonicalize, combine,
                              intersect, lowest_terms, mat_commutator, nullspace, random_below,
@@ -86,11 +87,22 @@ small_entries = st.integers(min_value=-5, max_value=5)
 
 
 @st.composite
-def matrices(draw, max_dim=4):
-    rows = draw(st.integers(1, max_dim))
-    cols = draw(st.integers(1, max_dim))
-    data = draw(st.lists(st.lists(small_entries, min_size=cols, max_size=cols),
-                         min_size=rows, max_size=rows))
+def matrices(draw, max_cols=6):
+    """Integer matrices of up to max_cols columns and three times as many rows, with
+    zero rows and repeats of earlier rows mixed in: tall ones reach full column rank
+    with rows left over."""
+    cols = draw(st.integers(1, max_cols))
+    rows = draw(st.integers(1, 3 * cols))
+    data = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("drawn", "drawn", "zero", "repeat")) if data
+                    else st.just("drawn"))
+        if kind == "zero":
+            data.append([0] * cols)
+        elif kind == "repeat":
+            data.append(data[draw(st.integers(0, len(data) - 1))])
+        else:
+            data.append(draw(st.lists(small_entries, min_size=cols, max_size=cols)))
     return Matrix(data)
 
 
@@ -115,6 +127,8 @@ def test_rref_matches_sympy(m):
     oracle_rows, oracle_rank = sympy_rref(m.data)
     assert rank == oracle_rank
     assert [list(r) for r in red.data] == oracle_rows
+    want, want_rank = rref_reference(m)
+    assert (red.data, rank) == (want.data, want_rank)
     assert rank == forward_elimination_rank(m.data)
     assert nullspace(m).dim == sympy_nullspace_dim(m.data)
 
@@ -192,6 +206,27 @@ def test_rref_eliminates_each_row_at_most_once_per_column(m):
     finally:
         linalg._eliminate = original
     assert calls <= m.rows * m.cols + rank ** 2
+
+
+def test_rref_reads_no_row_past_full_column_rank(monkeypatch):
+    # the k x k identity gives every column a pivot before any elimination, so the
+    # rows after it, drawn, zero, dense or repeated, are never read
+    def refused(*args):
+        raise AssertionError("_eliminate called")
+    monkeypatch.setattr(linalg, "_eliminate", refused)
+    for k in range(1, 7):
+        rng = random.Random(k)
+        rest = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(2 * k)]
+        m = Matrix(Matrix.identity(k).data + tuple(rest + [[0] * k, [1] * k, rest[0]]))
+        assert rref(m) == (Matrix(Matrix.identity(k).data + ((0,) * k,) * (m.rows - k)), k)
+    monkeypatch.undo()
+    # orthogonal idempotents e1, e2, e3 with e1 e2 = e3: its 16 Der rows in 9 unknowns
+    # have full column rank, so every space built on Der is zero
+    A = Algebra.from_entries("idem3", 3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1, (0, 1, 2): 1},
+                             "generic")
+    assert (len(derivation_rows(A)), len(derivation_rows(A)[0])) == (16, 9)
+    assert [space(A).dim for space in (derivation_space, right_bider_bilinear_space,
+                                       left_bider_bilinear_space, bider_space)] == [0] * 4
 
 
 integer_rows = st.dictionaries(st.integers(0, 5), st.integers(-60, 60).filter(bool), max_size=6)
@@ -276,8 +311,8 @@ def test_contains_reads_exact_entries_as_they_are():
 
 
 @settings(max_examples=40, deadline=None)
-@given(matrices(max_dim=3), st.lists(st.tuples(small_entries, small_entries, small_entries),
-                                     min_size=1, max_size=3))
+@given(matrices(max_cols=3), st.lists(st.tuples(small_entries, small_entries, small_entries),
+                                      min_size=1, max_size=3))
 def test_canonicalize_idempotent_and_span_invariant(m, coeff_rows):
     base = canonicalize(m.data, m.cols)
     again = canonicalize(base.vectors, m.cols)

@@ -19,6 +19,7 @@ from biderlie import Algebra, BilinearTensor, algebras, report
 import biderlie.brackets as brackets_module
 import biderlie.verify as verify_module
 from biderlie.algebras import bider_scan, builtin, failing_stacks
+from biderlie.bilinear import half_decomposition, skew_symmetrize
 from biderlie.brackets import verify_lie_algebra
 from biderlie.derivations import derivation_matrices
 from biderlie.linalg import Matrix, Ratio, combine
@@ -131,6 +132,29 @@ def test_sampled_suites_under_broken_leibniz_scans(monkeypatch, mutant, name, ch
     monkeypatch.setattr(algebras, "leibniz_sides", _LEIBNIZ_MUTANTS[mutant])
     got = {suite: _outcome(call) for suite, call in _suite_calls(builtin(name)).items()}
     assert got == _LEIBNIZ_PINNED[mutant][name]
+
+
+# faults in the two symmetric-parts checks that sample no algebra: each fails its own
+# check alone, on every algebra
+_SYMMETRY_MUTANTS = {
+    "half-parts-swapped": ("half_decomposition", lambda B: half_decomposition(B)[::-1]),
+    "skew-doubled": ("skew_symmetrize", lambda B: 2 * skew_symmetrize(B)),
+}
+_SYMMETRY_PINNED = {
+    "half-parts-swapped": _listed(_SYMMETRY, ("fail",) + ("pass",) * 4),
+    "skew-doubled": _listed(_SYMMETRY, ("pass", "fail") + ("pass",) * 3),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_SYMMETRY_MUTANTS))
+@pytest.mark.parametrize("name", ["heisenberg3", "L2", "L3"])
+def test_symmetry_suite_under_broken_half_parts(monkeypatch, mutant, name):
+    # no broken Leibniz scan reaches the first two checks: they pass in every table above
+    passes = _listed(_SYMMETRY[:2], ("pass", "pass"))
+    assert all(table[A]["symmetric-parts"][:2] == passes
+               for table in _LEIBNIZ_PINNED.values() for A in table)
+    monkeypatch.setattr(verify_module, *_SYMMETRY_MUTANTS[mutant])
+    assert _outcome(lambda: symmetry_suite(builtin(name))) == _SYMMETRY_PINNED[mutant]
 
 
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
