@@ -59,15 +59,16 @@ def is_bider(A: Algebra, B: BilinearTensor) -> bool:
 def left_bider_bilinear_space(A: Algebra) -> SubspaceBasis:
     """Canonical basis of the bilinear tensors satisfying the left condition.
 
-    Block i of the flat order is the column-major y -> B(e_i, y), so this is
-    the canonical `Der` basis copied into each block: dim(A) * dim Der(A).
+    Block i of the flat order is the column-major y -> B(e_i, y), so each row
+    of the canonical `Der` basis is copied into each block, in one piece.
     """
-    n, nn = A.dim, A.dim ** 2
-    der = derivation_space(A).basis
-    pad = (0,) * nn
-    ints = [x for i in range(n) for d in range(0, len(der.ints), nn)
-            for x in pad * i + der.ints[d:d + nn] + pad * (n - 1 - i)]
-    return SubspaceBasis._of(Matrix._of(n * der.rows, n * nn, der.den, ints))
+    n, nn, der = A.dim, A.dim ** 2, derivation_space(A).basis
+    m, w = der.rows, n * nn
+    ints = [0] * (n * m * w)
+    for r in range(n * m):                      # row i * m + d: D_d in block i
+        at = r * w + r // m * nn
+        ints[at:at + nn] = der.ints[r % m * nn:(r % m + 1) * nn]
+    return SubspaceBasis._of(Matrix._of(n * m, w, der.den, ints))
 
 
 def right_bider_bilinear_space(A: Algebra) -> SubspaceBasis:
@@ -75,17 +76,17 @@ def right_bider_bilinear_space(A: Algebra) -> SubspaceBasis:
 
     Der (x) Q^n: the row y_j D is the tensor whose column map x -> B(x, e_j)
     is D and whose other column maps vanish, so entry (i, j, k) holds D's
-    column i. Its pivot is (i0, j, k0) for D's pivot at column i0, row k0,
-    so the rows are written in canonical order: by i0, then j, then D's order.
+    column i, written by one strided copy per row k. Its pivot is (i0, j, k0)
+    for D's first nonzero, 1 (held as den), at (k0, i0): rows by i0, j, then D.
     """
-    n, nn = A.dim, A.dim ** 2
-    der = derivation_space(A).basis
-    # list slices: freed tuples under 20 entries stay on the interpreter's free lists
-    src, pad = list(der.ints), [0] * n
-    order = sorted((row[0][0] // n, j, d) for d, row in enumerate(der.sparse) for j in range(n))
-    ints = [x for _, j, d in order for i in range(d * nn, (d + 1) * nn, n)
-            for x in pad * j + src[i:i + n] + pad * (n - 1 - j)]
-    return SubspaceBasis._of(Matrix._of(n * der.rows, n * nn, der.den, ints))
+    n, nn, der = A.dim, A.dim ** 2, derivation_space(A).basis
+    m, w, src = der.rows, n * nn, der.ints
+    order = sorted((src.index(der.den, d * nn) % nn // n, j, d) for d in range(m) for j in range(n))
+    ints = [0] * (n * m * w)
+    for r, (_, j, d) in enumerate(order):
+        for k in range(n):                      # entries (i, j, k) of row r, each i
+            ints[r * w + j * n + k:(r + 1) * w:nn] = src[d * nn + k:(d + 1) * nn:n]
+    return SubspaceBasis._of(Matrix._of(n * m, w, der.den, ints))
 
 
 def bider_space(A: Algebra) -> SubspaceBasis:

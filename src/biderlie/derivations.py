@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
+from operator import neg
 from typing import Sequence
 
 from .algebras import Algebra, bracket, failing_stacks
@@ -54,8 +55,7 @@ def derivation_rows(A: Algebra) -> list[list[int]]:
         by_il.setdefault((a, k), []).append((b, x))
     ls_of_j = [{l for j, l in by_jl if j == b} for b in range(n)]
     ls_of_i = [{l for i, l in by_il if i == a} for a in range(n)]
-    rows = []
-    seen = set()
+    first: dict[tuple, list[int]] = {}         # each row up to sign -> its first row
     for i in range(n):
         for j in range(n):
             ij = by_ij[i * n + j]
@@ -67,12 +67,10 @@ def derivation_rows(A: Algebra) -> list[list[int]]:
                     row[i * n + p] -= x                  # entry m[p][i]
                 for q, x in by_il.get((i, l), ()):
                     row[j * n + q] -= x                  # entry m[q][j]
-                key = tuple(row)
-                if any(key) and key not in seen:
-                    seen.add(key)
-                    seen.add(tuple(-x for x in key))
-                    rows.append(row)
-    return rows
+                lead = next(filter(None, row), 0)
+                if lead:
+                    first.setdefault(tuple(row) if lead > 0 else tuple(map(neg, row)), row)
+    return list(first.values())
 
 
 def derivation_space(A: Algebra) -> SubspaceBasis:

@@ -15,33 +15,31 @@ into a flat integer list, `combine` a linear sum sum_i f_i M_i over
 one common denominator, and the trusted `Matrix._of` puts a result in
 lowest terms. A vector is the one-row case.
 
-`rref` is the one elimination, and it is sparse and fraction-free: each
-row of the integer form is scaled once to a primitive integer row
-{column: entry}, every row operation is an integer one followed by
-division by the row's content (cf. Bareiss, Math. Comp. 22, 1968), and only
-the echelon form it returns divides by the pivots. It inserts the rows one
-at a time and reads none once every column has a pivot. Integer systems
-(`derivations.derivation_rows`, the coordinate rows of `solve_over`) reach
-it through `solve_homogeneous` without becoming `Fraction`s: all-int
-entries are their own integer form over 1, with no pass per entry.
+`_echelon` is the one elimination, sparse and fraction-free: it scales each
+integer row {column: entry} to its primitive part, divides every integer
+row operation by the row's content (cf. Bareiss, Math. Comp. 22, 1968),
+inserts the rows one at a time and reads none once every column has a
+pivot. `rref` writes its pivot rows out dense, dividing by the pivots only
+there. The solvers scale their input to integers one row at a time; an
+all-int row, such as one of `derivations.derivation_rows`, is taken as it is.
 
 A subspace is always carried around in canonical form: the nonzero rows of
 the reduced row echelon form of any spanning set, coordinates in
 lexicographic order, each pivot entry 1 and alone in its column.
 `SubspaceBasis` holds them as one dim x ambient `Matrix`, so two spans are
 equal iff their canonical basis matrices are. Each canonical basis takes
-one `rref`, by two facts:
+one elimination, by two facts:
 
-- Reversed columns. Read in m's column order, the standard kernel vectors
-  of the echelon form of m with its columns reversed each start with a 1
-  at a free column that no other one touches: they are the canonical
-  nullspace basis.
+- Reversed columns. Read in the original order, the standard kernel vectors
+  of the echelon form of rows with column c written at index n - 1 - c each
+  start with a 1 at a free column that no other one touches: they are the
+  canonical nullspace basis, read off the sparse pivot rows.
 - Lifting. If R is a canonical basis and X the canonical basis of a set of
   coordinates over R, the vectors sum_u x_u R_u are canonical: each has
   entry x_u at R_u's pivot and is zero before the pivot of its first
   nonzero coordinate. `solve_over` solves a system in coordinates over R
   and lifts its solutions, the matrix product X R (with no nonzero row, X
-  is the identity and R the answer, taking no `rref`), for its three callers:
+  is the identity and R the answer, taking no elimination), for its three callers:
   `intersect`, `biderivations.bider_space` and the symmetric and skew
   parts in `verify.symmetry_suite`. Read backwards, v lies in the span iff
   its `SubspaceBasis.residual`, v minus the lift of its own pivot entries, is
@@ -54,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -318,24 +316,21 @@ def _eliminate(row: SparseRow, piv: SparseRow, col: int) -> SparseRow:
     return _primitive(out)
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank, by sparse fraction-free row insertion.
+def _echelon(rows: Iterable[SparseRow], ncols: int) -> tuple[int, dict[int, SparseRow]]:
+    """The one elimination: reduced echelon form of integer rows {column: entry}.
 
-    Each row of m's integer form in turn is scaled to a primitive integer row
-    {column: entry} and eliminated against the pivot of its leading column
-    (`_eliminate`, which divides by the content) until it vanishes or opens a
-    new pivot column. A row with fewer nonzeros than that pivot, or as many and
-    a smaller leading entry, swaps in as the pivot, so pivots stay sparse. Once
-    every column has a pivot, no further row is read. Back-substitution clears
-    each pivot column above its row, from the last pivot upward. Only the
-    output divides by the pivots, over their lcm.
+    Each row in turn, scaled to its primitive part, is eliminated against the
+    pivot of its leading column (`_eliminate`) until it vanishes or opens a new
+    pivot column; a sparser row, or one as sparse with a smaller leading entry,
+    swaps in as the pivot. Once every column has a pivot, no further row is read.
+    Back-substitution clears each pivot column above its row, last pivot first.
+    Returns the lcm den of the pivots and the pivot rows by increasing column.
     """
-    ncols, ints = m.cols, m.ints
     pivots: dict[int, SparseRow] = {}               # pivot column -> its row
-    for r in range(m.rows):
+    for row in rows:
         if len(pivots) == ncols:
             break
-        row = _primitive({c: x for c, x in enumerate(ints[r * ncols:(r + 1) * ncols]) if x})
+        row = _primitive(row)
         while row:
             col = min(row)
             piv = pivots.get(col)
@@ -346,18 +341,23 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
                 pivots[col], row, piv = row, piv, row
             row = _eliminate(row, piv, col)
     cols = sorted(pivots)
-    for i in range(len(cols) - 1, 0, -1):
-        col = cols[i]
+    for i, col in reversed(list(enumerate(cols))):
         for above in cols[:i]:
             if col in pivots[above]:
                 pivots[above] = _eliminate(pivots[above], pivots[col], col)
-    den = math.lcm(*[pivots[col][col] for col in cols])
-    out = [0] * (m.rows * ncols)
-    for r, col in enumerate(cols):
-        k = den // pivots[col][col]
-        for c, x in pivots[col].items():
-            out[r * ncols + c] = k * x
-    return Matrix._of(m.rows, ncols, den, out), len(cols)
+    return math.lcm(*[pivots[col][col] for col in cols]), {col: pivots[col] for col in cols}
+
+
+def rref(m: Matrix) -> tuple[Matrix, int]:
+    """Reduced row echelon form and rank: `_echelon` of m's integer rows, written dense."""
+    n, rows = m.cols, (m.ints[r * m.cols:(r + 1) * m.cols] for r in range(m.rows))
+    den, pivots = _echelon((dict(compress(enumerate(row), row)) for row in rows), n)
+    out = [0] * (m.rows * n)
+    for r, (col, row) in enumerate(pivots.items()):
+        k = den // row[col]
+        for c, x in row.items():
+            out[r * n + c] = k * x
+    return Matrix._of(m.rows, n, den, out), len(pivots)
 
 
 @dataclass(frozen=True)
@@ -436,33 +436,43 @@ def canonicalize(vectors: Iterable[Sequence[Fraction]], ambient_dim: int | None 
     return SubspaceBasis._of(Matrix._of(rank, ambient_dim, red.den, red.ints[:rank * ambient_dim]))
 
 
+def _kernel(n: int, den: int, pivots: dict[int, SparseRow]) -> SubspaceBasis:
+    """Canonical kernel basis of echelon rows whose column f sits at index c = n - 1 - f:
+    the vector of a free index c is den at f and, at each pivot, minus the pivot
+    row's c scaled to den. den is the lcm of the pivots."""
+    free = {c: u * n for u, c in enumerate(c for c in range(n - 1, -1, -1) if c not in pivots)}
+    out = [0] * (len(free) * n)
+    for c, base in free.items():
+        out[base + n - 1 - c] = den
+    for col, row in pivots.items():
+        k, p = den // row[col], n - 1 - col
+        for c, x in row.items():
+            if c != col:
+                out[free[c] + p] = -k * x
+    return SubspaceBasis._of(Matrix._of(len(free), n, den, out))
+
+
 def nullspace(m: Matrix) -> SubspaceBasis:
     """Canonical basis of {v : m v = 0}, read off the rref of m with its columns reversed."""
     n = m.cols
-    flipped = [x for r in range(m.rows) for x in m.ints[r * n:(r + 1) * n][::-1]]
-    red, rank = rref(Matrix._of(m.rows, n, m.den, flipped))
-    # each echelon row over red.den, read in m's column order, with its pivot
-    rows = [(red.ints[r * n:(r + 1) * n][::-1], n - 1 - red.sparse[r][0][0]) for r in range(rank)]
-    free = sorted(set(range(n)).difference(p for _, p in rows))
-    out = [0] * (len(free) * n)
-    for u, f in enumerate(free):
-        out[u * n + f] = red.den
-        for row, p in rows:
-            out[u * n + p] = -row[f]
-    return SubspaceBasis._of(Matrix._of(len(free), n, red.den, out))
+    red, rank = rref(Matrix._of(m.rows, n, m.den,
+                                [x for r in range(m.rows) for x in m.ints[r * n:(r + 1) * n][::-1]]))
+    rows = (red.ints[r * n:(r + 1) * n] for r in range(rank))
+    return _kernel(n, red.den, {min(row): row for row in (dict(compress(enumerate(r), r)) for r in rows)})
 
 
 def solve_homogeneous(rows: Sequence[Sequence[int | Fraction]], unknowns: int) -> SubspaceBasis:
     """Nullspace of a row list in `unknowns` unknowns; an empty system yields the full space.
 
-    Entries are ints or `Fraction`s; an integer system stays integer until
-    the echelon form divides by its pivots.
+    Entries are read as `Fraction` reads them, each row scaled to integers on its
+    own. Column f is eliminated at index n - 1 - f and the kernel read off by `_kernel`.
     """
     if any(len(row) != unknowns for row in rows):
         raise ValueError(f"every row of the system needs {unknowns} entries, one per unknown")
     if not rows:
         return SubspaceBasis._of(Matrix.identity(unknowns))
-    return nullspace(Matrix._from_flat(len(rows), unknowns, chain.from_iterable(rows)))
+    n, reverse = unknowns, range(unknowns - 1, -1, -1)
+    return _kernel(n, *_echelon((dict(compress(zip(reverse, r), r)) for _, r in map(_integers, rows)), n))
 
 
 def solve_over(space: SubspaceBasis, rows: Iterable[Sequence[int]]) -> SubspaceBasis:

@@ -7,7 +7,7 @@ from biderlie import (Algebra, BilinearTensor, bider_space, builtin, derivation_
                       is_left_bider, is_right_bider, left_bider_bilinear_space,
                       left_bider_witness, right_bider_bilinear_space, right_bider_witness,
                       opposite, skew_symmetrize, symmetrize)
-from biderlie import derivations, linalg
+from biderlie import biderivations, derivations, linalg
 import biderlie.verify as verify_module
 from biderlie.algebras import bider_scan
 from biderlie.biderivations import (basis_tensors, left_residual, right_residual,
@@ -175,19 +175,93 @@ RIGHT_SPACE_INPUTS.update({
     "heisenberg7": lambda: _heisenberg(7),
     # [e1, e1] = e1: D e1 = d e1 needs d = 2d, so Der and both one-sided spaces are 0
     "trivial-der": lambda: Algebra.from_entries("unit", 1, {(0, 0, 0): F(1)}, "generic"),
+    # a Der basis with dense rows, not sparse elementary matrices
+    "dense-heisenberg5-seed0": lambda: spaces_scale_dense(0)[0],
 })
 
 
 @pytest.mark.parametrize("name", RIGHT_SPACE_INPUTS)
 def test_right_space_is_written_from_der_in_canonical_order(name):
     # y_j D for each canonical Der row D, basis for basis the transposed and
-    # pivot-sorted left basis
+    # pivot-sorted left basis; up to dim 5, both block-copied spaces are also the
+    # solutions of the direct n^3-unknown systems
     A = RIGHT_SPACE_INPUTS[name]()
     right = right_bider_bilinear_space(A)
     assert right == right_space_by_transpose(A)
     assert right.dim == A.dim * derivation_space(A).dim
     pivots = [row[0][0] for row in right.basis.sparse]
     assert pivots == sorted(set(pivots))
+    if A.dim <= 5:
+        unknowns = A.dim ** 3
+        assert right == solve_homogeneous(right_bider_rows(A), unknowns)
+        assert left_bider_bilinear_space(A) == solve_homogeneous(left_bider_rows(A), unknowns)
+
+
+KERNEL_INPUTS = {
+    "heisenberg5": lambda: _heisenberg(5),
+    "heisenberg7": lambda: _heisenberg(7),
+    "dense-heisenberg5-seed0": lambda: spaces_scale_dense(0)[0],
+    "dense-heisenberg5-seed3": lambda: spaces_scale_dense(3)[0],
+    "generic4-seed0": lambda: spaces_scale_dense(0)[1],
+    "generic4-seed3": lambda: spaces_scale_dense(3)[1],
+}
+
+
+def _two_sided_coordinate_rows(A, monkeypatch):
+    """The rows `bider_space` solves in coordinates over the right basis, as it passes
+    them to `solve_over`, with the number of coordinates."""
+    real, seen = biderivations.solve_over, []
+    def recorded(space, rows):
+        seen.append((list(map(list, rows)), space.dim))
+        return real(space, seen[-1][0])
+    with monkeypatch.context() as patch:
+        patch.setattr(biderivations, "solve_over", recorded)
+        bider_space(A)
+    return seen[0] if seen else ([], 0)
+
+
+@pytest.mark.parametrize("system", ["der", "two-sided"])
+@pytest.mark.parametrize("name", KERNEL_INPUTS)
+def test_kernel_entry_paths_match_the_reference_solver(name, system, monkeypatch):
+    # solve_homogeneous and nullspace hand the elimination sparse rows with reversed
+    # column indices, scaled to integers row by row: every canonical basis must be the
+    # dense two-pass reference's, for integer rows, for the same rows scaled by mixed
+    # rationals (some written as strings), and with zero and repeated rows appended,
+    # which generic4's Der rows, of full column rank, leave unread
+    A = KERNEL_INPUTS[name]()
+    if system == "der":
+        rows, n = derivations.derivation_rows(A), A.dim ** 2
+    else:
+        rows, n = _two_sided_coordinate_rows(A, monkeypatch)
+        rows = [row for row in rows if any(row)]
+    if not rows:
+        assert system == "two-sided" and right_bider_bilinear_space(A).dim == 0
+        return
+    want = nullspace_reference(Matrix(rows))
+    scaled = [[x * F((-1) ** r * (r % 5 + 1), r % 7 + 1) for x in row] for r, row in enumerate(rows)]
+    scaled = [[str(x) for x in row] if r % 3 == 0 else row for r, row in enumerate(scaled)]
+    padded = rows + [[0] * n, rows[0], [-x for x in rows[-1]], [0] * n] + rows
+    for system_rows in (rows, scaled, padded):
+        assert solve_homogeneous(system_rows, n) == want
+        assert nullspace(Matrix(system_rows)) == want
+    if name.startswith("generic4") and system == "der":
+        assert want.dim == 0
+
+
+def test_kernel_entry_paths_read_no_row_past_full_column_rank(monkeypatch):
+    # the identity gives every column a pivot, so no row after it is scaled or read:
+    # a row that cannot be iterated would raise if it were
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("row read past full column rank")
+    def refused(*args):
+        raise AssertionError("_eliminate called")
+    monkeypatch.setattr(linalg, "_eliminate", refused)
+    for k in range(1, 6):
+        rows = [[int(r == c) for c in range(k)] for r in range(k)]
+        rest = [[0] * k, rows[0], [F(1, 2)] * k, Unread([1] * k)]
+        assert solve_homogeneous(rows + rest, k) == SubspaceBasis(k, ())
+        assert nullspace(Matrix(rows + rest[:3])) == SubspaceBasis(k, ())
 
 
 @pytest.mark.parametrize("name", ["L3", "heisenberg3", "sl2", "abelian(3)"])
@@ -238,28 +312,34 @@ def test_spaces_match_two_pass_reference_solvers(name):
     assert spaces_intersection(A) == intersect_reference(right, left)
 
 
+def _count_eliminations(monkeypatch):
+    """Record the column count of every call of the one elimination, `linalg._echelon`."""
+    original, calls = linalg._echelon, []
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return original(rows, ncols)
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    return calls
+
+
 def test_each_canonical_basis_takes_one_rref(monkeypatch):
-    # a second canonicalizing pass would be a second rref
-    original, calls = linalg.rref, []
-    def counted(m):
-        calls.append(m)
-        return original(m)
-    monkeypatch.setattr(linalg, "rref", counted)
-    def rrefs(fn, *args):
+    # a second canonicalizing pass would be a second elimination
+    calls = _count_eliminations(monkeypatch)
+    def eliminations(fn, *args):
         calls.clear()
         fn(*args)
         return len(calls)
     a = canonicalize([(1, 0, 1, 0), (0, 1, 1, 2)])
     b = canonicalize([(1, 1, 2, 2), (0, 0, 0, 1)])
-    assert rrefs(nullspace, Matrix([[1, 2, 0, 1], [2, 4, 1, 0]])) == 1
-    assert rrefs(canonicalize, [(1, 2, 3), (2, 4, 6), (0, 1, 1)]) == 1
-    assert rrefs(intersect, a, b) == 1
+    assert eliminations(nullspace, Matrix([[1, 2, 0, 1], [2, 4, 1, 0]])) == 1
+    assert eliminations(canonicalize, [(1, 2, 3), (2, 4, 6), (0, 1, 1)]) == 1
+    assert eliminations(intersect, a, b) == 1
     # Der, then the left condition in coordinates over the right basis; a
     # system without rows takes none (abelian(n) and L1 have no Der rows,
     # and every right biderivation of L2 is a left one)
     want = {"abelian(2)": 0, "abelian(3)": 0, "abelian(4)": 0, "L1": 0, "L2": 1, "L3": 2,
             "L4": 2, "heisenberg3": 2, "sl2": 2}
-    assert {name: rrefs(bider_space, builtin(name)) for name in ALL_BUILTINS} == want
+    assert {name: eliminations(bider_space, builtin(name)) for name in ALL_BUILTINS} == want
 
 
 @pytest.mark.parametrize("name", ["abelian(1)", "abelian(2)", "abelian(3)", "abelian(4)", "L1"])
@@ -275,7 +355,6 @@ def test_two_sided_space_of_a_zero_product_is_the_right_space(name):
 
 TWO_SIDED_INPUTS = dict(RIGHT_SPACE_INPUTS)
 TWO_SIDED_INPUTS.update({
-    "dense-heisenberg5-seed0": lambda: spaces_scale_dense(0)[0],
     "dense-heisenberg5-seed3": lambda: spaces_scale_dense(3)[0],
     "generic4-seed0": lambda: spaces_scale_dense(0)[1],
     "generic4-seed3": lambda: spaces_scale_dense(3)[1],
@@ -295,13 +374,9 @@ def test_intersect_solves_over_its_first_argument(monkeypatch):
     # condition on a's coordinates, not a second set of unknowns
     a = canonicalize([(1, 0, 1, 0, 2), (0, 1, 1, 2, 0)])
     b = canonicalize([(1, 1, 2, 2, 2), (0, 0, 0, 1, 0), (1, 0, 0, 0, 2)])
-    original, calls = linalg.rref, []
-    def counted(m):
-        calls.append(m)
-        return original(m)
-    monkeypatch.setattr(linalg, "rref", counted)
+    calls = _count_eliminations(monkeypatch)
     meet = intersect(a, b)
-    assert [m.cols for m in calls] == [a.dim]
+    assert calls == [a.dim]
     assert meet.dim == 1 and meet == intersect_reference(a, b)
 
 
