@@ -24,15 +24,18 @@ The arithmetic runs in integers. A map is its sorted monomials and one
 tall `linalg.Matrix` that stacks their coefficient matrices over one
 denominator, in lowest terms, so equal maps have equal forms; map files are
 parsed into that form and written from it (`formats`), and the `Fraction`
-matrices (`terms`) are a view. The bracket kernel takes one operand and a
-whole row of others, each as `_read` gives it: its blocks as their nonzero
-entries and sparse rows. A caller reads each operand once, and nothing is
-kept on a map. The kernel adds both halves of every pair commutator,
-+M_a N_b and -N_b M_a, into one raw integer list per output monomial a + b
-over d1 d2. `rhd` and `lhd` share its one-pair case, put in lowest terms (a
-left map carries the terms of its transposed right map). The transpose suite
-(one call per pair) and the Lie-law suites check raw kernel rows by value,
-and the Lie-law suite checks all its samples' membership in one Leibniz scan.
+matrices (`terms`) are a view. `_raw` splits the tall matrix into the raw
+form (den, {monomial: block}), and `_raw_combination` is the one linear
+combination of raw forms, for the constructor, +, -, scalar *, the Lie-law
+samples and laws. The bracket kernel takes one operand and a whole row of
+others, each as `_read` gives it: its blocks as their nonzero entries and
+sparse rows. A caller reads each operand once, and nothing is kept on a map.
+The kernel adds both halves of every pair commutator, +M_a N_b and -N_b M_a,
+into one raw integer list per output monomial a + b over d1 d2. `rhd` and
+`lhd` share its one-pair case, put in lowest terms (a left map carries the
+terms of its transposed right map). The transpose suite (one call per pair)
+and the Lie-law suites check raw kernel rows by value, and the Lie-law suite
+checks all its samples' membership in one Leibniz scan.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from typing import Mapping, Sequence
 
 from .algebras import Algebra, failing_stacks
@@ -50,8 +53,7 @@ from .bilinear import BilinearTensor, skew_symmetrize, symmetrize
 from .biderivations import (basis_tensors, left_bider_bilinear_space,
                             right_bider_bilinear_space)
 from .derivations import derivation_matrices
-from .linalg import (IntRows, Matrix, Ratio, Vector, _integers, add_product, basis_vector,
-                     combine, random_below)
+from .linalg import Matrix, Ratio, Vector, _integers, add_product, basis_vector, random_below
 from .report import CheckResult, check, sample_chunks
 
 MultiIndex = tuple[int, ...]
@@ -96,10 +98,9 @@ class _PolyMap:
                 raise ValueError(f"bad multi-index {a} for dim {dim}")
             if m.rows != dim or m.cols != dim:
                 raise ValueError(f"coefficient matrix must be {dim}x{dim}")
-        den = math.lcm(*[m.den for m in terms.values()])
         self.dim = dim
-        self.monomials, self.tall = _stacked(dim, den, {
-            tuple(a): [x * (den // m.den) for x in m.ints] for a, m in terms.items()})
+        self.monomials, self.tall = _stacked(dim, *_raw_combination(
+            [1] * len(terms), [(m.den, {tuple(a): m.ints}) for a, m in terms.items()]))
 
     @classmethod
     def _of(cls, dim: int, monomials: tuple[MultiIndex, ...], tall: Matrix):
@@ -136,7 +137,7 @@ class _PolyMap:
     def _at(self, points: Sequence[Sequence[Fraction]]) -> list[Matrix]:
         """`fixed_arg` at each of the points, from one evaluation of the blocks."""
         n, nn = self.dim, self.dim * self.dim
-        vals = _at_points(zip(self.monomials, _blocks(self.tall.ints, n)), points, {})
+        vals = _at_points(_raw(self)[1].items(), points, {})
         return [Matrix._of(n, n, d * self.tall.den, xs)
                 for d, xs in (_integers(vals.get(k, [0] * nn)) for k in range(len(points)))]
 
@@ -203,36 +204,34 @@ def _stacked(n: int, den: int, ints: dict[MultiIndex, Sequence[int]]
     return monomials, Matrix._of(len(monomials) * n, n, den, tall)
 
 
-def _blocks(ints: Sequence[int], n: int):
-    """The consecutive n x n blocks of row-major integers, as tuples."""
-    return zip(*[iter(ints)] * (n * n))
+def _raw(P: _PolyMap) -> tuple[int, dict[MultiIndex, tuple[int, ...]]]:
+    """The raw form (den, {monomial: block}) of a map: its tall matrix split into its
+    consecutive n x n blocks of row-major integers, as tuples."""
+    return P.tall.den, dict(zip(P.monomials, zip(*[iter(P.tall.ints)] * (P.dim * P.dim))))
 
 
-def _stack(maps: Sequence[_PolyMap], n: int) -> tuple[dict[MultiIndex, int], list]:
-    """The union of the maps' monomials as {monomial: block}, and each map as `combine`
-    reads it: its denominator and the sparse rows of its tall matrix (`Matrix.sparse`,
-    built once per matrix and kept), restacked n at a time in that block order."""
-    block = {a: i for i, a in enumerate(dict.fromkeys(a for P in maps for a in P.monomials))}
-    scaled = []
-    for P in maps:
-        rows: IntRows = [[]] * (len(block) * n)
-        sparse = P.tall.sparse
-        for i, a in enumerate(P.monomials):
-            rows[block[a] * n:block[a] * n + n] = sparse[i * n:i * n + n]
-        scaled.append((P.tall.den, rows))
-    return block, scaled
+def _raw_combination(coeffs: Sequence[int | Ratio], forms) -> tuple[int, RawTerms]:
+    """sum_i coeffs[i] * forms[i] for raw forms (den, terms), in integers, not reduced: per
+    monomial, each form is added by `map`; a factor of 1 multiplies nothing, and a factor
+    of 0 is skipped, so its form adds no denominator and no monomial."""
+    used = [(f, form) for f, form in zip(coeffs, forms) if f.numerator]
+    den = math.lcm(*[f.denominator * d for f, (d, _) in used])
+    out: RawTerms = {}
+    for f, (d, terms) in used:
+        k = f.numerator * (den // (f.denominator * d))
+        for g, flat in terms.items():
+            scaled = flat if k == 1 else map(k.__mul__, flat)
+            acc = out.get(g)
+            out[g] = list(scaled) if acc is None else list(map(operator.add, acc, scaled))
+    return den, out
 
 
 def _linear_combination(coeffs: Sequence[Fraction], maps: Sequence[_PolyMap]):
-    """sum_i coeffs[i] * maps[i] for maps of one class, in integers: one `combine` of the
-    maps as `_stack` lays them out."""
+    """sum_i coeffs[i] * maps[i] for maps of one class: one `_raw_combination`."""
     cls, n = type(maps[0]), maps[0].dim
     if any(P.dim != n for P in maps):
         raise ValueError("dimension mismatch")
-    used = [(f, P) for f, P in zip(coeffs, maps) if f]
-    block, scaled = _stack([P for _, P in used], n)
-    den, flat = combine([f for f, _ in used], scaled, len(block) * n, n)
-    return cls._of(n, *_stacked(n, den, dict(zip(block, _blocks(flat, n)))))
+    return cls._of(n, *_stacked(n, *_raw_combination(coeffs, [_raw(P) for P in maps])))
 
 
 class PolyRightMap(_PolyMap):
@@ -310,7 +309,7 @@ def _read(X) -> tuple[int, list]:
     entries (r n, k, v) and its sparse rows, both built from the block's nonzero positions
     alone, in row-major order. Nothing is kept: read each operand once."""
     if isinstance(X, _PolyMap):
-        X = X.tall.den, dict(zip(X.monomials, _blocks(X.tall.ints, X.dim)))
+        X = _raw(X)
     out = []
     for a, flat in X[1].items():
         if nonzero := list(compress(range(len(flat)), flat)):
@@ -392,34 +391,18 @@ def random_multi_index(rng: random.Random, n: int, max_degree: int = 2) -> Multi
 
 
 def _random_map(rng: random.Random, base, derivations: Sequence[Matrix], n: int):
-    """A random rational sum of the base maps, stacked once by `_stack`, plus up to two
-    terms y^a D, D a random rational sum of `derivations`: all in one `combine`. Returns
-    the raw form (den, terms), not reduced, and its row-major integers."""
-    block, scaled = dict(base[0]), list(base[1])
-    coeffs = random_ratios(rng, len(scaled))
+    """A random rational sum of the base maps' raw forms plus up to two terms y^a D, D a
+    random rational sum of `derivations`: the raw form of one `_raw_combination`."""
+    forms = list(base)
+    coeffs = random_ratios(rng, len(forms))
     [extra] = random_below(rng, (3,))
     for _ in range(extra):
         if not derivations:
             break
-        i = block.setdefault(random_multi_index(rng, n), len(block)) * n
+        a = random_multi_index(rng, n)
         coeffs += random_ratios(rng, len(derivations))
-        scaled += [(d.den, [[]] * i + d.sparse) for d in derivations]
-    den, flat = combine(coeffs, scaled, len(block) * n, n)
-    return (den, dict(zip(block, _blocks(flat, n)))), flat
-
-
-def _raw_combination(coeffs: Sequence[int | Ratio], forms) -> tuple[int, RawTerms]:
-    """sum_i coeffs[i] * forms[i] for raw forms (den, terms), in integers, not reduced:
-    per monomial, each form is added by `map`, and a factor of 1 multiplies nothing."""
-    den = math.lcm(*[f.denominator * d for f, (d, _) in zip(coeffs, forms)])
-    out: RawTerms = {}
-    for f, (d, terms) in zip(coeffs, forms):
-        k = f.numerator * (den // (f.denominator * d))
-        for g, flat in terms.items():
-            scaled = flat if k == 1 else map(k.__mul__, flat)
-            acc = out.get(g)
-            out[g] = list(scaled) if acc is None else list(map(operator.add, acc, scaled))
-    return den, out
+        forms += [(d.den, {a: d.ints}) for d in derivations]
+    return _raw_combination(coeffs, forms)
 
 
 def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
@@ -446,7 +429,7 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
     space = (right_bider_bilinear_space if right else left_bider_bilinear_space)(A)
     convert = from_tensor if right else from_tensor_left
     n = A.dim
-    base = _stack([convert(t) for t in basis_tensors(space, n)], n)
+    base = [_raw(convert(t)) for t in basis_tensors(space, n)]
     ders = derivation_matrices(A)
     rng = random.Random(seed)
     suite = f"bracket-{side}"
@@ -458,9 +441,9 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
     for chunk in chunks:
         members, products = [], []
         for s in chunk:
-            (r1, f1), (r2, f2), (r3, f3) = (_random_map(rng, base, ders, n) for _ in range(3))
+            r1, r2, r3 = (_random_map(rng, base, ders, n) for _ in range(3))
             a, b = random_ratios(rng, 2)
-            members += [f1, f2, f3]
+            members += [list(chain.from_iterable(r[1].values())) for r in (r1, r2, r3)]
             b1, b2, b3 = map(_read, (r1, r2, r3))
             sum_12, sum_23 = (_read(_raw_combination((a, b), p)) for p in ((r1, r2), (r2, r3)))
             [b31] = _bracket_terms(b3, [b1])

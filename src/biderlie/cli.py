@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run every identity suite and print a pass/fail table "
                        "(the expensive command: up to min(CPUs, 7) processes; on 2 CPUs "
-                       "about 50 s wall and 60 s CPU at dim 8)",
+                       "about 31-34 s wall and 38-41 s CPU at dim 8)",
                        description="After the kind check, the suites run in up to "
                        "min(CPUs, 7) processes, costliest first. That cuts wall time, not "
                        "the total CPU time. With one CPU, or without os.fork (Windows), "

@@ -29,12 +29,14 @@ without spaces. Every file is read into integer form over the lcm of its
 entries' denominators: an algebra's product tensor and a bilinear tensor
 into one n^2 x n `Matrix`, a poly map into its sorted monomials and one tall
 `Matrix` of their coefficient matrices (an all-zero monomial is dropped),
-and each is written from that form. An entry reads as `Fraction(tok)` would,
-but a plain `p` or `p/q` by `int` with no `Fraction` built. Each distinct
-value token, and in a map file each distinct exponent vector, is parsed
-once per file; an `m` line's (row, col) pair spelled `1`..`n` is looked up
-in a table built at the `dim` header, and any other spelling (`01`, `+2`) is
-parsed. Only nonzero entries are written. Every writer, of these files and of
+and each is written from that form (a poly map from `brackets._raw`). An entry
+reads as `Fraction(tok)` would, but a plain `p` or `p/q` by `int` with no
+`Fraction` built, and one with more than `MAX_DIGITS` = 640 digits in its
+numerator or denominator as written is refused before any integer is built.
+Each distinct value token, and in a map file each distinct exponent vector,
+is parsed once per file; an `m` line's (row, col) pair spelled `1`..`n` is
+looked up in a table built at the `dim` header, and any other spelling (`01`,
+`+2`) is parsed. Only nonzero entries are written. Every writer, of these files and of
 the CLI's `der` and `bider` output, prints an integer entry x of a form over den
 through `Rationals`, as `str(Fraction(x, den))` would, with no `Fraction` built.
 Serialization is canonical: sorted indices, normalized rationals, so
@@ -50,12 +52,13 @@ from itertools import compress
 
 from .algebras import KINDS, MAX_DEGREE, MAX_DIM, Algebra
 from .bilinear import BilinearTensor
-from .brackets import PolyLeftMap, PolyRightMap, _blocks, _stacked
+from .brackets import PolyLeftMap, PolyRightMap, _raw, _stacked
 from .linalg import Matrix
 
 MAP_KINDS = ("bilinear", "polyright", "polyleft")
-# p or p/q in ASCII digits, at most 640 each: `int` reads them under any digit limit it takes
-_PLAIN = re.compile(r"([-+]?[0-9]{1,640})(?:/([0-9]{1,640}))?")
+MAX_DIGITS = 640  # the most digits of a literal's numerator or denominator, as written
+# p or p/q in ASCII digits, at most MAX_DIGITS each: `int` reads them under any digit limit
+_PLAIN = re.compile(rf"([-+]?[0-9]{{1,{MAX_DIGITS}}})(?:/([0-9]{{1,{MAX_DIGITS}}}))?")
 
 
 class FormatError(ValueError):
@@ -73,12 +76,27 @@ def _lines(text: str):
             yield line_no, body.split()
 
 
+def _digits(tok: str) -> int:
+    """The most digits of the unreduced numerator or denominator of `Fraction(tok)`: p/q those
+    of p or q, I.F e X those of I F times 10^(X - len F) or of 10^(len F - X). Only 4 digits
+    of X are read, as |X| > 999 is past the cap; what is no exponent, Fraction refuses."""
+    if "/" in tok:
+        return max(sum(map(str.isdecimal, part)) for part in tok.split("/", 1))
+    mantissa, _, x = tok.lower().partition("e")
+    digits = x.replace("_", "").lstrip("+-").lstrip("0")[:4]
+    shift = (int(digits) if digits.isdecimal() else 0) * (-1 if x[:1] == "-" else 1)
+    shift -= sum(map(str.isdecimal, mantissa.partition(".")[2]))
+    return max(sum(map(str.isdecimal, mantissa)) + max(shift, 0), 1 - shift)
+
+
 def _ratio(tok: str, line_no: int) -> tuple[int, int]:
-    """`Fraction(tok)` as (numerator, denominator): a plain literal by `int` and one `gcd`."""
+    """`Fraction(tok)` as (numerator, denominator), a plain literal by `int` and one `gcd`."""
     m = _PLAIN.fullmatch(tok)
     if m and (q := int(m[2] or 1)):
         g = math.gcd(p := int(m[1]), q)
         return p // g, q // g
+    if _digits(tok) > MAX_DIGITS:
+        raise FormatError(f"literal over {MAX_DIGITS} digits in numerator or denominator", line_no)
     try:
         return Fraction(tok).as_integer_ratio()
     except (ValueError, ZeroDivisionError):
@@ -95,16 +113,22 @@ def _index(tok: str, line_no: int, dim: int, what: str = "index") -> int:
     return i - 1
 
 
+def _header(toks: list[str], line_no: int, seen, choices=(), what: str = "name") -> str:
+    """`<head> <value>`'s value, one of `choices` if given; `seen` is the one read before."""
+    if seen is not None:
+        raise FormatError(f"duplicate {toks[0]} header", line_no)
+    if len(toks) != 2 or choices and toks[1] not in choices:
+        raise FormatError(f"expected: {toks[0]} <{'|'.join(choices) or what}>", line_no)
+    return toks[1]
+
+
 def _dim(toks: list[str], line_no: int, dim: int | None) -> int:
     """The dimension a `dim <n>` header declares; `dim` is the one read before, if any."""
-    if dim is not None:
-        raise FormatError("duplicate dim header", line_no)
-    if len(toks) != 2:
-        raise FormatError("expected: dim <n>", line_no)
+    tok = _header(toks, line_no, dim, what="n")
     try:
-        n = int(toks[1])
+        n = int(tok)
     except ValueError:
-        raise FormatError(f"not an integer dim: {toks[1]!r}", line_no) from None
+        raise FormatError(f"not an integer dim: {tok!r}", line_no) from None
     if not 1 <= n <= MAX_DIM:
         raise FormatError(f"dim must be positive and at most {MAX_DIM}, got {n}", line_no)
     return n
@@ -183,19 +207,11 @@ def parse_algebra(text: str) -> Algebra:
     for line_no, toks in _lines(text):
         head = toks[0]
         if head == "algebra":
-            if name is not None:
-                raise FormatError("duplicate algebra header", line_no)
-            if len(toks) != 2:
-                raise FormatError("expected: algebra <name>", line_no)
-            name = toks[1]
+            name = _header(toks, line_no, name)
         elif head == "dim":
             dim = _dim(toks, line_no, dim)
         elif head == "kind":
-            if kind is not None:
-                raise FormatError("duplicate kind header", line_no)
-            if len(toks) != 2 or toks[1] not in KINDS:
-                raise FormatError(f"expected: kind <{'|'.join(KINDS)}>", line_no)
-            kind = toks[1]
+            kind = _header(toks, line_no, kind, KINDS)
         elif head == "c":
             if name is None or dim is None or kind is None:
                 raise FormatError("structure constants before the algebra/dim/kind headers",
@@ -245,11 +261,7 @@ def parse_map(text: str):
     for line_no, toks in _lines(text):
         head = toks[0]
         if head == "map":
-            if map_kind is not None:
-                raise FormatError("duplicate map header", line_no)
-            if len(toks) != 2 or toks[1] not in MAP_KINDS:
-                raise FormatError(f"expected: map <{'|'.join(MAP_KINDS)}>", line_no)
-            map_kind = toks[1]
+            map_kind = _header(toks, line_no, map_kind, MAP_KINDS)
         elif head == "dim":
             dim = _dim(toks, line_no, dim)
             cells = {(str(r + 1), str(c + 1)): r * dim + c for r in range(dim) for c in range(dim)}
@@ -283,9 +295,10 @@ def parse_map(text: str):
         raise FormatError("missing map or dim header")
     if map_kind == "bilinear":
         return _tensor(dim, entries)
-    den, ints = _integer_form(len(blocks) * dim * dim, entries)
-    cls = PolyRightMap if map_kind == "polyright" else PolyLeftMap
-    return cls._of(dim, *_stacked(dim, den, dict(zip(blocks, _blocks(ints, dim)))))
+    nn, cls = dim * dim, PolyRightMap if map_kind == "polyright" else PolyLeftMap
+    den, ints = _integer_form(len(blocks) * nn, entries)
+    return cls._of(dim, *_stacked(dim, den, {a: ints[b * nn:b * nn + nn]
+                                             for a, b in blocks.items()}))
 
 
 def serialize_map(obj) -> str:
@@ -295,10 +308,11 @@ def serialize_map(obj) -> str:
         return "\n".join(["map bilinear", f"dim {obj.dim}"] + entry_lines(obj, "t")) + "\n"
     if isinstance(obj, (PolyRightMap, PolyLeftMap)):
         kind = "polyright" if isinstance(obj, PolyRightMap) else "polyleft"
-        n, text = obj.dim, Rationals(obj.tall.den)
+        (den, terms), n = _raw(obj), obj.dim
+        text = Rationals(den)
         at = [f" {r + 1} {c + 1} = " for r in range(n) for c in range(n)]
         lines = [f"map {kind}", f"dim {n}"]
-        for alpha, block in zip(obj.monomials, _blocks(obj.tall.ints, n)):
+        for alpha, block in terms.items():
             head = "m (" + ",".join(map(str, alpha)) + ")"
             for pos, x in compress(zip(at, block), block):
                 lines.append(f"{head}{pos}{text[x]}")

@@ -11,9 +11,10 @@ directly. Its `Fraction` rows (`data`) and its sparse integer rows
 (`sparse`, [(column, entry)] per row) are views, each built once on first
 read. Sums, products, commutators, transposes and matrix-vector products
 run on the integers: `add_product` accumulates a product of sparse rows
-into a flat integer list, `combine` a linear sum sum_i f_i M_i over
-one common denominator, and the trusted `Matrix._of` puts a result in
-lowest terms. A vector is the one-row case.
+into a flat integer list, `combine` a linear sum sum_i f_i M_i of matrices
+over one common denominator, and the trusted `Matrix._of` puts a result in
+lowest terms. A vector is the one-row case. (Poly maps are summed by
+`brackets._raw_combination`, monomial by monomial.)
 
 `_echelon` is the one elimination, sparse and fraction-free: it scales each
 integer row {column: entry} to its primitive part, divides every integer

@@ -57,8 +57,7 @@ from biderlie.biderivations import (basis_tensors, bider_space, left_bider_bilin
                                     right_bider_bilinear_space)
 from biderlie.derivations import derivation_rows, derivation_space
 from biderlie.bilinear import BilinearTensor
-from biderlie.brackets import (PolyRightMap, _blocks, _PolyMap, random_multi_index,
-                               random_ratio)
+from biderlie.brackets import PolyRightMap, _PolyMap, random_multi_index, random_ratio
 from biderlie.linalg import (Matrix, SubspaceBasis, basis_vector, mat_commutator, random_below,
                              solve_over, vector)
 from biderlie.scalar_maps import ScalarPoly
@@ -430,7 +429,8 @@ def read_per_entry(X):
     every n x n block sliced row by row and every entry tested, the entries (r n, k, v)
     collected from the sparse rows."""
     if isinstance(X, _PolyMap):
-        X = X.tall.den, dict(zip(X.monomials, _blocks(X.tall.ints, X.dim)))
+        nn = X.dim * X.dim
+        X = X.tall.den, {a: X.tall.ints[i * nn:i * nn + nn] for i, a in enumerate(X.monomials)}
     out = []
     for a, flat in X[1].items():
         if any(flat):

@@ -15,11 +15,12 @@ from biderlie import (Algebra, BilinearTensor, PolyLeftMap, PolyRightMap,
 import biderlie.brackets as brackets_module
 import biderlie.verify as verify_module
 from biderlie.brackets import random_multi_index, random_ratio, random_ratios
-from biderlie.biderivations import basis_tensors, right_bider_bilinear_space
+from biderlie.biderivations import (basis_tensors, left_bider_bilinear_space,
+                                    right_bider_bilinear_space)
 from biderlie.bilinear import random_tensor
 from biderlie.cli import heisenberg_example_maps
 from biderlie.formats import parse_map, serialize_map
-from biderlie.linalg import Matrix, basis_vector
+from biderlie.linalg import Matrix, Ratio, basis_vector
 from biderlie.report import all_ok
 
 from helpers import random_rational_vector, workers_only
@@ -328,13 +329,58 @@ def test_transpose_suite_reads_each_operand_once(monkeypatch, name):
 @pytest.mark.parametrize("name", ["heisenberg3", "L3", "sl2"])
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_lie_law_suite_reads_each_sample_and_product_once(monkeypatch, name, side):
-    # the m basis maps are stacked from their tall matrices' sparse rows, not read; per
-    # sample its three maps, the two combinations and the three products bracketed
-    # again are each read once
+    # the m basis maps are split into raw forms by `_raw`, not read; per sample its three
+    # maps, the two combinations and the three products bracketed again are each read once
     A = builtin(name)
     reads = _count_reads(monkeypatch)
     assert all_ok(verify_lie_algebra(A, side, samples=25))
     assert reads == [8 * 25]
+
+
+def test_raw_combination_takes_nothing_from_a_zero_coefficient():
+    # a form with factor 0 adds neither its denominator nor its monomials: the sum is the
+    # (den, terms) of the other forms alone, whatever type the 0 has
+    one = (2, {(1, 0): (1, 0, 0, 1)})
+    other = (7, {(0, 1): (3, 0, 0, 0), (1, 0): (0, 5, 0, 0)})
+    combination = brackets_module._raw_combination
+    for zero in (0, F(0), Ratio(0, 3)):
+        assert combination((1, zero), (one, other)) == (2, {(1, 0): [1, 0, 0, 1]})
+        assert combination((zero, F(1, 3)), (one, other)) == (
+            21, {(0, 1): [3, 0, 0, 0], (1, 0): [0, 5, 0, 0]})
+        assert combination((zero, zero), (one, other)) == (1, {})
+    assert combination((Ratio(1, 2), Ratio(-3, 1)), (one, other)) == (
+        28, {(1, 0): [7, -60, 0, 7], (0, 1): [-36, 0, 0, 0]})
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "L3", "sl2"])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_random_map_is_the_fraction_combination_of_its_draws(name, side):
+    # a sample is a rational sum of the base maps plus up to two terms y^a D, D a rational
+    # sum of the derivations; the reference draws the same values with randint from a
+    # copy of the generator and sums the maps' `Fraction` terms matrix by matrix
+    A = builtin(name)
+    n, ders = A.dim, derivation_matrices(A)
+    space, convert = ((right_bider_bilinear_space, from_tensor) if side == "right"
+                      else (left_bider_bilinear_space, from_tensor_left))
+    maps = [convert(t) for t in basis_tensors(space(A), n)]
+    base = [brackets_module._raw(P) for P in maps]
+    rng = random.Random(f"{name}-{side}")
+    for _ in range(40):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        got = PolyRightMap._of(n, *brackets_module._stacked(
+            n, *brackets_module._random_map(rng, base, ders, n)))
+        coeffs = [F(twin.randint(-2, 2), twin.randint(1, 2)) for _ in maps]
+        terms = [P.terms for P in maps]
+        for _ in range(twin.randrange(3) if ders else 0):
+            alpha = [0] * n
+            for _ in range(twin.randint(0, 2)):
+                alpha[twin.randrange(n)] += 1
+            coeffs += [F(twin.randint(-2, 2), twin.randint(1, 2)) for _ in ders]
+            terms += [{tuple(alpha): D} for D in ders]
+        want = PolyRightMap(n, poly_terms_combination(coeffs, terms))
+        assert got == want and hash(got) == hash(want)
+        assert rng.getstate() == twin.getstate()
 
 
 def test_main_transpose_identity_on_example(example):

@@ -306,6 +306,22 @@ def test_map_degree_over_the_cap_is_a_one_line_error(capsys, tmp_path):
     assert (code, out) == (0, "map polyright\ndim 2\n")
 
 
+@pytest.mark.parametrize("tok", ["1e999999999", "1e5000", "-1E+700", "1/" + "3" * 700])
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_map_literal_over_the_digit_cap_is_a_one_line_error(capsys, tmp_path, tok, flags):
+    # refused at its line before any integer is built: 1e5000 once reached the writer as a
+    # 5001-digit integer, past str()'s digit limit, and 1e999999999 would take 3.3 gigabits
+    huge = tmp_path / "huge.map"
+    huge.write_text(f"map polyright\ndim 2\nm (1,0) 1 1 = {tok}\n")
+    fine = tmp_path / "fine.map"
+    fine.write_text("map polyright\ndim 2\nm (0,1) 1 2 = 1e639\n")
+    for pair in ((huge, fine), (fine, huge)):
+        code, out, err = run_cli(capsys, "bracket", *map(str, pair), "--op", "rhd",
+                                 "--algebra", "abelian(2)", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: {huge}: line 3: literal over 640 digits in numerator or denominator\n"
+
+
 @pytest.mark.parametrize("op, kind", [("rhd", "polyright"), ("lhd", "polyleft")])
 @pytest.mark.parametrize("flags", [(), ("--json",)])
 def test_bracket_past_the_degree_cap_is_refused(capsys, tmp_path, op, kind, flags):
@@ -400,7 +416,7 @@ def test_help_says_which_commands_are_cheap_and_which_is_expensive(capsys):
     assert f"(one exact solve, fast up to dim {MAX_DIM})" in text
     assert f"(exact solves: under a second at dim 8, seconds at {MAX_DIM})" in text
     assert ("(the expensive command: up to min(CPUs, 7) processes; on 2 CPUs "
-            "about 50 s wall and 60 s CPU at dim 8)") in text
+            "about 31-34 s wall and 38-41 s CPU at dim 8)") in text
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     text = " ".join(capsys.readouterr().out.split())

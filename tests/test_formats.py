@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from biderlie import (BUILTIN_NAMES, BilinearTensor, FormatError, PolyLeftMap, P
                       builtin, parse_algebra, parse_map, serialize_algebra, serialize_map)
 from biderlie.algebras import MAX_DEGREE, MAX_DIM, Algebra
 from biderlie.cli import heisenberg_example_maps
-from biderlie.formats import Rationals, _ratio, entry_lines, text_rows
+from biderlie.formats import MAX_DIGITS, Rationals, _ratio, entry_lines, text_rows
 from biderlie.linalg import Matrix
 
 from oracles import (entry_lines_reference, serialize_algebra_reference,
@@ -252,25 +253,37 @@ def test_parse_reads_entries_as_fraction_does(tok):
         assert serialize_map(P) == f"map polyright\ndim 2\nm (1,0) 1 2 = {F(tok)}\n"
 
 
-# plain ASCII p and p/q, read by `int`, and tokens only `Fraction` reads or refuses
+# more than MAX_DIGITS digits in a numerator or denominator: refused before any int is built
+OVER_CAP = ("-" + "7" * 700, "1/" + "7" * 700, "1" * 5000, "1/" + "7" * 5000)
+CAP_REFUSAL = f"literal over {MAX_DIGITS} digits in numerator or denominator"
+# plain ASCII p and p/q, read by `int`, tokens only `Fraction` reads or refuses, and the cap;
+# the README's and the CI's loose files' literals among them
 LITERALS = ["3", "+3", "-0", "00012/0004", "-6/8", "3/-4", "1/0", "0.5", "1e3", "1_0", "\u0663",
-            "3/", "/4", "pi", "+-3", "1/+2", "-0/7", "\u00b2", "-" + "7" * 700, "1/" + "7" * 700,
-            "1" * 5000, "1/" + "7" * 5000]
+            "3/", "/4", "pi", "+-3", "1/+2", "-0/7", "\u00b2", "2/4", "2/2", "-1.0", "1/2", "-3",
+            *OVER_CAP]
+
+
+def _reading(tok):
+    """tok's Fraction and None, or None and the message that refuses it."""
+    if tok in OVER_CAP:
+        return None, CAP_REFUSAL
+    try:
+        return F(tok), None
+    except (ValueError, ZeroDivisionError):
+        return None, f"not a rational literal: {tok!r}"
 
 
 @pytest.mark.parametrize("tok", LITERALS, ids=lambda tok: ascii(tok)[:16])
 def test_literals_read_as_fraction_reads_them(tok):
-    # the integer path gives Fraction's numerator and denominator, or its refusal
-    try:
-        want = F(tok)
-    except (ValueError, ZeroDivisionError):
-        want = None
+    # the integer path gives Fraction's numerator and denominator, or its refusal; a literal
+    # past the cap is refused with the cap's message
+    want, refusal = _reading(tok)
     text = f"map polyleft\ndim 2\nm (0,1) 2 2 = 1/3\nm (1,0) 1 2 = {tok}\n"
-    if want is None:
+    if refusal:
         for read in (lambda: _ratio(tok, 4), lambda: parse_map(text)):
             with pytest.raises(FormatError) as exc:
                 read()
-            assert str(exc.value) == f"line 4: not a rational literal: {tok!r}"
+            assert str(exc.value) == f"line 4: {refusal}"
             assert exc.value.line_no == 4
         return
     assert _ratio(tok, 4) == (want.numerator, want.denominator)
@@ -283,24 +296,49 @@ def test_literals_read_as_fraction_reads_them(tok):
 @pytest.mark.parametrize("tok", LITERALS, ids=lambda tok: ascii(tok)[:16])
 def test_tensor_literals_read_as_fraction_reads_them(tok):
     # algebra `c` lines and bilinear `t` lines read a value as `m` lines do
-    try:
-        want = F(tok)
-    except (ValueError, ZeroDivisionError):
-        want = None
+    want, refusal = _reading(tok)
     texts = {"c": f"algebra x\ndim 2\nkind generic\nc 2 2 1 = 1/3\nc 1 2 1 = {tok}\n",
              "t": f"map bilinear\ndim 2\nt 2 2 1 = 1/3\n# a comment\nt 1 2 1 = {tok}\n"}
     for head, text in texts.items():
         parse = parse_algebra if head == "c" else parse_map
-        if want is None:
+        if refusal:
             with pytest.raises(FormatError) as exc:
                 parse(text)
-            assert str(exc.value) == f"line 5: not a rational literal: {tok!r}"
+            assert str(exc.value) == f"line 5: {refusal}"
             assert exc.value.line_no == 5
             continue
         got = parse(text)
         B = got.product if head == "c" else got
         assert B == BilinearTensor.from_entries(2, {(1, 1, 0): F(1, 3), (0, 1, 0): want})
         assert B.t[0][1][0] == want
+
+
+@pytest.mark.parametrize("tok", ["1e999999999", "-1E+700", "0." + "3" * 700, "0e999999999",
+                                 "1e-999999999", "1e" + "0" * 10000 + "9999"],
+                         ids=lambda tok: ascii(tok)[:16])
+def test_literal_cap_refuses_huge_literals_at_once(tok):
+    # Fraction would build 10^X (a 3.3-gigabit integer for the first) or parse 700 digits
+    start = time.perf_counter()
+    with pytest.raises(FormatError) as exc:
+        _ratio(tok, 3)
+    assert str(exc.value) == f"line 3: {CAP_REFUSAL}"
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("at_cap,past_cap", [
+    ("1e639", "1e640"),                          # numerator 10^X
+    ("-1E-639", "-1E-640"),                      # denominator 10^-X
+    ("7" * 639 + ".5", "7" * 640 + ".5"),        # numerator as written, over 10
+    ("0." + "0" * 638 + "1", "0." + "0" * 639 + "1"),  # denominator 10^(digits after .)
+    ("12.5e638", "12.5e639"),                    # 125 times 10^(X - 1)
+    ("1/" + "3" * 640, "1/" + "3" * 641),        # the plain path's own bound
+    ("+" + "3" * 640 + "/1", "+" + "3" * 641 + "/1"),
+], ids=["exponent", "negative-exponent", "decimal", "fraction-digits", "mixed", "denominator",
+        "numerator"])
+def test_literal_cap_admits_640_digits_and_refuses_641(at_cap, past_cap):
+    assert _ratio(at_cap, 1) == F(at_cap).as_integer_ratio()
+    with pytest.raises(FormatError, match=f"line 2: {CAP_REFUSAL}"):
+        _ratio(past_cap, 2)
 
 
 def test_plain_literal_tensor_files_are_read_without_a_fraction(monkeypatch):
