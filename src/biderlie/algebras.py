@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .bilinear import BilinearTensor
-from .linalg import Vector, basis_vector, vector
+from .linalg import Vector, basis_vector, check_index, vector
 
 KINDS = ("lie", "leibniz-left", "leibniz-right", "generic")
 
@@ -227,6 +227,8 @@ def _bider_sides(A: Algebra, B: BilinearTensor, side: str,
 def bider_defect(A: Algebra, B: BilinearTensor, side: str,
                  triple: tuple[int, int, int]) -> tuple[Vector, Vector, Vector]:
     """lhs, rhs and residual (rhs - lhs) of B's right or left condition at a basis triple."""
+    for i in triple:
+        check_index(i, A.dim)
     _, lhs, rhs = next(_bider_sides(A, B, side, [triple]))
     den = A.product.matrix.den * B.matrix.den
     return tuple(_fractions(v, den) for v in (lhs, rhs, [y - x for x, y in zip(lhs, rhs)]))
@@ -271,6 +273,8 @@ def identity_residual(A: Algebra, identity: str, triple: tuple[int, int, int]) -
     if identity in _LEIBNIZ_SIDE:
         return bider_defect(A, A.product, _LEIBNIZ_SIDE[identity], triple)[2]
     if identity == "jacobi":
+        for i in triple:
+            check_index(i, A.dim)
         d, c, _ = A.product.int_form()
         return _fractions(_jacobi_defect(c, *triple), d * d)
     raise ValueError(f"unknown identity {identity!r}")

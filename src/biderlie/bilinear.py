@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import Matrix, Vector, random_below
+from .linalg import Matrix, Vector, check_index, random_below
 
 _HALF = Fraction(1, 2)
 
@@ -105,6 +105,7 @@ class BilinearTensor:
     def column_map(self, j: int) -> Matrix:
         """The matrix of x -> B(x, e_j); its column i is B(e_i, e_j)."""
         n, ints = self.dim, self.matrix.ints
+        check_index(j, n)
         return Matrix._of(n, n, self.matrix.den,
                           [ints[(i * n + j) * n + k] for k in range(n) for i in range(n)])
 

@@ -10,10 +10,11 @@ and the row-major integer entries `ints` of den * M, always in lowest terms
 directly. Its `Fraction` rows (`data`) and its sparse integer rows
 (`sparse`, [(column, entry)] per row) are views, each built once on first
 read. Sums, products, commutators, transposes and matrix-vector products
-run on the integers: `add_product` accumulates a product of sparse rows
-into a flat integer list, `combine` a linear sum sum_i f_i M_i of matrices
-over one common denominator, and the trusted `Matrix._of` puts a result in
-lowest terms. A vector is the one-row case. (Poly maps are summed by
+run on the integers: `add_product`, the one matrix loop, accumulates a
+product of sparse rows into a flat integer list, and the trusted
+`Matrix._of` puts a result in lowest terms. A vector is the one-row case,
+and a random member of a space is a lift: its drawn coordinates, read as a
+row, times the canonical basis. (Poly maps are summed by
 `brackets._raw_combination`, monomial by monomial.)
 
 `_echelon` is the one elimination, sparse and fraction-free: it scales each
@@ -58,7 +59,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 IntRows = list[list[tuple[int, int]]]
-# p/q, q > 0, not reduced: a coefficient `combine` reads as it reads a `Fraction`
+# p/q, q > 0, as drawn, not reduced: `_integers` reads it as it reads a `Fraction`
 Ratio = NamedTuple("Ratio", [("numerator", int), ("denominator", int)])
 
 _ZERO = Fraction(0)
@@ -67,11 +68,14 @@ _ONE = Fraction(1)
 
 def random_below(rng, widths: Iterable[int]) -> list[int]:
     """rng.randrange(w) for each width w in turn, drawn as CPython's `randrange` draws it
-    (getrandbits(w.bit_length()) until below w): the same values and final state."""
+    (getrandbits(w.bit_length()) until below w): the same values and final state. A
+    width below 1 is an empty range: ValueError, as `randrange` raises."""
     bits, out = rng.getrandbits, []
     for w in widths:
         r = bits(k := w.bit_length())
         while r >= w:
+            if w < 1:       # no draw is below it: checked only on a rejected draw
+                raise ValueError(f"empty range for randrange({w})")
             r = bits(k)
         out.append(r)
     return out
@@ -82,7 +86,14 @@ def vector(coords: Iterable) -> Vector:
     return tuple(Fraction(c) for c in coords)
 
 
+def check_index(i: int, n: int) -> None:
+    """Refuse a basis index outside 0..n-1, such as a -1 that would wrap."""
+    if not 0 <= i < n:
+        raise ValueError(f"basis index {i} is outside 0..{n - 1}")
+
+
 def basis_vector(i: int, n: int) -> Vector:
+    check_index(i, n)
     return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
@@ -91,10 +102,12 @@ def _integers(entries: Iterable) -> tuple[int, list[int]]:
     the integers d * x, in lowest terms. All-int input (not bool) is its own integer
     form over d = 1, taken without a pass per entry."""
     xs = list(entries)
-    if set(map(type, xs)) <= {int}:
+    types = set(map(type, xs))
+    if types <= {int}:
         return 1, xs
-    ratios = [x.as_integer_ratio() if type(x) is Fraction or type(x) is int
-              else Fraction(x).as_integer_ratio() for x in xs]
+    ratios = xs if types == {Ratio} else [     # a drawn Ratio is its own (p, q) pair
+        x if type(x) is Ratio else x.as_integer_ratio() if type(x) is Fraction
+        or type(x) is int else Fraction(x).as_integer_ratio() for x in xs]
     den = math.lcm(*{d for _, d in ratios})
     return den, [p * (den // d) for p, d in ratios]
 
@@ -242,33 +255,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
-
-
-def combine(coeffs: Sequence[Fraction | Ratio], scaled: Sequence[tuple[int, IntRows]],
-            rows: int, width: int) -> tuple[int, list[int]]:
-    """sum_i coeffs[i] * (r_i / d_i) for scaled[i] = (d_i, r_i), in integers.
-
-    The r_i are sparse integer rows of a rows x width matrix, such as a
-    `Matrix`'s (den, sparse). Returns (den, out): den is the least common
-    multiple of the coeffs[i].denominator * d_i, out the row-major entries
-    of den times the sum. Zero coefficients are skipped; `coeffs` may hold
-    ints, and `Ratio`s, which are read as they are drawn, unreduced.
-    """
-    den = 1
-    for f, (d, _) in zip(coeffs, scaled):
-        if f.numerator:
-            d *= f.denominator
-            if den % d:
-                den = den * d // math.gcd(den, d)
-    out = [0] * (rows * width)
-    for f, (d, r) in zip(coeffs, scaled):
-        if f.numerator:
-            k = f.numerator * (den // (f.denominator * d))
-            for i, row in enumerate(r):
-                base = i * width
-                for c, x in row:
-                    out[base + c] += k * x
-    return den, out
 
 
 def add_product(out: list[int], a: IntRows, b: IntRows, width: int, sign: int = 1) -> None:

@@ -35,7 +35,7 @@ from .algebras import Algebra
 from .brackets import (MultiIndex, PolyRightMap, _stacked, is_right_bider_poly, monomial_value,
                        rhd)
 from .derivations import commutator, is_derivation
-from .linalg import Matrix, Vector, basis_vector
+from .linalg import Matrix, Vector, basis_vector, check_index
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -79,6 +79,7 @@ class ScalarPoly:
     @classmethod
     def coordinate(cls, dim: int, i: int) -> "ScalarPoly":
         """The projection y -> y_{i+1} (0-based argument)."""
+        check_index(i, dim)
         return cls(dim, {tuple(1 if j == i else 0 for j in range(dim)): _ONE})
 
     def evaluate(self, y: Sequence[Fraction]) -> Fraction:
@@ -327,7 +328,8 @@ def exp_curve_check(A: Algebra, s: ScalarTimesDerivation,
     to rounding, so an all-below-floor sweep also counts as passing decay.
 
     Raises for non-derivation F and for non-Lie algebras: the curve is an
-    automorphism curve only in that setting.
+    automorphism curve only in that setting. Raises for a step that is not
+    finite and > 0, which would divide by zero or sort the sweep backwards.
     """
     if A.kind != "lie":
         raise ValueError("the one-parameter curve check needs a Lie algebra")
@@ -339,6 +341,8 @@ def exp_curve_check(A: Algebra, s: ScalarTimesDerivation,
     hs = sorted(set(float(h) for h in h_list), reverse=True)
     if not hs:
         raise ValueError("h_list must not be empty")
+    if not all(0 < h < math.inf for h in hs):     # a nan fails both comparisons
+        raise ValueError(f"every step in h_list must be finite and > 0, got {list(h_list)}")
     f_mat = _to_float_matrix(s.F)
     samples = [basis_vector(i, n) for i in range(n)] + [(Fraction(1),) * n]
     # g(y) and F x once for all steps; the points (x, y) run over samples x samples

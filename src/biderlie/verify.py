@@ -26,7 +26,7 @@ from .biderivations import (bider_space, left_bider_bilinear_space, right_bider_
 from .brackets import (random_multi_index, random_ratios, verify_lie_algebra,
                        verify_transpose_interplay)
 from .derivations import derivation_matrices, derivation_space, is_derivation
-from .linalg import (Matrix, SubspaceBasis, add_product, combine, mat_commutator, random_below,
+from .linalg import (Matrix, SubspaceBasis, _integers, add_product, mat_commutator, random_below,
                      solve_over)
 from .report import CheckResult, check, sample_chunks, skip, witness_from_triple
 from .scalar_maps import (ScalarPoly, ScalarTimesDerivation, bracket_matches_poly_form,
@@ -108,11 +108,18 @@ def space_suite(A: Algebra) -> list[CheckResult]:
     ]
 
 
+def _lift(rng: random.Random, basis: Matrix) -> tuple[int, list[int]]:
+    """A random member of the span of basis's rows, in integers (den, entries): the row
+    of its drawn coordinates times the basis, one `add_product`."""
+    den, coords = _integers(random_ratios(rng, basis.rows))
+    out = [0] * basis.cols
+    add_product(out, [[(u, x) for u, x in enumerate(coords) if x]], basis.sparse, basis.cols)
+    return den * basis.den, out
+
+
 def _random_member(rng: random.Random, space: SubspaceBasis, n: int) -> BilinearTensor:
-    """A random member of a tensor space: a rational sum over its basis, in integers."""
-    rows = [(space.basis.den, [row]) for row in space.basis.sparse]
-    den, flat = combine(random_ratios(rng, len(rows)), rows, 1, n ** 3)
-    return BilinearTensor._of(n, Matrix._of(n * n, n, den, flat))
+    """A random member of a tensor space, its lift read as an n^2 x n tensor."""
+    return BilinearTensor._of(n, Matrix._of(n * n, n, *_lift(rng, space.basis)))
 
 
 def _transpose_part(right: SubspaceBasis, n: int, sign: int) -> SubspaceBasis:
@@ -204,8 +211,11 @@ def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[Ch
     chunks = sample_chunks(sweep_samples, "sweep_samples")
     n = A.dim
     rng = random.Random(seed)
-    ders = derivation_matrices(A)
-    scaled = [(d.den, d.sparse) for d in ders]
+    # Der's canonical basis, each column-major row read back row-major: a lift over it is F
+    der, size = derivation_space(A).basis, n * n
+    at = [c % n * n + c // n for c in range(size)]
+    der = Matrix._of(der.rows, size, der.den,
+                     [der.ints[u + k] for u in range(0, der.rows * size, size) for k in at])
     equivalence_ok = True
     non_derivation_hits = 0
     for chunk in chunks:
@@ -214,8 +224,8 @@ def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[Ch
             g = _random_scalar_poly(rng, n)
             while g.is_zero():
                 g = _random_scalar_poly(rng, n)
-            F = (Matrix._of(n, n, *combine(random_ratios(rng, len(ders)), scaled, n, n))
-                 if i % 2 == 0 and ders else _random_matrix(rng, n))
+            F = (Matrix._of(n, n, *_lift(rng, der)) if i % 2 == 0 and der.rows
+                 else _random_matrix(rng, n))
             Fs.append(F.ints)
             talls.append(to_poly_right(ScalarTimesDerivation(g, F)).tall.ints)
         bad, m = failing_stacks(A, Fs + talls), len(Fs)
@@ -236,6 +246,7 @@ def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[Ch
     if A.kind != "lie":
         results.append(skip(suite, "one-parameter-curve", "needs a Lie algebra"))
         return results
+    ders = derivation_matrices(A)
     if not ders:
         results.append(skip(suite, "one-parameter-curve", "derivation algebra is trivial"))
         return results

@@ -57,6 +57,20 @@ def test_check_kind_l4():
     assert identity_residual(L4, "leibniz-right", (1, 1, 1)) == (F(1), F(0))
 
 
+@pytest.mark.parametrize("i", [-1, 3, 5])
+def test_basis_element_refuses_an_index_outside_the_dimension(i):
+    with pytest.raises(ValueError, match="outside 0..2"):
+        builtin("heisenberg3").basis_element(i)
+
+
+@pytest.mark.parametrize("identity", ["jacobi", "leibniz-right", "leibniz-left"])
+@pytest.mark.parametrize("triple", [(-1, 0, 1), (0, 3, 1), (0, 1, -2)])
+def test_identity_residual_refuses_an_index_outside_the_dimension(identity, triple):
+    # a -1 wrapped to the last basis vector and answered a zero residual
+    with pytest.raises(ValueError, match="outside 0..2"):
+        identity_residual(builtin("heisenberg3"), identity, triple)
+
+
 def test_check_kind_l3_both_sides():
     L3 = builtin("L3")
     assert check_kind(L3, "leibniz-left").ok

@@ -574,3 +574,12 @@ def test_space_and_derivation_suites_test_membership_by_residuals(monkeypatch, n
     A = builtin(name)
     assert all(r.status == "pass" for r in verify_module.derivation_suite(A)
                + verify_module.space_suite(A))
+
+
+@pytest.mark.parametrize("residual", [right_residual, left_residual])
+@pytest.mark.parametrize("triple", [(-1, 0, 0), (0, 3, 0), (0, 0, -3)])
+def test_residuals_refuse_an_index_outside_the_dimension(residual, triple):
+    # a -1 wrapped to the last basis vector and answered a zero residual
+    A = builtin("heisenberg3")
+    with pytest.raises(ValueError, match="outside 0..2"):
+        residual(A, A.product, *triple)

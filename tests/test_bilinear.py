@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biderlie import BilinearTensor, half_decomposition, skew_symmetrize, symmetrize
+from biderlie import BilinearTensor, builtin, half_decomposition, skew_symmetrize, symmetrize
 from biderlie.cli import heisenberg_example_maps
 
 F = Fraction
@@ -133,3 +133,10 @@ def test_dimension_checks():
         b + BilinearTensor.zero(3)
     with pytest.raises(ValueError):
         BilinearTensor.from_entries(2, {(2, 0, 0): F(1)})
+
+
+@pytest.mark.parametrize("j", [-1, 3])
+def test_column_map_refuses_an_index_outside_the_dimension(j):
+    # a -1 read wrapped entries and gave a zero matrix
+    with pytest.raises(ValueError, match="outside 0..2"):
+        builtin("heisenberg3").product.column_map(j)

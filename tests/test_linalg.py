@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -9,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from biderlie import (Algebra, bider_space, bracket, derivation_space, left_bider_bilinear_space,
                       linalg, right_bider_bilinear_space)
 from biderlie.derivations import derivation_rows
-from biderlie.linalg import (Matrix, SubspaceBasis, _eliminate, canonicalize, combine,
+from biderlie.linalg import (Matrix, Ratio, SubspaceBasis, _eliminate, canonicalize,
                              intersect, lowest_terms, mat_commutator, nullspace, random_below,
                              rref, solve_homogeneous, solve_over, vector)
 
@@ -487,13 +491,17 @@ def test_integer_product_kernel_matches_entrywise_fractions():
 
 
 def _combination(coeffs, mats, rows, cols):
-    # `combine` on the matrices' integer forms, as a rows x cols matrix
-    return Matrix._of(rows, cols, *combine(coeffs, [(m.den, m.sparse) for m in mats], rows, cols))
+    # the lift of coeffs over the matrices flattened into rows: one product of the
+    # coefficient row with the stack, read back as a rows x cols matrix
+    stack = Matrix._from_flat(len(mats), rows * cols,
+                              [x for m in mats for row in m.data for x in row])
+    lift = Matrix._from_flat(1, len(coeffs), coeffs) * stack
+    return Matrix._of(rows, cols, lift.den, lift.ints)
 
 
 def test_integer_combination_kernel_matches_fraction_fold():
-    # sum_i f_i M_i over one common denominator, against a fold of Fraction
-    # scalar products and sums; a vector is the one-row case
+    # sum_i f_i M_i as the coefficient row times the stacked matrices, against a fold of
+    # Fraction scalar products and sums; a vector is the one-row case
     rng = random.Random(6)
     def rand(rows, cols):
         return Matrix([[F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 7))
@@ -509,6 +517,16 @@ def test_integer_combination_kernel_matches_fraction_fold():
     m = rand(2, 2)
     assert _combination([0, F(0)], [m] * 2, 2, 2) == Matrix.zeros(2, 2)
     assert _combination([], [], 2, 2) == Matrix.zeros(2, 2)
+
+
+def test_from_flat_reads_drawn_ratios_as_their_fractions():
+    # the sampled suites draw coefficients as unreduced (p, q) pairs
+    ratios = [Ratio(2, 2), Ratio(0, 3), Ratio(-4, 6)]
+    got = Matrix._from_flat(1, 3, ratios)
+    assert got == Matrix([[F(1), F(0), F(-2, 3)]])
+    assert got.data[0] == tuple(F(*r) for r in ratios)
+    assert Matrix._from_flat(1, 2, [Ratio(0, 3), Ratio(0, 2)]) == Matrix.zeros(1, 2)
+    assert Matrix._from_flat(1, 3, [Ratio(-4, 6), 1, F(1, 2)]) == Matrix([[F(-2, 3), 1, F(1, 2)]])
 
 
 def test_matrix_shape_errors():
@@ -629,6 +647,24 @@ def test_integer_forms_of_one_matrix_compare_and_hash_equal(m, k):
         assert Matrix(m.data) == m and hash(Matrix(m.data)) == hash(m)
     if not m.is_zero():
         assert 2 * m != m and -m != m and m != Matrix.zeros(m.rows, m.cols)
+
+
+@pytest.mark.parametrize("call", ["random_below(rng, (3, 0))", "random_tensor(rng, 2, span=-1)",
+                                  "random_ratio(rng, span=0)",
+                                  "random_multi_index(rng, 3, max_degree=-1)"])
+def test_empty_draw_ranges_raise_as_randrange_does(call):
+    # each runs in its own process under a timeout, so a draw that never returns fails
+    # the test instead of hanging the suite
+    code = ("import random\n"
+            "from biderlie.bilinear import random_tensor\n"
+            "from biderlie.brackets import random_multi_index, random_ratio\n"
+            "from biderlie.linalg import random_below\n"
+            "rng = random.Random(0)\n"
+            f"try:\n    {call}\nexcept ValueError as e:\n    print('ValueError:', e)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(linalg.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert proc.returncode == 0 and proc.stdout.startswith("ValueError: empty range"), proc
 
 
 def test_random_below_draws_as_randrange_does():

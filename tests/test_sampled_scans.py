@@ -19,13 +19,15 @@ from biderlie import Algebra, BilinearTensor, algebras, report
 import biderlie.brackets as brackets_module
 import biderlie.verify as verify_module
 from biderlie.algebras import bider_scan, builtin, failing_stacks
+from biderlie.biderivations import bider_space, right_bider_bilinear_space
 from biderlie.bilinear import half_decomposition, skew_symmetrize
 from biderlie.brackets import verify_lie_algebra
 from biderlie.derivations import derivation_matrices
-from biderlie.linalg import Matrix, Ratio, combine
-from biderlie.verify import derivation_suite, scalar_suite, symmetry_suite
+from biderlie.linalg import Matrix, Ratio
+from biderlie.verify import _transpose_part, derivation_suite, scalar_suite, symmetry_suite
 
-from oracles import derives_reference, jacobi_ok_reference, leibniz_sides_reference
+from oracles import (derives_reference, fraction_combination, jacobi_ok_reference,
+                     leibniz_sides_reference)
 from test_brackets import _LIE_MUTANTS, _LIE_PINNED, _on_maps
 
 _SIDES = algebras.leibniz_sides
@@ -155,6 +157,24 @@ def test_symmetry_suite_under_broken_half_parts(monkeypatch, mutant, name):
                for table in _LEIBNIZ_PINNED.values() for A in table)
     monkeypatch.setattr(verify_module, *_SYMMETRY_MUTANTS[mutant])
     assert _outcome(lambda: symmetry_suite(builtin(name))) == _SYMMETRY_PINNED[mutant]
+
+
+# a random member that is not one: B(e1, e1) = e1 added to each lift
+_LIFT_MUTANTS = {
+    "e1e1-added": lambda member: lambda rng, space, n: (
+        member(rng, space, n) + BilinearTensor.from_entries(n, {(0, 0, 0): F(1)})),
+}
+_LIFT_PINNED = {
+    "e1e1-added": {"heisenberg3": _SYMMETRY_FAILS, "L2": _SYMMETRY_FAILS, "L3": _SYMMETRY_FAILS},
+}
+
+
+@pytest.mark.parametrize("mutant", list(_LIFT_MUTANTS))
+@pytest.mark.parametrize("name", ["heisenberg3", "L2", "L3"])
+def test_symmetry_suite_under_broken_lifts(monkeypatch, mutant, name):
+    monkeypatch.setattr(verify_module, "_random_member",
+                        _LIFT_MUTANTS[mutant](verify_module._random_member))
+    assert _outcome(lambda: symmetry_suite(builtin(name))) == _LIFT_PINNED[mutant][name]
 
 
 @pytest.mark.parametrize("name", _MUTANT_NAMES)
@@ -297,14 +317,57 @@ def test_jacobi_by_rotation_class_matches_every_ordered_triple(monkeypatch, name
         assert status == "pass"
 
 
-def test_combine_reads_unreduced_ratios_as_their_fractions():
-    # the sampled suites draw coefficients as (p, q) pairs and never reduce them
+def test_lift_reads_unreduced_ratios_as_their_fractions():
+    # the sampled suites draw coefficients as (p, q) pairs and never reduce them; a lift
+    # is the row of them times the stacked matrices
     rng = random.Random(3)
     mats = [Matrix([[F(rng.randint(-3, 3), rng.choice((1, 2, 6))) for _ in range(3)]
                     for _ in range(2)]) for _ in range(4)]
-    scaled = [(m.den, m.sparse) for m in mats]
+    stack = Matrix._from_flat(4, 6, [x for m in mats for row in m.data for x in row])
     for ratios in ([Ratio(2, 2), Ratio(0, 3), Ratio(-4, 6), Ratio(3, 1)],
                    [Ratio(0, 1)] * 4, [Ratio(6, 4), Ratio(-2, 2), Ratio(1, 3), Ratio(0, 2)]):
-        got = Matrix._of(2, 3, *combine(ratios, scaled, 2, 3))
-        want = Matrix._of(2, 3, *combine([F(*r) for r in ratios], scaled, 2, 3))
-        assert got == want == sum((F(*r) * m for r, m in zip(ratios, mats)), Matrix.zeros(2, 3))
+        got = Matrix._from_flat(1, 4, ratios) * stack
+        want = Matrix._from_flat(1, 4, [F(*r) for r in ratios]) * stack
+        total = sum((F(*r) * m for r, m in zip(ratios, mats)), Matrix.zeros(2, 3))
+        assert got == want == Matrix._of(1, 6, total.den, total.ints)
+
+
+def _sampled_spaces(A):
+    right = right_bider_bilinear_space(A)
+    return {"right": right, "two-sided": bider_space(A),
+            "symmetric": _transpose_part(right, A.dim, 1), "skew": _transpose_part(right, A.dim, -1)}
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "L3", "sl2"])
+def test_random_member_is_the_lift_of_its_drawn_coordinates(name):
+    # sum_u F(p, q) basis_u over (p, q) drawn as randint draws them from a clone of the
+    # generator, which ends where the lift leaves it; L3's Der has denominator 2
+    A = builtin(name)
+    n = A.dim
+    for label, space in _sampled_spaces(A).items():
+        basis = [BilinearTensor.from_flat(v, n) for v in space.vectors]
+        rng = random.Random(7)
+        for _ in range(4):
+            twin = random.Random()
+            twin.setstate(rng.getstate())
+            got = verify_module._random_member(rng, space, n)
+            coeffs = [F(twin.randint(-2, 2), twin.randint(1, 2)) for _ in basis]
+            assert got == fraction_combination(coeffs, basis, BilinearTensor.zero(n)), label
+            assert rng.getstate() == twin.getstate(), label
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "L3", "sl2"])
+def test_scalar_suite_derivations_are_lifts_of_their_drawn_coordinates(monkeypatch, name):
+    # every even sweep sample's F is sum_i F(p, q) D_i over its drawn ratios
+    A = builtin(name)
+    ders = derivation_matrices(A)
+    draws, Fs = [], []
+    ratios, poly_right = verify_module.random_ratios, verify_module.to_poly_right
+    monkeypatch.setattr(verify_module, "random_ratios",
+                        lambda rng, count: draws.append(ratios(rng, count)) or draws[-1])
+    monkeypatch.setattr(verify_module, "to_poly_right", lambda s: Fs.append(s.F) or poly_right(s))
+    assert all(r.status != "fail" for r in scalar_suite(A, sweep_samples=12))
+    assert len(draws) == 6 and len(Fs) == 12
+    zero = Matrix.zeros(A.dim, A.dim)
+    for drawn, got in zip(draws, Fs[::2]):
+        assert got == fraction_combination([F(*r) for r in drawn], ders, zero)

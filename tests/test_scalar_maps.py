@@ -306,6 +306,23 @@ def test_exp_curve_preconditions(heisenberg):
             ScalarPoly.constant(2, 1), Matrix.zeros(2, 2)))
 
 
+@pytest.mark.parametrize("h_list", [(float("nan"),), (1e-2, 0.0), (-1e-2, -1e-3, -1e-4),
+                                    (1e-2, float("inf"))])
+def test_exp_curve_refuses_steps_that_are_not_positive_and_finite(heisenberg, diag_derivation,
+                                                                  h_list):
+    # a nan step passed vacuously, a zero step divided by zero, and negative steps sorted
+    # backwards, failing a correct curve
+    with pytest.raises(ValueError, match="finite and > 0"):
+        exp_curve_check(heisenberg, ScalarTimesDerivation(coord(1), diag_derivation),
+                        h_list=h_list)
+
+
+@pytest.mark.parametrize("i", [-1, 3, 5])
+def test_coordinate_refuses_an_index_outside_the_dimension(i):
+    with pytest.raises(ValueError, match="outside 0..2"):
+        ScalarPoly.coordinate(3, i)
+
+
 def test_power_leibniz_check_fails_where_the_float_check_passes(heisenberg, monkeypatch):
     # F = diag(1, 0, 0) is no derivation: F[e1, e2] = 0 but [F e1, e2] = e3. Past the
     # guard the central differences still tend to F, so only the exact check fails it,
