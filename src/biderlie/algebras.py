@@ -194,10 +194,25 @@ def failing_stacks(A: Algebra, talls: Sequence[Sequence[int]]) -> list[int]:
     return sorted(bad)
 
 
+def check_side(side: str) -> None:
+    """Refuse a side other than "right" or "left", which would otherwise read as "left"."""
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left'")
+
+
+def _check_triple(triple: Sequence[int], n: int) -> None:
+    """Refuse anything but 3 basis indices (i, j, k), each in 0..n-1."""
+    if len(triple) != 3:
+        raise ValueError(f"expected a triple of 3 basis indices (i, j, k), got {len(triple)}")
+    for i in triple:
+        check_index(i, n)
+
+
 def bider_scan(A: Algebra, ints: Sequence[int], side: str) -> list[int]:
     """The tensors, ascending, whose (i, j, k)-ordered integer entries follow one another in ints
     and that fail the `side` condition: a `failing_stacks` scan of each as the n blocks of every
     x -> B(x, e_k) (right) or y -> B(e_k, y) (left), whose column p is the image of e_p."""
+    check_side(side)
     n = A.dim
     at = [((p * n + k) if side == "right" else (k * n + p)) * n + l
           for k in range(n) for l in range(n) for p in range(n)]
@@ -227,8 +242,8 @@ def _bider_sides(A: Algebra, B: BilinearTensor, side: str,
 def bider_defect(A: Algebra, B: BilinearTensor, side: str,
                  triple: tuple[int, int, int]) -> tuple[Vector, Vector, Vector]:
     """lhs, rhs and residual (rhs - lhs) of B's right or left condition at a basis triple."""
-    for i in triple:
-        check_index(i, A.dim)
+    check_side(side)
+    _check_triple(triple, A.dim)
     _, lhs, rhs = next(_bider_sides(A, B, side, [triple]))
     den = A.product.matrix.den * B.matrix.den
     return tuple(_fractions(v, den) for v in (lhs, rhs, [y - x for x, y in zip(lhs, rhs)]))
@@ -273,8 +288,7 @@ def identity_residual(A: Algebra, identity: str, triple: tuple[int, int, int]) -
     if identity in _LEIBNIZ_SIDE:
         return bider_defect(A, A.product, _LEIBNIZ_SIDE[identity], triple)[2]
     if identity == "jacobi":
-        for i in triple:
-            check_index(i, A.dim)
+        _check_triple(triple, A.dim)
         d, c, _ = A.product.int_form()
         return _fractions(_jacobi_defect(c, *triple), d * d)
     raise ValueError(f"unknown identity {identity!r}")

@@ -22,16 +22,19 @@ biderivation iff every coefficient matrix is a derivation.
 
 The arithmetic runs in integers. A map is its sorted monomials and one
 tall `linalg.Matrix` that stacks their coefficient matrices over one
-denominator, in lowest terms, so equal maps have equal forms; map files are
-parsed into that form and written from it (`formats`), and the `Fraction`
-matrices (`terms`) are a view. `_raw` splits the tall matrix into the raw
-form (den, {monomial: block}), and `_raw_combination` is the one linear
-combination of raw forms, for the constructor, +, -, scalar *, the Lie-law
-samples and laws. The bracket kernel takes one operand and a whole row of
-others, each as `_read` gives it: its blocks as their nonzero entries and
-sparse rows. A caller reads each operand once, and nothing is kept on a map.
-The kernel adds both halves of every pair commutator, +M_a N_b and -N_b M_a,
-into one raw integer list per output monomial a + b over d1 d2. `rhd` and
+denominator, in lowest terms, so equal maps have equal forms, and the
+`Fraction` matrices (`terms`) are a view. `_raw` splits the tall matrix into
+the raw form (den, {monomial: block}), and `_stacked` stacks a raw form into
+a map's tall matrix. Map files are parsed into, and written from, raw forms
+(`formats`); the `bracket` command brackets them as they are read, with no
+map stacked, and `rhd`/`lhd` stack their result. `_raw_combination` is the
+one linear combination of raw forms, for the constructor, +, -, scalar *,
+the Lie-law samples and laws. The bracket kernel takes one operand and a
+whole row of others, each as `_read` gives it: its blocks as their nonzero
+entries and sparse rows. A caller reads each operand once, and nothing is
+kept on a map. The kernel adds both halves of every pair commutator,
++M_a N_b and -N_b M_a, into one raw integer list per output monomial a + b
+over d1 d2. `rhd` and
 `lhd` share its one-pair case, put in lowest terms (a left map carries the
 terms of its transposed right map). The transpose suite (one call per pair)
 and the Lie-law suites check raw kernel rows by value, and the Lie-law suite
@@ -48,7 +51,7 @@ from fractions import Fraction
 from itertools import chain, compress
 from typing import Mapping, Sequence
 
-from .algebras import Algebra, failing_stacks
+from .algebras import Algebra, check_side, failing_stacks
 from .bilinear import BilinearTensor, skew_symmetrize, symmetrize
 from .biderivations import (basis_tensors, left_bider_bilinear_space,
                             right_bider_bilinear_space)
@@ -422,8 +425,7 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
     becomes an operand. Their membership and the closure of the brackets are
     one Leibniz scan each per run of samples (see `verify`).
     """
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
+    check_side(side)
     chunks = sample_chunks(samples, "samples")
     right = side == "right"
     space = (right_bider_bilinear_space if right else left_bider_bilinear_space)(A)

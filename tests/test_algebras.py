@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from biderlie import (Algebra, bracket, builtin, check_kind, identity_residual, opposite)
+from biderlie.algebras import bider_defect, bider_scan, bider_witness
+from biderlie.bilinear import BilinearTensor
 
 from helpers import random_rational_vector
 
@@ -69,6 +71,57 @@ def test_identity_residual_refuses_an_index_outside_the_dimension(identity, trip
     # a -1 wrapped to the last basis vector and answered a zero residual
     with pytest.raises(ValueError, match="outside 0..2"):
         identity_residual(builtin("heisenberg3"), identity, triple)
+
+
+@pytest.mark.parametrize("identity", ["jacobi", "leibniz-right", "leibniz-left"])
+@pytest.mark.parametrize("triple", [(0, 1), (0, 1, 2, 0), (), (5, 5)])
+def test_identity_residual_refuses_a_triple_of_the_wrong_length(identity, triple):
+    # (0, 1) gave a TypeError from the Jacobi helper and (0, 1, 2, 0) an unpacking ValueError;
+    # the length is refused before any index is checked, so (5, 5) names the length too
+    with pytest.raises(ValueError, match=r"3 basis indices \(i, j, k\), got "
+                                         rf"{len(triple)}$"):
+        identity_residual(builtin("heisenberg3"), identity, triple)
+
+
+@pytest.mark.parametrize("triple", [(0, 1), (0, 1, 2, 0)])
+def test_bider_defect_refuses_a_triple_of_the_wrong_length(triple):
+    A = builtin("heisenberg3")
+    with pytest.raises(ValueError, match=r"3 basis indices \(i, j, k\)"):
+        bider_defect(A, A.product, "right", triple)
+
+
+def _e1e1_tensor() -> BilinearTensor:
+    """The heisenberg3 tensor whose one entry is B(e1, e1) = e1: its right residual at
+    (e2, e1, e1) is -e3 and its left residual there is 0."""
+    return BilinearTensor.from_entries(3, {(0, 0, 0): 1})
+
+
+@pytest.mark.parametrize("side", ["Right", "up", "both", ""])
+def test_bider_defect_refuses_a_side_other_than_right_or_left(side):
+    # "Right" read as "left" and returned the left residual (0, 0, 0), not (0, 0, -1)
+    A, B = builtin("heisenberg3"), _e1e1_tensor()
+    assert bider_defect(A, B, "right", (1, 0, 0))[2] == (F(0), F(0), F(-1))
+    assert bider_defect(A, B, "left", (1, 0, 0))[2] == (F(0), F(0), F(0))
+    with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
+        bider_defect(A, B, side, (1, 0, 0))
+
+
+@pytest.mark.parametrize("side", ["Right", "up", "both", ""])
+def test_bider_witness_refuses_a_side_other_than_right_or_left(side):
+    # "up" read as "left" and returned the left witness, at triple (0, 1, 0)
+    A, B = builtin("heisenberg3"), _e1e1_tensor()
+    assert bider_witness(A, B, "left", "x").triple == (0, 1, 0)
+    assert bider_witness(A, B, "right", "x").triple != (0, 1, 0)
+    with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
+        bider_witness(A, B, side, "x")
+
+
+@pytest.mark.parametrize("side", ["Right", "up", "both", ""])
+def test_bider_scan_refuses_a_side_other_than_right_or_left(side):
+    A, B = builtin("heisenberg3"), _e1e1_tensor()
+    assert bider_scan(A, B.matrix.ints, "right") == bider_scan(A, B.matrix.ints, "left") == [0]
+    with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
+        bider_scan(A, B.matrix.ints * 2, side)
 
 
 def test_check_kind_l3_both_sides():

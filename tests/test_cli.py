@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from biderlie import (BUILTIN_NAMES, BilinearTensor, PolyRightMap, builtin, deri
                       from_tensor, from_tensor_left, lhd, parse_algebra, parse_map, rhd,
                       serialize_algebra)
 from biderlie.algebras import MAX_DEGREE, MAX_DIM, Algebra
-from biderlie import cli
+from biderlie import brackets, cli, formats
 from biderlie.bilinear import random_tensor
 from biderlie.brackets import _PolyMap
 from biderlie.cli import heisenberg_example_maps, main
@@ -137,8 +138,8 @@ def test_bracket_command_runs_in_integers_from_file_to_file(capsys, tmp_path, mo
 
 
 def test_bracket_drops_its_operands_before_writing(capsys, tmp_path, monkeypatch):
-    # the parsed maps are gone by the time the result is serialized: the maps alive then
-    # are those alive before and the result
+    # by the time the result is written, the operands' raw and read forms are gone, and
+    # no poly map built in the command is alive: poly operands build none
     A, b1, b2 = heisenberg_example_maps()
     alg = tmp_path / "h3.alg"
     alg.write_text(serialize_algebra(A))
@@ -151,18 +152,136 @@ def test_bracket_drops_its_operands_before_writing(capsys, tmp_path, monkeypatch
         gc.collect()
         return sum(isinstance(o, _PolyMap) for o in gc.get_objects())
 
-    seen = []
+    class Terms(dict):  # a raw form's blocks, which a weak reference can follow
+        pass
 
-    def serialize(P):
-        seen.append(alive())
-        return serialize_map(P)
+    class Ops(list):  # a read form's blocks
+        pass
 
-    monkeypatch.setattr(cli, "serialize_map", serialize)
+    forms, seen = [], []
+
+    def parse_raw(text):
+        cls, dim, den, terms = formats._parse_raw(text)
+        forms.append(weakref.ref(terms := Terms(terms)))
+        return cls, dim, den, terms
+
+    def read(X):
+        den, ops = brackets._read(X)
+        forms.append(weakref.ref(ops := Ops(ops)))
+        return den, ops
+
+    def write(*raw):
+        seen.append((alive(), [ref() is None for ref in forms]))
+        return formats._write_raw(*raw)
+
+    for name, f in (("_parse_raw", parse_raw), ("_read", read), ("_write_raw", write)):
+        monkeypatch.setattr(cli, name, f)
     before = alive()
     code, out, _ = run_cli(capsys, "bracket", *map(str, paths), "--op", "rhd",
                            "--algebra", str(alg))
     assert code == 0 and parse_map(out) == rhd(from_tensor(b1), from_tensor(b2))
-    assert seen == [before + 1]
+    assert seen == [(before, [True] * 4)]
+
+
+# operands as files: each op's maps in dims 1-3 with unsorted blocks, an all-zero block
+# written as -0 entries, unreduced literals over mixed denominators, and the zero map
+_RAW_OPERANDS = {
+    1: ["m (2) 1 1 = 2/4\nm (0) 1 1 = +3\nm (1) 1 1 = -0\n", "m (1) 1 1 = 0.5\nm (3) 1 1 = 1/6\n"],
+    2: ["m (1,1) 2 1 = +3\nm (0,1) 1 2 = 1/6\nm (0,0) 2 2 = -0\nm (0,1) 2 2 = 0.25\n",
+        "m (2,0) 1 1 = 1/3\nm (0,0) 2 1 = 5/10\nm (1,0) 1 2 = -7/9\nm (0,1) 1 1 = 2/4\n",
+        "m (0,3) 1 1 = -0\nm (0,3) 2 1 = -0\n"],
+    3: ["m (1,0,0) 2 2 = 0.5\nm (1,0,0) 3 3 = +3\nm (0,2,1) 3 1 = 2/4\nm (0,2,1) 1 1 = -0\n"
+        "m (0,0,0) 1 2 = -6/4\nm (2,0,0) 3 3 = -0\nm (0,1,0) 2 3 = 1e1\n",
+        "m (1,1,0) 1 1 = 1\nm (0,1,0) 2 1 = 5/4\nm (0,1,0) 3 2 = 7\nm (1,1,0) 2 2 = -1.0\n"
+        "m (0,0,2) 1 3 = 2/6\n",
+        ""],
+}
+_BILINEAR_OPERANDS = {1: "t 1 1 1 = 2/4\n", 2: "t 1 2 1 = 2/4\nt 2 2 2 = +3\nt 1 1 2 = -1/7\n",
+                      3: "t 1 2 3 = 0.5\nt 2 1 3 = -1\nt 3 3 1 = -0\nt 2 2 2 = 4/6\n"}
+
+
+def _operand_files(tmp_path, dim: int, kind: str) -> list[Path]:
+    bodies = _RAW_OPERANDS[dim]
+    paths = [tmp_path / f"{kind}-{dim}-{i}.map" for i in range(len(bodies) + 1)]
+    for path, (head, body) in zip(paths, [(kind, b) for b in bodies]
+                                  + [("bilinear", _BILINEAR_OPERANDS[dim])]):
+        path.write_text(f"map {head}\ndim {dim}\n{body}")
+    return paths
+
+
+@pytest.mark.parametrize("op, kind", [("rhd", "polyright"), ("lhd", "polyleft")])
+@pytest.mark.parametrize("dim, algebra", [(1, "abelian(1)"), (2, "L2"), (3, "heisenberg3")])
+def test_bracket_prints_the_library_bracket_byte_for_byte(capsys, tmp_path, op, kind, dim,
+                                                          algebra):
+    # the command goes from file to text in raw form; the library parses, brackets and
+    # writes stacked maps, and both must print the same bytes for every pair of operands
+    br, convert = {"rhd": (rhd, from_tensor), "lhd": (lhd, from_tensor_left)}[op]
+    paths = _operand_files(tmp_path, dim, kind)
+    for p1 in paths:
+        for p2 in paths:
+            ms = [parse_map(p.read_text()) for p in (p1, p2)]
+            want = serialize_map(br(*(convert(m) if isinstance(m, BilinearTensor) else m
+                                      for m in ms)))
+            argv = ["bracket", str(p1), str(p2), "--op", op, "--algebra", algebra]
+            assert run_cli(capsys, *argv) == (0, want, "")
+            payload = {"command": "bracket", "op": op, "algebra": algebra,
+                       "result_mapfile": want}
+            assert run_cli(capsys, *argv, "--json") == (
+                0, json.dumps(payload, indent=2, sort_keys=True) + "\n", "")
+
+
+def test_bracket_of_poly_operands_builds_no_stacked_map(capsys, tmp_path, monkeypatch):
+    # poly operands go file -> raw form -> read form -> kernel -> text: no `_PolyMap`, no
+    # tall matrix stacked and no `Matrix` built on the way
+    A = builtin("heisenberg3")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stacked a map on the raw bracket path")
+
+    monkeypatch.setattr(cli, "_load_algebra", lambda arg: A)
+    for op, kind in (("rhd", "polyright"), ("lhd", "polyleft")):
+        p1, p2, zero, _ = _operand_files(tmp_path, 3, kind)
+        want = {pair: run_cli(capsys, "bracket", *map(str, pair), "--op", op, "--algebra", "x")
+                for pair in ((p1, p2), (p2, p1), (p1, zero))}
+        with monkeypatch.context() as m:
+            m.setattr(_PolyMap, "__init__", refuse)
+            m.setattr(_PolyMap, "_of", classmethod(refuse))
+            m.setattr(brackets, "_stacked", refuse)
+            m.setattr(formats, "_stacked", refuse)
+            m.setattr(Matrix, "_of", classmethod(refuse))
+            for pair, (code, out, err) in want.items():
+                assert code == 0 and out.startswith(f"map {kind}\ndim 3\n")
+                assert run_cli(capsys, "bracket", *map(str, pair), "--op", op,
+                               "--algebra", "x") == (code, out, err)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("kind, body", [("polyright", "m (1,0) 1 1 = 1\n"),
+                                        ("bilinear", "t 1 1 1 = 1\n")])
+def test_bracket_refuses_an_operand_of_another_dimension(capsys, tmp_path, monkeypatch, which,
+                                                         kind, body):
+    # a raw operand's dimension is checked as a tensor's is, on either side of the bracket
+    monkeypatch.chdir(tmp_path)
+    names = ["p1.map", "p2.map"]
+    Path(names[which]).write_text(f"map {kind}\ndim 2\n{body}")
+    Path(names[1 - which]).write_text("map polyright\ndim 3\nm (0,1,0) 1 2 = 1\n")
+    for flags in ((), ("--json",)):
+        assert run_cli(capsys, "bracket", *names, "--op", "rhd", "--algebra", "heisenberg3",
+                       *flags) == (2, "", f"error: {names[which]}: map dimension 2 does not "
+                                          "match algebra dim 3\n")
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("op, kind, other", [("rhd", "polyright", "polyleft"),
+                                             ("lhd", "polyleft", "polyright")])
+def test_bracket_refuses_a_raw_operand_of_the_other_side(capsys, tmp_path, monkeypatch, which,
+                                                         op, kind, other):
+    monkeypatch.chdir(tmp_path)
+    names = ["p1.map", "p2.map"]
+    Path(names[which]).write_text(f"map {other}\ndim 3\nm (1,0,0) 1 1 = 1\n")
+    Path(names[1 - which]).write_text(f"map {kind}\ndim 3\nm (0,1,0) 1 2 = 1\n")
+    assert run_cli(capsys, "bracket", *names, "--op", op, "--algebra", "heisenberg3") == (
+        2, "", f"error: {names[which]}: {op} needs a {kind} or bilinear map\n")
 
 
 def test_bracket_rejects_wrong_side_map(capsys, tmp_path):
@@ -343,6 +462,19 @@ def test_bracket_past_the_degree_cap_is_refused(capsys, tmp_path, op, kind, flag
             assert (code, out) == (2, "")
             assert err == (f"error: {op} result of degree {2 * d} exceeds "
                            f"MAX_DEGREE = {MAX_DEGREE}\n")
+
+
+@pytest.mark.parametrize("op, kind", [("rhd", "polyright"), ("lhd", "polyleft")])
+def test_bracket_degree_cap_reads_the_nonzero_monomials(capsys, tmp_path, op, kind):
+    # [E11 y1^d, 2 E11 y1^d + E12 y1] = E12 y1^(d+1): the kernel leaves an all-zero block at
+    # degree 2d, past the cap, which is neither written nor refused
+    d = MAX_DEGREE // 2 + 100
+    p1, p2 = tmp_path / "p1.map", tmp_path / "p2.map"
+    p1.write_text(f"map {kind}\ndim 2\nm ({d},0) 1 1 = 1\n")
+    p2.write_text(f"map {kind}\ndim 2\nm ({d},0) 1 1 = 2\nm (1,0) 1 2 = 1\n")
+    want = f"map {kind}\ndim 2\nm ({d + 1},0) 1 2 = 1\n"
+    assert run_cli(capsys, "bracket", str(p1), str(p2), "--op", op,
+                   "--algebra", "abelian(2)") == (0, want, "")
 
 
 def test_builtin_name_wins_over_a_file_of_that_name(capsys, tmp_path, monkeypatch):
