@@ -20,25 +20,23 @@ so the bracket is exact, closed, and (because monomials are linearly
 independent over an infinite field) a map in this form is a right
 biderivation iff every coefficient matrix is a derivation.
 
-The arithmetic runs in integers. A map is its sorted monomials and one
-tall `linalg.Matrix` that stacks their coefficient matrices over one
-denominator, in lowest terms, so equal maps have equal forms, and the
-`Fraction` matrices (`terms`) are a view. `_raw` splits the tall matrix into
-the raw form (den, {monomial: block}), and `_stacked` stacks a raw form into
-a map's tall matrix. Map files are parsed into, and written from, raw forms
-(`formats`); the `bracket` command brackets them as they are read, with no
-map stacked, and `rhd`/`lhd` stack their result. `_raw_combination` is the
-one linear combination of raw forms, for the constructor, +, -, scalar *,
-the Lie-law samples and laws. The bracket kernel takes one operand and a
-whole row of others, each as `_read` gives it: its blocks as their nonzero
-entries and sparse rows. A caller reads each operand once, and nothing is
-kept on a map. The kernel adds both halves of every pair commutator,
-+M_a N_b and -N_b M_a, into one raw integer list per output monomial a + b
-over d1 d2. `rhd` and
-`lhd` share its one-pair case, put in lowest terms (a left map carries the
-terms of its transposed right map). The transpose suite (one call per pair)
-and the Lie-law suites check raw kernel rows by value, and the Lie-law suite
-checks all its samples' membership in one Leibniz scan.
+The arithmetic runs in integers. A map is its raw form: one denominator `den`
+and `blocks`, {monomial: its coefficient matrix times den, n * n row-major
+integers}, none all zero and all in lowest terms together, so equal maps have
+equal forms in any block order. `_PolyMap._of` is the one constructor that
+puts a form so; the sorted `monomials` and the `Fraction` matrices (`terms`)
+are views. Map files are parsed into, and written from, this form
+(`formats`). `_raw_combination` is the one linear combination of raw forms,
+for the constructor, +, -, scalar *, the Lie-law samples and laws. The
+bracket kernel takes one operand and a whole row of others, each as `_read`
+gives it: its blocks as their nonzero entries and sparse rows. A caller
+reads each operand once, and nothing is kept on a map. The kernel adds both
+halves of every pair commutator, +M_a N_b and -N_b M_a, into one raw integer
+list per output monomial a + b over d1 d2. `rhd` and `lhd` share its
+one-pair case, made a map by `_of` (a left map carries the terms of its
+transposed right map). The transpose suite (one call per pair) and the
+Lie-law suites check raw kernel rows by value, and the Lie-law suite checks
+all its samples' membership in one Leibniz scan.
 """
 
 from __future__ import annotations
@@ -86,14 +84,13 @@ class _PolyMap:
     """Shared mechanics of the two polynomial map representations.
 
     `_frozen` is the argument the monomials read: 1 (y) for right maps, 0 (x) for left.
-    A map is its sorted `monomials` and one tall `Matrix`, whose block of
-    `dim` rows i is the coefficient matrix of monomials[i], none all zero.
-    The tall matrix holds one denominator across the monomials, in lowest
-    terms, which the bracket kernel needs; so two maps are equal iff their
-    monomials and tall matrices are. `terms` is a view of the blocks.
+    A map is its raw form: `den` and `blocks`, {monomial: its coefficient matrix times
+    den, n * n row-major integers in a list}, none all zero, in lowest terms over all
+    blocks; so two maps are equal iff their raw forms are, in any block order.
+    `monomials` and `terms` are sorted views of the blocks.
     """
 
-    __slots__ = ("dim", "monomials", "tall")
+    __slots__ = ("dim", "den", "blocks")
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, Matrix]):
         for a, m in terms.items():
@@ -101,31 +98,45 @@ class _PolyMap:
                 raise ValueError(f"bad multi-index {a} for dim {dim}")
             if m.rows != dim or m.cols != dim:
                 raise ValueError(f"coefficient matrix must be {dim}x{dim}")
-        self.dim = dim
-        self.monomials, self.tall = _stacked(dim, *_raw_combination(
+        P = self._of(dim, *_raw_combination(
             [1] * len(terms), [(m.den, {tuple(a): m.ints}) for a, m in terms.items()]))
+        self.dim, self.den, self.blocks = dim, P.den, P.blocks
 
     @classmethod
-    def _of(cls, dim: int, monomials: tuple[MultiIndex, ...], tall: Matrix):
-        # trusted constructor: sorted valid monomials, no all-zero block in tall
+    def _of(cls, dim: int, den: int, blocks: dict[MultiIndex, list[int]]):
+        """The map of the raw form (den, blocks), den > 0, monomials valid: the form becomes
+        the map's, its all-zero blocks deleted, and it is put in lowest terms by a gcd that
+        is read block by block until it is 1 (over no blocks, den is 1)."""
+        for a in [a for a, flat in blocks.items() if not any(flat)]:
+            del blocks[a]
+        g = den
+        for flat in blocks.values():
+            if g == 1:
+                break
+            g = math.gcd(g, *flat)
+        if g != 1:
+            den, blocks = den // g, {a: [x // g for x in flat] for a, flat in blocks.items()}
         P = object.__new__(cls)
-        P.dim = dim
-        P.monomials = monomials
-        P.tall = tall
+        P.dim, P.den, P.blocks = dim, den, blocks
         return P
 
     @classmethod
     def zero(cls, dim: int):
-        return cls(dim, {})
+        return cls._of(dim, 1, {})
 
     @classmethod
     def single(cls, dim: int, alpha: MultiIndex, m: Matrix):
         return cls(dim, {tuple(alpha): m})
 
     @property
+    def monomials(self) -> tuple[MultiIndex, ...]:
+        return tuple(sorted(self.blocks))
+
+    @property
     def terms(self) -> dict[MultiIndex, Matrix]:
-        """The coefficient matrix of each monomial: the blocks of the tall matrix."""
-        return dict(zip(self.monomials, self.tall.split(self.dim, self.dim)))
+        """The coefficient matrix of each monomial, in monomial order."""
+        n = self.dim
+        return {a: Matrix._of(n, n, self.den, self.blocks[a]) for a in self.monomials}
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
@@ -140,19 +151,19 @@ class _PolyMap:
     def _at(self, points: Sequence[Sequence[Fraction]]) -> list[Matrix]:
         """`fixed_arg` at each of the points, from one evaluation of the blocks."""
         n, nn = self.dim, self.dim * self.dim
-        vals = _at_points(_raw(self)[1].items(), points, {})
-        return [Matrix._of(n, n, d * self.tall.den, xs)
+        vals = _at_points(self.blocks.items(), points, {})
+        return [Matrix._of(n, n, d * self.den, xs)
                 for d, xs in (_integers(vals.get(k, [0] * nn)) for k in range(len(points)))]
 
     def is_zero(self) -> bool:
-        return not self.monomials
+        return not self.blocks
 
     def degree(self) -> int:
         """Largest total degree in the frozen argument; -1 for the zero map."""
-        return max((sum(a) for a in self.monomials), default=-1)
+        return max(map(sum, self.blocks), default=-1)
 
     def support(self) -> set[MultiIndex]:
-        return set(self.monomials)
+        return set(self.blocks)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -165,7 +176,7 @@ class _PolyMap:
         return _linear_combination((1, -1), (self, other))
 
     def __neg__(self):
-        return type(self)._of(self.dim, self.monomials, -self.tall)
+        return _linear_combination((-1,), (self,))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -176,41 +187,20 @@ class _PolyMap:
 
     def __eq__(self, other):
         return (type(other) is type(self)
-                and (self.monomials, self.tall) == (other.monomials, other.tall))
+                and (self.dim, self.den, self.blocks) == (other.dim, other.den, other.blocks))
 
     def __hash__(self):
-        return hash((type(self).__name__, self.monomials, self.tall))
+        return hash((type(self).__name__, self.dim, self.den,
+                     frozenset((a, tuple(flat)) for a, flat in self.blocks.items())))
 
     def transpose(self):
         """(x, y) -> B(y, x): the same terms read as a map of the other side."""
         other = PolyLeftMap if self._frozen else PolyRightMap
-        return other._of(self.dim, self.monomials, self.tall)
+        return other._of(self.dim, self.den, self.blocks)
 
     def __repr__(self):
-        return (f"{type(self).__name__}(dim={self.dim}, terms={len(self.monomials)}, "
+        return (f"{type(self).__name__}(dim={self.dim}, terms={len(self.blocks)}, "
                 f"degree={self.degree()})")
-
-
-def _stacked(n: int, den: int, ints: dict[MultiIndex, Sequence[int]]
-             ) -> tuple[tuple[MultiIndex, ...], Matrix]:
-    """The monomials and tall matrix of the map whose monomial a has the coefficient
-    matrix ints[a] / den, n * n row-major integers; all-zero ones are dropped.
-
-    The tall is a list, copied once into its tuple by `lowest_terms`: a tuple built
-    from an iterator is resized, which leaves short tuples on CPython's free lists.
-    Each block is taken out of `ints` (every caller builds it for this call) as it is
-    copied, so the blocks and the list are not alive at once beside the tuple."""
-    monomials = tuple(sorted(a for a, flat in ints.items() if any(flat)))
-    tall: list[int] = []
-    for a in monomials:
-        tall += ints.pop(a)
-    return monomials, Matrix._of(len(monomials) * n, n, den, tall)
-
-
-def _raw(P: _PolyMap) -> tuple[int, dict[MultiIndex, tuple[int, ...]]]:
-    """The raw form (den, {monomial: block}) of a map: its tall matrix split into its
-    consecutive n x n blocks of row-major integers, as tuples."""
-    return P.tall.den, dict(zip(P.monomials, zip(*[iter(P.tall.ints)] * (P.dim * P.dim))))
 
 
 def _raw_combination(coeffs: Sequence[int | Ratio], forms) -> tuple[int, RawTerms]:
@@ -234,7 +224,15 @@ def _linear_combination(coeffs: Sequence[Fraction], maps: Sequence[_PolyMap]):
     cls, n = type(maps[0]), maps[0].dim
     if any(P.dim != n for P in maps):
         raise ValueError("dimension mismatch")
-    return cls._of(n, *_stacked(n, *_raw_combination(coeffs, [_raw(P) for P in maps])))
+    return cls._of(n, *_raw_combination(coeffs, [(P.den, P.blocks) for P in maps]))
+
+
+def _expect(cls, who: str, *maps) -> None:
+    """Refuse maps not of class cls, where `who` works on that side only."""
+    if not all(isinstance(P, cls) for P in maps):
+        many = len(maps) > 1
+        raise TypeError(f"{who} expects {('a', 'two')[many]} "
+                        f"{('left', 'right')[cls._frozen]} map{'s' * many}")
 
 
 class PolyRightMap(_PolyMap):
@@ -263,6 +261,7 @@ def from_tensor_left(B: BilinearTensor) -> PolyLeftMap:
 
 def to_tensor(P: PolyRightMap) -> BilinearTensor:
     """Exact inverse of `from_tensor`; defined only for pure degree-1 maps."""
+    _expect(PolyRightMap, "to_tensor", P)
     n = P.dim
     maps = [Matrix.zeros(n, n)] * n
     for a, m in P.terms.items():
@@ -274,6 +273,7 @@ def to_tensor(P: PolyRightMap) -> BilinearTensor:
 
 def to_tensor_left(P: PolyLeftMap) -> BilinearTensor:
     """Exact inverse of `from_tensor_left` for pure degree-1 maps."""
+    _expect(PolyLeftMap, "to_tensor_left", P)
     return to_tensor(P.transpose()).transpose()
 
 
@@ -294,25 +294,27 @@ def is_right_bider_poly(A: Algebra, P: PolyRightMap) -> bool:
 
     Over Q the monomials y^a are linearly independent as functions, so this
     coefficient-wise criterion is equivalent to x -> B(x, y) being a
-    derivation for every y. All the matrices are asked in one stacked scan.
+    derivation for every y. All the blocks are asked in one scan.
     """
+    _expect(PolyRightMap, "is_right_bider_poly", P)
     if A.dim != P.dim:
         raise ValueError("dimension mismatch")
-    return not failing_stacks(A, [P.tall.ints])
+    return not failing_stacks(A, list(P.blocks.values()))
 
 
 def is_left_bider_poly(A: Algebra, P: PolyLeftMap) -> bool:
     """Left maps: P is a left biderivation iff its transpose is a right one."""
+    _expect(PolyLeftMap, "is_left_bider_poly", P)
     return is_right_bider_poly(A, P.transpose())
 
 
 def _read(X) -> tuple[int, list]:
-    """How the kernel reads a map (from its tall matrix) or a raw form (den, {a: n x n
-    row-major integers}): the denominator and, per block not all zero, a, its nonzero
-    entries (r n, k, v) and its sparse rows, both built from the block's nonzero positions
-    alone, in row-major order. Nothing is kept: read each operand once."""
+    """How the kernel reads a map or a raw form (den, {a: n x n row-major integers}): the
+    denominator and, per block not all zero, a, its nonzero entries (r n, k, v) and its
+    sparse rows, both built from the block's nonzero positions alone, in row-major order.
+    Nothing is kept: read each operand once."""
     if isinstance(X, _PolyMap):
-        X = _raw(X)
+        X = X.den, X.blocks
     out = []
     for a, flat in X[1].items():
         if nonzero := list(compress(range(len(flat)), flat)):
@@ -348,13 +350,12 @@ def _bracket_terms(P1, row: Sequence) -> list[tuple[int, RawTerms]]:
 
 
 def _bracket(cls, op: str, B1, B2):
-    """The bracket of two maps of class cls: one kernel call, put in lowest terms."""
-    if not isinstance(B1, cls) or not isinstance(B2, cls):
-        raise TypeError(f"{op} expects two {('left', 'right')[cls._frozen]} maps")
+    """The bracket of two maps of class cls: one kernel call, made a map by `_of`."""
+    _expect(cls, op, B1, B2)
     if B1.dim != B2.dim:
         raise ValueError("dimension mismatch")
     [raw] = _bracket_terms(_read(B1), [_read(B2)])
-    return cls._of(B1.dim, *_stacked(B1.dim, *raw))
+    return cls._of(B1.dim, *raw)
 
 
 def rhd(B1: PolyRightMap, B2: PolyRightMap) -> PolyRightMap:
@@ -431,7 +432,7 @@ def verify_lie_algebra(A: Algebra, side: str = "right", samples: int = 25,
     space = (right_bider_bilinear_space if right else left_bider_bilinear_space)(A)
     convert = from_tensor if right else from_tensor_left
     n = A.dim
-    base = [_raw(convert(t)) for t in basis_tensors(space, n)]
+    base = [(P.den, P.blocks) for P in map(convert, basis_tensors(space, n))]
     ders = derivation_matrices(A)
     rng = random.Random(seed)
     suite = f"bracket-{side}"

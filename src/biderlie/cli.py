@@ -24,10 +24,11 @@ from .bilinear import BilinearTensor
 from .biderivations import (basis_tensors, bider_space, is_bider, is_right_bider,
                             left_bider_bilinear_space, left_bider_witness,
                             right_bider_bilinear_space)
-from .brackets import (PolyLeftMap, PolyRightMap, _bracket_terms, _read,
-                       counterexample_bracket, from_tensor, from_tensor_left)
+from .brackets import (PolyLeftMap, PolyRightMap, counterexample_bracket, from_tensor,
+                       from_tensor_left, lhd, rhd)
 from .derivations import derivation_matrices, derivation_space
-from .formats import FormatError, _parse_raw, _write_raw, entry_lines, parse_algebra, text_rows
+from .formats import (FormatError, entry_lines, parse_algebra, parse_map, serialize_map,
+                      text_rows)
 from .report import (all_ok, format_element, render_table, to_json_checks, triple_str,
                      witness_from_triple)
 from .verify import run_all
@@ -129,22 +130,20 @@ def cmd_bider(args) -> int:
 def cmd_bracket(args) -> int:
     A = _load_algebra(args.algebra)
     names = (args.map1, args.map2)
-    forms = [_parse_file(arg, _parse_raw, "no such file") for arg in names]
-    for name, m in zip(names, forms):
-        if (dim := m.dim if isinstance(m, BilinearTensor) else m[1]) != A.dim:
-            raise CliError(f"{name}: map dimension {dim} does not match algebra dim {A.dim}")
-    cls, kind, convert = {"rhd": (PolyRightMap, "polyright", from_tensor),
-                          "lhd": (PolyLeftMap, "polyleft", from_tensor_left)}[args.op]
-    for name, m in zip(names, forms):
-        if not isinstance(m, BilinearTensor) and m[0] is not cls:
+    maps = [_parse_file(arg, parse_map, "no such file") for arg in names]
+    for name, m in zip(names, maps):
+        if m.dim != A.dim:
+            raise CliError(f"{name}: map dimension {m.dim} does not match algebra dim {A.dim}")
+    cls, kind, convert, br = {"rhd": (PolyRightMap, "polyright", from_tensor, rhd),
+                              "lhd": (PolyLeftMap, "polyleft", from_tensor_left, lhd)}[args.op]
+    for name, m in zip(names, maps):
+        if not isinstance(m, (BilinearTensor, cls)):
             raise CliError(f"{name}: {args.op} needs a {kind} or bilinear map")
-    r1, r2 = (_read(convert(m) if isinstance(m, BilinearTensor) else m[2:]) for m in forms)
-    del forms, m  # the operands go before the text is built
-    [(den, terms)] = _bracket_terms(r1, [r2])
-    del r1, r2
-    if (degree := max((sum(a) for a, b in terms.items() if any(b)), default=-1)) > MAX_DEGREE:
+    R = br(*(convert(m) if isinstance(m, BilinearTensor) else m for m in maps))
+    del maps, m  # the operands go before the text is built
+    if (degree := R.degree()) > MAX_DEGREE:
         raise CliError(f"{args.op} result of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}")
-    text = _write_raw(cls, A.dim, den, terms)
+    text = serialize_map(R)
     if args.json:
         _emit_json({"command": "bracket", "op": args.op, "algebra": A.name,
                     "result_mapfile": text})

@@ -7,7 +7,7 @@ derivation algebra. `algebras.failing_stacks` scans stacks of maps on integer
 columns, each basis pair once for all of them and one pass per nonzero
 structure constant, and names the stacks that fail. `is_derivation` is the
 one-block case, and the poly-map predicates of `brackets` stack all of a map's
-coefficient matrices, the columns of its tall matrix. `derivation_rows` writes
+coefficient matrices, its blocks. `derivation_rows` writes
 the rule out on its own, in integers from the nonzero structure constants of
 the product's integer form, so the predicates check the solver independently.
 Unknowns are ordered column-major, rows by basis pair (i, j) in ascending

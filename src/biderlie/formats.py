@@ -27,13 +27,11 @@ tensor's nonzero entries by `entry_lines`. An `m` line is entry (row, col)
 of the coefficient matrix attached to the monomial exponent vector, written
 without spaces. Every file is read into integer form over the lcm of its
 entries' denominators: an algebra's product tensor and a bilinear tensor
-into one n^2 x n `Matrix`, a poly map into its raw form (`_parse_raw`),
-which its one writer `_write_raw` prints over any denominator. `parse_map`
-stacks that form into a map and `serialize_map` writes a map's `_raw` form;
-the CLI's `bracket` builds no map for a poly operand. An entry
-reads as `Fraction(tok)` would, but a plain `p` or `p/q` by `int` with no
-`Fraction` built, and one with more than `MAX_DIGITS` = 640 digits in its
-numerator or denominator as written is refused before any integer is built.
+into one n^2 x n `Matrix`, a poly map into its raw form, which is the map
+(`brackets`). An entry reads as `Fraction(tok)` would, but a plain `p` or
+`p/q` by `int` with no `Fraction` built, and one with more than `MAX_DIGITS`
+= 640 digits in its numerator or denominator as written is refused before
+any integer is built.
 Each distinct value token, and in a map file each distinct exponent vector,
 is parsed once per file; an `m` line's (row, col) pair spelled `1`..`n` is
 looked up in a table built at the `dim` header, and any other spelling (`01`,
@@ -53,7 +51,7 @@ from itertools import compress
 
 from .algebras import KINDS, MAX_DEGREE, MAX_DIM, Algebra
 from .bilinear import BilinearTensor
-from .brackets import PolyLeftMap, PolyRightMap, _raw, _stacked
+from .brackets import PolyLeftMap, PolyRightMap
 from .linalg import Matrix
 
 MAP_KINDS = ("bilinear", "polyright", "polyleft")
@@ -250,9 +248,9 @@ def _parse_exponents(tok: str, line_no: int, dim: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _parse_raw(text: str):
-    """Parse a map file into a BilinearTensor or a poly map's raw form (class, dim, den,
-    {monomial: block}), each block n * n row-major integers over den, perhaps all zero."""
+def parse_map(text: str):
+    """Parse a map file into a BilinearTensor, PolyRightMap, or PolyLeftMap: a poly map is
+    made by `_of` from its blocks, each n * n row-major integers over one denominator."""
     map_kind: str | None = None
     dim: int | None = None
     entries: dict[int, tuple[int, int]] = {}  # position: p, q
@@ -299,34 +297,20 @@ def _parse_raw(text: str):
         return _tensor(dim, entries)
     nn, cls = dim * dim, PolyRightMap if map_kind == "polyright" else PolyLeftMap
     den, ints = _integer_form(len(blocks) * nn, entries)
-    return cls, dim, den, {a: ints[b * nn:b * nn + nn] for a, b in blocks.items()}
-
-
-def parse_map(text: str):
-    """Parse a map file into a BilinearTensor, PolyRightMap, or PolyLeftMap: a poly map is
-    its raw form, stacked."""
-    form = _parse_raw(text)
-    if isinstance(form, BilinearTensor):
-        return form
-    return form[0]._of(form[1], *_stacked(*form[1:]))
-
-
-def _write_raw(cls, n: int, den: int, terms) -> str:
-    """Canonical text of the poly map of class cls with the raw form (den, terms): the nonzero
-    entries of its monomials, sorted, each in lowest terms (an all-zero block writes nothing)."""
-    text, at = Rationals(den), [f" {r + 1} {c + 1} = " for r in range(n) for c in range(n)]
-    lines = [f"map {('polyleft', 'polyright')[cls._frozen]}", f"dim {n}"]
-    for alpha in sorted(terms):
-        head, block = str(alpha).replace(" ", "") if n > 1 else f"({alpha[0]})", terms[alpha]
-        lines += [f"m {head}{pos}{text[x]}" for pos, x in compress(zip(at, block), block)]
-    return "\n".join(lines) + "\n"
+    return cls._of(dim, den, {a: ints[b * nn:b * nn + nn] for a, b in blocks.items()})
 
 
 def serialize_map(obj) -> str:
-    """Canonical text for a tensor or poly map; inverse of `parse_map`. A poly map is
-    written from its raw form."""
+    """Canonical text for a tensor or poly map; inverse of `parse_map`. A poly map writes
+    the nonzero entries of its blocks, in monomial order, each in lowest terms."""
     if isinstance(obj, BilinearTensor):
         return "\n".join(["map bilinear", f"dim {obj.dim}"] + entry_lines(obj, "t")) + "\n"
-    if isinstance(obj, (PolyRightMap, PolyLeftMap)):
-        return _write_raw(type(obj), obj.dim, *_raw(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not isinstance(obj, (PolyRightMap, PolyLeftMap)):
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    n, blocks = obj.dim, obj.blocks
+    text, at = Rationals(obj.den), [f" {r + 1} {c + 1} = " for r in range(n) for c in range(n)]
+    lines = [f"map {('polyleft', 'polyright')[obj._frozen]}", f"dim {n}"]
+    for alpha in sorted(blocks):
+        head, block = str(alpha).replace(" ", "") if n > 1 else f"({alpha[0]})", blocks[alpha]
+        lines += [f"m {head}{pos}{text[x]}" for pos, x in compress(zip(at, block), block)]
+    return "\n".join(lines) + "\n"

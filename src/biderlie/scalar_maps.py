@@ -11,8 +11,8 @@ the right bracket, with
 and it integrates: for a derivation F, s -> exp(sF) is a one-parameter
 curve of automorphisms whose derivative at 0, scaled by g(y), recovers
 B(x, y). The family's maps are built in integers: `to_poly_right` writes
-the tall matrix of g(y) F(x) straight from g's coefficients and F's
-integer form, with no `Fraction` matrix c F per monomial, and `ScalarPoly`
+the blocks of g(y) F(x) straight from g's coefficients and F's integer
+form, with no `Fraction` matrix c F per monomial, and `ScalarPoly`
 sums and products keep their terms through a trusted constructor.
 `exp_curve_check` verifies the curve numerically with central
 differences; it is the only floating-point code in the package. The
@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebras import Algebra
-from .brackets import (MultiIndex, PolyRightMap, _stacked, is_right_bider_poly, monomial_value,
+from .brackets import (MultiIndex, PolyRightMap, _expect, is_right_bider_poly, monomial_value,
                        rhd)
 from .derivations import commutator, is_derivation
 from .linalg import Matrix, Vector, basis_vector, check_index
@@ -153,12 +153,12 @@ class ScalarTimesDerivation:
 
 def to_poly_right(s: ScalarTimesDerivation) -> PolyRightMap:
     """Expand g(y) F(x) into monomial terms c_a F, in integers: over L * F.den, L the lcm
-    of the denominators of the c_a, block a of the tall matrix is (L c_a) * F.ints."""
-    n, F, coeffs = s.dim, s.F, s.g.coeffs
+    of the denominators of the c_a, block a is (L c_a) * F.ints."""
+    F, coeffs = s.F, s.g.coeffs
     den = math.lcm(*[c.denominator for c in coeffs.values()])
     scales = {a: c.numerator * (den // c.denominator) for a, c in coeffs.items()}
-    return PolyRightMap._of(n, *_stacked(n, den * F.den, {
-        a: [k * x for x in F.ints] for a, k in scales.items()}))
+    return PolyRightMap._of(s.dim, den * F.den, {
+        a: [k * x for x in F.ints] for a, k in scales.items()})
 
 
 def decompose_by_basis(P: PolyRightMap) -> list[list[ScalarPoly]]:
@@ -169,9 +169,10 @@ def decompose_by_basis(P: PolyRightMap) -> list[list[ScalarPoly]]:
     B(x, y) = sum_i x_i f_i(y) reconstructs B exactly, and the f_i are the
     unique maps doing so.
     """
-    n, terms = P.dim, [(a, m.data) for a, m in P.terms.items()]
-    return [[ScalarPoly(n, {a: rows[l][i] for a, rows in terms if rows[l][i]}) for l in range(n)]
-            for i in range(n)]
+    _expect(PolyRightMap, "decompose_by_basis", P)
+    n, den, blocks = P.dim, P.den, P.blocks.items()
+    return [[ScalarPoly(n, {a: Fraction(flat[l * n + i], den) for a, flat in blocks
+                            if flat[l * n + i]}) for l in range(n)] for i in range(n)]
 
 
 def iff_derivation_check(A: Algebra, s: ScalarTimesDerivation) -> bool:

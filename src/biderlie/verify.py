@@ -219,7 +219,7 @@ def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[Ch
     equivalence_ok = True
     non_derivation_hits = 0
     for chunk in chunks:
-        Fs, talls = [], []
+        Fs, maps = [], []
         for i in chunk:
             g = _random_scalar_poly(rng, n)
             while g.is_zero():
@@ -227,8 +227,9 @@ def scalar_suite(A: Algebra, seed: int = 0, sweep_samples: int = 100) -> list[Ch
             F = (Matrix._of(n, n, *_lift(rng, der)) if i % 2 == 0 and der.rows
                  else _random_matrix(rng, n))
             Fs.append(F.ints)
-            talls.append(to_poly_right(ScalarTimesDerivation(g, F)).tall.ints)
-        bad, m = failing_stacks(A, Fs + talls), len(Fs)
+            blocks = to_poly_right(ScalarTimesDerivation(g, F)).blocks.values()
+            maps.append(list(itertools.chain.from_iterable(blocks)))
+        bad, m = failing_stacks(A, Fs + maps), len(Fs)
         non_derivation_hits += sum(b < m for b in bad)
         if {b for b in bad if b < m} != {b - m for b in bad if b >= m}:
             equivalence_ok = False

@@ -38,7 +38,7 @@ of the right basis, where the package reads the right basis's sparse rows.
 The scalar polynomial drawer sums each monomial's coefficients as `Fraction`s,
 where the package sums them in integer halves. The scalar-family expansion
 builds one `Fraction` matrix c_a F per monomial and a map from them, where the
-package writes the tall integer matrix from g's coefficients and F's integer
+package writes the integer blocks from g's coefficients and F's integer
 form. The per-entry operand reader slices every row of every block and tests
 each entry, where the package visits only the nonzero positions of a block.
 The tensor, algebra and `der`/`bider` writers below print the `str` of each
@@ -429,8 +429,7 @@ def read_per_entry(X):
     every n x n block sliced row by row and every entry tested, the entries (r n, k, v)
     collected from the sparse rows."""
     if isinstance(X, _PolyMap):
-        nn = X.dim * X.dim
-        X = X.tall.den, {a: X.tall.ints[i * nn:i * nn + nn] for i, a in enumerate(X.monomials)}
+        X = X.den, X.blocks
     out = []
     for a, flat in X[1].items():
         if any(flat):
@@ -599,13 +598,13 @@ def serialize_map_per_entry(P):
     zeros one at a time, each entry x / den reduced to `str(Fraction)`'s text, as the
     package once wrote it."""
     kind = "polyright" if isinstance(P, PolyRightMap) else "polyleft"
-    n, den, ints = P.dim, P.tall.den, P.tall.ints
+    n, den = P.dim, P.den
     at = [f" {r + 1} {c + 1} = " for r in range(n) for c in range(n)]
     text: dict[int, str] = {}  # each distinct entry is reduced once
     lines = [f"map {kind}", f"dim {n}"]
-    for b, alpha in zip(range(0, len(ints), n * n), P.monomials):
+    for alpha in P.monomials:
         head = "m (" + ",".join(map(str, alpha)) + ")"
-        for pos, x in zip(at, ints[b:b + n * n]):
+        for pos, x in zip(at, P.blocks[alpha]):
             if x:
                 v = text.get(x)
                 if v is None:

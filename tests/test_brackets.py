@@ -82,6 +82,44 @@ def test_to_tensor_rejects_higher_degree():
         to_tensor_left(PolyLeftMap.single(3, (1, 1, 0), m))
 
 
+# B(e1, e2) = e3; its transpose Bt(e2, e1) = e3 is another tensor
+_E1E2 = BilinearTensor.from_entries(3, {(0, 1, 2): 1})
+
+
+def test_to_tensor_refuses_a_left_map():
+    # the left map of B, read as a right map, would give Bt
+    assert to_tensor(from_tensor(_E1E2)) == _E1E2 != _E1E2.transpose()
+    with pytest.raises(TypeError, match="to_tensor expects a right map"):
+        to_tensor(from_tensor_left(_E1E2))
+
+
+def test_to_tensor_left_refuses_a_right_map():
+    assert to_tensor_left(from_tensor_left(_E1E2)) == _E1E2
+    with pytest.raises(TypeError, match="to_tensor_left expects a left map"):
+        to_tensor_left(from_tensor(_E1E2))
+
+
+def _right_only_tensor(A):
+    return next(t for t in basis_tensors(right_bider_bilinear_space(A), A.dim)
+                if not is_left_bider(A, t))
+
+
+def test_is_right_bider_poly_refuses_a_left_map(heisenberg):
+    # a right-only t: its left map, read as a right map, would be answered for t^t
+    t = _right_only_tensor(heisenberg)
+    assert is_right_bider_poly(heisenberg, from_tensor(t))
+    with pytest.raises(TypeError, match="is_right_bider_poly expects a right map"):
+        is_right_bider_poly(heisenberg, from_tensor_left(t))
+
+
+def test_is_left_bider_poly_refuses_a_right_map(heisenberg):
+    # a right-only t: its right map, read as a left map, would be answered for t^t
+    t = _right_only_tensor(heisenberg)
+    assert not is_left_bider_poly(heisenberg, from_tensor_left(t))
+    with pytest.raises(TypeError, match="is_left_bider_poly expects a left map"):
+        is_left_bider_poly(heisenberg, from_tensor(t))
+
+
 @pytest.mark.parametrize("cls", [PolyRightMap, PolyLeftMap])
 @pytest.mark.parametrize("alpha", [(0.5, 0), (1.0, 0), (True, 0), (0, F(1)), (-1, 0)])
 def test_poly_maps_refuse_exponents_that_are_not_ints(cls, alpha):
@@ -307,11 +345,9 @@ def test_read_matches_the_per_entry_reader():
                 rng.randint(-20, 20) if rng.random() < density else 0 for _ in range(nn)]
         form = (den, raw)
         assert _read(form) == read_per_entry(form)
-        monomials = tuple(sorted(raw))
-        P = cls._of(n, monomials, Matrix._of(len(monomials) * n, n, den,
-                                             [x for a in monomials for x in raw[a]]))
+        P = cls._of(n, den, {a: list(flat) for a, flat in raw.items()})
         assert _read(P) == read_per_entry(P)
-        assert [a for a, _, _ in _read(P)[1]] == [a for a in monomials if any(raw[a])]
+        assert [a for a, _, _ in _read(P)[1]] == [a for a, flat in raw.items() if any(flat)]
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "L3", "sl2"])
@@ -329,7 +365,7 @@ def test_transpose_suite_reads_each_operand_once(monkeypatch, name):
 @pytest.mark.parametrize("name", ["heisenberg3", "L3", "sl2"])
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_lie_law_suite_reads_each_sample_and_product_once(monkeypatch, name, side):
-    # the m basis maps are split into raw forms by `_raw`, not read; per sample its three
+    # the m basis maps' raw forms are combined, not read; per sample its three
     # maps, the two combinations and the three products bracketed again are each read once
     A = builtin(name)
     reads = _count_reads(monkeypatch)
@@ -363,13 +399,12 @@ def test_random_map_is_the_fraction_combination_of_its_draws(name, side):
     space, convert = ((right_bider_bilinear_space, from_tensor) if side == "right"
                       else (left_bider_bilinear_space, from_tensor_left))
     maps = [convert(t) for t in basis_tensors(space(A), n)]
-    base = [brackets_module._raw(P) for P in maps]
+    base = [(P.den, P.blocks) for P in maps]
     rng = random.Random(f"{name}-{side}")
     for _ in range(40):
         twin = random.Random()
         twin.setstate(rng.getstate())
-        got = PolyRightMap._of(n, *brackets_module._stacked(
-            n, *brackets_module._random_map(rng, base, ders, n)))
+        got = PolyRightMap._of(n, *brackets_module._random_map(rng, base, ders, n))
         coeffs = [F(twin.randint(-2, 2), twin.randint(1, 2)) for _ in maps]
         terms = [P.terms for P in maps]
         for _ in range(twin.randrange(3) if ders else 0):
@@ -428,7 +463,7 @@ def test_poly_map_arithmetic_matches_matrix_by_matrix_reference(cls):
         expect(-P, (minus,), (P,))
         expect(s - Q, (one,), (P,))
         expect(f * s + -s, (f - 1,), (s,))
-        assert (P - P).is_zero() and P - P == cls.zero(n)
+        assert (P - P).is_zero() and P - P == cls.zero(n) and (P - P).den == 1
         assert hash(0 * P) == hash(cls.zero(n))
         # brackets of maps built by arithmetic, after their operands were bracketed
         br = rhd if cls is PolyRightMap else lhd
@@ -439,20 +474,21 @@ def test_poly_map_arithmetic_matches_matrix_by_matrix_reference(cls):
 
 @pytest.mark.parametrize("cls", [PolyRightMap, PolyLeftMap])
 def test_integer_born_maps_equal_and_hash_as_their_fraction_born_copies(cls):
-    # the kernel adds a bracket over d1 d2, and its tall matrix puts it in lowest
-    # terms: (E12 / 2) and (2/3 E21) bracket to 2 (E11 - E22) over 6, held as
-    # (E11 - E22) over 3, as the map rebuilt from its `Fraction` terms holds it
+    # the kernel adds a bracket over d1 d2, and `_of` puts it in lowest terms:
+    # (E12 / 2) and (2/3 E21) bracket to 2 (E11 - E22) over 6, held as (E11 - E22)
+    # over 3, as the map rebuilt from its `Fraction` terms holds it
     br = rhd if cls is PolyRightMap else lhd
     P = cls.single(2, (1, 0), Matrix([[0, F(1, 2)], [0, 0]]))
     Q = cls.single(2, (0, 1), Matrix([[0, 0], [F(2, 3), 0]]))
     R = br(P, Q)
-    assert R.monomials == ((1, 1),) and (R.tall.den, R.tall.ints) == (3, (1, 0, 0, -1))
+    assert (R.den, R.blocks) == (3, {(1, 1): [1, 0, 0, -1]})
     born = cls(2, R.terms)
-    assert born.tall.den == 3
-    assert R.tall.sparse == born.tall.sparse == [[(0, 1)], [(1, -1)]]
-    for a, b in ((R, born), (born, R), (R, parse_map(serialize_map(R)))):
+    assert (born.den, born.blocks) == (R.den, R.blocks)
+    # the raw form over 6 with all entries even, with an all-zero block first, is R
+    loose = cls._of(2, 6, {(0, 2): [0, 0, 0, 0], (1, 1): [2, 0, 0, -2]})
+    for a, b in ((R, born), (born, R), (R, parse_map(serialize_map(R))), (loose, R)):
         assert a == b and hash(a) == hash(b)
-    assert R != 2 * R and R != -R and R != cls.zero(2)
+    assert R != 2 * R and R != F(1, 2) * R and R != -R and R != cls.zero(2)
     assert 2 * R - R == born and hash(2 * R - R) == hash(born)
     # the same on random brackets and combinations of mixed denominators
     rng = random.Random(cls.__name__)
@@ -464,14 +500,19 @@ def test_integer_born_maps_equal_and_hash_as_their_fraction_born_copies(cls):
         for got in (br(X, Y), f * br(X, Y), br(X, Y) + br(Y, X), -br(f * X, Y), X - f * Y):
             twin = cls(n, got.terms)
             assert got == twin and twin == got and hash(got) == hash(twin)
-            assert got.tall == twin.tall and got.monomials == twin.monomials
+            assert (got.den, got.blocks) == (twin.den, twin.blocks)
             assert got == parse_map(serialize_map(got))
+            # its blocks in reverse order and scaled by 6, over 6 den, after an all-zero block
+            zero = (9,) * n
+            loose = cls._of(n, 6 * got.den, {zero: [0] * (n * n), **{
+                a: [6 * x for x in flat] for a, flat in reversed(got.blocks.items())}})
+            assert zero not in got.blocks and loose == got and hash(loose) == hash(got)
 
 
 @pytest.mark.parametrize("cls", [PolyRightMap, PolyLeftMap])
 def test_bracket_terms_view_and_file_text_match_the_reference(cls):
-    # `.terms` of a bracket is a view of the blocks of its tall matrix; it and
-    # the file text must be those of the per-pair `Fraction` reference
+    # `.terms` of a bracket is a sorted view of its blocks; it and the file text
+    # must be those of the per-pair `Fraction` reference
     br = rhd if cls is PolyRightMap else lhd
     rng = random.Random(f"view-{cls.__name__}")
     for n in (1, 2, 3, 5):
@@ -479,7 +520,8 @@ def test_bracket_terms_view_and_file_text_match_the_reference(cls):
             X, Y = (cls(n, _random_terms(rng, n, rng.randint(1, min(n + 2, 6)), (1, 2, 3, 5, 7)))
                     for _ in range(2))
             R = br(X, Y)
-            assert R.terms == dict(zip(R.monomials, R.tall.split(n, n)))
+            assert list(R.terms) == list(R.monomials) == sorted(R.blocks)
+            assert R.terms == {a: Matrix._of(n, n, R.den, flat) for a, flat in R.blocks.items()}
             want = bracket_terms_per_pair(X.terms, Y.terms)
             assert R.terms == want
             assert serialize_map(R) == serialize_map(cls(n, want))
@@ -604,18 +646,17 @@ def _derivation_terms(rng, ders, n, count):
 
 
 def _assert_kernel_matches_reference(t1, t2, n):
-    # the kernel takes each map as read from its tall matrix and returns the monomials
-    # and tall matrix of the bracket; the reference gets the same maps' terms
+    # the kernel takes each map as read from its raw form and returns the raw form of
+    # the bracket, which `_of` makes a map; the reference gets the same maps' terms
     P1, P2 = PolyRightMap(n, t1), PolyRightMap(n, t2)
     [raw] = _KERNEL(_read(P1), [_read(P2)])
-    monomials, tall = brackets_module._stacked(n, *raw)
-    blocks = tall.split(n, n)
-    assert len(blocks) == len(monomials) and not any(m.is_zero() for m in blocks)
-    got = dict(zip(monomials, blocks))
+    R = PolyRightMap._of(n, *raw)
+    got = R.terms
+    assert not any(m.is_zero() for m in got.values())
     want = bracket_terms_per_pair(P1.terms, P2.terms)
     assert got == want
-    for cls in (PolyRightMap, PolyLeftMap):
-        assert serialize_map(cls._of(n, monomials, tall)) == serialize_map(cls(n, want))
+    for S in (R, R.transpose()):
+        assert serialize_map(S) == serialize_map(type(S)(n, want))
     return got
 
 
@@ -666,7 +707,7 @@ def _assert_row_matches_reference(P1, row):
     results = _KERNEL(_read(P1), [_read(P2) for P2 in row])
     assert len(results) == len(row)
     for (den, acc), P2 in zip(results, row):
-        assert den == P1.tall.den * P2.tall.den
+        assert den == P1.den * P2.den
         assert all(len(flat) == n * n for flat in acc.values())
         got = {g: Matrix._from_flat(n, n, [F(x, den) for x in flat])
                for g, flat in acc.items() if any(flat)}
@@ -691,7 +732,7 @@ def test_row_kernel_matches_per_pair_reference(case):
         row = [PolyRightMap.zero(n), *one, PolyRightMap(n, _random_terms(rng, n, 4, (1, 2)))]
         for P1 in (PolyRightMap.zero(n), *one):
             _assert_row_matches_reference(P1, row)
-        assert _assert_row_matches_reference(one[0], row)[0] == (one[0].tall.den, {})
+        assert _assert_row_matches_reference(one[0], row)[0] == (one[0].den, {})
     elif case == "cancelling":
         t1, t2 = _cancelling_terms()
         P1, P2 = PolyRightMap(2, t1), PolyRightMap(2, t2)
@@ -776,8 +817,8 @@ def _on_maps(kernel, n):
 
 def _raw_form(terms, n):
     # a term dict as one entry of the row kernel's return list: (den, {monomial: entries})
-    P, nn = PolyRightMap(n, terms), n * n
-    return P.tall.den, {a: list(P.tall.ints[b * nn:(b + 1) * nn]) for b, a in enumerate(P.monomials)}
+    P = PolyRightMap(n, terms)
+    return P.den, P.blocks
 
 
 def _anticommutator_terms(P1, row):

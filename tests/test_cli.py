@@ -138,8 +138,8 @@ def test_bracket_command_runs_in_integers_from_file_to_file(capsys, tmp_path, mo
 
 
 def test_bracket_drops_its_operands_before_writing(capsys, tmp_path, monkeypatch):
-    # by the time the result is written, the operands' raw and read forms are gone, and
-    # no poly map built in the command is alive: poly operands build none
+    # by the time the result is written, the operand maps and their read forms are gone:
+    # the result is the one poly map alive that was not alive before the command
     A, b1, b2 = heisenberg_example_maps()
     alg = tmp_path / "h3.alg"
     alg.write_text(serialize_algebra(A))
@@ -152,35 +152,37 @@ def test_bracket_drops_its_operands_before_writing(capsys, tmp_path, monkeypatch
         gc.collect()
         return sum(isinstance(o, _PolyMap) for o in gc.get_objects())
 
-    class Terms(dict):  # a raw form's blocks, which a weak reference can follow
+    class Blocks(dict):  # an operand's blocks, which a weak reference can follow
         pass
 
     class Ops(list):  # a read form's blocks
         pass
 
-    forms, seen = [], []
+    forms, seen, read_form = [], [], brackets._read
 
-    def parse_raw(text):
-        cls, dim, den, terms = formats._parse_raw(text)
-        forms.append(weakref.ref(terms := Terms(terms)))
-        return cls, dim, den, terms
+    def parse(text):
+        P = formats.parse_map(text)
+        forms.append(weakref.ref(blocks := Blocks(P.blocks)))
+        P.blocks = blocks
+        return P
 
     def read(X):
-        den, ops = brackets._read(X)
+        den, ops = read_form(X)
         forms.append(weakref.ref(ops := Ops(ops)))
         return den, ops
 
-    def write(*raw):
+    def write(R):
         seen.append((alive(), [ref() is None for ref in forms]))
-        return formats._write_raw(*raw)
+        return formats.serialize_map(R)
 
-    for name, f in (("_parse_raw", parse_raw), ("_read", read), ("_write_raw", write)):
-        monkeypatch.setattr(cli, name, f)
+    monkeypatch.setattr(cli, "parse_map", parse)
+    monkeypatch.setattr(brackets, "_read", read)
+    monkeypatch.setattr(cli, "serialize_map", write)
     before = alive()
     code, out, _ = run_cli(capsys, "bracket", *map(str, paths), "--op", "rhd",
                            "--algebra", str(alg))
     assert code == 0 and parse_map(out) == rhd(from_tensor(b1), from_tensor(b2))
-    assert seen == [(before, [True] * 4)]
+    assert seen == [(before + 1, [True] * 4)]
 
 
 # operands as files: each op's maps in dims 1-3 with unsorted blocks, an all-zero block
@@ -213,8 +215,8 @@ def _operand_files(tmp_path, dim: int, kind: str) -> list[Path]:
 @pytest.mark.parametrize("dim, algebra", [(1, "abelian(1)"), (2, "L2"), (3, "heisenberg3")])
 def test_bracket_prints_the_library_bracket_byte_for_byte(capsys, tmp_path, op, kind, dim,
                                                           algebra):
-    # the command goes from file to text in raw form; the library parses, brackets and
-    # writes stacked maps, and both must print the same bytes for every pair of operands
+    # the command parses, brackets and writes as the library does, and both must print
+    # the same bytes for every pair of operands
     br, convert = {"rhd": (rhd, from_tensor), "lhd": (lhd, from_tensor_left)}[op]
     paths = _operand_files(tmp_path, dim, kind)
     for p1 in paths:
@@ -231,12 +233,12 @@ def test_bracket_prints_the_library_bracket_byte_for_byte(capsys, tmp_path, op, 
 
 
 def test_bracket_of_poly_operands_builds_no_stacked_map(capsys, tmp_path, monkeypatch):
-    # poly operands go file -> raw form -> read form -> kernel -> text: no `_PolyMap`, no
-    # tall matrix stacked and no `Matrix` built on the way
+    # poly operands go file -> map -> read form -> kernel -> map -> text, all in raw
+    # form: no `Matrix` is built on the way
     A = builtin("heisenberg3")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("stacked a map on the raw bracket path")
+        raise AssertionError("built a Matrix on the bracket path")
 
     monkeypatch.setattr(cli, "_load_algebra", lambda arg: A)
     for op, kind in (("rhd", "polyright"), ("lhd", "polyleft")):
@@ -244,10 +246,7 @@ def test_bracket_of_poly_operands_builds_no_stacked_map(capsys, tmp_path, monkey
         want = {pair: run_cli(capsys, "bracket", *map(str, pair), "--op", op, "--algebra", "x")
                 for pair in ((p1, p2), (p2, p1), (p1, zero))}
         with monkeypatch.context() as m:
-            m.setattr(_PolyMap, "__init__", refuse)
-            m.setattr(_PolyMap, "_of", classmethod(refuse))
-            m.setattr(brackets, "_stacked", refuse)
-            m.setattr(formats, "_stacked", refuse)
+            m.setattr(Matrix, "__init__", refuse)
             m.setattr(Matrix, "_of", classmethod(refuse))
             for pair, (code, out, err) in want.items():
                 assert code == 0 and out.startswith(f"map {kind}\ndim 3\n")

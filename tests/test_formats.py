@@ -194,9 +194,9 @@ def test_degree_cap_admits_the_cap():
 @st.composite
 def poly_maps(draw):
     """A poly map of dim 1-4 with denominators up to 7 and negative entries. The
-    integer form is given as it is, scaled by k (not in lowest terms when k > 1,
-    which `Matrix._of` reduces), or the map is built from the `Fraction`
-    matrices it stands for."""
+    raw form is given as it is, in the order drawn and scaled by k (not in lowest
+    terms when k > 1, which `_of` reduces), or the map is built from the
+    `Fraction` matrices it stands for."""
     n = draw(st.integers(1, 4))
     cls = draw(st.sampled_from((PolyRightMap, PolyLeftMap)))
     den, k = draw(st.integers(1, 7)), draw(st.integers(1, 4))
@@ -206,9 +206,7 @@ def poly_maps(draw):
     if draw(st.booleans()):
         return cls(n, {a: Matrix([[F(flat[r * n + c], den) for c in range(n)] for r in range(n)])
                        for a, flat in ints.items()})
-    alphas = sorted(ints)
-    return cls._of(n, tuple(alphas), Matrix._of(len(alphas) * n, n, k * den,
-                                                [k * x for a in alphas for x in ints[a]]))
+    return cls._of(n, k * den, {a: [k * x for x in flat] for a, flat in ints.items()})
 
 
 @settings(max_examples=200, deadline=None)
@@ -230,8 +228,17 @@ def test_parse_drops_zero_entries_and_all_zero_monomials():
         assert P.support() == {(1, 0), (0, 1)}
         # one denominator, the lcm of the entry denominators
         assert P.monomials == ((0, 1), (1, 0))
-        assert (P.tall.den, P.tall.ints) == (2, (0, 0, -6, 0, 0, 1, 0, 0))
+        assert (P.den, P.blocks) == (2, {(1, 0): [0, 1, 0, 0], (0, 1): [0, 0, -6, 0]})
         assert serialize_map(P) == serialize_map(parse_map(base))
+        # a raw form with an all-zero block, over 6 or over 12 with all entries even, or
+        # with its blocks in another order is P's, hash included
+        for den, blocks in ((2, {(2, 0): [0] * 4, (1, 0): [0, 1, 0, 0], (0, 1): [0, 0, -6, 0]}),
+                            (6, {(1, 0): [0, 3, 0, 0], (0, 1): [0, 0, -18, 0]}),
+                            (12, {(1, 0): [0, 6, 0, 0], (0, 1): [0, 0, -36, 0]}),
+                            (2, {(0, 1): [0, 0, -6, 0], (1, 0): [0, 1, 0, 0]})):
+            twin = cls._of(2, den, blocks)
+            assert twin == P and hash(twin) == hash(P) and (twin.den, twin.blocks) == (
+                P.den, P.blocks)
 
 
 def test_parse_of_all_zero_entries_is_the_zero_map():
@@ -378,8 +385,8 @@ def test_plain_literals_are_read_without_a_fraction():
 
 def test_serialize_map_matches_the_per_entry_writer():
     # right and left maps of dims 1-7 with mixed denominators; all-zero coefficient
-    # matrices are dropped by the constructor, and an all-zero block of a raw tall
-    # matrix is skipped as the per-entry writer skips it
+    # matrices are dropped by the constructor, as they are from a raw form that has
+    # one, is not in lowest terms and lists its blocks in reverse order
     rng = random.Random("serialize-per-entry")
     for trial in range(70):
         n, cls = trial % 7 + 1, (PolyRightMap, PolyLeftMap)[trial % 2]
@@ -394,10 +401,9 @@ def test_serialize_map_matches_the_per_entry_writer():
         text = serialize_map(P)
         assert text == serialize_map_per_entry(P) == serialize_map_reference(P)
         assert parse_map(text) == P and type(parse_map(text)) is cls
-        raw = cls._of(n, P.monomials + ((9,) * n,),
-                      Matrix._of((len(P.monomials) + 1) * n, n, P.tall.den,
-                                 P.tall.ints + (0,) * (n * n)))
-        assert serialize_map(raw) == serialize_map_per_entry(raw) == text
+        raw = cls._of(n, 3 * P.den, {(9,) * n: [0] * (n * n), **{
+            a: [3 * x for x in flat] for a, flat in reversed(P.blocks.items())}})
+        assert raw == P and serialize_map(raw) == serialize_map_per_entry(raw) == text
 
 
 @pytest.mark.parametrize("body,fragment", [

@@ -9,7 +9,8 @@ from biderlie import (ScalarPoly, ScalarTimesDerivation, ad, bracket, builtin,
                       derivation_matrices, exp_curve_check, exp_nilpotent_exact,
                       iff_derivation_check, is_derivation, is_right_bider_poly,
                       to_poly_right)
-from biderlie.brackets import PolyRightMap, rhd
+from biderlie.bilinear import BilinearTensor
+from biderlie.brackets import PolyRightMap, from_tensor, from_tensor_left, rhd
 from biderlie.linalg import Matrix
 from biderlie import scalar_maps, verify
 from biderlie.scalar_maps import bracket_matches_poly_form, power_leibniz_witness
@@ -70,7 +71,7 @@ def test_to_poly_right_evaluation_agreement(heisenberg):
 
 def test_to_poly_right_matches_the_fraction_reference():
     # the integer expansion against one `Fraction` matrix c * F per monomial through the
-    # validating constructor: equal maps with the very same tall integers, for signed
+    # validating constructor: equal maps with the very same raw forms, for signed
     # coefficients over 1..6, one- and four-term g, and rational, integer and zero F
     rng = random.Random(8)
     for n in (1, 2, 3, 4):
@@ -85,8 +86,8 @@ def test_to_poly_right_matches_the_fraction_reference():
                 s = ScalarTimesDerivation(ScalarPoly(n, coeffs), F_mat)
                 got, want = to_poly_right(s), to_poly_right_fractions(s)
                 assert got == want
-                assert (got.monomials, got.tall.den, got.tall.ints) == (
-                    want.monomials, want.tall.den, want.tall.ints)
+                assert (got.monomials, got.den, got.blocks) == (
+                    want.monomials, want.den, want.blocks)
                 assert got.is_zero() == F_mat.is_zero()
 
 
@@ -116,6 +117,17 @@ def test_decompose_scalar_class_map(diag_derivation):
 def test_decompose_zero_map():
     fs = decompose_by_basis(PolyRightMap.zero(3))
     assert all(f.is_zero() for row in fs for f in row)
+
+
+def test_decompose_by_basis_refuses_a_left_map():
+    # B(e1, e2) = e3: f_0(y) = B(e1, y) = y_2 e3 and every other f_i is 0; the left map of
+    # B, read as a right map, would give f_1 = y_1 e3
+    B = BilinearTensor.from_entries(3, {(0, 1, 2): 1})
+    fs = decompose_by_basis(from_tensor(B))
+    assert [(i, l) for i in range(3) for l in range(3) if not fs[i][l].is_zero()] == [(0, 2)]
+    assert fs[0][2] == coord(1)
+    with pytest.raises(TypeError, match="decompose_by_basis expects a right map"):
+        decompose_by_basis(from_tensor_left(B))
 
 
 def test_decomposition_reconstructs(heisenberg):
@@ -384,11 +396,7 @@ def test_scalar_poly_drawer_matches_the_fraction_reference():
 
 def _drops_last_monomial(s):
     P = to_poly_right(s)
-    n, keep = P.dim, len(P.monomials) - 1
-    if keep < 0:
-        return P
-    return PolyRightMap._of(n, P.monomials[:-1],
-                            Matrix._of(keep * n, n, P.tall.den, P.tall.ints[:keep * n * n]))
+    return PolyRightMap._of(P.dim, P.den, {a: P.blocks[a] for a in P.monomials[:-1]})
 
 
 def _swapped_class_bracket(s1, s2):
